@@ -246,21 +246,6 @@ func BenchmarkAblationPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHeap compares the paper's binary heap with a 4-ary heap.
-func BenchmarkAblationHeap(b *testing.B) {
-	net := benchNet(b, "washington")
-	sources := benchSources(net, 16)
-	for _, arity := range []int{2, 4} {
-		b.Run(fmt.Sprintf("%d-ary", arity), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.OneToAll(net.G, sources[i%len(sources)], core.Options{HeapArity: arity}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationStopping quantifies Theorem 2 on station-to-station
 // queries without distance tables.
 func BenchmarkAblationStopping(b *testing.B) {

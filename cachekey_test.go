@@ -75,6 +75,7 @@ func TestResultApproxBytes(t *testing.T) {
 		{Kind: KindMatrix, Sources: []StationID{0, 1}, Targets: []StationID{2, 3}, Depart: 480},
 	}
 	sizes := make(map[Kind]int)
+	var oneToAll *Result
 	for _, req := range kinds {
 		res, err := n.Plan(context.Background(), req)
 		if err != nil {
@@ -85,12 +86,31 @@ func TestResultApproxBytes(t *testing.T) {
 			t.Fatalf("%s: ApproxBytes = %d, want positive", req.Kind, b)
 		}
 		sizes[req.Kind] = b
+		if req.Kind == KindOneToAll {
+			oneToAll = res
+		}
 	}
-	// The one-to-all kinds retain full label arrays and must dwarf the
-	// scalar kinds — that difference is what makes byte-bounded eviction
+	// The one-to-all kinds retain label arrays and must dwarf the scalar
+	// kinds — that difference is what makes byte-bounded eviction
 	// meaningful.
-	if sizes[KindOneToAll] <= 100*sizes[KindEarliestArrival] {
+	if sizes[KindOneToAll] <= 20*sizes[KindEarliestArrival] {
 		t.Fatalf("one-to-all %dB not >> earliest-arrival %dB", sizes[KindOneToAll], sizes[KindEarliestArrival])
+	}
+	// A one-to-all result is detached from its workspace and keeps the
+	// station rows only: shell + 4 B per (station, connection) arrival, 8 B
+	// per seed connection, 24 B per walkable station — not the numNodes × k
+	// stamped label store the search ran on (29368 B on this network before
+	// results were detached, 4792 B now).
+	all, _ := oneToAll.All()
+	k, walkable := all.res.K(), 0
+	for s := 0; s < n.NumStations(); s++ {
+		if !all.res.WalkOnly(StationID(s)).IsInf() {
+			walkable++
+		}
+	}
+	if want := 160 + 4*n.NumStations()*k + 8*k + 24*walkable; sizes[KindOneToAll] != want {
+		t.Fatalf("one-to-all ApproxBytes = %d, want %d (%d stations, k = %d, %d walkable)",
+			sizes[KindOneToAll], want, n.NumStations(), k, walkable)
 	}
 	if sizes[KindPareto] <= sizes[KindEarliestArrival] {
 		t.Fatalf("pareto %dB not > earliest-arrival %dB", sizes[KindPareto], sizes[KindEarliestArrival])

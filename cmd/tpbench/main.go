@@ -6,7 +6,6 @@
 //	tpbench -table 2                 # Table 2: station-to-station + distance tables
 //	tpbench -ablation partition      # partition-strategy balance
 //	tpbench -ablation self-pruning   # Theorem 1 work reduction
-//	tpbench -ablation heap           # binary vs 4-ary heap
 //	tpbench -ablation stopping       # Theorem 2 work reduction
 //	tpbench -ablation pareto         # multi-criteria extension cost
 //	tpbench -serving http://127.0.0.1:8080 -rate 500 -duration 10s
@@ -32,7 +31,7 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "paper table to regenerate (1 or 2)")
-	ablation := flag.String("ablation", "", "ablation to run: partition|self-pruning|heap|stopping|pareto")
+	ablation := flag.String("ablation", "", "ablation to run: partition|self-pruning|stopping|pareto")
 	familiesFlag := flag.String("families", strings.Join(bench.Families(), ","), "comma-separated families")
 	scale := flag.Float64("scale", 0.25, "network scale (1.0 = DESIGN.md defaults; 0.25 keeps runs fast)")
 	queries := flag.Int("queries", 10, "queries per configuration")
@@ -82,8 +81,6 @@ func main() {
 				rows, err = bench.AblationPartition(net, 4, *queries, *seed)
 			case "self-pruning":
 				rows, err = bench.AblationSelfPruning(net, *queries, *seed)
-			case "heap":
-				rows, err = bench.AblationHeap(net, *queries, *seed)
 			case "stopping":
 				rows, err = bench.AblationStopping(net, *queries, *seed)
 			case "pareto":

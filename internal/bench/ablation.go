@@ -88,30 +88,6 @@ func AblationSelfPruning(net *Network, numQueries int, seed int64) ([]AblationRo
 	return rows, nil
 }
 
-// AblationHeap compares the binary heap (the paper's choice) against a
-// 4-ary heap on the one-to-all workload.
-func AblationHeap(net *Network, numQueries int, seed int64) ([]AblationRow, error) {
-	sources := randomSources(net, numQueries, seed)
-	var rows []AblationRow
-	for _, arity := range []int{2, 4} {
-		agg := &stats.Aggregate{}
-		for _, src := range sources {
-			res, err := core.OneToAll(net.G, src, core.Options{HeapArity: arity})
-			if err != nil {
-				return nil, err
-			}
-			agg.Observe(&res.Run)
-		}
-		rows = append(rows, AblationRow{
-			Family:      net.Family,
-			Config:      fmt.Sprintf("%d-ary heap", arity),
-			MeanSettled: agg.MeanSettled(),
-			MeanTimeMS:  float64(agg.MeanElapsed().Microseconds()) / 1000,
-		})
-	}
-	return rows, nil
-}
-
 // AblationStopping quantifies Theorem 2 on station-to-station queries
 // without a distance table.
 func AblationStopping(net *Network, numQueries int, seed int64) ([]AblationRow, error) {

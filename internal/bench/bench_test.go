@@ -132,15 +132,6 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("self-pruning rows wrong: %+v", rows)
 		}
 	})
-	t.Run("heap", func(t *testing.T) {
-		rows, err := AblationHeap(net, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 2 {
-			t.Fatalf("rows = %d", len(rows))
-		}
-	})
 	t.Run("stopping", func(t *testing.T) {
 		rows, err := AblationStopping(net, 4, 1)
 		if err != nil {
@@ -172,13 +163,13 @@ func TestPrinters(t *testing.T) {
 	if !strings.Contains(sb.String(), "prepro") {
 		t.Fatalf("Table2 output: %q", sb.String())
 	}
-	ab, err := AblationHeap(net, 2, 1)
+	ab, err := AblationSelfPruning(net, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	PrintAblation(&sb, "heap", ab)
-	if !strings.Contains(sb.String(), "heap") {
+	PrintAblation(&sb, "self-pruning", ab)
+	if !strings.Contains(sb.String(), "self-pruning") {
 		t.Fatalf("ablation output: %q", sb.String())
 	}
 }

@@ -10,18 +10,50 @@
 // The paper reports per-query times in the low milliseconds because its
 // C++ implementation keeps every search data structure alive between
 // queries, once per thread. This package reproduces that discipline with
-// the Workspace type: a bundle owning the label arrays (arr, settled,
-// maxconn, parents), the pruning state (µ, γ, ancestor flags), the seed
-// scratch (conn(S) and walk distances) and the priority queues of
-// internal/pq, with one workerSpace per search thread.
+// the Workspace type: a bundle owning the label arrays (arr, the fused
+// search labels, maxconn, parents), the pruning state (µ, γ, ancestor
+// flags), the seed scratch (conn(S) and walk distances) and the priority
+// queues of internal/pq, with one workerSpace per search thread.
 //
 // Resetting a workspace between queries is O(1), not O(numNodes·k): each
 // resettable slot carries a uint32 generation stamp, and a query begins by
-// incrementing the workspace generation. A label is "Infinity", a node
-// "unsettled", maxconn "-1" and a queue position "absent" unless its stamp
-// equals the current generation, so the previous query's data simply
-// becomes invisible instead of being swept. Stamps wrap around once every
-// 2^32 queries, at which point (and only then) one real sweep runs.
+// incrementing the workspace generation. A label is "Infinity", a pair
+// "untouched" and maxconn "-1" unless its stamp belongs to the current
+// generation, so the previous query's data simply becomes invisible instead
+// of being swept. Generations wrap around once every 2^31 queries, at which
+// point (and only then) one real sweep runs.
+//
+// # Queue and label layout
+//
+// The two connection-setting profile loops (spcsWorker.run for one-to-all,
+// journeys and distance-table rows; s2sWorker.run for station-to-station)
+// share one design. The queue is pq.RadixHeap, a monotone bucket queue
+// without a position index or decrease-key. Each (node, connection) pair
+// has one 8-byte record {best key pushed, stamp}, stamp = gen<<1 while
+// tentative and gen<<1|1 once settled, stored connection-major (row i holds
+// connection i's records in node order, so a train ride walks consecutive
+// records). Relaxing an edge compares against the record; an improvement
+// overwrites it and pushes a second queue entry, and the superseded entry
+// stays queued until it surfaces and is dropped (lazy deletion).
+//
+// The monotonicity invariant that makes this exact: keys are arrival times,
+// every edge weight is ≥ 0 (board T(S) ≥ 0, alight 0, walk ≥ 0, ride = wait
+// + duration ≥ 0), and all seeds are pushed before the first pop — so no
+// push is ever below the last popped key, and entries surface in
+// non-decreasing key order (pq.RadixHeap panics under `go test` if a caller
+// breaks this). Hence the first entry of a pair to surface carries the
+// pair's smallest key, which is the record's key and final by the
+// label-setting property; it flips the stamp to settled, and every later
+// entry of the pair is recognised by that stamp and discarded before any
+// pruning rule or work counter sees it. Parent links are written exactly
+// when a record improves, so the last link written belongs to the final
+// key. Only the order among equal keys differs from an addressable heap:
+// self-pruning may then keep a different one of two tied labels, and the
+// reduced profiles are identical either way.
+//
+// The time-query, the Pareto search and the label-correcting baseline keep
+// the addressable binary pq.Heap (the last one re-inserts nodes below the
+// last popped key).
 //
 // # Lifecycle
 //
@@ -32,8 +64,12 @@
 //     Workspace.TimeQuery, CSASchedule.QueryWS): zero steady-state
 //     allocations; the result borrows workspace memory and is valid only
 //     until the next query on the same workspace. Check workspaces out of
-//     the package pool with GetWorkspace/PutWorkspace — this is what a
-//     server does per request goroutine — or keep one per worker.
+//     the package free list with GetWorkspace/PutWorkspace — this is what
+//     Plan does per request — or keep one per worker. The free list holds
+//     up to GOMAXPROCS grown workspaces and, unlike a runtime-managed pool,
+//     keeps them across garbage collections; ProfileResult.Detach copies
+//     the station rows out of a one-to-all result before the workspace
+//     goes back.
 //
 //   - Package-level functions (OneToAll, StationToStation, TimeQuery,
 //     LabelCorrecting, CSASchedule.Query): self-contained results. Big

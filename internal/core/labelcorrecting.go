@@ -38,7 +38,7 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 	numNodes := g.NumNodes()
 	var c stats.Counters
 
-	heap := ws.worker(0).heap(opts, numNodes)
+	heap := ws.worker(0).heap(numNodes)
 
 	// Seed the departure route nodes: arr(r, i) = τ_dep(c_i).
 	for i, id := range res.Conns {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"transit/internal/pq"
 	"transit/internal/stats"
 )
 
@@ -41,8 +40,7 @@ func (s PartitionStrategy) String() string {
 }
 
 // Options configures profile searches. The zero value means: one thread,
-// equal-connections partitioning, self-pruning on, binary heap, no parent
-// tracking.
+// equal-connections partitioning, self-pruning on, no parent tracking.
 type Options struct {
 	// Threads is the number of worker goroutines p; values < 1 mean 1.
 	Threads int
@@ -54,9 +52,6 @@ type Options struct {
 	// TrackParents records parent links for journey extraction, at the
 	// cost of one node+connection pair per label.
 	TrackParents bool
-	// HeapArity selects the d-ary heap (2 or 4); 0 means 2, the paper's
-	// binary heap.
-	HeapArity int
 	// Done, when non-nil, makes the search cooperatively cancellable: the
 	// settle loops poll the channel once every cancelStride queue pops (a
 	// coarse stride, so the steady-state cost is one nil check per pop) and
@@ -76,17 +71,7 @@ func (o Options) threads() int {
 	return o.Threads
 }
 
-func (o Options) newHeap(maxItems int) *pq.Heap {
-	if o.HeapArity == 4 {
-		return pq.New4(maxItems)
-	}
-	return pq.New(maxItems)
-}
-
 func (o Options) validate() error {
-	if o.HeapArity != 0 && o.HeapArity != 2 && o.HeapArity != 4 {
-		return fmt.Errorf("core: unsupported heap arity %d (want 2 or 4)", o.HeapArity)
-	}
 	switch o.Partition {
 	case EqualConnections, EqualTimeSlots, KMeans:
 	default:

@@ -53,8 +53,9 @@ func OneToAllPareto(g *graph.Graph, source timetable.StationID, maxTransfers int
 	start := time.Now()
 
 	tt := g.TT
-	// A private workspace builds the seed list; the result keeps its memory
-	// (walk map and seed slices) alive, so no pooling here.
+	// A private workspace builds the seed list and lends each worker its
+	// queue; the result keeps its memory (walk map and seed slices) alive, so
+	// no pooling here.
 	ws := NewWorkspace()
 	walk := ws.walkDistances(tt, source)
 	connIDs, deps := ws.extendedConns(tt, source, walk)
@@ -78,7 +79,7 @@ func OneToAllPareto(g *graph.Graph, source timetable.StationID, maxTransfers int
 	nw := len(bounds) - 1
 	workers := make([]*paretoWorker, nw)
 	for t := 0; t < nw; t++ {
-		workers[t] = &paretoWorker{q: res, opts: opts, lo: bounds[t], hi: bounds[t+1]}
+		workers[t] = &paretoWorker{q: res, opts: opts, lo: bounds[t], hi: bounds[t+1], ws: ws.worker(t)}
 	}
 	if nw == 1 {
 		workers[0].run()
@@ -199,6 +200,7 @@ type paretoWorker struct {
 	q        *ParetoResult
 	opts     Options
 	lo, hi   int
+	ws       *workerSpace
 	counters stats.Counters
 	// cancelled is set when the worker abandoned its range because
 	// Options.Done closed; OneToAllPareto turns it into ErrCancelled.
@@ -215,7 +217,7 @@ func (w *paretoWorker) run() {
 	layers := res.layers()
 	numNodes := g.NumNodes()
 	stride := kLocal * layers
-	heap := w.opts.newHeap(numNodes * stride)
+	heap := w.ws.heap(numNodes * stride)
 	settled := make([]bool, numNodes*stride)
 	// maxconn(v, u): highest global connection index settled at v in any
 	// layer ≤ u; -1 when none.

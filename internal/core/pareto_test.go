@@ -234,8 +234,8 @@ func TestParetoErrors(t *testing.T) {
 	if _, err := OneToAllPareto(g, 0, 3, Options{TrackParents: true}); err == nil {
 		t.Error("parent tracking accepted")
 	}
-	if _, err := OneToAllPareto(g, 0, 3, Options{HeapArity: 7}); err == nil {
-		t.Error("bad heap accepted")
+	if _, err := OneToAllPareto(g, 0, 3, Options{Partition: PartitionStrategy(9)}); err == nil {
+		t.Error("bad partition strategy accepted")
 	}
 }
 

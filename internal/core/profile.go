@@ -20,8 +20,9 @@ import (
 // meaningful arrival only when its stamp matches the generation the search
 // ran under, and every other slot reads as Infinity. Results produced by a
 // Workspace query method are therefore valid only until the next query on
-// that workspace; package-level OneToAll binds a private workspace to the
-// result, which stays valid for as long as the caller keeps it.
+// that workspace; Detach copies out what a caller keeps (the station rows),
+// and package-level OneToAll binds a private workspace to the result, which
+// stays valid for as long as the caller keeps it.
 //
 // Without footpaths the seed list is exactly the paper's conn(S). With
 // footpaths it is the extended list (see extendedConns): connections of
@@ -45,9 +46,12 @@ type ProfileResult struct {
 	walk map[timetable.StationID]timeutil.Ticks
 
 	// Generation-stamped labels: arr[li] is meaningful iff arrGen[li] == gen.
-	arr    []timeutil.Ticks // numNodes × k, row-major by node
-	arrGen []uint32
-	gen    uint32
+	// A detached result owns materialized copies instead: no stamps, every
+	// slot meaningful, and arr cut down to the station rows.
+	arr      []timeutil.Ticks // numNodes × k, row-major by node
+	arrGen   []uint32
+	gen      uint32
+	detached bool
 
 	// Parent links, present only when Options.TrackParents was set; stamped
 	// like the labels.
@@ -112,9 +116,53 @@ func (ws *Workspace) newProfileResultWindow(g *graph.Graph, source timetable.Sta
 // K returns |conn(S)|, the number of outgoing connections of the source.
 func (r *ProfileResult) K() int { return len(r.Conns) }
 
+// Detach returns a caller-owned copy of the result that survives the
+// workspace's next query: the seed list, the walk distances, the counters
+// and the arrivals at station nodes. Station nodes are the first
+// NumStations rows of the label store, so that is one prefix of
+// numStations × k arrivals, materialized through the stamps (4 bytes per
+// station label instead of the workspace's 16–28 per node label). Parent
+// links chain through route nodes, so they are copied in full, but only
+// when the search tracked them.
+//
+// A detached result answers everything station-level (StationArrival,
+// StationArrivals, StationProfile, EarliestArrival, WalkOnly,
+// JourneyConnections); it holds no route-node arrivals, so Arrival on a
+// route node is out of its range.
+func (r *ProfileResult) Detach() *ProfileResult {
+	out := &ProfileResult{
+		Source:     r.Source,
+		Conns:      append([]timetable.ConnID(nil), r.Conns...),
+		Deps:       append([]timeutil.Ticks(nil), r.Deps...),
+		Run:        r.Run,
+		g:          r.g,
+		walk:       make(map[timetable.StationID]timeutil.Ticks, len(r.walk)),
+		detached:   true,
+		hasParents: r.hasParents,
+	}
+	out.Run.PerThread = append([]stats.Counters(nil), r.Run.PerThread...)
+	for s, d := range r.walk {
+		out.walk[s] = d
+	}
+	out.arr = make([]timeutil.Ticks, r.g.NumStations()*len(r.Conns))
+	for li := range out.arr {
+		out.arr[li] = r.arrAt(li)
+	}
+	if r.hasParents {
+		n := r.g.NumNodes() * len(r.Conns)
+		out.parentNode = make([]graph.NodeID, n)
+		out.parentConn = make([]timetable.ConnID, n)
+		for li := range out.parentNode {
+			out.parentNode[li], out.parentConn[li] = r.parentAt(li)
+		}
+	}
+	return out
+}
+
 // MemBytes approximates the heap memory the result keeps alive: the label
-// (and, when tracked, parent) arrays dominate at numNodes × k entries of 4
-// bytes each.
+// (and, when tracked, parent) arrays dominate, at 4 bytes per entry —
+// numStations × k arrivals for a detached result, numNodes × k stamped ones
+// for a result that still borrows its workspace.
 func (r *ProfileResult) MemBytes() int {
 	n := 4*(len(r.Conns)+len(r.Deps)) + 4*len(r.arr) + 4*len(r.arrGen) + 24*len(r.walk)
 	if r.hasParents {
@@ -129,7 +177,7 @@ func (r *ProfileResult) label(v graph.NodeID, i int) int { return int(v)*len(r.C
 // arrAt reads a label through its generation stamp: unset slots are
 // Infinity without ever having been written.
 func (r *ProfileResult) arrAt(li int) timeutil.Ticks {
-	if r.arrGen[li] != r.gen {
+	if !r.detached && r.arrGen[li] != r.gen {
 		return timeutil.Infinity
 	}
 	return r.arr[li]
@@ -150,13 +198,14 @@ func (r *ProfileResult) setParent(li int, node graph.NodeID, conn timetable.Conn
 
 // parentAt reads a parent link; unset slots read as (NoNode, -1).
 func (r *ProfileResult) parentAt(li int) (graph.NodeID, timetable.ConnID) {
-	if r.parentGen[li] != r.gen {
+	if !r.detached && r.parentGen[li] != r.gen {
 		return graph.NoNode, -1
 	}
 	return r.parentNode[li], r.parentConn[li]
 }
 
-// Arrival returns arr(v, i) for a node.
+// Arrival returns arr(v, i) for a node (station nodes only on a detached
+// result).
 func (r *ProfileResult) Arrival(v graph.NodeID, i int) timeutil.Ticks {
 	return r.arrAt(r.label(v, i))
 }

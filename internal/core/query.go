@@ -322,8 +322,10 @@ type s2sQuery struct {
 // range [lo, hi). All per-connection pruning state (µ bounds, γ bounds,
 // done flags, ancestor counters) is local to the worker, since connections
 // are partitioned across workers. The worker's label memory lives in its
-// workerSpace: settled and maxconn are generation-stamped (O(1) reset),
-// while the O(k)-sized pruning arrays are refilled eagerly.
+// workerSpace: the fused label records and maxconn are generation-stamped
+// (O(1) reset), while the O(k)-sized pruning arrays are refilled eagerly.
+// Queue and label layout are those of spcsWorker (package comment, "Queue
+// and label layout").
 type s2sWorker struct {
 	q        *s2sQuery
 	lo, hi   int
@@ -334,7 +336,7 @@ type s2sWorker struct {
 	// Options.Done closed; StationToStation turns it into ErrCancelled.
 	cancelled bool
 
-	settledGen []uint32
+	labels     []label
 	maxconn    []int32
 	maxconnGen []uint32
 
@@ -353,8 +355,8 @@ func (w *s2sWorker) init(q *s2sQuery, lo, hi int, wsw *workerSpace, gen uint32) 
 	*w = s2sWorker{q: q, lo: lo, hi: hi, ws: wsw, gen: gen}
 	kLocal := hi - lo
 	n := q.g.NumNodes()
-	wsw.settledGen = growU32(wsw.settledGen, n*kLocal)
-	w.settledGen = wsw.settledGen
+	wsw.labels = growLabels(wsw.labels, n*kLocal)
+	w.labels = wsw.labels
 	wsw.maxconn = growI32(wsw.maxconn, n)
 	w.maxconn = wsw.maxconn
 	wsw.maxconnGen = growU32(wsw.maxconnGen, n)
@@ -385,6 +387,43 @@ func (w *s2sWorker) init(q *s2sQuery, lo, hi int, wsw *workerSpace, gen uint32) 
 	}
 }
 
+// push relaxes queue item it — pair (v, iLocal), see run — to key: a no-op
+// when the pair is settled or already queued with a key at least as good,
+// otherwise the label record is overwritten and a (possibly second) queue
+// entry pushed. childAnc says whether the path behind this key passed a
+// transfer station; noAncCount tracks, per connection, the tentative pairs
+// whose best path did not — "queued" for Theorem 4 means a tentative label,
+// however many stale entries the queue still holds for it.
+func (w *s2sWorker) push(it, iLocal int, key timeutil.Ticks, childAnc bool) {
+	l := &w.labels[it]
+	tentative := w.gen << 1
+	if l.stamp == tentative|1 {
+		return
+	}
+	wasIn := l.stamp == tentative
+	if wasIn && key >= l.key {
+		return
+	}
+	*l = label{key: key, stamp: tentative}
+	w.ws.radix.Push(int32(it), key)
+	w.counters.QueuePushes++
+	if w.anc != nil {
+		if !wasIn {
+			if !childAnc {
+				w.noAncCount[iLocal]++
+			}
+			w.anc[it] = childAnc
+		} else if w.anc[it] != childAnc {
+			if childAnc {
+				w.noAncCount[iLocal]--
+			} else {
+				w.noAncCount[iLocal]++
+			}
+			w.anc[it] = childAnc
+		}
+	}
+}
+
 func (w *s2sWorker) run() {
 	q := w.q
 	g := q.g
@@ -394,45 +433,27 @@ func (w *s2sWorker) run() {
 		return
 	}
 	gen := w.gen
-	heap := w.ws.heap(q.opts.Options, g.NumNodes()*kLocal)
-	transferTime := func(s timetable.StationID) timeutil.Ticks { return g.TT.Stations[s].Transfer }
-
-	push := func(v graph.NodeID, iLocal int, key timeutil.Ticks, childAnc bool) {
-		it := int32(int(v)*kLocal + iLocal)
-		if w.settledGen[it] == gen {
-			return
-		}
-		wasIn := heap.Contains(it)
-		if !heap.Push(it, key) {
-			return
-		}
-		w.counters.QueuePushes++
-		if w.anc != nil {
-			if !wasIn {
-				if !childAnc {
-					w.noAncCount[iLocal]++
-				}
-				w.anc[it] = childAnc
-			} else if w.anc[it] != childAnc {
-				if childAnc {
-					w.noAncCount[iLocal]--
-				} else {
-					w.noAncCount[iLocal]++
-				}
-				w.anc[it] = childAnc
-			}
-		}
-	}
+	settled := gen<<1 | 1
+	heap := &w.ws.radix
+	heap.Reset()
+	stations := g.TT.Stations
+	// Items are laid out as in spcsWorker.run: iLocal*numNodes + node.
+	numNodes := g.NumNodes()
 
 	for i := w.lo; i < w.hi; i++ {
 		id := res.Conns[i]
-		r := g.ConnDepartureNode(id)
-		push(r, i-w.lo, g.TT.Connections[id].Dep, false)
+		iLocal := i - w.lo
+		w.push(iLocal*numNodes+int(g.ConnDepartureNode(id)), iLocal, g.TT.Connections[id].Dep, false)
 	}
 
 	done := q.opts.Done
+	un := uint32(numNodes)
 	for !heap.Empty() {
 		it, key := heap.PopMin()
+		if w.labels[it].stamp == settled {
+			continue // stale entry of a pair that surfaced with a better key
+		}
+		w.labels[it].stamp = settled
 		w.counters.QueuePops++
 		if done != nil && w.counters.QueuePops&cancelMask == 0 {
 			w.counters.CancelPolls++
@@ -441,10 +462,10 @@ func (w *s2sWorker) run() {
 				return
 			}
 		}
-		v := graph.NodeID(int(it) / kLocal)
-		iLocal := int(it) % kLocal
+		iLocal := int(uint32(it) / un)
+		row := iLocal * numNodes
+		v := graph.NodeID(int(it) - row)
 		i := w.lo + iLocal
-		w.settledGen[it] = gen
 		hasAnc := false
 		if w.anc != nil {
 			hasAnc = w.anc[it]
@@ -492,7 +513,7 @@ func (w *s2sWorker) run() {
 		}
 
 		if q.table != nil && q.table.IsTransfer(st) {
-			arrWithTransfer := key + transferTime(st)
+			arrWithTransfer := key + stations[st].Transfer
 			// Target pruning (Theorem 4).
 			if w.gamma != nil {
 				if d := q.table.D(st, q.target, key); d < w.gamma[iLocal] {
@@ -518,7 +539,7 @@ func (w *s2sWorker) run() {
 			prune := true
 			base := iLocal * len(q.vias)
 			for j, vj := range q.vias {
-				mu := q.table.D(st, vj, arrWithTransfer) + transferTime(vj)
+				mu := q.table.D(st, vj, arrWithTransfer) + stations[vj].Transfer
 				if mu < w.mu[base+j] {
 					w.mu[base+j] = mu
 				}
@@ -536,12 +557,16 @@ func (w *s2sWorker) run() {
 		childAnc := hasAnc || (q.table != nil && q.table.IsTransfer(st))
 		edges := g.OutEdges(v)
 		for e := range edges {
-			arrTent, _ := g.EvalEdge(&edges[e], key)
+			edge := &edges[e]
+			arrTent := key + edge.W // EvalEdge by hand, as in spcsWorker.run
+			if edge.Kind == graph.Ride {
+				arrTent, _ = g.EvalRide(edge, key)
+			}
 			w.counters.Relaxed++
 			if arrTent.IsInf() {
 				continue
 			}
-			push(edges[e].Head, iLocal, arrTent, childAnc)
+			w.push(row+int(edge.Head), iLocal, arrTent, childAnc)
 		}
 	}
 }

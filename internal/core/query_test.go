@@ -242,8 +242,8 @@ func TestStationToStationErrors(t *testing.T) {
 	if _, err := StationToStation(fx.env, 0, 99999, QueryOptions{}); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if _, err := StationToStation(fx.env, 0, 1, QueryOptions{Options: Options{HeapArity: 5}}); err == nil {
-		t.Error("bad heap arity accepted")
+	if _, err := StationToStation(fx.env, 0, 1, QueryOptions{Options: Options{Partition: PartitionStrategy(9)}}); err == nil {
+		t.Error("bad partition strategy accepted")
 	}
 }
 

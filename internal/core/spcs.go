@@ -13,10 +13,14 @@ import (
 
 // spcsWorker runs the self-pruning connection-setting search for the
 // contiguous global connection range [lo, hi) of conn(S) (Section 3.1). It
-// borrows its priority queue and settled/maxconn labels from a per-thread
+// borrows its priority queue and its label records from a per-thread
 // workerSpace; the arrival (and parent) arrays of the shared ProfileResult
 // are written only at global indexes in [lo, hi), so concurrent workers
 // never touch the same label.
+//
+// The queue is a monotone radix heap with lazy deletion over fused label
+// records; the package comment ("Queue and label layout") states the
+// invariant and why that is exact.
 type spcsWorker struct {
 	g    *graph.Graph
 	res  *ProfileResult
@@ -33,7 +37,12 @@ type spcsWorker struct {
 }
 
 // run executes the worker. Queue items encode (node, local connection
-// index) as node*(hi-lo) + (i-lo); keys are absolute arrival times.
+// index) as (i-lo)*numNodes + node; keys are absolute arrival times. The
+// label records are indexed by item, so one connection's labels are one
+// contiguous row in node order: riding a train walks consecutive route
+// nodes, hence consecutive records, and the stations a connection alights
+// at share the row's first numStations records — where the node-major
+// layout put every one of those on its own cache line.
 func (w *spcsWorker) run() {
 	g, res := w.g, w.res
 	kLocal := w.hi - w.lo
@@ -42,35 +51,42 @@ func (w *spcsWorker) run() {
 	}
 	numNodes := g.NumNodes()
 	gen := w.gen
-	heap := w.ws.heap(w.opts, numNodes*kLocal)
-	// settled and maxconn are generation-stamped: a slot is unsettled (and
-	// maxconn(v) = -1, unvisited) unless its stamp equals this query's
+	tentative, settled := gen<<1, gen<<1|1
+	heap := &w.ws.radix
+	heap.Reset()
+	// labels and maxconn are generation-stamped: a pair is untouched (and
+	// maxconn(v) = -1, unvisited) unless its stamp belongs to this query's
 	// generation, so no O(n·k) clearing sweep runs between queries.
-	settledGen := growU32(w.ws.settledGen, numNodes*kLocal)
-	w.ws.settledGen = settledGen
+	labels := growLabels(w.ws.labels, numNodes*kLocal)
+	w.ws.labels = labels
 	maxconn := growI32(w.ws.maxconn, numNodes)
 	w.ws.maxconn = maxconn
 	maxconnGen := growU32(w.ws.maxconnGen, numNodes)
 	w.ws.maxconnGen = maxconnGen
 
-	item := func(v graph.NodeID, iLocal int) int32 { return int32(int(v)*kLocal + iLocal) }
-
 	// Initialization: seed (r, i) with key τ_dep(c_i) at the route node r
 	// where connection c_i departs. Keys are the *real* departure time
 	// points (arrival times at the departure platform); res.Deps holds the
 	// effective departures from the source, which differ for walk-seeded
-	// connections.
+	// connections. Seeds are distinct pairs, so each is a plain insert.
 	for i := w.lo; i < w.hi; i++ {
 		id := res.Conns[i]
-		r := g.ConnDepartureNode(id)
-		if heap.Push(item(r, i-w.lo), g.TT.Connections[id].Dep) {
-			w.counters.QueuePushes++
-		}
+		it := (i-w.lo)*numNodes + int(g.ConnDepartureNode(id))
+		dep := g.TT.Connections[id].Dep
+		labels[it] = label{key: dep, stamp: tentative}
+		heap.Push(int32(it), dep)
+		w.counters.QueuePushes++
 	}
 
 	done := w.opts.Done
+	hasParents := res.hasParents
+	un := uint32(numNodes)
 	for !heap.Empty() {
 		it, key := heap.PopMin()
+		if labels[it].stamp == settled {
+			continue // stale entry of a pair that surfaced with a better key
+		}
+		labels[it].stamp = settled
 		w.counters.QueuePops++
 		if done != nil && w.counters.QueuePops&cancelMask == 0 {
 			w.counters.CancelPolls++
@@ -79,10 +95,11 @@ func (w *spcsWorker) run() {
 				return
 			}
 		}
-		v := graph.NodeID(int(it) / kLocal)
-		iLocal := int(it) % kLocal
+		// 32-bit unsigned division: items are non-negative int32.
+		iLocal := int(uint32(it) / un)
+		row := iLocal * numNodes
+		v := graph.NodeID(int(it) - row)
 		i := w.lo + iLocal
-		settledGen[it] = gen
 
 		// Self-pruning: v was settled earlier by a later connection j > i
 		// with arr(v, j) ≤ arr(v, i); connection i does not pay off here.
@@ -101,40 +118,33 @@ func (w *spcsWorker) run() {
 		res.setArr(res.label(v, i), key)
 		w.counters.SettledConns++
 
-		w.relax(heap, settledGen, v, i, iLocal, key, kLocal)
-	}
-}
-
-// relax expands all outgoing edges of (v, i) at arrival time key.
-func (w *spcsWorker) relax(heap heapLike, settledGen []uint32, v graph.NodeID, i, iLocal int, key timeutil.Ticks, kLocal int) {
-	g, res := w.g, w.res
-	edges := g.OutEdges(v)
-	for e := range edges {
-		edge := &edges[e]
-		arrTent, ride := g.EvalEdge(edge, key)
-		w.counters.Relaxed++
-		if arrTent.IsInf() {
-			continue
-		}
-		head := edge.Head
-		hi := int(head)*kLocal + iLocal
-		if settledGen[hi] == w.gen {
-			continue // connection-setting: (head, i) already final
-		}
-		if heap.Push(int32(hi), arrTent) {
+		// Relax all outgoing edges of (v, i) at arrival time key.
+		edges := g.OutEdges(v)
+		for e := range edges {
+			edge := &edges[e]
+			// EvalEdge by hand: the call is too big to inline and most
+			// edges are constant-weight.
+			arrTent, ride := key+edge.W, timetable.ConnID(-1)
+			if edge.Kind == graph.Ride {
+				arrTent, ride = g.EvalRide(edge, key)
+			}
+			w.counters.Relaxed++
+			if arrTent.IsInf() {
+				continue
+			}
+			hi := row + int(edge.Head)
+			l := &labels[hi]
+			if l.stamp == settled || (l.stamp == tentative && arrTent >= l.key) {
+				continue // connection-setting: (head, i) final, or no better
+			}
+			*l = label{key: arrTent, stamp: tentative}
+			heap.Push(int32(hi), arrTent)
 			w.counters.QueuePushes++
-			if res.hasParents {
-				res.setParent(res.label(head, i), v, ride)
+			if hasParents {
+				res.setParent(res.label(edge.Head, i), v, ride)
 			}
 		}
 	}
-}
-
-// heapLike is the queue interface shared by the plain and pruning workers.
-type heapLike interface {
-	Push(item int32, key timeutil.Ticks) bool
-	PopMin() (int32, timeutil.Ticks)
-	Empty() bool
 }
 
 // OneToAll runs the (possibly parallel) self-pruning connection-setting

@@ -262,9 +262,6 @@ func TestOneToAllErrors(t *testing.T) {
 	if _, err := OneToAll(g, 99, Options{}); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := OneToAll(g, 0, Options{HeapArity: 3}); err == nil {
-		t.Error("bad heap arity accepted")
-	}
 	if _, err := OneToAll(g, 0, Options{Partition: PartitionStrategy(9)}); err == nil {
 		t.Error("bad partition strategy accepted")
 	}
@@ -279,25 +276,6 @@ func TestOneToAllErrors(t *testing.T) {
 	}
 	if _, err := LabelCorrecting(g, 0, Options{TrackParents: true}); err == nil {
 		t.Error("LC parent tracking accepted")
-	}
-}
-
-func TestHeapArityEquivalence(t *testing.T) {
-	g := diamond(t)
-	bin, err := OneToAll(g, 0, Options{HeapArity: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quad, err := OneToAll(g, 0, Options{HeapArity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := timetable.StationID(0); int(s) < 4; s++ {
-		for tau := timeutil.Ticks(0); tau < 1440; tau += 61 {
-			if bin.EarliestArrival(s, tau) != quad.EarliestArrival(s, tau) {
-				t.Fatalf("heap arity changed results at station %d τ=%d", s, tau)
-			}
-		}
 	}
 }
 

@@ -80,7 +80,7 @@ func (ws *Workspace) TimeQuery(g *graph.Graph, source timetable.StationID, depar
 	}
 	settledGen := ws.nodeSetGen
 	var c stats.Counters
-	heap := ws.worker(0).heap(opts, n)
+	heap := ws.worker(0).heap(n)
 
 	push := func(v graph.NodeID, key timeutil.Ticks) {
 		if settledGen[v] != gen && heap.Push(int32(v), key) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -23,13 +24,15 @@ import (
 // sweep.
 //
 // A Workspace is NOT safe for concurrent use: one query at a time. Use the
-// package pool (GetWorkspace / PutWorkspace) or one workspace per worker
-// goroutine for concurrency. Results returned by the workspace query
+// package free list (GetWorkspace / PutWorkspace) or one workspace per
+// worker goroutine for concurrency. Results returned by the workspace query
 // methods (OneToAll, StationToStation, TimeQuery, …) borrow workspace
 // memory and are valid only until the next query on the same workspace —
-// copy out what must survive, or use the package-level functions, which
-// return self-contained results.
+// copy out what must survive (ProfileResult.Detach), or use the
+// package-level functions, which return self-contained results.
 type Workspace struct {
+	// gen stays below maxGen so that the fused label stamps (gen<<1 | settled
+	// bit) fit a uint32.
 	gen uint32
 
 	// Shared profile label store arr(v, i), numNodes × k row-major, plus
@@ -95,20 +98,40 @@ type connSeed struct {
 	dep timeutil.Ticks
 }
 
-// workerSpace is the per-thread portion of a workspace: the priority queue
+// label is the fused search state of one (node, connection) pair in the
+// connection-setting profile loops: the best key pushed for it so far and a
+// stamp that says what that key means. stamp == gen<<1 is "tentative, queued
+// with this key", gen<<1|1 is "settled"; any other value belongs to an
+// earlier query and reads as "untouched". One 8-byte load therefore answers
+// "settled?", "queued?" and "is this key better?", which the addressable
+// heap needed three arrays (settled stamps, heap positions, position
+// stamps) for.
+type label struct {
+	key   timeutil.Ticks
+	stamp uint32
+}
+
+// maxGen bounds Workspace.gen so gen<<1|1 cannot overflow a label stamp.
+const maxGen = 1 << 31
+
+// workerSpace is the per-thread portion of a workspace: the priority queues
 // and the label arrays a single search worker owns exclusively.
 type workerSpace struct {
-	heap2, heap4 *pq.Heap
+	// radix is the monotone queue of the two profile loops (spcsWorker,
+	// s2sWorker); binary serves the searches that need decrease-key or
+	// non-monotone pushes (time-query, Pareto layers, label-correcting).
+	radix  pq.RadixHeap
+	binary *pq.Heap
 
-	settledGen []uint32 // numNodes × kLocal
-	maxconn    []int32  // numNodes; valid when maxconnGen matches
+	labels     []label // kLocal × numNodes, row per connection
+	maxconn    []int32 // numNodes; valid when maxconnGen matches
 	maxconnGen []uint32
 
 	// Station-to-station pruning state. anc needs no stamps: every entry is
 	// written on its first push of a query before it can be read (see
 	// s2sWorker.push). The k-sized arrays are refilled eagerly — they are
 	// O(k·|via|), not O(n·k), so a sweep is cheap.
-	anc        []bool // numNodes × kLocal
+	anc        []bool // kLocal × numNodes, indexed like labels
 	mu         []timeutil.Ticks
 	gamma      []timeutil.Ticks
 	connDone   []bool
@@ -125,37 +148,61 @@ func NewWorkspace() *Workspace {
 	}
 }
 
-var (
-	wsPool     = sync.Pool{New: func() any { return NewWorkspace() }}
-	wsPoolGets atomic.Uint64
-	wsPoolPuts atomic.Uint64
-)
+// wsFree is the package free list of workspaces. It is a plain stack, not
+// a runtime-managed pool, because a grown workspace is tens of megabytes of
+// search arrays that the garbage collector must not reclaim between two
+// queries: a purged workspace is re-grown (and re-zeroed) by the next
+// one-to-all query, which costs more than the search itself. The list is
+// bounded at GOMAXPROCS entries — more workspaces than that cannot be
+// running searches at once — and anything returned beyond the bound is left
+// to the collector. LIFO order hands the most recently used (cache-warm,
+// already grown) workspace to the next query.
+var wsFree struct {
+	mu         sync.Mutex
+	free       []*Workspace
+	gets, puts atomic.Uint64
+}
 
-// GetWorkspace checks a workspace out of the package pool. Pair with
-// PutWorkspace once every result borrowed from it is dead.
+// GetWorkspace checks a workspace out of the package free list, creating one
+// when the list is empty. Pair with PutWorkspace once every result borrowed
+// from it is dead.
 func GetWorkspace() *Workspace {
-	wsPoolGets.Add(1)
-	return wsPool.Get().(*Workspace)
+	wsFree.gets.Add(1)
+	wsFree.mu.Lock()
+	if n := len(wsFree.free); n > 0 {
+		ws := wsFree.free[n-1]
+		wsFree.free[n-1] = nil
+		wsFree.free = wsFree.free[:n-1]
+		wsFree.mu.Unlock()
+		return ws
+	}
+	wsFree.mu.Unlock()
+	return NewWorkspace()
 }
 
-// PutWorkspace returns a workspace to the package pool. The caller must not
-// touch the workspace — or any result obtained from it — afterwards.
+// PutWorkspace returns a workspace to the package free list. The caller must
+// not touch the workspace — or any result obtained from it — afterwards.
 func PutWorkspace(ws *Workspace) {
-	wsPoolPuts.Add(1)
-	wsPool.Put(ws)
+	wsFree.puts.Add(1)
+	limit := runtime.GOMAXPROCS(0)
+	wsFree.mu.Lock()
+	if len(wsFree.free) < limit {
+		wsFree.free = append(wsFree.free, ws)
+	}
+	wsFree.mu.Unlock()
 }
 
-// PoolStats reports cumulative workspace-pool checkouts and returns. A
-// widening gets−puts gap means callers are leaking workspaces (every leak
-// is a future allocation the pool cannot serve).
-func PoolStats() (gets, puts uint64) { return wsPoolGets.Load(), wsPoolPuts.Load() }
+// PoolStats reports cumulative workspace checkouts and returns. A widening
+// gets−puts gap means callers are leaking workspaces (every leak is a
+// future allocation the free list cannot serve).
+func PoolStats() (gets, puts uint64) { return wsFree.gets.Load(), wsFree.puts.Load() }
 
-// begin starts a new query generation. On the (once per 2^32 queries)
+// begin starts a new query generation. On the (once per 2^31 queries)
 // stamp wrap-around every stamp array is wiped, so a stale slot can never
 // collide with a live generation.
 func (ws *Workspace) begin() uint32 {
 	ws.gen++
-	if ws.gen == 0 {
+	if ws.gen == maxGen {
 		wipe(ws.arrGen)
 		wipe(ws.parentGen)
 		wipe(ws.nodeArrGen)
@@ -163,7 +210,7 @@ func (ws *Workspace) begin() uint32 {
 		wipe(ws.aboardGen)
 		wipe(ws.provGen)
 		for _, w := range ws.workers {
-			wipe(w.settledGen)
+			clear(w.labels[:cap(w.labels)])
 			wipe(w.maxconnGen)
 		}
 		ws.gen = 1
@@ -190,6 +237,15 @@ func growTicks(s []timeutil.Ticks, n int) []timeutil.Ticks {
 func growU32(s []uint32, n int) []uint32 {
 	if cap(s) < n {
 		return make([]uint32, n)
+	}
+	return s[:n]
+}
+
+// growLabels returns a label slice of length n; like growU32, entries from
+// earlier generations read as untouched.
+func growLabels(s []label, n int) []label {
+	if cap(s) < n {
+		return make([]label, n)
 	}
 	return s[:n]
 }
@@ -264,22 +320,14 @@ func (ws *Workspace) transferMarks(table *dtable.Table, ns int) []bool {
 	return ws.isTransfer
 }
 
-// heap returns the worker's queue for the requested arity, reset for
-// maxItems items. The pos index reuse inside pq.Heap.Reset is what makes
-// this O(1) instead of O(maxItems).
-func (w *workerSpace) heap(opts Options, maxItems int) *pq.Heap {
-	if opts.HeapArity == 4 {
-		if w.heap4 == nil {
-			w.heap4 = pq.New4(maxItems)
-		} else {
-			w.heap4.Reset(maxItems)
-		}
-		return w.heap4
-	}
-	if w.heap2 == nil {
-		w.heap2 = pq.New(maxItems)
+// heap returns the worker's addressable binary heap, reset for maxItems
+// items. The pos index reuse inside pq.Heap.Reset is what makes this O(1)
+// instead of O(maxItems).
+func (w *workerSpace) heap(maxItems int) *pq.Heap {
+	if w.binary == nil {
+		w.binary = pq.New(maxItems)
 	} else {
-		w.heap2.Reset(maxItems)
+		w.binary.Reset(maxItems)
 	}
-	return w.heap2
+	return w.binary
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -269,6 +270,135 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// drainFreeList empties the package free list so a test sees only the
+// workspaces it puts there; later checkouts simply create new ones.
+func drainFreeList() {
+	wsFree.mu.Lock()
+	clear(wsFree.free)
+	wsFree.free = wsFree.free[:0]
+	wsFree.mu.Unlock()
+}
+
+// A checked-in workspace must survive garbage collection: the grown search
+// arrays are the whole point of keeping it, and a runtime-managed pool drops
+// its contents every second GC cycle.
+func TestFreeListSurvivesGC(t *testing.T) {
+	drainFreeList()
+	g := workspaceNet(t)
+	ws := GetWorkspace()
+	if _, err := ws.OneToAll(g, 0, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	grown := cap(ws.arr)
+	PutWorkspace(ws)
+	runtime.GC()
+	runtime.GC()
+	got := GetWorkspace()
+	defer PutWorkspace(got)
+	if got != ws {
+		t.Fatalf("workspace %p checked in, %p checked out after two GC cycles", ws, got)
+	}
+	if cap(got.arr) != grown || grown == 0 {
+		t.Fatalf("label store shrank from %d to %d entries across GC", grown, cap(got.arr))
+	}
+}
+
+// The free list keeps at most GOMAXPROCS workspaces — no more can be
+// searching at once — and leaves the rest to the collector.
+func TestFreeListBounded(t *testing.T) {
+	drainFreeList()
+	limit := runtime.GOMAXPROCS(0)
+	out := make([]*Workspace, 3*limit+2)
+	for i := range out {
+		out[i] = GetWorkspace()
+	}
+	for _, ws := range out {
+		PutWorkspace(ws)
+	}
+	wsFree.mu.Lock()
+	held := len(wsFree.free)
+	wsFree.mu.Unlock()
+	if held != limit {
+		t.Fatalf("free list holds %d workspaces after %d returns, want GOMAXPROCS = %d", held, len(out), limit)
+	}
+	// Most recently returned first, and nothing handed out twice.
+	seen := map[*Workspace]bool{}
+	for i := 0; i < limit; i++ {
+		ws := GetWorkspace()
+		if ws != out[limit-1-i] {
+			t.Fatalf("checkout %d is not the workspace returned %d-th", i, limit-i)
+		}
+		if seen[ws] {
+			t.Fatal("workspace handed out twice")
+		}
+		seen[ws] = true
+	}
+}
+
+// When the generation counter reaches the fused stamps' limit, begin must
+// wipe the label records (and every other stamp array): generation 1 comes
+// round again, and a record left over from the first generation 1 would
+// read as settled.
+func TestGenerationWrapWipesLabels(t *testing.T) {
+	g := workspaceNet(t)
+	env := QueryEnv{Graph: g}
+	src, dst := timetable.StationID(2), timetable.StationID(9)
+	want, err := OneToAll(g, src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantS2S, err := StationToStation(env, src, dst, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ws := NewWorkspace()
+	// Generation 1: leave settled records behind, in an array big enough for
+	// the query below to reuse (same source, same k).
+	if _, err := ws.OneToAll(g, src, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if ws.gen != 1 {
+		t.Fatalf("first query ran under generation %d", ws.gen)
+	}
+	stale := 0
+	for _, l := range ws.workers[0].labels {
+		if l.stamp == 1<<1|1 {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("generation 1 left no settled label records")
+	}
+
+	ws.gen = maxGen - 1 // the next begin() wraps
+	got, err := ws.OneToAll(g, src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.gen != 1 {
+		t.Fatalf("generation after the wrap is %d, want 1", ws.gen)
+	}
+	for s := 0; s < g.TT.NumStations(); s++ {
+		st := timetable.StationID(s)
+		for i := 0; i < want.K(); i++ {
+			if a, b := got.StationArrival(st, i), want.StationArrival(st, i); a != b {
+				t.Fatalf("after the wrap arr(%d, %d) = %d, fresh workspace says %d", s, i, a, b)
+			}
+		}
+	}
+	// Generation 2 on the wiped arrays, through the other profile loop.
+	gotS2S, err := ws.StationToStation(env, src, dst, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range wantS2S.ArrT {
+		if gotS2S.ArrT[i] != a {
+			t.Fatalf("after the wrap ArrT[%d] = %d, fresh workspace says %d", i, gotS2S.ArrT[i], a)
+		}
+	}
 }
 
 // The stopping criterion's packed word must round-trip arrivals at the

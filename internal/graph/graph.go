@@ -5,11 +5,14 @@
 // and time-dependent route edges between consecutive route nodes of a route
 // carrying the elementary connections of that route as connection points.
 //
-// Fixed model conventions (documented in DESIGN.md §5): the boarding edge
-// station→route node has constant weight T(S); the alighting edge route
-// node→station has weight 0. Sources are initialized directly at route
-// nodes, so no transfer time is paid when boarding the very first train,
-// and none is paid on final arrival at the target station node.
+// Fixed model conventions: the boarding edge station→route node has
+// constant weight T(S), the station's minimum transfer time; the alighting
+// edge route node→station has weight 0; a footpath is a station→station
+// edge with its constant walking time. Sources are initialized directly at
+// route nodes, so no transfer time is paid when boarding the very first
+// train, and none is paid on final arrival at the target station node. All
+// edge weights are therefore non-negative and every travel-time function
+// is FIFO, which is what makes arrival-time keys monotone in the searches.
 package graph
 
 import (
@@ -337,18 +340,28 @@ func (g *Graph) EvalRide(e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.
 	if len(conns) == 0 {
 		return timeutil.Infinity, -1
 	}
-	tau := g.TT.Period.Wrap(at)
-	i := sort.Search(len(conns), func(i int) bool { return conns[i].Dep >= tau })
-	var wait timeutil.Ticks
-	var c RideConn
-	if i == len(conns) {
-		c = conns[0]
-		wait = g.TT.Period.Len() - tau + c.Dep
-	} else {
-		c = conns[i]
-		wait = c.Dep - tau
+	pi, tau := g.TT.Period.Len(), at
+	if tau < 0 || tau >= pi { // Period.Wrap, with its in-range case inline
+		tau = g.TT.Period.Wrap(at)
 	}
-	return at + wait + c.Dur, c.Conn
+	// Lower bound: the first departure at or after tau. Written out rather
+	// than through sort.Search so the settle loops pay no closure call per
+	// probe.
+	lo, hi := 0, len(conns)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if conns[m].Dep < tau {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(conns) { // past the last departure: first one of the next period
+		c := &conns[0]
+		return at + pi - tau + c.Dep + c.Dur, c.Conn
+	}
+	c := &conns[lo]
+	return at + c.Dep - tau + c.Dur, c.Conn
 }
 
 // EvalEdge returns the arrival time at the head of any edge when reaching

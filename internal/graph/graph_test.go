@@ -2,8 +2,10 @@ package graph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
+	"transit/internal/gen"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
@@ -251,5 +253,110 @@ func TestStatsString(t *testing.T) {
 	}
 	if g.NumEdges() != len(g.edges) {
 		t.Fatal("NumEdges mismatch")
+	}
+}
+
+// evalRideBySearch is EvalRide as it was defined before the lower bound was
+// written out: sort.Search over the departures, Period.Wrap and Period.Len
+// called as methods.
+func evalRideBySearch(g *Graph, e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.ConnID) {
+	conns := g.RideConns(e)
+	if len(conns) == 0 {
+		return timeutil.Infinity, -1
+	}
+	tau := g.TT.Period.Wrap(at)
+	i := sort.Search(len(conns), func(i int) bool { return conns[i].Dep >= tau })
+	if i == len(conns) {
+		c := conns[0]
+		return at + g.TT.Period.Len() - tau + c.Dep + c.Dur, c.Conn
+	}
+	c := conns[i]
+	return at + c.Dep - tau + c.Dur, c.Conn
+}
+
+func TestEvalRideTable(t *testing.T) {
+	g := &Graph{rideConns: []RideConn{{Dep: 100, Dur: 10, Conn: 0}, {Dep: 700, Dur: 20, Conn: 1}}}
+	g.TT = &timetable.Timetable{Period: day}
+	full := Edge{Kind: Ride, First: 0, Num: 2}
+	empty := Edge{Kind: Ride, First: 2, Num: 0}
+	for _, tc := range []struct {
+		name string
+		e    *Edge
+		at   timeutil.Ticks
+		arr  timeutil.Ticks
+		conn timetable.ConnID
+	}{
+		{"before first", &full, 0, 110, 0},
+		{"at a departure", &full, 100, 110, 0},
+		{"just missed", &full, 101, 720, 1},
+		{"last of the day", &full, 700, 720, 1},
+		{"wrap to next period", &full, 701, 1440 + 110, 0},
+		{"end of period", &full, 1439, 1440 + 110, 0},
+		{"at = π", &full, 1440, 1440 + 110, 0},
+		{"two periods on", &full, 2*1440 + 100, 2*1440 + 110, 0},
+		{"two periods on, wrapping", &full, 2*1440 + 701, 3*1440 + 110, 0},
+		{"empty edge", &empty, 100, timeutil.Infinity, -1},
+	} {
+		arr, conn := g.EvalRide(tc.e, tc.at)
+		if arr != tc.arr || conn != tc.conn {
+			t.Errorf("%s: EvalRide(%d) = (%d, %d), want (%d, %d)", tc.name, tc.at, arr, conn, tc.arr, tc.conn)
+		}
+	}
+}
+
+// The written-out lower bound must agree with the sort.Search definition on
+// every ride edge of a generated network — at the period's ends, around
+// every departure, periods later, and at random times — and on an edge whose
+// departures were all cancelled.
+func TestEvalRideMatchesSearchDefinition(t *testing.T) {
+	cfg, err := gen.FamilyConfig(gen.Oahu, 0.1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Build(tt)
+	pi := tt.Period.Len()
+	rng := rand.New(rand.NewSource(11))
+	check := func(e *Edge, at timeutil.Ticks) {
+		t.Helper()
+		wantArr, wantConn := evalRideBySearch(g, e, at)
+		if arr, conn := g.EvalRide(e, at); arr != wantArr || conn != wantConn {
+			t.Fatalf("edge to %d at %d: EvalRide = (%d, %d), definition gives (%d, %d)",
+				e.Head, at, arr, conn, wantArr, wantConn)
+		}
+	}
+	rides, wraps := 0, 0
+	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
+		edges := g.OutEdges(n)
+		for i := range edges {
+			e := &edges[i]
+			if e.Kind != Ride {
+				continue
+			}
+			rides++
+			for _, at := range []timeutil.Ticks{0, pi - 1, pi} {
+				check(e, at)
+			}
+			for _, c := range g.RideConns(e) {
+				for _, at := range []timeutil.Ticks{c.Dep - 1, c.Dep, c.Dep + 1, 2*pi + c.Dep} {
+					if at >= 0 {
+						check(e, at)
+					}
+				}
+			}
+			if last := g.RideConns(e); len(last) > 0 && last[len(last)-1].Dep+1 < pi {
+				wraps++ // Dep+1 above was past the last departure
+			}
+			for r := 0; r < 8; r++ {
+				check(e, timeutil.Ticks(rng.Intn(int(3*pi))))
+			}
+			check(&Edge{Kind: Ride, Head: e.Head, First: e.First, Num: 0}, timeutil.Ticks(rng.Intn(int(pi))))
+		}
+	}
+	if rides == 0 || wraps == 0 {
+		t.Fatalf("network exercised %d ride edges, %d wraps to the next period", rides, wraps)
 	}
 }

@@ -1,27 +1,28 @@
-// Package pq implements the addressable d-ary min-heaps used as priority
-// queues by all search algorithms in this repository. The paper's
-// implementation uses a binary heap; a 4-ary variant is provided for the
-// ablation benchmarks.
+// Package pq implements the two priority queues of this repository.
 //
-// Items are dense non-negative integers supplied by the caller (node IDs, or
-// (node, connection) pair indexes); each item can be in the queue at most
-// once, and Push doubles as decrease-key, matching how Dijkstra-style
-// algorithms use their queues.
+// Heap is an addressable binary min-heap (the paper's queue): items are
+// dense non-negative integers supplied by the caller (node IDs, or (node,
+// connection, layer) indexes), each item is queued at most once, and Push
+// doubles as decrease-key. The time-query, the multi-criteria search and
+// the label-correcting baseline use it; the latter re-inserts nodes with
+// smaller keys than it has already popped, so it needs a general heap.
 //
-// Heaps are built to be reused across queries: Reset invalidates the
-// position index in O(1) by bumping a generation stamp instead of sweeping
-// the O(maxItems) pos array, so a pooled heap costs nothing to hand to the
-// next query (the paper's per-thread data-structure reuse).
+// RadixHeap is a monotone queue for the connection-setting profile
+// searches, whose keys are int32 arrival times that never fall below the
+// last popped key. It needs no position index and no sift: see radix.go.
+//
+// Both are built to be reused across queries: Reset is O(1) and keeps the
+// backing arrays, so a pooled queue costs nothing to hand to the next query
+// (the paper's per-thread data-structure reuse).
 package pq
 
 import (
 	"transit/internal/timeutil"
 )
 
-// Heap is an addressable d-ary min-heap keyed by timeutil.Ticks.
-// The zero value is not usable; construct with New or New4.
+// Heap is an addressable binary min-heap keyed by timeutil.Ticks.
+// The zero value is not usable; construct with New.
 type Heap struct {
-	arity int
 	keys  []timeutil.Ticks
 	items []int32
 	// pos maps item → heap slot + 1. An entry is meaningful only when its
@@ -32,17 +33,9 @@ type Heap struct {
 	gen    uint32
 }
 
-// New returns a binary heap for items in [0, maxItems).
-func New(maxItems int) *Heap { return newHeap(2, maxItems) }
-
-// New4 returns a 4-ary heap for items in [0, maxItems). Shallower trees
-// trade more comparisons per level for fewer cache misses; the ablation
-// bench quantifies the difference on this workload.
-func New4(maxItems int) *Heap { return newHeap(4, maxItems) }
-
-func newHeap(arity, maxItems int) *Heap {
+// New returns a heap for items in [0, maxItems).
+func New(maxItems int) *Heap {
 	return &Heap{
-		arity:  arity,
 		pos:    make([]int32, maxItems),
 		posGen: make([]uint32, maxItems),
 		gen:    1,
@@ -86,9 +79,6 @@ func (h *Heap) slot(item int32) int32 {
 	}
 	return h.pos[item]
 }
-
-// Contains reports whether the item is currently queued.
-func (h *Heap) Contains(item int32) bool { return h.slot(item) != 0 }
 
 // Key returns the current key of a queued item; it panics when the item is
 // absent, which always indicates a logic error in the caller.
@@ -157,7 +147,7 @@ func (h *Heap) MinKey() timeutil.Ticks {
 func (h *Heap) up(i int) {
 	k, it := h.keys[i], h.items[i]
 	for i > 0 {
-		parent := (i - 1) / h.arity
+		parent := (i - 1) >> 1
 		if h.keys[parent] <= k {
 			break
 		}
@@ -173,19 +163,12 @@ func (h *Heap) down(i int) {
 	n := len(h.keys)
 	k, it := h.keys[i], h.items[i]
 	for {
-		first := i*h.arity + 1
-		if first >= n {
+		best := 2*i + 1
+		if best >= n {
 			break
 		}
-		best := first
-		last := first + h.arity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.keys[c] < h.keys[best] {
-				best = c
-			}
+		if r := best + 1; r < n && h.keys[r] < h.keys[best] {
+			best = r
 		}
 		if h.keys[best] >= k {
 			break

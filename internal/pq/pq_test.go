@@ -34,8 +34,8 @@ func TestDecreaseKey(t *testing.T) {
 	h := New(10)
 	h.Push(1, 100)
 	h.Push(2, 50)
-	if !h.Contains(1) || h.Key(1) != 100 {
-		t.Fatal("Contains/Key wrong")
+	if h.slot(1) == 0 || h.Key(1) != 100 {
+		t.Fatal("slot/Key wrong")
 	}
 	if !h.Push(1, 20) {
 		t.Fatal("decrease-key reported no change")
@@ -77,7 +77,7 @@ func TestClearAndReuse(t *testing.T) {
 		t.Fatal("Clear did not empty the heap")
 	}
 	for i := int32(0); i < 8; i++ {
-		if h.Contains(i) {
+		if h.slot(i) != 0 {
 			t.Fatalf("item %d still present after Clear", i)
 		}
 	}
@@ -102,64 +102,48 @@ func TestPanics(t *testing.T) {
 	mustPanic("Key", func() { h.Key(0) })
 }
 
-// Exercise both arities against a reference sort with random workloads
+// Exercise the heap against a reference sort with random workloads
 // including decrease-keys.
 func TestRandomAgainstReference(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		new  func(int) *Heap
-	}{{"binary", New}, {"quaternary", New4}} {
-		t.Run(mk.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(13))
-			for trial := 0; trial < 50; trial++ {
-				n := 1 + rng.Intn(300)
-				h := mk.new(n)
-				best := make(map[int32]timeutil.Ticks)
-				ops := 3 * n
-				for o := 0; o < ops; o++ {
-					it := int32(rng.Intn(n))
-					key := timeutil.Ticks(rng.Intn(10000))
-					h.Push(it, key)
-					if cur, ok := best[it]; !ok || key < cur {
-						best[it] = key
-					}
-				}
-				if h.Len() != len(best) {
-					t.Fatalf("trial %d: Len=%d want %d", trial, h.Len(), len(best))
-				}
-				type kv struct {
-					item int32
-					key  timeutil.Ticks
-				}
-				var want []kv
-				for it, k := range best {
-					want = append(want, kv{it, k})
-				}
-				sort.Slice(want, func(i, j int) bool { return want[i].key < want[j].key })
-				prev := timeutil.Ticks(-1)
-				got := make(map[int32]timeutil.Ticks)
-				for !h.Empty() {
-					it, k := h.PopMin()
-					if k < prev {
-						t.Fatalf("trial %d: keys popped out of order", trial)
-					}
-					prev = k
-					got[it] = k
-				}
-				for it, k := range best {
-					if got[it] != k {
-						t.Fatalf("trial %d: item %d popped with key %d, want %d", trial, it, got[it], k)
-					}
-				}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		h := New(n)
+		best := make(map[int32]timeutil.Ticks)
+		ops := 3 * n
+		for o := 0; o < ops; o++ {
+			it := int32(rng.Intn(n))
+			key := timeutil.Ticks(rng.Intn(10000))
+			h.Push(it, key)
+			if cur, ok := best[it]; !ok || key < cur {
+				best[it] = key
 			}
-		})
+		}
+		if h.Len() != len(best) {
+			t.Fatalf("trial %d: Len=%d want %d", trial, h.Len(), len(best))
+		}
+		prev := timeutil.Ticks(-1)
+		got := make(map[int32]timeutil.Ticks)
+		for !h.Empty() {
+			it, k := h.PopMin()
+			if k < prev {
+				t.Fatalf("trial %d: keys popped out of order", trial)
+			}
+			prev = k
+			got[it] = k
+		}
+		for it, k := range best {
+			if got[it] != k {
+				t.Fatalf("trial %d: item %d popped with key %d, want %d", trial, it, got[it], k)
+			}
+		}
 	}
 }
 
 // Interleave pops and pushes to stress sift-down paths.
 func TestInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	h := New4(1000)
+	h := New(1000)
 	inQueue := make(map[int32]bool)
 	lastPopped := timeutil.Ticks(0)
 	for step := 0; step < 20000; step++ {
@@ -196,7 +180,7 @@ func TestResetReuse(t *testing.T) {
 		t.Fatal("heap not empty after Reset")
 	}
 	for it := int32(0); it < 8; it++ {
-		if h.Contains(it) {
+		if h.slot(it) != 0 {
 			t.Fatalf("stale item %d survives Reset", it)
 		}
 	}
@@ -210,10 +194,10 @@ func TestResetReuse(t *testing.T) {
 	// Growing Reset.
 	h.Reset(100)
 	h.Push(99, 1)
-	if !h.Contains(99) || h.Key(99) != 1 {
+	if h.slot(99) == 0 || h.Key(99) != 1 {
 		t.Fatal("grown heap broken")
 	}
-	if h.Contains(3) {
+	if h.slot(3) != 0 {
 		t.Fatal("stale item survives growing Reset")
 	}
 }
@@ -222,7 +206,7 @@ func TestResetReuse(t *testing.T) {
 // generations (cross-validated against sorting).
 func TestResetGenerationsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	h := New4(64)
+	h := New(64)
 	for gen := 0; gen < 200; gen++ {
 		h.Reset(64)
 		n := 1 + rng.Intn(40)
@@ -259,7 +243,7 @@ func TestClearIsReset(t *testing.T) {
 	h.Push(0, 5)
 	h.Push(1, 3)
 	h.Clear()
-	if !h.Empty() || h.Contains(0) || h.Contains(1) {
+	if !h.Empty() || h.slot(0) != 0 || h.slot(1) != 0 {
 		t.Fatal("Clear did not empty the heap")
 	}
 	h.Push(1, 8)

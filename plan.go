@@ -380,32 +380,44 @@ func (n *Network) planProfile(req Request, done <-chan struct{}, res *Result) er
 	return nil
 }
 
-// planOneToAll runs the one-to-all profile search, windowed when requested.
+// planOneToAll runs the one-to-all profile search, windowed when requested,
+// on a pooled workspace. The result keeps only what AllProfiles can be asked
+// for — the arrivals at station nodes, plus parent links when journeys were
+// requested — so the O(numNodes·k) search arrays go back to the free list
+// instead of being allocated, zeroed and garbage-collected per query.
 func (n *Network) planOneToAll(req Request, done <-chan struct{}, res *Result) error {
 	from, to := Ticks(0), Infinity
 	if req.Window != nil {
 		from, to = req.Window.From, req.Window.To
 	}
-	pr, err := core.OneToAllWindow(n.g, req.From, from, to, coreOpts(req.Options, done))
+	ws := core.GetWorkspace()
+	pr, err := ws.OneToAllWindow(n.g, req.From, from, to, coreOpts(req.Options, done))
 	if err != nil {
+		core.PutWorkspace(ws)
 		return err
 	}
-	res.all = &AllProfiles{n: n, res: pr}
+	res.all = &AllProfiles{n: n, res: pr.Detach()}
+	core.PutWorkspace(ws)
 	res.stats = res.all.Stats()
 	return nil
 }
 
-// planJourney runs a one-to-all search with parent tracking and extracts
-// the itinerary for the requested departure.
+// planJourney runs a one-to-all search with parent tracking on a pooled
+// workspace and extracts the itinerary for the requested departure before
+// the workspace goes back; only the journey's legs escape.
 func (n *Network) planJourney(req Request, done <-chan struct{}, res *Result) error {
 	opt := req.Options
 	opt.TrackJourneys = true
-	pr, err := core.OneToAllWindow(n.g, req.From, 0, Infinity, coreOpts(opt, done))
+	ws := core.GetWorkspace()
+	pr, err := ws.OneToAllWindow(n.g, req.From, 0, Infinity, coreOpts(opt, done))
 	if err != nil {
+		core.PutWorkspace(ws)
 		return err
 	}
-	all := &AllProfiles{n: n, res: pr}
+	all := AllProfiles{n: n, res: pr}
 	j, err := all.Journey(req.To, req.Depart)
+	res.stats = all.Stats()
+	core.PutWorkspace(ws)
 	if err != nil {
 		// The overwhelmingly common failure is an unreachable target (or a
 		// departure no itinerary realizes); classify it for the wire layer
@@ -413,7 +425,6 @@ func (n *Network) planJourney(req Request, done <-chan struct{}, res *Result) er
 		return &Error{Code: CodeUnreachable, Message: strings.TrimPrefix(err.Error(), "transit: "), err: err}
 	}
 	res.journey = j
-	res.stats = all.Stats()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package transit
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -433,6 +434,88 @@ func TestPlanEarliestArrivalAllocs(t *testing.T) {
 	})
 	if wrapped != 0 {
 		t.Fatalf("legacy EarliestArrival wrapper allocates %.1f objects per query, want 0", wrapped)
+	}
+}
+
+// TestPlanJourneySteadyStateAllocs guards the pooled journey path: the
+// one-to-all search with parent tracking runs on a free-list workspace and
+// the itinerary is extracted before the workspace goes back, so a query
+// allocates a handful of small objects (the target's reduced profile, the
+// ride list, the legs) and nothing that scales with numNodes × k. The
+// pre-pooling implementation built a private workspace per query: ~40
+// allocations, megabytes each on a real network.
+func TestPlanJourneySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := testNetwork(t)
+	pairs := planPairs(n, 16)
+	ctx := context.Background()
+	var reuse Result
+	journey := func(i int) {
+		p := pairs[i%len(pairs)]
+		_, err := n.Plan(ctx, Request{Kind: KindJourney, From: p[0], To: p[1], Depart: 480, Reuse: &reuse})
+		if err != nil && ErrorCodeOf(err) != CodeUnreachable {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*len(pairs); i++ { // grow the workspace to every source's size
+		journey(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	i := 0
+	allocs := testing.AllocsPerRun(64, func() { journey(i); i++ })
+	runtime.ReadMemStats(&after)
+	if allocs > 24 {
+		t.Fatalf("Plan journey allocates %.1f objects per query, want ≤ 24", allocs)
+	}
+	// 65 runs (AllocsPerRun warms up once). Labels alone are 16 B × numNodes
+	// × k per query when the workspace is not reused; the extraction needs a
+	// few hundred bytes.
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / 65; perQuery > 8<<10 {
+		t.Fatalf("Plan journey allocates %d B per query, want ≤ 8 KiB", perQuery)
+	}
+}
+
+// TestPlanOneToAllSteadyStateBytes guards the compact one-to-all result: a
+// query keeps the numStations × k station arrivals (4 B each) plus the seed
+// list, and returns the numNodes × k search arrays to the free list.
+func TestPlanOneToAllSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := testNetwork(t)
+	ctx := context.Background()
+	ns := n.NumStations()
+	sumK := 0
+	for s := 0; s < ns; s++ { // also grows the workspace to every source's size
+		res, err := n.Plan(ctx, Request{Kind: KindOneToAll, From: StationID(s)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, _ := res.All()
+		sumK += all.res.K()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 0; s < ns; s++ {
+		if _, err := n.Plan(ctx, Request{Kind: KindOneToAll, From: StationID(s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Per query: the arrivals, 8 B per seed connection (Conns and Deps), and
+	// a constant for the result shells, the walk map, the counters and the
+	// allocator's size-class rounding of the three slices.
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(4*ns*sumK + 8*sumK + 2048*ns)
+	t.Logf("%d one-to-all queries: %d B in %d allocs, limit %d B, search arrays %d B", ns, got, after.Mallocs-before.Mallocs, limit, 16*n.g.NumNodes()*sumK)
+	if got > limit {
+		t.Fatalf("Plan one-to-all allocated %d B over %d queries, want ≤ %d (4·numStations·k + 8·k + 2 KiB each)", got, ns, limit)
+	}
+	if allocs := (after.Mallocs - before.Mallocs) / uint64(ns); allocs > 16 {
+		t.Fatalf("Plan one-to-all allocates %d objects per query, want ≤ 16", allocs)
 	}
 }
 
