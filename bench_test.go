@@ -13,7 +13,9 @@ package transit
 // critical-path work that determines achievable speed-up.
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"transit/internal/bench"
@@ -435,4 +437,111 @@ func BenchmarkBaselineCSA(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pointNets are the two networks the point-query rows run on: the serve_hot
+// and serve_churn networks of benchmark/ (losangeles 0.1, europe 0.25).
+var pointNets = []struct {
+	family string
+	scale  float64
+}{{"losangeles", 0.1}, {"europe", 0.25}}
+
+// pointPairs is a fixed seeded list of (source, target, departure) samples.
+func pointPairs(n *Network, count int) [][3]int {
+	rng := rand.New(rand.NewSource(16))
+	out := make([][3]int, count)
+	for i := range out {
+		out[i] = [3]int{rng.Intn(n.NumStations()), rng.Intn(n.NumStations()), rng.Intn(int(n.Period()))}
+	}
+	return out
+}
+
+// BenchmarkMatrixRows is the decision row for /v1/matrix: 16 sources × 16
+// targets, answered by Plan (each row one time-query that stops when the
+// last of the row's targets settles) against 16 whole-graph time-queries.
+func BenchmarkMatrixRows(b *testing.B) {
+	for _, pn := range pointNets {
+		n, err := Generate(pn.family, pn.scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs := pointPairs(n, 32)
+		sources, targets := make([]StationID, 16), make([]StationID, 16)
+		for i := range sources {
+			sources[i], targets[i] = StationID(pairs[i][0]), StationID(pairs[16+i][1])
+		}
+		name := fmt.Sprintf("%s-%g", pn.family, pn.scale)
+		b.Run(name+"/target-set", func(b *testing.B) {
+			var settled int64
+			for i := 0; i < b.N; i++ {
+				res, err := n.Plan(context.Background(), Request{Kind: KindMatrix, Sources: sources, Targets: targets, Depart: 480})
+				if err != nil {
+					b.Fatal(err)
+				}
+				settled += res.Stats().SettledConnections
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		})
+		b.Run(name+"/whole-graph", func(b *testing.B) {
+			ws := core.NewWorkspace()
+			var settled int64
+			for i := 0; i < b.N; i++ {
+				for _, s := range sources {
+					tq, err := ws.TimeQuery(n.g, s, 480, core.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, t := range targets {
+						sinkTicks += tq.StationArrival(t)
+					}
+					settled += tq.Run.Total.SettledConns
+				}
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		})
+	}
+}
+
+var sinkTicks Ticks
+
+// BenchmarkPlanPoint is the micro-row of the two point kinds through Plan:
+// earliest-arrival and journey, without and with a distance table, over a
+// fixed seeded pair list with a reused Result.
+func BenchmarkPlanPoint(b *testing.B) {
+	for _, pn := range pointNets {
+		plain, err := Generate(pn.family, pn.scale, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pre, _, err := plain.Preprocess(TransferSelection{Fraction: 0.1}, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs := pointPairs(plain, 256)
+		for _, kind := range []Kind{KindEarliestArrival, KindJourney} {
+			for _, tc := range []struct {
+				name string
+				n    *Network
+			}{{"no-table", plain}, {"table", pre}} {
+				b.Run(fmt.Sprintf("%s-%g/%s/%s", pn.family, pn.scale, kind, tc.name), func(b *testing.B) {
+					ctx := context.Background()
+					var reuse Result
+					var settled int64
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						p := pairs[i%len(pairs)]
+						res, err := tc.n.Plan(ctx, Request{Kind: kind, From: StationID(p[0]), To: StationID(p[1]), Depart: Ticks(p[2]), Reuse: &reuse})
+						if err != nil {
+							if ErrorCodeOf(err) == CodeUnreachable {
+								continue
+							}
+							b.Fatal(err)
+						}
+						settled += res.Stats().SettledConnections
+					}
+					b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+				})
+			}
+		}
+	}
 }

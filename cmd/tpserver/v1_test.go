@@ -172,6 +172,18 @@ func TestV1ErrorCodes(t *testing.T) {
 		{"bad time", func() *httptest.ResponseRecorder {
 			return post(t, mux, "/v1/arrival", `{"from":0,"to":1,"depart":"noonish"}`)
 		}, 400, transit.CodeBadTime},
+		// Clock values that do not fit below Infinity: the largest day count
+		// that still parses lands past it with its hours, and bigger ones
+		// used to wrap around int32 into a valid-looking time.
+		{"depart past the representable range", func() *httptest.ResponseRecorder {
+			return post(t, mux, "/v1/arrival", `{"from":0,"to":1,"depart":"745654:01:04"}`)
+		}, 400, transit.CodeBadTime},
+		{"journey depart wrapping int32", func() *httptest.ResponseRecorder {
+			return post(t, mux, "/v1/journey", `{"from":0,"to":1,"depart":"3000000:00:00"}`)
+		}, 400, transit.CodeBadTime},
+		{"matrix depart wrapping int32", func() *httptest.ResponseRecorder {
+			return post(t, mux, "/v1/matrix", `{"sources":[0],"targets":[1],"depart":"17895698:00"}`)
+		}, 400, transit.CodeBadTime},
 		{"window on arrival", func() *httptest.ResponseRecorder {
 			return post(t, mux, "/v1/arrival", `{"from":0,"to":1,"window_from":"08:00","window_to":"10:00"}`)
 		}, 400, transit.CodeBadWindow},

@@ -42,6 +42,16 @@ func TestCancelClosedDone(t *testing.T) {
 		if _, err := StationToStation(env, src, 5, QueryOptions{Options: opts}); !errors.Is(err, ErrCancelled) {
 			t.Errorf("threads=%d: StationToStation err = %v, want ErrCancelled", threads, err)
 		}
+		ws := NewWorkspace()
+		if _, err := ws.EarliestArrival(env, src, 5, 480, QueryOptions{Options: opts}); !errors.Is(err, ErrCancelled) {
+			t.Errorf("threads=%d: EarliestArrival err = %v, want ErrCancelled", threads, err)
+		}
+		if _, err := ws.JourneySearch(env, src, 5, 480, QueryOptions{Options: opts}); !errors.Is(err, ErrCancelled) {
+			t.Errorf("threads=%d: JourneySearch err = %v, want ErrCancelled", threads, err)
+		}
+		if _, err := ws.TimeQueryTo(g, src, 480, []timetable.StationID{5}, opts); !errors.Is(err, ErrCancelled) {
+			t.Errorf("threads=%d: TimeQueryTo err = %v, want ErrCancelled", threads, err)
+		}
 	}
 }
 

@@ -5,6 +5,18 @@
 // Section 4 with stopping criterion, distance-table pruning and target
 // pruning.
 //
+// A query that names a target and a departure is served by the same two
+// searches, not by loops of its own. Workspace.EarliestArrival is the k = 1
+// case of the station-to-station search: one virtual connection leaving at
+// the requested time, seeded like a time-query, pruned by the table like a
+// profile query, returning when the target settles. Workspace.JourneySearch
+// puts a windowed one-to-all search with parents behind that point query —
+// only the connections that leave between the request and the earliest
+// arrival, and no label later than it — and returns a result that contains
+// the itinerary a whole-period search would show first (journey.go has the
+// argument). Workspace.TimeQuery remains the one-to-all point search: matrix
+// rows (TimeQueryTo stops at the last of a target set), oracles, baselines.
+//
 // # Workspaces and generation-stamped labels
 //
 // The paper reports per-query times in the low milliseconds because its
@@ -26,9 +38,11 @@
 // # Queue and label layout
 //
 // The two connection-setting profile loops (spcsWorker.run for one-to-all,
-// journeys and distance-table rows; s2sWorker.run for station-to-station)
-// share one design. The queue is pq.RadixHeap, a monotone bucket queue
-// without a position index or decrease-key. Each (node, connection) pair
+// journeys and distance-table rows; s2sWorker.run for station-to-station
+// profiles and earliest arrivals) share one design, and the time-query is
+// its one-connection form with a label per node. The queue is
+// pq.RadixHeap, a monotone bucket queue without a position index or
+// decrease-key. Each (node, connection) pair
 // has one 8-byte record {best key pushed, stamp}, stamp = gen<<1 while
 // tentative and gen<<1|1 once settled, stored connection-major (row i holds
 // connection i's records in node order, so a train ride walks consecutive
@@ -49,11 +63,14 @@
 // when a record improves, so the last link written belongs to the final
 // key. Only the order among equal keys differs from an addressable heap:
 // self-pruning may then keep a different one of two tied labels, and the
-// reduced profiles are identical either way.
+// reduced profiles are identical either way. That order is nevertheless
+// fixed: two entries with equal keys surface in the reverse of the order
+// they were pushed in, whatever else the queue holds — which is why a search
+// over fewer connections (JourneySearch) settles the labels it shares with
+// the whole-period search in the same order and records the same parents.
 //
-// The time-query, the Pareto search and the label-correcting baseline keep
-// the addressable binary pq.Heap (the last one re-inserts nodes below the
-// last popped key).
+// The Pareto search and the label-correcting baseline keep the addressable
+// binary pq.Heap (the last one re-inserts nodes below the last popped key).
 //
 // # Lifecycle
 //
@@ -61,6 +78,7 @@
 // use. There are two ways to run a query:
 //
 //   - Workspace methods (Workspace.OneToAll, Workspace.StationToStation,
+//     Workspace.EarliestArrival, Workspace.JourneySearch,
 //     Workspace.TimeQuery, CSASchedule.QueryWS): zero steady-state
 //     allocations; the result borrows workspace memory and is valid only
 //     until the next query on the same workspace. Check workspaces out of

@@ -185,6 +185,39 @@ func StationToStation(env QueryEnv, source, target timetable.StationID, opts Que
 // StationToStation: the steady state allocates nothing. The result borrows
 // workspace memory and is valid until the next query on this workspace.
 func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.StationID, opts QueryOptions) (*StationQueryResult, error) {
+	return ws.stationQuery(env, source, target, wholePeriod, opts)
+}
+
+// EarliestArrival answers the S–T query for the single departure time
+// depart: dist(S, T, τ), what TimeQuery(S, τ).StationArrival(T) returns,
+// computed as the k = 1 case of the station-to-station search. Instead of
+// conn(S) there is one virtual connection leaving at τ, seeded the way the
+// time-query seeds (the station node of S and every route node of S at key
+// τ, so the first boarding pays no transfer time and walking away from S
+// is an ordinary Walk edge); it runs through the same worker, queue and
+// prunings as the profile query and returns the moment the target settles
+// or target pruning closes the connection. Both endpoints transfer
+// stations is one table look-up, as in the profile query.
+//
+// The result describes that virtual connection: Conns is empty, Deps[0] is
+// depart and ArrT[0] the earliest arrival, pure walking included (Infinity
+// when T is unreachable). It borrows workspace memory like every workspace
+// query result, and the steady state allocates nothing.
+func (ws *Workspace) EarliestArrival(env QueryEnv, source, target timetable.StationID, depart timeutil.Ticks, opts QueryOptions) (*StationQueryResult, error) {
+	if depart < 0 || depart.IsInf() {
+		return nil, fmt.Errorf("core: departure time %d out of range [0, %d)", depart, timeutil.Infinity)
+	}
+	return ws.stationQuery(env, source, target, depart, opts)
+}
+
+// wholePeriod is stationQuery's depart argument for the profile query; any
+// value ≥ 0 asks for that one departure instead.
+const wholePeriod timeutil.Ticks = -1
+
+// stationQuery is the station-to-station search behind StationToStation
+// (depart == wholePeriod: one label per connection of conn(S)) and
+// EarliestArrival (depart ≥ 0: one virtual connection leaving at depart).
+func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.StationID, depart timeutil.Ticks, opts QueryOptions) (*StationQueryResult, error) {
 	g := env.Graph
 	if g == nil {
 		return nil, fmt.Errorf("core: QueryEnv.Graph is nil")
@@ -204,9 +237,18 @@ func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.Sta
 	}
 	start := time.Now()
 	gen := ws.begin()
+	point := depart >= 0
 
 	walk := ws.walkDistances(g.TT, source)
-	connIDs, deps := ws.extendedConns(g.TT, source, walk)
+	var connIDs []timetable.ConnID
+	var deps []timeutil.Ticks
+	if point {
+		ws.deps = growTicks(ws.deps, 1)
+		ws.deps[0] = depart
+		deps = ws.deps
+	} else {
+		connIDs, deps = ws.extendedConns(g.TT, source, walk)
+	}
 	res := &ws.sres
 	*res = StationQueryResult{
 		Source:   source,
@@ -215,7 +257,7 @@ func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.Sta
 		Deps:     deps,
 		WalkOnly: distOrInf(walk, target),
 		period:   g.TT.Period,
-		ArrT:     growTicks(ws.sres.ArrT, len(connIDs)),
+		ArrT:     growTicks(ws.sres.ArrT, len(deps)),
 	}
 	for i := range res.ArrT {
 		res.ArrT[i] = timeutil.Infinity
@@ -229,6 +271,15 @@ func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.Sta
 		if env.Table.IsTransfer(source) && env.Table.IsTransfer(target) && !opts.DisableTablePruning {
 			for i := range res.ArrT {
 				res.ArrT[i] = env.Table.D(source, target, res.Deps[i])
+			}
+			if point {
+				// A profile keeps the walk beside its connection points
+				// (WalkOnly); the one arrival of a point query is their
+				// minimum. D adds to a finite departure, so clamp.
+				res.ArrT[0] = timeutil.Min(res.ArrT[0], timeutil.Infinity)
+				if !res.WalkOnly.IsInf() {
+					res.ArrT[0] = timeutil.Min(res.ArrT[0], depart+res.WalkOnly)
+				}
 			}
 			res.TableHit = true
 			res.Run.Elapsed = time.Since(start)
@@ -252,6 +303,8 @@ func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.Sta
 	q.opts = opts
 	q.target = target
 	q.targetNode = g.StationNode(target)
+	q.depart = depart
+	q.footpaths = len(g.TT.Footpaths) > 0
 	q.table = nil
 	q.vias = nil
 	q.targetIsTransfer = false
@@ -262,8 +315,11 @@ func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.Sta
 		q.targetIsTransfer = env.Table.IsTransfer(target) && !opts.DisableTargetPruning
 	}
 
-	p := opts.threads()
-	ws.bounds = partitionInto(ws.bounds, res.Deps, g.TT.Period, p, opts.Partition)
+	if point {
+		ws.bounds = append(ws.bounds[:0], 0, 1) // one connection, one worker
+	} else {
+		ws.bounds = partitionInto(ws.bounds, res.Deps, g.TT.Period, opts.threads(), opts.Partition)
+	}
 	bounds := ws.bounds
 	nw := len(bounds) - 1
 	if cap(ws.s2sBuf) < nw {
@@ -308,6 +364,12 @@ type s2sQuery struct {
 	opts       QueryOptions
 	target     timetable.StationID
 	targetNode graph.NodeID
+	// depart ≥ 0 makes this a point query: one virtual connection leaving
+	// the source at that time instead of conn(S) (wholePeriod otherwise).
+	depart timeutil.Ticks
+	// footpaths says the timetable has walking links at all; only then do
+	// the table prunings look at a station's footpaths (see run).
+	footpaths bool
 
 	// stop is the shared stopping-criterion state.
 	stop stopState
@@ -440,10 +502,24 @@ func (w *s2sWorker) run() {
 	// Items are laid out as in spcsWorker.run: iLocal*numNodes + node.
 	numNodes := g.NumNodes()
 
-	for i := w.lo; i < w.hi; i++ {
-		id := res.Conns[i]
-		iLocal := i - w.lo
-		w.push(iLocal*numNodes+int(g.ConnDepartureNode(id)), iLocal, g.TT.Connections[id].Dep, false)
+	point := q.depart >= 0
+	if point {
+		// The virtual connection of a point query starts like a time-query:
+		// at the station node (walking off needs no train) and, without the
+		// boarding transfer, on every route of the source.
+		sn := g.StationNode(res.Source)
+		w.push(int(sn), 0, q.depart, false)
+		for _, e := range g.OutEdges(sn) {
+			if e.Kind == graph.Board {
+				w.push(int(e.Head), 0, q.depart, false)
+			}
+		}
+	} else {
+		for i := w.lo; i < w.hi; i++ {
+			id := res.Conns[i]
+			iLocal := i - w.lo
+			w.push(iLocal*numNodes+int(g.ConnDepartureNode(id)), iLocal, g.TT.Connections[id].Dep, false)
+		}
 	}
 
 	done := q.opts.Done
@@ -507,12 +583,22 @@ func (w *s2sWorker) run() {
 			if !q.opts.DisableStoppingCriterion {
 				q.stop.observeTargetSettle(i, key)
 			}
+			if point {
+				return // the only connection is answered
+			}
 			// Leaving the target and coming back cannot arrive earlier
 			// (FIFO), and other stations are irrelevant to this query.
 			continue
 		}
 
-		if q.table != nil && q.table.IsTransfer(st) {
+		// The table prunings read D(st, ·, key) as the earliest arrival of
+		// anything that continues from here. A table profile holds the
+		// connections leaving st, not the walk that starts at st itself, so
+		// that only holds where no footpath leaves: elsewhere st is neither
+		// pruned at nor counted as a transfer-station ancestor.
+		atTransfer := q.table != nil && q.table.IsTransfer(st) &&
+			!(q.footpaths && len(g.TT.FootpathsFrom(st)) > 0)
+		if atTransfer {
 			arrWithTransfer := key + stations[st].Transfer
 			// Target pruning (Theorem 4).
 			if w.gamma != nil {
@@ -528,6 +614,9 @@ func (w *s2sWorker) run() {
 						res.ArrT[i] = d
 						if !q.opts.DisableStoppingCriterion {
 							q.stop.observeTargetSettle(i, d)
+						}
+						if point {
+							return
 						}
 						w.connDone[iLocal] = true
 						continue
@@ -554,7 +643,7 @@ func (w *s2sWorker) run() {
 			}
 		}
 
-		childAnc := hasAnc || (q.table != nil && q.table.IsTransfer(st))
+		childAnc := hasAnc || atTransfer
 		edges := g.OutEdges(v)
 		for e := range edges {
 			edge := &edges[e]

@@ -29,6 +29,9 @@ type spcsWorker struct {
 	hi   int
 	ws   *workerSpace
 	gen  uint32
+	// limit is one past the largest key the search keeps: Infinity, or lower
+	// when the caller needs nothing that arrives later (oneToAll).
+	limit timeutil.Ticks
 
 	counters stats.Counters
 	// cancelled is set when the worker abandoned its range because
@@ -73,6 +76,9 @@ func (w *spcsWorker) run() {
 		id := res.Conns[i]
 		it := (i-w.lo)*numNodes + int(g.ConnDepartureNode(id))
 		dep := g.TT.Connections[id].Dep
+		if dep >= w.limit {
+			continue // a walk-seeded connection that leaves after the bound
+		}
 		labels[it] = label{key: dep, stamp: tentative}
 		heap.Push(int32(it), dep)
 		w.counters.QueuePushes++
@@ -129,7 +135,9 @@ func (w *spcsWorker) run() {
 				arrTent, ride = g.EvalRide(edge, key)
 			}
 			w.counters.Relaxed++
-			if arrTent.IsInf() {
+			// Infinity included. Read through w, not hoisted: the loop is
+			// out of registers and a local cost 2 % on the dense workload.
+			if arrTent >= w.limit {
 				continue
 			}
 			hi := row + int(edge.Head)
@@ -180,6 +188,16 @@ func (ws *Workspace) OneToAll(g *graph.Graph, source timetable.StationID, opts O
 // OneToAllWindow is the workspace-reusing form of the package-level
 // OneToAllWindow.
 func (ws *Workspace) OneToAllWindow(g *graph.Graph, source timetable.StationID, from, to timeutil.Ticks, opts Options) (*ProfileResult, error) {
+	return ws.oneToAll(g, source, from, to, timeutil.Infinity, opts)
+}
+
+// oneToAll is the windowed profile search with an arrival bound: labels
+// later than until are never created (arr reads Infinity for them), which
+// leaves every label at or before until exactly as the unbounded search
+// computes it — keys only grow along a path, and self-pruning of (v, i) by
+// a later connection j needs arr(v, j) ≤ arr(v, i), so no label beyond the
+// bound ever decides anything about one within it. Infinity is no bound.
+func (ws *Workspace) oneToAll(g *graph.Graph, source timetable.StationID, from, to, until timeutil.Ticks, opts Options) (*ProfileResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -208,6 +226,7 @@ func (ws *Workspace) OneToAllWindow(g *graph.Graph, source timetable.StationID, 
 			g: g, res: res, opts: opts,
 			lo: bounds[t], hi: bounds[t+1],
 			ws: ws.worker(t), gen: res.gen,
+			limit: timeutil.Min(until, timeutil.Infinity-1) + 1,
 		}
 	}
 	if nw == 1 {

@@ -11,27 +11,27 @@ import (
 )
 
 // TimeQueryResult holds dist(S, ·, τ) for one departure time: the earliest
-// absolute arrival time at every node. The arrival store is
-// generation-stamped workspace memory; results from Workspace.TimeQuery
-// are valid until the next query on the same workspace, while the
-// package-level TimeQuery binds a private workspace to the result.
+// absolute arrival time at every node. The arrivals are the search's own
+// fused labels, generation-stamped workspace memory; results from
+// Workspace.TimeQuery are valid until the next query on the same workspace,
+// while the package-level TimeQuery binds a private workspace to the result.
 type TimeQueryResult struct {
 	Source timetable.StationID
 	Depart timeutil.Ticks
 	Run    stats.Run
 
-	g      *graph.Graph
-	arr    []timeutil.Ticks
-	arrGen []uint32
-	gen    uint32
+	g       *graph.Graph
+	labels  []label
+	settled uint32 // the stamp of a label this search settled
 }
 
-// Arrival returns the earliest arrival at a node.
+// Arrival returns the earliest arrival at a node (Infinity when the search
+// did not reach it — or, after TimeQueryTo, did not need to).
 func (r *TimeQueryResult) Arrival(v graph.NodeID) timeutil.Ticks {
-	if r.arrGen[v] != r.gen {
-		return timeutil.Infinity
+	if l := r.labels[v]; l.stamp == r.settled {
+		return l.key
 	}
-	return r.arr[v]
+	return timeutil.Infinity
 }
 
 // StationArrival returns the earliest arrival at a station.
@@ -55,50 +55,77 @@ func TimeQuery(g *graph.Graph, source timetable.StationID, depart timeutil.Ticks
 // the steady state allocates nothing. The result borrows workspace memory
 // and is valid until the next query on this workspace.
 func (ws *Workspace) TimeQuery(g *graph.Graph, source timetable.StationID, depart timeutil.Ticks, opts Options) (*TimeQueryResult, error) {
+	return ws.TimeQueryTo(g, source, depart, nil, opts)
+}
+
+// TimeQueryTo is TimeQuery with a target set: the search stops when the
+// last of the target stations settles, and only their arrivals (and those
+// of whatever settled before them) are final. A nil or empty set searches
+// the whole graph. Out-of-range targets are the caller's bug and panic.
+//
+// The loop is the one-connection form of the profile loops (package
+// comment, "Queue and label layout"): the monotone radix queue with lazy
+// deletion over one fused {key, stamp} label per node.
+func (ws *Workspace) TimeQueryTo(g *graph.Graph, source timetable.StationID, depart timeutil.Ticks, targets []timetable.StationID, opts Options) (*TimeQueryResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if int(source) < 0 || int(source) >= g.TT.NumStations() {
 		return nil, fmt.Errorf("core: source station %d out of range", source)
 	}
-	if depart < 0 {
-		return nil, fmt.Errorf("core: negative departure time %d", depart)
+	if depart < 0 || depart.IsInf() {
+		return nil, fmt.Errorf("core: departure time %d out of range [0, %d)", depart, timeutil.Infinity)
 	}
 	if cancelled(opts.Done) {
 		return nil, ErrCancelled
 	}
 	start := time.Now()
 	gen := ws.begin()
-	n := g.NumNodes()
-	ws.nodeArr = growTicks(ws.nodeArr, n)
-	ws.nodeArrGen = growU32(ws.nodeArrGen, n)
-	ws.nodeSetGen = growU32(ws.nodeSetGen, n)
+	tentative, settled := gen<<1, gen<<1|1
+	wsw := ws.worker(0)
+	labels := growLabels(wsw.labels, g.NumNodes())
+	wsw.labels = labels
 	res := &ws.tres
-	*res = TimeQueryResult{
-		Source: source, Depart: depart, g: g,
-		arr: ws.nodeArr, arrGen: ws.nodeArrGen, gen: gen,
-	}
-	settledGen := ws.nodeSetGen
-	var c stats.Counters
-	heap := ws.worker(0).heap(n)
+	*res = TimeQueryResult{Source: source, Depart: depart, g: g, labels: labels, settled: settled}
 
-	push := func(v graph.NodeID, key timeutil.Ticks) {
-		if settledGen[v] != gen && heap.Push(int32(v), key) {
-			c.QueuePushes++
+	// Targets are marked on their station nodes; open counts the distinct
+	// ones still unsettled (0 from the start: no target set, never stop).
+	open := 0
+	if len(targets) > 0 {
+		ws.nodeSetGen = growU32(ws.nodeSetGen, g.NumStations())
+		for _, t := range targets {
+			if ws.nodeSetGen[t] != gen {
+				ws.nodeSetGen[t] = gen
+				open++
+			}
 		}
 	}
+	isTarget := ws.nodeSetGen
+
+	var c stats.Counters
+	heap := &wsw.radix
+	heap.Reset()
+	// Seeds: the station node and, without the boarding transfer time,
+	// every route node of S. They are distinct nodes, so plain inserts.
 	sn := g.StationNode(source)
-	push(sn, depart)
+	labels[sn] = label{key: depart, stamp: tentative}
+	heap.Push(int32(sn), depart)
+	c.QueuePushes++
 	for _, e := range g.OutEdges(sn) {
-		// Seed route nodes of S without the boarding transfer time.
 		if e.Kind == graph.Board {
-			push(e.Head, depart)
+			labels[e.Head] = label{key: depart, stamp: tentative}
+			heap.Push(int32(e.Head), depart)
+			c.QueuePushes++
 		}
 	}
 
 	done := opts.Done
 	for !heap.Empty() {
 		it, key := heap.PopMin()
+		if labels[it].stamp == settled {
+			continue // stale entry of a node that surfaced with a better key
+		}
+		labels[it].stamp = settled
 		c.QueuePops++
 		if done != nil && c.QueuePops&cancelMask == 0 {
 			c.CancelPolls++
@@ -106,18 +133,31 @@ func (ws *Workspace) TimeQuery(g *graph.Graph, source timetable.StationID, depar
 				return nil, ErrCancelled
 			}
 		}
-		v := graph.NodeID(it)
-		settledGen[v] = gen
-		res.arr[v] = key
-		res.arrGen[v] = gen
 		c.SettledConns++
+		v := graph.NodeID(it)
+		if open > 0 && g.IsStationNode(v) && isTarget[v] == gen {
+			if open--; open == 0 {
+				break
+			}
+		}
 		edges := g.OutEdges(v)
 		for e := range edges {
-			arrTent, _ := g.EvalEdge(&edges[e], key)
-			c.Relaxed++
-			if !arrTent.IsInf() {
-				push(edges[e].Head, arrTent)
+			edge := &edges[e]
+			arrTent := key + edge.W // EvalEdge by hand, as in spcsWorker.run
+			if edge.Kind == graph.Ride {
+				arrTent, _ = g.EvalRide(edge, key)
 			}
+			c.Relaxed++
+			if arrTent.IsInf() {
+				continue
+			}
+			l := &labels[edge.Head]
+			if l.stamp == settled || (l.stamp == tentative && arrTent >= l.key) {
+				continue
+			}
+			*l = label{key: arrTent, stamp: tentative}
+			heap.Push(int32(edge.Head), arrTent)
+			c.QueuePushes++
 		}
 	}
 	ws.pt1[0] = c

@@ -51,11 +51,11 @@ type Workspace struct {
 	walk  map[timetable.StationID]timeutil.Ticks
 	wseen map[timetable.StationID]bool
 
-	// Node- or station-indexed scratch shared by the time-query and the CSA
-	// baseline (their queries never overlap within one workspace).
+	// Station-indexed scratch: the CSA baseline's arrivals, and the
+	// time-query's target marks.
 	nodeArr    []timeutil.Ticks
 	nodeArrGen []uint32
-	nodeSetGen []uint32 // settled stamps for the time-query
+	nodeSetGen []uint32
 
 	// CSA scratch.
 	aboardGen []uint32
@@ -118,12 +118,12 @@ const maxGen = 1 << 31
 // and the label arrays a single search worker owns exclusively.
 type workerSpace struct {
 	// radix is the monotone queue of the two profile loops (spcsWorker,
-	// s2sWorker); binary serves the searches that need decrease-key or
-	// non-monotone pushes (time-query, Pareto layers, label-correcting).
+	// s2sWorker) and of the time-query; binary serves the searches that need
+	// decrease-key or non-monotone pushes (Pareto layers, label-correcting).
 	radix  pq.RadixHeap
 	binary *pq.Heap
 
-	labels     []label // kLocal × numNodes, row per connection
+	labels     []label // kLocal × numNodes, row per connection (time-query: one row)
 	maxconn    []int32 // numNodes; valid when maxconnGen matches
 	maxconnGen []uint32
 

@@ -85,8 +85,12 @@ func (h *RadixHeap) add(b int, e radixEntry) {
 	h.nonEmpty |= 1 << uint(b)
 }
 
-// PopMin removes and returns an entry with the smallest key; entries with
-// equal keys surface in unspecified order. It panics on an empty queue.
+// PopMin removes and returns an entry with the smallest key. Of two entries
+// with equal keys the one pushed later surfaces first, whatever else is
+// queued: equal keys always share a bucket, Push and refill append in order,
+// refill only ever fills empty buckets, and PopMin takes from the end. A
+// search may rely on this — its tie-breaking is then the same whether or not
+// unrelated entries share the queue. It panics on an empty queue.
 func (h *RadixHeap) PopMin() (item int32, key timeutil.Ticks) {
 	if h.n == 0 {
 		panic("pq: PopMin on empty queue")

@@ -217,3 +217,31 @@ func FuzzRadixHeap(f *testing.F) {
 		driveRadix(t, &h, data)
 	})
 }
+
+// Entries with equal keys surface in the reverse of their push order: per
+// key the queue is a stack, through refills and bucket growth alike. Entries
+// with other keys therefore never change how a search breaks its ties.
+func TestRadixEqualKeysPopInReversePushOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		var h RadixHeap
+		floor := timeutil.Ticks(0)
+		stacks := map[timeutil.Ticks][]int32{}
+		for id := int32(0); id < 400 || !h.Empty(); {
+			if id < 400 && (h.Empty() || rng.Intn(3) > 0) {
+				key := floor + timeutil.Ticks(rng.Intn(6)*rng.Intn(40))
+				h.Push(id, key)
+				stacks[key] = append(stacks[key], id)
+				id++
+				continue
+			}
+			item, key := h.PopMin()
+			floor = key
+			st := stacks[key]
+			if len(st) == 0 || st[len(st)-1] != item {
+				t.Fatalf("round %d: key %d popped item %d, pushed and still queued with that key: %v", round, key, item, st)
+			}
+			stacks[key] = st[:len(st)-1]
+		}
+	}
+}

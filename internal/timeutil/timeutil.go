@@ -102,28 +102,40 @@ func (p Period) FormatClock(t Ticks) string {
 
 // ParseClock parses "HH:MM" or "D:HH:MM" into ticks for minute-based
 // periods. Hours up to 47 are accepted in the two-field form to support the
-// GTFS convention of times past midnight ("25:10").
+// GTFS convention of times past midnight ("25:10"). Values at or beyond
+// Infinity are rejected: they do not fit a Ticks that arithmetic is still
+// safe on.
 func ParseClock(s string) (Ticks, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
+	// Fields are parsed as int32, so the sums below cannot overflow int64.
+	field := func(i int) (int64, bool) {
+		v, err := strconv.ParseInt(parts[i], 10, 32)
+		return v, err == nil && v >= 0
+	}
+	var total int64
 	switch len(parts) {
 	case 2:
-		h, err1 := strconv.Atoi(parts[0])
-		m, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil || h < 0 || m < 0 || m > 59 {
+		h, ok1 := field(0)
+		m, ok2 := field(1)
+		if !ok1 || !ok2 || m > 59 {
 			return 0, fmt.Errorf("timeutil: invalid clock value %q", s)
 		}
-		return Ticks(h*60 + m), nil
+		total = h*60 + m
 	case 3:
-		d, err1 := strconv.Atoi(parts[0])
-		h, err2 := strconv.Atoi(parts[1])
-		m, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil || d < 0 || h < 0 || h > 23 || m < 0 || m > 59 {
+		d, ok1 := field(0)
+		h, ok2 := field(1)
+		m, ok3 := field(2)
+		if !ok1 || !ok2 || !ok3 || h > 23 || m > 59 {
 			return 0, fmt.Errorf("timeutil: invalid clock value %q", s)
 		}
-		return Ticks(d*1440 + h*60 + m), nil
+		total = d*1440 + h*60 + m
 	default:
 		return 0, fmt.Errorf("timeutil: invalid clock value %q", s)
 	}
+	if total >= int64(Infinity) {
+		return 0, fmt.Errorf("timeutil: clock value %q out of range", s)
+	}
+	return Ticks(total), nil
 }
 
 // Min returns the smaller of two tick values.

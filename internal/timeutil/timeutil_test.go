@@ -165,6 +165,7 @@ func TestParseClock(t *testing.T) {
 		{"25:10", 1510}, // GTFS-style past-midnight
 		{"1:01:30", 1530},
 		{" 08:15 ", 495},
+		{"745654:01:03", Infinity - 1},
 	}
 	for _, tc := range good {
 		got, err := ParseClock(tc.in)
@@ -172,7 +173,9 @@ func TestParseClock(t *testing.T) {
 			t.Errorf("ParseClock(%q) = %d,%v want %d", tc.in, got, err, tc.want)
 		}
 	}
-	bad := []string{"", "8", "8:", ":15", "08:60", "-1:00", "a:b", "1:24:00", "1:00:60", "1:2:3:4"}
+	bad := []string{"", "8", "8:", ":15", "08:60", "-1:00", "a:b", "1:24:00", "1:00:60", "1:2:3:4",
+		// at or past Infinity, and values that used to wrap around int32
+		"745654:01:04", "3000000:00:00", "17895698:00", "99999999999:00"}
 	for _, s := range bad {
 		if _, err := ParseClock(s); err == nil {
 			t.Errorf("ParseClock(%q) succeeded, want error", s)

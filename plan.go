@@ -5,9 +5,11 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"transit/internal/core"
+	"transit/internal/stats"
 )
 
 // Kind selects what a Request asks for. The string values are the wire
@@ -18,8 +20,9 @@ const (
 	// KindEarliestArrival asks for the earliest arrival at To when
 	// departing From at Depart (a scalar answer; the paper's time-query).
 	KindEarliestArrival Kind = "earliest-arrival"
-	// KindJourney asks for a concrete itinerary From → To departing at
-	// Depart, with train legs and transfers.
+	// KindJourney asks for a concrete itinerary From → To for a traveller at
+	// From at Depart, with train legs and transfers: of the itineraries that
+	// arrive earliest, the one that leaves latest.
 	KindJourney Kind = "journey"
 	// KindProfile asks for all best connections From → To over the whole
 	// period (the paper's station-to-station profile query, accelerated by
@@ -35,8 +38,9 @@ const (
 	KindPareto Kind = "pareto"
 	// KindMatrix asks for the earliest arrival from every Sources[i] to
 	// every Targets[j] when departing at Depart — the batch one-to-many
-	// query behind the /v1/matrix endpoint. Each row costs one
-	// time-query; rows run concurrently up to Options.Threads.
+	// query behind the /v1/matrix endpoint. Each row costs one time-query
+	// that stops when its last target settles; rows run concurrently up to
+	// Options.Threads.
 	KindMatrix Kind = "matrix"
 )
 
@@ -318,28 +322,54 @@ func (n *Network) validate(req Request) error {
 	if req.Kind != KindMatrix && (len(req.Sources) > 0 || len(req.Targets) > 0) {
 		return errf(CodeInvalidRequest, "sources", "sources/targets are only valid for %s requests", KindMatrix)
 	}
-	if req.Depart < 0 && (req.Kind == KindEarliestArrival || req.Kind == KindJourney || req.Kind == KindMatrix) {
-		return errf(CodeBadTime, "depart", "negative departure time %d", req.Depart)
+	if req.Kind == KindEarliestArrival || req.Kind == KindJourney || req.Kind == KindMatrix {
+		if req.Depart < 0 {
+			return errf(CodeBadTime, "depart", "negative departure time %d", req.Depart)
+		}
+		// Arrival keys are departure plus travel time in 32 bits, and
+		// Infinity is the unreachable sentinel they are compared with.
+		if req.Depart.IsInf() {
+			return errf(CodeBadTime, "depart", "departure time %d out of range [0, %d)", req.Depart, Infinity)
+		}
 	}
 	return nil
 }
 
-// planEarliestArrival answers the scalar time-query on a pooled workspace;
-// only scalars escape, so the steady state allocates nothing.
+// queryEnv is what the station-to-station searches run against: the graph,
+// plus station graph and distance table when the network is preprocessed.
+func (n *Network) queryEnv() core.QueryEnv {
+	env := core.QueryEnv{Graph: n.g}
+	if n.table != nil {
+		env.StationGraph = n.sg
+		env.Table = n.table
+	}
+	return env
+}
+
+// queryStats copies a search's work counters into the public shape.
+func queryStats(run *stats.Run) QueryStats {
+	return QueryStats{
+		SettledConnections: run.Total.SettledConns,
+		MaxThreadSettled:   run.MaxThreadSettled(),
+		QueueOps:           run.Total.QueuePushes + run.Total.QueuePops,
+		Elapsed:            run.Elapsed,
+	}
+}
+
+// planEarliestArrival answers the scalar query as the one-departure case of
+// the station-to-station search — it stops when the target settles and uses
+// the distance table when there is one — on a pooled workspace; only scalars
+// escape, so the steady state allocates nothing.
 func (n *Network) planEarliestArrival(req Request, done <-chan struct{}, res *Result) error {
 	ws := core.GetWorkspace()
-	tq, err := ws.TimeQuery(n.g, req.From, req.Depart, coreOpts(req.Options, done))
+	sres, err := ws.EarliestArrival(n.queryEnv(), req.From, req.To, req.Depart, core.QueryOptions{Options: coreOpts(req.Options, done)})
 	if err != nil {
 		core.PutWorkspace(ws)
 		return err
 	}
-	res.arrival = tq.StationArrival(req.To)
-	res.stats = QueryStats{
-		SettledConnections: tq.Run.Total.SettledConns,
-		MaxThreadSettled:   tq.Run.MaxThreadSettled(),
-		QueueOps:           tq.Run.Total.QueuePushes + tq.Run.Total.QueuePops,
-		Elapsed:            tq.Run.Elapsed,
-	}
+	res.arrival = sres.ArrT[0]
+	res.stats = queryStats(&sres.Run)
+	res.stats.Local, res.stats.TableHit = sres.Local, sres.TableHit
 	core.PutWorkspace(ws)
 	return nil
 }
@@ -347,17 +377,12 @@ func (n *Network) planEarliestArrival(req Request, done <-chan struct{}, res *Re
 // planProfile answers the station-to-station profile query, with the
 // Section 4 prunings when the network is preprocessed.
 func (n *Network) planProfile(req Request, done <-chan struct{}, res *Result) error {
-	env := core.QueryEnv{Graph: n.g}
-	if n.table != nil {
-		env.StationGraph = n.sg
-		env.Table = n.table
-	}
 	// The search runs on a pooled workspace: everything the returned
 	// Profile needs (the reduced distance function and the walk time) is
 	// extracted before the workspace goes back to the pool, so the O(n·k)
 	// search arrays never re-allocate in the steady state.
 	ws := core.GetWorkspace()
-	sres, err := ws.StationToStation(env, req.From, req.To, core.QueryOptions{Options: coreOpts(req.Options, done)})
+	sres, err := ws.StationToStation(n.queryEnv(), req.From, req.To, core.QueryOptions{Options: coreOpts(req.Options, done)})
 	if err != nil {
 		core.PutWorkspace(ws)
 		return err
@@ -367,14 +392,8 @@ func (n *Network) planProfile(req Request, done <-chan struct{}, res *Result) er
 		core.PutWorkspace(ws)
 		return err
 	}
-	res.stats = QueryStats{
-		SettledConnections: sres.Run.Total.SettledConns,
-		MaxThreadSettled:   sres.Run.MaxThreadSettled(),
-		QueueOps:           sres.Run.Total.QueuePushes + sres.Run.Total.QueuePops,
-		Elapsed:            sres.Run.Elapsed,
-		Local:              sres.Local,
-		TableHit:           sres.TableHit,
-	}
+	res.stats = queryStats(&sres.Run)
+	res.stats.Local, res.stats.TableHit = sres.Local, sres.TableHit
 	res.profile = &Profile{Source: req.From, Target: req.To, fn: fn, period: n.tt.Period, walkOnly: sres.WalkOnly}
 	core.PutWorkspace(ws)
 	return nil
@@ -402,21 +421,28 @@ func (n *Network) planOneToAll(req Request, done <-chan struct{}, res *Result) e
 	return nil
 }
 
-// planJourney runs a one-to-all search with parent tracking on a pooled
-// workspace and extracts the itinerary for the requested departure before
-// the workspace goes back; only the journey's legs escape.
+// planJourney extracts the itinerary for the requested departure — the one
+// that leaves latest among those arriving earliest — from the bounded
+// window search core.JourneySearch runs behind a point query, on a pooled
+// workspace; only the journey's legs escape. Its stats are the sum over the
+// point queries and the window search.
 func (n *Network) planJourney(req Request, done <-chan struct{}, res *Result) error {
 	opt := req.Options
 	opt.TrackJourneys = true
 	ws := core.GetWorkspace()
-	pr, err := ws.OneToAllWindow(n.g, req.From, 0, Infinity, coreOpts(opt, done))
-	if err != nil {
+	var j *Journey
+	pr, err := ws.JourneySearch(n.queryEnv(), req.From, req.To, req.Depart, core.QueryOptions{Options: coreOpts(opt, done)})
+	switch {
+	case errors.Is(err, core.ErrUnreachable):
+		err = unreachable(req.From, req.To)
+	case err != nil:
 		core.PutWorkspace(ws)
 		return err
+	default:
+		all := AllProfiles{n: n, res: pr}
+		j, err = all.Journey(req.To, req.Depart)
+		res.stats = all.Stats()
 	}
-	all := AllProfiles{n: n, res: pr}
-	j, err := all.Journey(req.To, req.Depart)
-	res.stats = all.Stats()
 	core.PutWorkspace(ws)
 	if err != nil {
 		// The overwhelmingly common failure is an unreachable target (or a
@@ -439,12 +465,18 @@ func (n *Network) planPareto(req Request, done <-chan struct{}, res *Result) err
 	return nil
 }
 
-// planMatrix answers the batch one-to-many query: one time-query per
-// source row (the row's single Dijkstra already yields every target), rows
-// fanned out over Options.Threads workers, each on a pooled workspace.
+// planMatrix answers the batch one-to-many query: one time-query per source
+// row, stopped when the last of the row's targets has settled, rows fanned
+// out over Options.Threads workers, each on a pooled workspace. After the
+// first failed row no further row is started.
 func (n *Network) planMatrix(req Request, done <-chan struct{}, res *Result) error {
 	start := time.Now()
+	nt := len(req.Targets)
+	cells := make([]Ticks, len(req.Sources)*nt) // every row, one allocation
 	rows := make([][]Ticks, len(req.Sources))
+	for i := range rows {
+		rows[i] = cells[i*nt : (i+1)*nt : (i+1)*nt]
+	}
 	rowOpts := coreOpts(req.Options, done)
 	rowOpts.Threads = 1 // parallelism is across rows, not within one
 	workers := req.Options.Threads
@@ -458,8 +490,9 @@ func (n *Network) planMatrix(req Request, done <-chan struct{}, res *Result) err
 		mu       sync.Mutex
 		firstErr error
 		total    QueryStats
+		next     atomic.Int64 // the next row nobody has taken yet
+		failed   atomic.Bool
 	)
-	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -467,21 +500,24 @@ func (n *Network) planMatrix(req Request, done <-chan struct{}, res *Result) err
 			defer wg.Done()
 			ws := core.GetWorkspace()
 			defer core.PutWorkspace(ws)
-			for i := range idx {
-				tq, err := ws.TimeQuery(n.g, req.Sources[i], req.Depart, rowOpts)
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(rows) {
+					return
+				}
+				tq, err := ws.TimeQueryTo(n.g, req.Sources[i], req.Depart, req.Targets, rowOpts)
 				if err != nil {
+					failed.Store(true)
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
 					}
 					mu.Unlock()
-					continue
+					return
 				}
-				row := make([]Ticks, len(req.Targets))
 				for j, t := range req.Targets {
-					row[j] = tq.StationArrival(t)
+					rows[i][j] = tq.StationArrival(t)
 				}
-				rows[i] = row
 				mu.Lock()
 				total.SettledConnections += tq.Run.Total.SettledConns
 				total.QueueOps += tq.Run.Total.QueuePushes + tq.Run.Total.QueuePops
@@ -492,10 +528,6 @@ func (n *Network) planMatrix(req Request, done <-chan struct{}, res *Result) err
 			}
 		}()
 	}
-	for i := range rows {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr

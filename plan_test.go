@@ -3,6 +3,7 @@ package transit
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -291,6 +292,13 @@ func TestPlanValidationCodes(t *testing.T) {
 		{"negative transfers", Request{Kind: KindPareto, From: 0, MaxTransfers: -1}, CodeBadTransfers},
 		{"sources on journey", Request{Kind: KindJourney, From: 0, To: 1, Sources: []StationID{2}}, CodeInvalidRequest},
 		{"negative depart", Request{Kind: KindEarliestArrival, From: 0, To: 1, Depart: -5}, CodeBadTime},
+		// Arrival keys are 32-bit: a departure at or past Infinity used to
+		// wrap (arrival -2147483579 from MaxInt32) instead of failing.
+		{"arrival depart MaxInt32", Request{Kind: KindEarliestArrival, From: 0, To: 9, Depart: math.MaxInt32}, CodeBadTime},
+		{"arrival depart Infinity", Request{Kind: KindEarliestArrival, From: 0, To: 9, Depart: Infinity}, CodeBadTime},
+		{"journey depart Infinity", Request{Kind: KindJourney, From: 0, To: 9, Depart: Infinity}, CodeBadTime},
+		{"journey depart MaxInt32", Request{Kind: KindJourney, From: 0, To: 9, Depart: math.MaxInt32}, CodeBadTime},
+		{"matrix depart Infinity", Request{Kind: KindMatrix, Sources: []StationID{0}, Targets: []StationID{9}, Depart: Infinity + 7}, CodeBadTime},
 	}
 	for _, tc := range cases {
 		_, err := n.Plan(context.Background(), tc.req)
@@ -423,6 +431,27 @@ func TestPlanEarliestArrivalAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Plan earliest-arrival with Reuse allocates %.1f objects per query, want 0", allocs)
+	}
+	// With a distance table the query adds the via-station DFS, the µ and γ
+	// bounds and the table look-ups, all on workspace scratch.
+	pre, _, err := n.Preprocess(TransferSelection{Fraction: 0.1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableQuery := func() {
+		p := pairs[i%len(pairs)]
+		i++
+		if _, err := pre.Plan(ctx, Request{
+			Kind: KindEarliestArrival, From: p[0], To: p[1], Depart: 480, Reuse: &reuse,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range pairs {
+		tableQuery()
+	}
+	if withTable := testing.AllocsPerRun(64, tableQuery); withTable != 0 {
+		t.Fatalf("Plan earliest-arrival with a distance table allocates %.1f objects per query, want 0", withTable)
 	}
 	// The legacy wrapper shares the same path and pooling.
 	wrapped := testing.AllocsPerRun(64, func() {
@@ -575,4 +604,155 @@ func TestPlanMatrixCancellation(t *testing.T) {
 	if !sawCancel {
 		t.Fatal("no matrix batch observed the cancellation")
 	}
+}
+
+// TestPlanDepartLimit pins the last accepted departure: one tick below
+// Infinity every point kind answers without wrapping a 32-bit key.
+func TestPlanDepartLimit(t *testing.T) {
+	n := testNetwork(t)
+	ctx := context.Background()
+	res, err := n.Plan(ctx, Request{Kind: KindEarliestArrival, From: 0, To: 9, Depart: Infinity - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := res.arrival; a < Infinity-1 || a > Infinity {
+		t.Fatalf("arrival %d departing one tick below Infinity", a)
+	}
+	res, err = n.Plan(ctx, Request{Kind: KindMatrix, Sources: []StationID{0, 3}, Targets: []StationID{9, 0}, Depart: Infinity - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.matrix {
+		for _, a := range row {
+			if a < Infinity-1 || a > Infinity {
+				t.Fatalf("matrix cell %d departing one tick below Infinity", a)
+			}
+		}
+	}
+	// A journey only depends on the time point of its departure.
+	late, err := n.Plan(ctx, Request{Kind: KindJourney, From: 0, To: 9, Depart: Infinity - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := n.Plan(ctx, Request{Kind: KindJourney, From: 0, To: 9, Depart: (Infinity - 1) % n.Period()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.journey.String() != early.journey.String() {
+		t.Fatalf("journey %q at the limit, %q at the same time of day", late.journey, early.journey)
+	}
+}
+
+// TestPlanPointKindsReturnWorkspaces checks the free-list accounting of the
+// two rewritten kinds: whatever way a request ends — answered, unreachable,
+// rejected, cancelled before it starts, or cancelled between a journey's
+// point query and its window search — every workspace checked out has been
+// put back.
+func TestPlanPointKindsReturnWorkspaces(t *testing.T) {
+	n, err := cancelNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, _, err := n.Preprocess(TransferSelection{Fraction: 0.1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreach := oneWayLine(t)
+	gets0, puts0 := core.PoolStats()
+	balanced := func(when string) {
+		t.Helper()
+		if gets, puts := core.PoolStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("%s: %d workspaces checked out, %d returned", when, gets-gets0, puts-puts0)
+		}
+	}
+	ctx := context.Background()
+	cancelledCtx, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, kind := range []Kind{KindEarliestArrival, KindJourney} {
+		for _, net := range []*Network{n, pre} {
+			if _, err := net.Plan(ctx, Request{Kind: kind, From: 0, To: 9, Depart: 480}); err != nil {
+				t.Fatal(err)
+			}
+			balanced(string(kind) + " answered")
+			if _, err := net.Plan(ctx, Request{Kind: kind, From: 0, To: 9, Depart: -1}); ErrorCodeOf(err) != CodeBadTime {
+				t.Fatalf("%s: negative departure: %v", kind, err)
+			}
+			if _, err := net.Plan(ctx, Request{Kind: kind, From: 0, To: 9, Depart: 480, Options: Options{Partition: "bogus"}}); err == nil {
+				t.Fatalf("%s: unknown partition strategy accepted", kind)
+			}
+			balanced(string(kind) + " rejected")
+			if _, err := net.Plan(cancelledCtx, Request{Kind: kind, From: 0, To: 9, Depart: 480}); ErrorCodeOf(err) != CodeCancelled {
+				t.Fatalf("%s: cancelled context: %v", kind, err)
+			}
+			balanced(string(kind) + " cancelled")
+		}
+	}
+	if _, err := unreach.Plan(ctx, Request{Kind: KindJourney, From: 1, To: 0, Depart: 480}); ErrorCodeOf(err) != CodeUnreachable {
+		t.Fatalf("journey against the line: %v", err)
+	}
+	if res, err := unreach.Plan(ctx, Request{Kind: KindEarliestArrival, From: 1, To: 0, Depart: 480}); err != nil || !res.arrival.IsInf() {
+		t.Fatalf("arrival against the line: %v, %v", res, err)
+	}
+	balanced("unreachable")
+
+	// Between the phases: the context is cancelled as soon as the attached
+	// effort block shows a finished search, so some journeys are abandoned
+	// after their point query and before (or inside) their window search.
+	// Outcomes race; every failure must be the typed cancellation.
+	between := false
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; !between && time.Now().Before(deadline); i++ {
+		var effort SearchEffort
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := make(chan struct{})
+		watched := make(chan struct{})
+		go func() {
+			defer close(watched)
+			for effort.Rounds.Load() == 0 {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			cancel()
+		}()
+		_, err := n.Plan(ctx, Request{
+			Kind: KindJourney, From: StationID(i % n.NumStations()), To: StationID((i*7 + 3) % n.NumStations()),
+			Depart: 480, Options: Options{Effort: &effort},
+		})
+		close(stop)
+		<-watched
+		cancel()
+		switch {
+		case err == nil, ErrorCodeOf(err) == CodeUnreachable:
+		case ErrorCodeOf(err) == CodeCancelled:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancellation does not wrap context.Canceled: %v", err)
+			}
+			between = between || effort.Rounds.Load() >= 1
+		default:
+			t.Fatalf("unexpected error %v", err)
+		}
+		balanced("journey cancelled between phases")
+	}
+	if !between {
+		t.Fatal("no journey was cancelled after its point query")
+	}
+}
+
+// oneWayLine is the network A→B: nothing leads from B back to A.
+func oneWayLine(t *testing.T) *Network {
+	t.Helper()
+	tb := NewTimetableBuilder(0)
+	a, b := tb.AddStation("A", 1), tb.AddStation("B", 1)
+	if err := tb.AddTrain("t", []StationID{a, b}, 480, []Ticks{10}, 0); err != nil {
+		t.Fatal(err)
+	}
+	n, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

@@ -229,12 +229,15 @@ func (n *Network) Profile(src, dst StationID, opt Options) (*Profile, *QueryStat
 }
 
 // Journey computes a concrete itinerary from src to dst for a departure at
-// dep. It runs a one-to-all profile search with parent tracking; when many
+// dep: of the train itineraries that arrive earliest, the one that leaves
+// latest. An earliest-arrival query bounds the answer, and a windowed
+// one-to-all profile search with parent tracking over the connections
+// leaving between dep and that arrival finds the itinerary (docs/
+// PREPROCESSING.md, "Journeys behind the point query"); the distance table
+// speeds up the bound, the itinerary itself always comes from the unpruned
+// search — pruned subtrees are exactly what the table replaces. When many
 // journeys from the same source are needed, run ProfileAll once with
 // Options.TrackJourneys and call Journey on the result instead.
-// (Station-to-station searches with distance-table pruning do not retain
-// full paths — pruned subtrees are exactly what the table replaces — so
-// journeys always come from the unpruned one-to-all search.)
 //
 // It is a convenience wrapper over Plan with KindJourney; use Plan directly
 // to thread a context.Context through the search.
@@ -292,14 +295,7 @@ type AllProfiles struct {
 func (a *AllProfiles) Source() StationID { return a.res.Source }
 
 // Stats returns the work counters of the run.
-func (a *AllProfiles) Stats() QueryStats {
-	return QueryStats{
-		SettledConnections: a.res.Run.Total.SettledConns,
-		MaxThreadSettled:   a.res.Run.MaxThreadSettled(),
-		QueueOps:           a.res.Run.Total.QueuePushes + a.res.Run.Total.QueuePops,
-		Elapsed:            a.res.Run.Elapsed,
-	}
-}
+func (a *AllProfiles) Stats() QueryStats { return queryStats(&a.res.Run) }
 
 // To extracts the profile to one target station.
 func (a *AllProfiles) To(dst StationID) (*Profile, error) {
@@ -329,7 +325,7 @@ func (a *AllProfiles) Journey(dst StationID, dep Ticks) (*Journey, error) {
 		return nil, err
 	}
 	if fn.Empty() {
-		return nil, fmt.Errorf("transit: %d→%d unreachable", a.res.Source, dst)
+		return nil, unreachable(a.res.Source, dst)
 	}
 	pt, _ := fn.NextDeparture(dep)
 	// Find the connection index whose departure point and duration realize
@@ -353,6 +349,11 @@ func (a *AllProfiles) Journey(dst StationID, dep Ticks) (*Journey, error) {
 		return nil, err
 	}
 	return a.n.journeyFromConnections(rides, dep)
+}
+
+// unreachable is the error of a journey between stations no train connects.
+func unreachable(src, dst StationID) error {
+	return fmt.Errorf("transit: %d→%d unreachable", src, dst)
 }
 
 func (n *Network) checkStation(s StationID) error {
