@@ -1,7 +1,7 @@
 package transit
 
-// Benchmarks regenerating the paper's evaluation (see DESIGN.md §4 and
-// EXPERIMENTS.md). One benchmark per table and per ablation:
+// Benchmarks regenerating the paper's evaluation (README "Benchmarks" is
+// the experiment index). One benchmark per table and per ablation:
 //
 //	BenchmarkTable1OneToAll/<family>/CS-p<N>   — Table 1 rows (CS, 1–8 cores)
 //	BenchmarkTable1OneToAll/<family>/LC        — Table 1 LC baseline rows
@@ -415,8 +415,8 @@ func BenchmarkSteadyStateStationQuery(b *testing.B) {
 }
 
 // BenchmarkBaselineCSA measures the Connection Scan reference on the same
-// time-query workload as the graph-based search, for the modern-baseline
-// comparison in EXPERIMENTS.md.
+// time-query workload as the graph-based search, for a modern-baseline
+// comparison.
 func BenchmarkBaselineCSA(b *testing.B) {
 	net := benchNet(b, "oahu")
 	sched := core.NewConnectionScan(net.TT)

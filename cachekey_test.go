@@ -11,7 +11,7 @@ func TestCacheKeyCanonical(t *testing.T) {
 	// Options and Reuse never change the answer, so they never change the
 	// key.
 	tuned := base
-	tuned.Options = Options{Threads: 8, Partition: "k-means"}
+	tuned.Options = Options{Threads: 8, TrackJourneys: true}
 	tuned.Reuse = &Result{}
 	if base.CacheKey() != tuned.CacheKey() {
 		t.Fatal("Options/Reuse leaked into the cache key")

@@ -1,6 +1,6 @@
 // Command tpbench regenerates the paper's evaluation tables on synthetic
-// analogues of its five inputs (see DESIGN.md §2 for the substitution
-// rationale and §4 for the experiment index).
+// analogues of its five inputs (the internal/gen package comment gives the
+// substitution rationale, README "Benchmarks" the experiment index).
 //
 //	tpbench -table 1                 # Table 1: one-to-all, CS vs LC, 1–8 cores
 //	tpbench -table 2                 # Table 2: station-to-station + distance tables
@@ -8,15 +8,10 @@
 //	tpbench -ablation self-pruning   # Theorem 1 work reduction
 //	tpbench -ablation stopping       # Theorem 2 work reduction
 //	tpbench -ablation pareto         # multi-criteria extension cost
-//	tpbench -serving http://127.0.0.1:8080 -rate 500 -duration 10s
 //
 // -families, -scale, -queries and -threads bound the run; defaults keep the
-// full harness under a few minutes on a single core.
-//
-// -serving turns tpbench into a client of a running tpserver (the same
-// engine as cmd/tploadgen): open-loop load at -rate for -duration,
-// reporting throughput, latency percentiles, shed rate and cache hit rate;
-// -json writes the machine-readable report.
+// full harness under a few minutes on a single core. Serving-path numbers
+// (a live tpserver under load) come from benchmark/, not from here.
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"transit/internal/bench"
 )
@@ -33,28 +27,15 @@ func main() {
 	table := flag.Int("table", 0, "paper table to regenerate (1 or 2)")
 	ablation := flag.String("ablation", "", "ablation to run: partition|self-pruning|stopping|pareto")
 	familiesFlag := flag.String("families", strings.Join(bench.Families(), ","), "comma-separated families")
-	scale := flag.Float64("scale", 0.25, "network scale (1.0 = DESIGN.md defaults; 0.25 keeps runs fast)")
+	scale := flag.Float64("scale", 0.25, "network scale (1.0 = gen.FamilyConfig defaults; 0.25 keeps runs fast)")
 	queries := flag.Int("queries", 10, "queries per configuration")
 	threads := flag.Int("threads", 8, "threads for Table 2 queries")
 	seed := flag.Int64("seed", 1, "workload seed")
 	full := flag.Bool("full", false, "include the 30% selection row in Table 2")
-	serving := flag.String("serving", "", "benchmark a running tpserver at this base URL")
-	rate := flag.Float64("rate", 100, "offered requests per second for -serving")
-	duration := flag.Duration("duration", 10*time.Second, "load duration for -serving")
-	jsonPath := flag.String("json", "", "write the -serving report as JSON to this file")
 	flag.Parse()
 
 	families := strings.Split(*familiesFlag, ",")
 	switch {
-	case *serving != "":
-		rep, err := bench.RunServing(bench.ServingConfig{
-			BaseURL: *serving, Rate: *rate, Duration: *duration, Seed: *seed,
-		})
-		check(err)
-		rep.Print(os.Stdout)
-		if *jsonPath != "" {
-			check(rep.WriteJSON(*jsonPath))
-		}
 	case *table == 1:
 		for _, fam := range families {
 			net := load(fam, *scale, *seed)

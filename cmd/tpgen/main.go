@@ -48,7 +48,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "size multiplier (1.0 = laptop-friendly default)")
 	seed := flag.Int64("seed", 0, "random seed (0 = family default)")
 	out := flag.String("out", "", "timetable output file (default stdout)")
-	binaryFmt := flag.Bool("binary", false, "write the compact binary format instead of text")
 	snapOut := flag.String("o", "", "snapshot output file (versioned container; see docs/SNAPSHOT_FORMAT.md)")
 	preprocess := flag.Float64("preprocess", 0, "with -o: transfer-station fraction for an embedded distance table (0 = none)")
 	threads := flag.Int("threads", 1, "parallel workers for -preprocess")
@@ -106,11 +105,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	write := n.WriteTimetable
-	if *binaryFmt {
-		write = n.WriteTimetableBinary
-	}
-	if err := write(w); err != nil {
+	if err := n.WriteTimetable(w); err != nil {
 		fail(err)
 	}
 	fmt.Fprintln(os.Stderr, n.Stats())

@@ -58,13 +58,13 @@ func TestV1OverloadShedding(t *testing.T) {
 		}
 		assertErrorCode(t, rec, transit.CodeOverloaded)
 	}
-	// The legacy endpoints run through the same gate (plain-text errors).
-	rec := get(t, mux, "/arrival?from=0&to=1&at=07:00")
+	// Every query kind runs through the same gate.
+	rec := get(t, mux, "/v1/journey?from=0&to=1&depart=07:00")
 	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("legacy overloaded: status %d, want 429", rec.Code)
+		t.Fatalf("overloaded journey: status %d, want 429", rec.Code)
 	}
 	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("legacy 429 without Retry-After header")
+		t.Fatal("journey 429 without Retry-After header")
 	}
 
 	close(release)
@@ -186,7 +186,7 @@ func TestV1PreCancelledNeverAdmitted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, url := range []string{"/v1/arrival?from=0&to=1&depart=07:00", "/arrival?from=0&to=1&at=07:00"} {
+	for _, url := range []string{"/v1/arrival?from=0&to=1&depart=07:00", "/v1/journey?from=0&to=1&depart=07:00"} {
 		req := httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, req)

@@ -116,8 +116,8 @@ func TestV1UnknownNetworkGolden(t *testing.T) {
 	}
 	assertErrorCode(t, rec, transit.CodeUnknownNetwork)
 
-	// The legacy-style delay route renders plain text, but shares the
-	// status mapping and the typed code underneath.
+	// The delay route renders plain text, but shares the status mapping and
+	// the typed code underneath.
 	rec = post(t, mux, "/nope/delays", `{"ops":[{"train":"h08","delay_min":5}]}`)
 	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown network") {
 		t.Fatalf("unknown network delays: status %d body %q", rec.Code, rec.Body.String())
@@ -197,44 +197,30 @@ func TestV1NetworksEndpoint(t *testing.T) {
 }
 
 // TestLegacyDefaultNetwork pins the compatibility contract: the un-prefixed
-// legacy routes serve the default tenant, deprecation headers intact, with
-// the same answers as before the catalog existed.
+// routes serve the default tenant, with the same answers as before the
+// catalog existed.
 func TestLegacyDefaultNetwork(t *testing.T) {
 	_, mux := twoTenantServer(t)
 
-	rec := get(t, mux, "/arrival?from=0&to=1&at=08:00")
-	if rec.Code != 200 {
-		t.Fatalf("legacy arrival status %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("legacy /arrival lost its Deprecation header")
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/arrival") {
-		t.Errorf("legacy /arrival Link header %q", link)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
 	// The default tenant aa is the hourly network: 08:00 → 08:30.
-	if out["arrive"] != "08:30" {
-		t.Fatalf("legacy default answer %v, want 08:30 (aa)", out["arrive"])
+	if got := arrivalAt(t, mux, 0, 1, "08:00"); got != "08:30" {
+		t.Fatalf("default answer %s, want 08:30 (aa)", got)
 	}
 
 	// Un-prefixed delays hit the default tenant only.
-	rec = post(t, mux, "/delays", `{"ops":[{"train":"h08","delay_min":20}]}`)
+	rec := post(t, mux, "/delays", `{"ops":[{"train":"h08","delay_min":20}]}`)
 	if rec.Code != 200 {
-		t.Fatalf("legacy delays status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("delays status %d: %s", rec.Code, rec.Body.String())
 	}
 	var dresp map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &dresp); err != nil {
 		t.Fatal(err)
 	}
 	if dresp["network"] != "aa" || dresp["epoch"].(float64) != 1 {
-		t.Fatalf("legacy delays response %v", dresp)
+		t.Fatalf("delays response %v", dresp)
 	}
 	if got := arrivalAt(t, mux, 0, 1, "08:00"); got != "08:50" {
-		t.Fatalf("post-delay legacy arrival %s, want 08:50", got)
+		t.Fatalf("post-delay arrival %s, want 08:50", got)
 	}
 	// bb never saw the batch.
 	rec = get(t, mux, "/v1/bb/arrival?from=0&to=1&at=08:00")

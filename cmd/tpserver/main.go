@@ -38,17 +38,9 @@
 // concurrent identical requests into one underlying Plan call; applying a
 // delay batch bumps the snapshot epoch, which invalidates every cached
 // answer at zero cost. Both layers are observable on /metrics
-// (tpserver_inflight, tpserver_shed_total, tpserver_cache_*_total) and
-// both apply to the deprecated legacy endpoints too. cmd/tploadgen drives
-// the server at a configurable offered rate to measure this behavior.
-//
-// The unversioned query endpoints predating /v1 remain as deprecated
-// wrappers over the same Plan path (marked with a Deprecation header):
-//
-//	GET /stations
-//	GET /arrival?from=ID&to=ID&at=HH:MM
-//	GET /profile?from=ID&to=ID
-//	GET /journey?from=ID&to=ID&at=HH:MM
+// (tpserver_inflight, tpserver_shed_total, tpserver_cache_*_total);
+// benchmark/ drives the server at a fixed offered rate to measure this
+// behavior (workloads serve_hot and serve_churn).
 //
 // Query execution is allocation-free in the steady state: each request
 // goroutine checks a search workspace out of the library's pool
@@ -92,6 +84,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -99,7 +92,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -245,10 +237,6 @@ func newMux(s *server) *http.ServeMux {
 	mux := http.NewServeMux()
 	registerV1(mux, s)
 	registerReplication(mux, s)
-	mux.HandleFunc("GET /stations", s.count("stations", deprecated("/v1/stations", s.stations)))
-	mux.HandleFunc("GET /arrival", s.count("arrival", deprecated("/v1/arrival", s.arrival)))
-	mux.HandleFunc("GET /profile", s.count("profile", deprecated("/v1/profile", s.profile)))
-	mux.HandleFunc("GET /journey", s.count("journey", deprecated("/v1/journey", s.journey)))
 	mux.HandleFunc("POST /delays", s.count("delays", s.delays))
 	mux.HandleFunc("POST /{network}/delays", s.count("network_delays", s.delays))
 	mux.HandleFunc("GET /version", s.count("version", s.version))
@@ -667,218 +655,6 @@ func fileExists(path string) bool {
 	return err == nil && fi.Mode().IsRegular()
 }
 
-type stationJSON struct {
-	ID       int     `json:"id"`
-	Name     string  `json:"name"`
-	Transfer int     `json:"transfer_min"`
-	X        float64 `json:"x"`
-	Y        float64 `json:"y"`
-}
-
-func (s *server) stations(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquire(r)
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	defer h.Release()
-	n := h.Registry().Snapshot().Net
-	out := make([]stationJSON, n.NumStations())
-	for i := range out {
-		st := n.Station(transit.StationID(i))
-		out[i] = stationJSON{ID: int(st.ID), Name: st.Name, Transfer: int(st.Transfer), X: st.X, Y: st.Y}
-	}
-	writeJSON(w, out)
-}
-
-func parsePair(n *transit.Network, r *http.Request) (from, to transit.StationID, err error) {
-	f, err1 := strconv.Atoi(r.URL.Query().Get("from"))
-	t, err2 := strconv.Atoi(r.URL.Query().Get("to"))
-	if err1 != nil || err2 != nil || f < 0 || t < 0 || f >= n.NumStations() || t >= n.NumStations() {
-		return 0, 0, fmt.Errorf("invalid from/to")
-	}
-	return transit.StationID(f), transit.StationID(t), nil
-}
-
-func (s *server) arrival(w http.ResponseWriter, r *http.Request) {
-	tr := s.beginTrace(w, r, transit.KindEarliestArrival)
-	if err := r.Context().Err(); err != nil {
-		s.legacyError(w, err) // already hung up: no admission slot, no cache fill
-		return
-	}
-	h, err := s.acquire(r)
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	defer h.Release()
-	tr.network = h.Name()
-	snap := h.Registry().Snapshot() // one load: the whole request sees this version
-	n := snap.Net
-	from, to, err := parsePair(n, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	dep, err := transit.ParseClock(r.URL.Query().Get("at"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	res, err := s.plan(ctx, h.Name(), snap, transit.Request{
-		Kind: transit.KindEarliestArrival, From: from, To: to, Depart: dep,
-		Options: transit.Options{Threads: s.threads},
-	}, tr)
-	if err != nil {
-		s.legacyError(w, err)
-		s.finishQuery(tr, string(transit.ErrorCodeOf(err)))
-		return
-	}
-	arr, err := res.Arrival()
-	if err != nil {
-		s.legacyError(w, err)
-		s.finishQuery(tr, string(transit.ErrorCodeOf(err)))
-		return
-	}
-	resp := map[string]any{"from": from, "to": to, "depart": n.FormatClock(dep)}
-	if arr.IsInf() {
-		resp["reachable"] = false
-	} else {
-		resp["reachable"] = true
-		resp["arrive"] = n.FormatClock(arr)
-		resp["minutes"] = int(arr - dep)
-	}
-	writeJSON(w, resp)
-	s.finishQuery(tr, "ok")
-}
-
-func (s *server) profile(w http.ResponseWriter, r *http.Request) {
-	tr := s.beginTrace(w, r, transit.KindProfile)
-	if err := r.Context().Err(); err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	h, err := s.acquire(r)
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	defer h.Release()
-	tr.network = h.Name()
-	snap := h.Registry().Snapshot()
-	n := snap.Net
-	from, to, err := parsePair(n, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	res, err := s.plan(ctx, h.Name(), snap, transit.Request{
-		Kind: transit.KindProfile, From: from, To: to,
-		Options: transit.Options{Threads: s.threads},
-	}, tr)
-	if err != nil {
-		s.legacyError(w, err)
-		s.finishQuery(tr, string(transit.ErrorCodeOf(err)))
-		return
-	}
-	p, err := res.Profile()
-	if err != nil {
-		s.legacyError(w, err)
-		s.finishQuery(tr, string(transit.ErrorCodeOf(err)))
-		return
-	}
-	st := res.Stats()
-	type connJSON struct {
-		Depart  string `json:"depart"`
-		Arrive  string `json:"arrive"`
-		Minutes int    `json:"minutes"`
-	}
-	conns := p.Connections()
-	out := struct {
-		From        transit.StationID `json:"from"`
-		To          transit.StationID `json:"to"`
-		Connections []connJSON        `json:"connections"`
-		QueryMS     float64           `json:"query_ms"`
-	}{From: from, To: to, QueryMS: float64(st.Elapsed.Microseconds()) / 1000}
-	for _, c := range conns {
-		out.Connections = append(out.Connections, connJSON{
-			Depart:  n.FormatClock(c.Departure),
-			Arrive:  n.FormatClock(c.Arrival),
-			Minutes: int(c.Arrival - c.Departure),
-		})
-	}
-	writeJSON(w, out)
-	s.finishQuery(tr, "ok")
-}
-
-func (s *server) journey(w http.ResponseWriter, r *http.Request) {
-	tr := s.beginTrace(w, r, transit.KindJourney)
-	if err := r.Context().Err(); err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	h, err := s.acquire(r)
-	if err != nil {
-		s.legacyError(w, err)
-		return
-	}
-	defer h.Release()
-	tr.network = h.Name()
-	snap := h.Registry().Snapshot()
-	n := snap.Net
-	from, to, err := parsePair(n, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	dep, err := transit.ParseClock(r.URL.Query().Get("at"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	res, err := s.plan(ctx, h.Name(), snap, transit.Request{
-		Kind: transit.KindJourney, From: from, To: to, Depart: dep,
-		Options: transit.Options{Threads: s.threads},
-	}, tr)
-	if err != nil {
-		s.legacyError(w, err) // unreachable maps to 404, as before
-		s.finishQuery(tr, string(transit.ErrorCodeOf(err)))
-		return
-	}
-	j, err := res.Journey()
-	if err != nil {
-		s.legacyError(w, err)
-		s.finishQuery(tr, string(transit.ErrorCodeOf(err)))
-		return
-	}
-	type legJSON struct {
-		Train  string `json:"train"`
-		From   string `json:"from"`
-		Depart string `json:"depart"`
-		To     string `json:"to"`
-		Arrive string `json:"arrive"`
-		Stops  int    `json:"stops"`
-	}
-	out := struct {
-		Transfers int       `json:"transfers"`
-		Legs      []legJSON `json:"legs"`
-	}{Transfers: j.Transfers()}
-	for _, l := range j.Legs {
-		out.Legs = append(out.Legs, legJSON{
-			Train: l.Train, From: l.FromName, Depart: n.FormatClock(l.Departure),
-			To: l.ToName, Arrive: n.FormatClock(l.Arrival), Stops: l.Stops,
-		})
-	}
-	writeJSON(w, out)
-	s.finishQuery(tr, "ok")
-}
-
 // delayOpJSON is the wire form of one POST /delays operation. Either a
 // single "route" or a "routes" list selects route classes.
 type delayOpJSON struct {
@@ -911,8 +687,16 @@ func (s *server) delays(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Ops []delayOpJSON `json:"ops"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	// A mistyped field name ("delay_mins") must not decode to a no-op that
+	// answers 200 with the epoch unchanged.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "bad delay batch: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "bad delay batch: trailing data after the batch object", http.StatusBadRequest)
 		return
 	}
 	if len(req.Ops) == 0 {

@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"transit"
+	apiv1 "transit/api/v1"
 	"transit/internal/live"
+	"transit/internal/replica"
 )
 
 func serverFor(t *testing.T, n *transit.Network) (*server, *http.ServeMux) {
@@ -68,7 +72,7 @@ func post(t *testing.T, mux *http.ServeMux, url, body string) *httptest.Response
 
 func arrivalAt(t *testing.T, mux *http.ServeMux, from, to int, at string) string {
 	t.Helper()
-	rec := get(t, mux, fmt.Sprintf("/arrival?from=%d&to=%d&at=%s", from, to, at))
+	rec := get(t, mux, fmt.Sprintf("/v1/arrival?from=%d&to=%d&depart=%s", from, to, at))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("arrival status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -84,26 +88,26 @@ func arrivalAt(t *testing.T, mux *http.ServeMux, from, to int, at string) string
 
 func TestStationsEndpoint(t *testing.T) {
 	s, mux := testServer(t)
-	rec := get(t, mux, "/stations")
+	rec := get(t, mux, "/v1/stations")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	var out []stationJSON
+	var out apiv1.StationsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	want := s.cat.Resident(s.defaultNet).Snapshot().Net.NumStations()
-	if len(out) != want {
-		t.Fatalf("stations = %d, want %d", len(out), want)
+	if len(out.Stations) != want {
+		t.Fatalf("stations = %d, want %d", len(out.Stations), want)
 	}
-	if out[0].ID != 0 || out[0].Name == "" {
-		t.Fatalf("station 0 malformed: %+v", out[0])
+	if out.Stations[0].ID != 0 || out.Stations[0].Name == "" {
+		t.Fatalf("station 0 malformed: %+v", out.Stations[0])
 	}
 }
 
 func TestArrivalEndpoint(t *testing.T) {
 	_, mux := testServer(t)
-	rec := get(t, mux, "/arrival?from=0&to=5&at=08:15")
+	rec := get(t, mux, "/v1/arrival?from=0&to=5&depart=08:15")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -119,10 +123,10 @@ func TestArrivalEndpoint(t *testing.T) {
 	}
 	// Bad inputs.
 	for _, url := range []string{
-		"/arrival?from=0&to=5",              // missing at
-		"/arrival?from=0&to=99999&at=08:00", // bad station
-		"/arrival?from=x&to=5&at=08:00",     // non-numeric
-		"/arrival?from=0&to=5&at=27:99",     // bad time
+		"/v1/arrival?from=0",                       // missing to
+		"/v1/arrival?from=0&to=99999&depart=08:00", // bad station
+		"/v1/arrival?from=x&to=5&depart=08:00",     // no station of that name
+		"/v1/arrival?from=0&to=5&depart=27:99",     // bad time
 	} {
 		if rec := get(t, mux, url); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", url, rec.Code)
@@ -132,7 +136,7 @@ func TestArrivalEndpoint(t *testing.T) {
 
 func TestProfileEndpoint(t *testing.T) {
 	_, mux := testServer(t)
-	rec := get(t, mux, "/profile?from=0&to=7")
+	rec := get(t, mux, "/v1/profile?from=0&to=7")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -159,7 +163,7 @@ func TestProfileEndpoint(t *testing.T) {
 
 func TestJourneyEndpoint(t *testing.T) {
 	_, mux := testServer(t)
-	rec := get(t, mux, "/journey?from=0&to=7&at=08:00")
+	rec := get(t, mux, "/v1/journey?from=0&to=7&depart=08:00")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -167,8 +171,6 @@ func TestJourneyEndpoint(t *testing.T) {
 		Transfers int `json:"transfers"`
 		Legs      []struct {
 			Train  string `json:"train"`
-			From   string `json:"from"`
-			To     string `json:"to"`
 			Depart string `json:"depart"`
 			Arrive string `json:"arrive"`
 		} `json:"legs"`
@@ -206,7 +208,7 @@ func TestArrivalUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, mux := serverFor(t, n)
-	rec := get(t, mux, fmt.Sprintf("/arrival?from=%d&to=%d&at=08:00", bb, a))
+	rec := get(t, mux, fmt.Sprintf("/v1/arrival?from=%d&to=%d&depart=08:00", bb, a))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -263,7 +265,7 @@ func TestDelaysEndpointChangesAnswers(t *testing.T) {
 }
 
 func TestDelaysEndpointValidation(t *testing.T) {
-	_, mux := serverFor(t, hourlyNetwork(t))
+	s, mux := serverFor(t, hourlyNetwork(t))
 	for body, want := range map[string]int{
 		`not json`:                             http.StatusBadRequest,
 		`{"ops":[]}`:                           http.StatusBadRequest,
@@ -271,9 +273,20 @@ func TestDelaysEndpointValidation(t *testing.T) {
 		`{"ops":[{"from":"27:99","delay_min":5}]}`: http.StatusBadRequest, // bad clock
 		`{"ops":[{"train":"h08","delay_min":5}]}`:  http.StatusOK,
 		`{"ops":[{"train":"no-such-train"}]}`:      http.StatusOK, // no-op batch is fine
+		// A mistyped field used to decode to a no-op answered with 200.
+		`{"ops":[{"route":0,"delay_mins":10}]}`:                http.StatusBadRequest,
+		`{"op":[{"route":0,"delay_min":10}]}`:                  http.StatusBadRequest,
+		`{"ops":[{"route":0,"delay_min":10}]} {"ops":[]}`:      http.StatusBadRequest, // trailing data
+		`{"ops":[{"route":0,"delay_min":10}]} trailing`:        http.StatusBadRequest,
+		"{\"ops\":[{\"train\":\"h09\",\"delay_min\":5}]}\n \n": http.StatusOK, // trailing whitespace is not data
 	} {
-		if rec := post(t, mux, "/delays", body); rec.Code != want {
+		before := s.defaultLive().Epoch
+		rec := post(t, mux, "/delays", body)
+		if rec.Code != want {
 			t.Errorf("body %q: status %d, want %d (%s)", body, rec.Code, want, rec.Body.String())
+		}
+		if after := s.defaultLive().Epoch; want != http.StatusOK && after != before {
+			t.Errorf("body %q: rejected batch moved the epoch %d -> %d", body, before, after)
 		}
 	}
 	// Method guard: GET /delays must not exist.
@@ -296,7 +309,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tpserver_snapshot_epoch 1",
 		"tpserver_updates_total 1",
 		"tpserver_connections_retimed_total 1",
-		`tpserver_requests_total{endpoint="arrival"} 2`,
+		`tpserver_requests_total{endpoint="v1_arrival"} 2`,
 		`tpserver_requests_total{endpoint="delays"} 1`,
 	} {
 		if !strings.Contains(body, want) {
@@ -307,7 +320,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestConcurrentDelaysAndQueries is the live-update integration test the CI
 // race job runs: a real HTTP server on a synthetic network, concurrent
-// /arrival readers racing /delays writers. It asserts no 5xx, race
+// /v1/arrival readers racing /delays writers. It asserts no 5xx, race
 // cleanliness (under -race), and that the post-update answer reflects the
 // accumulated delay.
 func TestConcurrentDelaysAndQueries(t *testing.T) {
@@ -344,7 +357,7 @@ func TestConcurrentDelaysAndQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for q := 0; q < queries; q++ {
-				resp, err := http.Get(srv.URL + "/arrival?from=0&to=1&at=08:00")
+				resp, err := http.Get(srv.URL + "/v1/arrival?from=0&to=1&depart=08:00")
 				if err != nil {
 					errs <- err
 					return
@@ -414,7 +427,7 @@ func TestAsyncRepairServing(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rec = get(t, mux, "/arrival?from=0&to=1&at=08:00")
+	rec = get(t, mux, "/v1/arrival?from=0&to=1&depart=08:00")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"arrive":"08:45"`) {
 		t.Fatalf("post-repair arrival: %d %s", rec.Code, rec.Body)
 	}
@@ -423,6 +436,76 @@ func TestAsyncRepairServing(t *testing.T) {
 	for _, want := range []string{"dtable_repairs_total 1", "dtable_full_rebuilds_total 0", "dtable_rows_repaired_total", "dtable_repreprocess_last_seconds"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestRouteTableMatchesDocs keeps one HTTP surface: every pattern the
+// package registers on the mux appears in docs/API.md's route table and
+// vice versa, each documented route really reaches its handler, and the
+// four pre-/v1 query routes are gone.
+func TestRouteTableMatchesDocs(t *testing.T) {
+	// Registered: every mux.HandleFunc pattern in the package source — the
+	// mux does not list its patterns, and reading the source also sees
+	// routes a role-less server (catalog mode) would skip.
+	registered := map[string]bool{}
+	callRE := regexp.MustCompile(`mux\.HandleFunc\("([^"]+)"`)
+	for _, file := range []string{"main.go", "v1.go", "replication.go"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range callRE.FindAllSubmatch(src, -1) {
+			registered[string(m[1])] = true
+		}
+	}
+	// Documented: "METHOD /path" rows of the fenced route blocks. A GET|POST
+	// row is a method-less mux pattern (the handler accepts exactly those).
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(GET\|POST|GET|POST) +(/\S+)`).FindAllSubmatch(doc, -1) {
+		pattern := string(m[1]) + " " + string(m[2])
+		if string(m[1]) == "GET|POST" {
+			pattern = string(m[2])
+		}
+		documented[pattern] = true
+	}
+	if len(registered) == 0 {
+		t.Fatal("found no mux.HandleFunc call in the package source")
+	}
+	for p := range registered {
+		if !documented[p] {
+			t.Errorf("%q is registered on the mux but missing from docs/API.md's route table", p)
+		}
+	}
+	for p := range documented {
+		if !registered[p] {
+			t.Errorf("%q is in docs/API.md's route table but not registered on the mux", p)
+		}
+	}
+
+	// An updater registers every route; each documented one must dispatch
+	// to exactly its own pattern.
+	s := newServer(live.NewRegistry(hourlyNetwork(t), live.Config{Policy: live.ServeUnpruned}), 1)
+	s.pub = replica.NewPublisher(0, 1)
+	defer s.pub.Close()
+	mux := newMux(s)
+	for pattern := range documented {
+		method, path := http.MethodGet, pattern
+		if i := strings.IndexByte(pattern, ' '); i >= 0 {
+			method, path = pattern[:i], pattern[i+1:]
+		}
+		req := httptest.NewRequest(method, strings.ReplaceAll(path, "{network}", defaultNetworkName), nil)
+		if _, got := mux.Handler(req); got != pattern {
+			t.Errorf("%s %s dispatches to %q, want %q", method, path, got, pattern)
+		}
+	}
+	for _, path := range []string{"/arrival?from=0&to=1&at=08:00", "/profile?from=0&to=1", "/journey?from=0&to=1&at=08:00", "/stations"} {
+		if rec := get(t, mux, path); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404 (removed with the pre-/v1 surface)", path, rec.Code)
 		}
 	}
 }

@@ -31,10 +31,10 @@ func TestMetricsExposition(t *testing.T) {
 	if rec := get(t, mux, "/v1/arrival?from=0&to=1&depart=08:30"); rec.Code != http.StatusOK {
 		t.Fatalf("arrival (cached): %d %s", rec.Code, rec.Body.String())
 	}
-	// Legacy endpoint, different departure so it misses the cache and runs
-	// its own admitted search.
-	if rec := get(t, mux, "/arrival?from=0&to=1&at=09:30"); rec.Code != http.StatusOK {
-		t.Fatalf("legacy arrival: %d %s", rec.Code, rec.Body.String())
+	// A different departure misses the cache and runs its own admitted
+	// search.
+	if rec := post(t, mux, "/v1/arrival", `{"from":0,"to":1,"depart":"09:30"}`); rec.Code != http.StatusOK {
+		t.Fatalf("arrival (POST): %d %s", rec.Code, rec.Body.String())
 	}
 
 	rec := get(t, mux, "/metrics")
@@ -70,8 +70,8 @@ func TestMetricsExposition(t *testing.T) {
 	// The per-endpoint and per-kind histograms saw the traffic above.
 	snap, ok := exp.Families["tpserver_request_duration_seconds"].
 		HistogramSnapshot(map[string]string{"endpoint": "v1_arrival"})
-	if !ok || snap.Count != 2 {
-		t.Errorf("endpoint histogram count = %d (ok=%v), want 2", snap.Count, ok)
+	if !ok || snap.Count != 3 {
+		t.Errorf("endpoint histogram count = %d (ok=%v), want 3", snap.Count, ok)
 	}
 	snap, ok = exp.Families["tpserver_query_duration_seconds"].
 		HistogramSnapshot(map[string]string{"kind": string(transit.KindEarliestArrival)})

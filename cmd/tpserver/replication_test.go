@@ -149,7 +149,7 @@ func normalizeBody(t testing.TB, body []byte) string {
 
 // TestReplicationEquivalence is the equivalence property test: across a
 // randomized interleaving of delay batches and queries, a replica answers
-// every /v1 (and legacy) query byte-identically to its updater at the same
+// every /v1 query byte-identically to its updater at the same
 // epoch.
 func TestReplicationEquivalence(t *testing.T) {
 	net1, trains := gridNetwork(t)
@@ -166,8 +166,7 @@ func TestReplicationEquivalence(t *testing.T) {
 			fmt.Sprintf("/v1/profile?from=%d&to=%d", from, to),
 			fmt.Sprintf("/v1/journey?from=%d&to=%d&depart=%s", from, to, at),
 			"/v1/stations",
-			fmt.Sprintf("/arrival?from=%d&to=%d&at=%s", from, to, at),
-			fmt.Sprintf("/journey?from=%d&to=%d&at=%s", from, to, at),
+			fmt.Sprintf("/v1/pareto?from=%d&to=%d&depart=%s&max_transfers=2", from, to, at),
 		}
 	}
 

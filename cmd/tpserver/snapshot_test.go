@@ -52,7 +52,7 @@ func TestSnapshotBoot(t *testing.T) {
 	s := newServer(reg, 1)
 	mux := newMux(s)
 
-	rec := get(t, mux, "/arrival?from=0&to=5&at=08:15")
+	rec := get(t, mux, "/v1/arrival?from=0&to=5&depart=08:15")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("arrival status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -274,20 +274,9 @@ func registerV1(mux *http.ServeMux, s *server) {
 	mux.HandleFunc("GET /v1/{network}/stations", s.count("v1_network_stations", s.v1Stations))
 }
 
-// deprecated marks a legacy endpoint's response with its /v1 successor, per
-// the deprecation policy in docs/API.md. The legacy endpoints remain thin
-// wrappers over the same Plan path.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// legacyError renders an error the way the legacy endpoints always did —
-// plain text, no envelope — while sharing the status mapping and the
-// cancellation metric with /v1.
+// legacyError renders an error the way the unversioned endpoints that
+// remain (/delays, /version) always did — plain text, no envelope — while
+// sharing the status mapping and the cancellation metric with /v1.
 func (s *server) legacyError(w http.ResponseWriter, err error) {
 	code := transit.ErrorCodeOf(err)
 	if code == transit.CodeCancelled || code == transit.CodeDeadlineExceeded {

@@ -262,35 +262,6 @@ func TestV1DeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestV1LegacyEquivalence verifies the deprecated endpoints still answer
-// exactly like before — and exactly like their /v1 successors — now that
-// both are wrappers over Plan.
-func TestV1LegacyEquivalence(t *testing.T) {
-	_, mux := serverFor(t, hourlyNetwork(t))
-	legacy := get(t, mux, "/arrival?from=0&to=1&at=08:15")
-	if legacy.Code != 200 {
-		t.Fatalf("legacy arrival: %d", legacy.Code)
-	}
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Fatal("legacy endpoint missing Deprecation header")
-	}
-	if got := legacy.Header().Get("Link"); !strings.Contains(got, "/v1/arrival") {
-		t.Fatalf("legacy Link header = %q", got)
-	}
-	var l map[string]any
-	if err := json.Unmarshal(legacy.Body.Bytes(), &l); err != nil {
-		t.Fatal(err)
-	}
-	v1 := get(t, mux, "/v1/arrival?from=0&to=1&at=08:15")
-	var v map[string]any
-	if err := json.Unmarshal(v1.Body.Bytes(), &v); err != nil {
-		t.Fatal(err)
-	}
-	if l["arrive"] != v["arrive"] || l["minutes"] != v["minutes"] || l["reachable"] != v["reachable"] {
-		t.Fatalf("legacy %v vs v1 %v", l, v)
-	}
-}
-
 // canonical re-marshals a JSON literal through a map, giving the same key
 // order normalizeV1 produces.
 func canonical(t *testing.T, s string) string {

@@ -14,8 +14,8 @@ import (
 
 func main() {
 	// A small synthetic city bus network (structural analogue of the
-	// paper's Oahu input; see DESIGN.md). Real data loads with
-	// transit.LoadGTFS("feed/") or transit.ReadNetwork(file).
+	// paper's Oahu input; see the internal/gen package comment). Real data
+	// loads with transit.LoadGTFS("feed/") or transit.ReadNetwork(file).
 	net, err := transit.Generate("oahu", 0.15, 42)
 	if err != nil {
 		log.Fatal(err)

@@ -5,8 +5,7 @@ package transit
 // is checked against the regenerated tables. Absolute numbers differ from
 // the paper — the networks are scaled-down synthetic analogues and the
 // host differs — but these shapes are what the paper's conclusions rest
-// on. EXPERIMENTS.md records the measured values side by side with the
-// paper's.
+// on. README "Benchmarks" shows a measured Table 2.
 
 import (
 	"testing"
@@ -122,7 +121,7 @@ func TestShapeT2DistanceTables(t *testing.T) {
 		t.Skip("shape tests run the full harness")
 	}
 	// Rail shows separation already at moderate size; bus needs larger
-	// scale for the same effect (see EXPERIMENTS.md), so assert on rail
+	// scale for the same effect (README "Benchmarks"), so assert on rail
 	// at the default experiment scale plus the larger oahu check below.
 	net := expNet(t, "germany")
 	sels := []bench.Selection{

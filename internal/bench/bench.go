@@ -2,9 +2,11 @@
 // paper's evaluation (Section 5): Table 1 (one-to-all profile queries,
 // connection-setting vs. label-correcting, 1–8 cores) and Table 2
 // (station-to-station queries pruned by distance tables of varying size),
-// plus the ablations DESIGN.md calls out. The harness is shared by
-// cmd/tpbench, the testing.B benchmarks, and the shape-assertion tests in
-// experiments_test.go.
+// plus the four ablations (partition strategy, self-pruning, stopping
+// criterion, Pareto extension). The harness is shared by cmd/tpbench, the
+// testing.B benchmarks, and the shape-assertion tests in
+// experiments_test.go. It measures the search kernel in-process only; a
+// live tpserver under load is measured by the separate benchmark/ module.
 package bench
 
 import (

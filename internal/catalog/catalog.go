@@ -401,12 +401,13 @@ func (c *Catalog) evictLocked(keep *tenant) []victim {
 func (c *Catalog) closeVictims(victims []victim) {
 	for _, v := range victims {
 		v.reg.Close()
+		last := v.reg.Metrics() // include the final persist in the frozen view
 		c.lock()
-		v.t.lastLive = v.reg.Metrics() // include the final persist in the frozen view
+		v.t.lastLive = last
 		close(v.t.closing)
 		v.t.closing = nil
 		c.unlock()
-		c.logf("catalog: evicted %s (epoch %d)", v.t.name, v.t.lastLive.Epoch)
+		c.logf("catalog: evicted %s (epoch %d)", v.t.name, last.Epoch)
 	}
 }
 

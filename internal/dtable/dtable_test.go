@@ -144,10 +144,10 @@ func TestBuildEmptySelection(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	g, table, ts := fixture(t)
 	var buf bytes.Buffer
-	if err := dtable.Write(&buf, table, g.TT.NumStations()); err != nil {
+	if err := dtable.WriteSection(&buf, table, g.TT.NumStations()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := dtable.Read(bytes.NewReader(buf.Bytes()), g.TT.NumStations())
+	back, err := dtable.ReadSection(bytes.NewReader(buf.Bytes()), g.TT.NumStations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,23 +171,22 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestReadRejectsCorrupt(t *testing.T) {
 	g, table, _ := fixture(t)
 	var buf bytes.Buffer
-	if err := dtable.Write(&buf, table, g.TT.NumStations()); err != nil {
+	if err := dtable.WriteSection(&buf, table, g.TT.NumStations()); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("NOTMAGIC"), good[8:]...),
-		"truncated":   good[:len(good)/2],
-		"short magic": good[:4],
+		"empty":     {},
+		"truncated": good[:len(good)/2],
+		"short":     good[:4],
 	}
 	for name, data := range cases {
-		if _, err := dtable.Read(bytes.NewReader(data), g.TT.NumStations()); err == nil {
+		if _, err := dtable.ReadSection(bytes.NewReader(data), g.TT.NumStations()); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Station-count mismatch.
-	if _, err := dtable.Read(bytes.NewReader(good), g.TT.NumStations()+1); err == nil {
+	if _, err := dtable.ReadSection(bytes.NewReader(good), g.TT.NumStations()+1); err == nil {
 		t.Error("station mismatch accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package dtable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,11 +26,6 @@ var ErrProvenanceIncompatible = errors.New("dtable: provenance incompatible with
 //	for each ordered pair (i, j), row-major:
 //	  numPoints int32
 //	  points    [numPoints]{dep int32, w int32}
-//
-// The standalone file format written by Write (SavePreprocessing) is the
-// same body prefixed with the magic "TDTABLE1".
-
-var magic = [8]byte{'T', 'D', 'T', 'A', 'B', 'L', 'E', '1'}
 
 // WriteSection serializes the table body without magic framing — the form
 // the snapshot container embeds (and checksums) as its distance-table
@@ -70,19 +64,6 @@ func WriteSection(w io.Writer, t *Table, numStations int) error {
 		}
 	}
 	return nil
-}
-
-// Write serializes the table as a standalone file: the magic "TDTABLE1"
-// followed by the section body. This is the SavePreprocessing format.
-func Write(w io.Writer, t *Table, numStations int) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := WriteSection(bw, t, numStations); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // ReadSection parses a table section body, validating it against the
@@ -303,18 +284,4 @@ func ReadProvenanceSection(r io.Reader, t *Table, numStations, numTrains, numRou
 	t.numTrains = numTrains
 	t.numRoutes = numRoutes
 	return nil
-}
-
-// Read parses a standalone table file (magic + section body), validating it
-// against the expected station count. This is the LoadPreprocessing format.
-func Read(r io.Reader, wantStations int) (*Table, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("dtable: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("dtable: bad magic %q", m)
-	}
-	return ReadSection(br, wantStations)
 }

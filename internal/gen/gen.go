@@ -1,8 +1,8 @@
 // Package gen generates deterministic synthetic public transportation
-// networks with the structural characteristics of the paper's five inputs
-// (DESIGN.md §2): dense city bus grids with pronounced rush hours and a
-// night break (Oahu, Los Angeles, Washington D.C.) and sparse railway
-// topologies with few departures per station (Germany, Europe).
+// networks with the structural characteristics of the paper's five inputs:
+// dense city bus grids with pronounced rush hours and a night break (Oahu,
+// Los Angeles, Washington D.C.) and sparse railway topologies with few
+// departures per station (Germany, Europe).
 //
 // The paper's GTFS and HaCon datasets are not redistributable or available
 // offline; the generator reproduces the properties the algorithms are
@@ -59,7 +59,8 @@ type Config struct {
 // Family names the five network analogues of the paper's inputs.
 type Family string
 
-// The five families; see DESIGN.md §4 for the mapping to the paper's inputs.
+// The five families, each named after the paper input it stands in for;
+// FamilyConfig holds their scale-1.0 sizes.
 const (
 	Oahu       Family = "oahu"
 	LosAngeles Family = "losangeles"
@@ -74,8 +75,8 @@ func Families() []Family {
 }
 
 // FamilyConfig returns the default configuration of a family, scaled by
-// scale (1.0 = the defaults in DESIGN.md §4; the paper's full-size networks
-// correspond to roughly scale 10–17). Seed 0 picks the family default.
+// scale (1.0 = the sizes below; the paper's full-size networks correspond
+// to roughly scale 10–17). Seed 0 picks the family default.
 func FamilyConfig(f Family, scale float64, seed int64) (Config, error) {
 	if scale <= 0 {
 		return Config{}, fmt.Errorf("gen: non-positive scale %g", scale)

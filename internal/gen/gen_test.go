@@ -166,8 +166,8 @@ func TestGeneratedNetworkIsValid(t *testing.T) {
 	}
 }
 
-// Default-scale family sizes should be within a factor ~2 of the DESIGN.md
-// targets so the bench harness workloads stay meaningful.
+// Default-scale family sizes should be within a factor ~2 of the targets
+// below so the bench harness workloads stay meaningful.
 func TestDefaultScaleSizes(t *testing.T) {
 	targets := map[Family]struct{ stations, conns int }{
 		Oahu:    {400, 140000},

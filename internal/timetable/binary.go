@@ -10,9 +10,9 @@ import (
 	"transit/internal/timeutil"
 )
 
-// Binary timetable format v1 (little endian) — a faster alternative to the
-// text format for large networks, and, unchanged, the timetable section
-// payload of the snapshot container (docs/SNAPSHOT_FORMAT.md):
+// Binary timetable format v1 (little endian) — the timetable section
+// payload of the snapshot container (docs/SNAPSHOT_FORMAT.md); it is not a
+// file format of its own, the text format is the one interchange format:
 //
 //	magic    [8]byte "TTBLBIN1"
 //	period   int32
@@ -195,21 +195,4 @@ func readBinaryBody(br *bufio.Reader) (*Timetable, error) {
 		}
 	}
 	return NewWithFootpaths(timeutil.NewPeriod(timeutil.Ticks(pi)), stations, trains, conns, footpaths)
-}
-
-// ReadAuto detects the format (binary or text) by its leading magic and
-// parses accordingly.
-func ReadAuto(r io.Reader) (*Timetable, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(8)
-	if err != nil {
-		return nil, fmt.Errorf("timetable: reading header: %w", err)
-	}
-	if [8]byte(head) == binMagic {
-		if _, err := br.Discard(8); err != nil {
-			return nil, err
-		}
-		return readBinaryBody(br)
-	}
-	return Read(br)
 }

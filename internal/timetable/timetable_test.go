@@ -286,32 +286,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadAutoDetectsBothFormats(t *testing.T) {
-	tt := tinyNetwork(t)
-	var bin, txt bytes.Buffer
-	if err := WriteBinary(&bin, tt); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&txt, tt); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"binary": bin.Bytes(), "text": txt.Bytes()} {
-		back, err := ReadAuto(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if back.NumConnections() != tt.NumConnections() {
-			t.Fatalf("%s: wrong size", name)
-		}
-	}
-	if _, err := ReadAuto(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := ReadAuto(bytes.NewReader([]byte("garbage!"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
 func TestReadBinaryRejectsCorrupt(t *testing.T) {
 	tt := tinyNetwork(t)
 	var buf bytes.Buffer

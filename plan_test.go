@@ -677,9 +677,6 @@ func TestPlanPointKindsReturnWorkspaces(t *testing.T) {
 			if _, err := net.Plan(ctx, Request{Kind: kind, From: 0, To: 9, Depart: -1}); ErrorCodeOf(err) != CodeBadTime {
 				t.Fatalf("%s: negative departure: %v", kind, err)
 			}
-			if _, err := net.Plan(ctx, Request{Kind: kind, From: 0, To: 9, Depart: 480, Options: Options{Partition: "bogus"}}); err == nil {
-				t.Fatalf("%s: unknown partition strategy accepted", kind)
-			}
 			balanced(string(kind) + " rejected")
 			if _, err := net.Plan(cancelledCtx, Request{Kind: kind, From: 0, To: 9, Depart: 480}); ErrorCodeOf(err) != CodeCancelled {
 				t.Fatalf("%s: cancelled context: %v", kind, err)

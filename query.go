@@ -17,9 +17,6 @@ type Options struct {
 	// Threads is the number of parallel workers (goroutines) the profile
 	// search partitions conn(S) over; values < 1 mean 1.
 	Threads int
-	// Partition chooses the partition strategy: "equal-connections"
-	// (default), "equal-time-slots", or "k-means".
-	Partition string
 	// TrackJourneys records parent links so Journey can reconstruct
 	// itineraries (slightly more memory per query).
 	TrackJourneys bool
@@ -50,19 +47,7 @@ func (o Options) sourceParallelism() int {
 }
 
 func (o Options) core() core.Options {
-	c := core.Options{Threads: o.Threads, TrackParents: o.TrackJourneys, Effort: o.Effort}
-	switch o.Partition {
-	case "", "equal-connections":
-		c.Partition = core.EqualConnections
-	case "equal-time-slots":
-		c.Partition = core.EqualTimeSlots
-	case "k-means":
-		c.Partition = core.KMeans
-	default:
-		// Unknown names fail core.Options validation with a clear error.
-		c.Partition = core.PartitionStrategy(-1)
-	}
-	return c
+	return core.Options{Threads: o.Threads, TrackParents: o.TrackJourneys, Effort: o.Effort}
 }
 
 // Profile is the travel-time profile between two stations: for every

@@ -39,7 +39,7 @@ func (n *Network) WriteSnapshotState(w io.Writer, st SnapshotState) error {
 		Epoch:   st.Epoch,
 		Created: st.Created,
 		// Patchedness survives persistence even without live provenance
-		// (epoch 0), so a restored network keeps refusing stale tables.
+		// (epoch 0).
 		Patched: n.patched,
 	})
 }
@@ -49,10 +49,8 @@ func (n *Network) WriteSnapshotState(w io.Writer, st SnapshotState) error {
 // from their checksummed sections; only the (cheap) time-dependent graph is
 // rebuilt. The returned state reports the snapshot's epoch and creation
 // time. A network restored from a patched snapshot (epoch > 0, or written
-// from a patched network) stays patched, so — exactly like the result of
-// ApplyUpdates — it refuses LoadPreprocessing of a table saved for the
-// original times (its own embedded table, built after the patches, is
-// attached as-is).
+// from a patched network) stays patched; its embedded table, built after
+// the patches, is attached as-is.
 func LoadSnapshot(r io.Reader) (*Network, *SnapshotState, error) {
 	d, err := snapshot.Read(r)
 	if err != nil {

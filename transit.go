@@ -93,9 +93,8 @@ type Network struct {
 
 	// patched marks networks produced by dynamic updates (ApplyUpdates,
 	// ApplyDelays, or a snapshot restored at epoch > 0): their times differ
-	// from what any previously saved distance table was built for, so
-	// LoadPreprocessing refuses to attach one. Preprocess (which recomputes)
-	// remains available.
+	// from the base schedule's. WriteSnapshot records it in the header's
+	// patched flag and LoadSnapshot restores it.
 	patched bool
 }
 
@@ -125,10 +124,10 @@ func LoadGTFS(dir string) (*Network, error) {
 	return NewNetwork(tt), nil
 }
 
-// ReadNetwork parses a timetable in either of the library's formats (text
-// or binary, auto-detected by the leading magic) into a Network.
+// ReadNetwork parses a timetable in the library's text format into a
+// Network. (The binary encoding travels only inside snapshots: LoadSnapshot.)
 func ReadNetwork(r io.Reader) (*Network, error) {
-	tt, err := timetable.ReadAuto(r)
+	tt, err := timetable.Read(r)
 	if err != nil {
 		return nil, err
 	}
@@ -139,14 +138,11 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 // format (human-readable, diffable).
 func (n *Network) WriteTimetable(w io.Writer) error { return timetable.Write(w, n.tt) }
 
-// WriteTimetableBinary serializes the network's timetable in the compact
-// binary format, which loads several times faster for large networks.
-func (n *Network) WriteTimetableBinary(w io.Writer) error { return timetable.WriteBinary(w, n.tt) }
-
 // Generate builds a synthetic network. Family is one of "oahu",
 // "losangeles", "washington", "germany", "europe" — structural analogues of
-// the paper's five evaluation inputs (see DESIGN.md). Scale 1.0 is the
-// default laptop-friendly size; seed 0 picks a per-family default.
+// the paper's five evaluation inputs (see the internal/gen package
+// comment). Scale 1.0 is the default laptop-friendly size; seed 0 picks a
+// per-family default.
 func Generate(family string, scale float64, seed int64) (*Network, error) {
 	cfg, err := gen.FamilyConfig(gen.Family(family), scale, seed)
 	if err != nil {
@@ -339,39 +335,4 @@ func (n *Network) Preprocessed() bool { return n.table != nil }
 // and not itself be the product of a repair.
 func (n *Network) TableRepairable() bool {
 	return n.table != nil && n.table.HasProvenance()
-}
-
-// SavePreprocessing serializes the network's distance table so that the
-// (expensive) preprocessing survives restarts. The network must have been
-// preprocessed.
-func (n *Network) SavePreprocessing(w io.Writer) error {
-	if n.table == nil {
-		return fmt.Errorf("transit: network has no preprocessing to save")
-	}
-	return dtable.Write(w, n.table, n.tt.NumStations())
-}
-
-// LoadPreprocessing attaches a previously saved distance table, returning a
-// new preprocessed Network sharing the base data. The table must have been
-// built for a network with the same station count; loading a table from a
-// different network yields wrong answers, so prefer saving/loading network
-// and table together (WriteSnapshot stores both in one checksummed file).
-//
-// A network patched by dynamic updates (ApplyUpdates/ApplyDelays) rejects
-// saved tables: their entries are travel times of the original schedule,
-// which the patches changed. Re-preprocess instead, or boot from a snapshot
-// that carries a table built after the patches.
-func (n *Network) LoadPreprocessing(r io.Reader) (*Network, error) {
-	if n.patched {
-		return nil, fmt.Errorf("transit: cannot load preprocessing into a dynamically patched network: " +
-			"the saved table was built for the original schedule; call Preprocess to rebuild it " +
-			"(or load a snapshot that embeds a post-update table)")
-	}
-	t, err := dtable.Read(r, n.tt.NumStations())
-	if err != nil {
-		return nil, err
-	}
-	n2 := *n
-	n2.table = t
-	return &n2, nil
 }

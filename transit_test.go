@@ -1,6 +1,7 @@
 package transit
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -268,9 +269,6 @@ func TestJourneyAPI(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	n := testNetwork(t)
-	if _, err := n.ProfileAll(0, Options{Partition: "zigzag"}); err == nil {
-		t.Fatal("unknown partition accepted")
-	}
 	if _, err := n.ProfileAll(-1, Options{}); err == nil {
 		t.Fatal("bad station accepted")
 	}
@@ -279,65 +277,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, _, err := n.Profile(0, 99999, Options{}); err == nil {
 		t.Fatal("bad target accepted by Profile")
-	}
-}
-
-func TestPartitionNamesWork(t *testing.T) {
-	n := testNetwork(t)
-	for _, part := range []string{"", "equal-connections", "equal-time-slots", "k-means"} {
-		all, err := n.ProfileAll(0, Options{Threads: 3, Partition: part})
-		if err != nil {
-			t.Fatalf("%q: %v", part, err)
-		}
-		if all.Stats().SettledConnections == 0 {
-			t.Fatalf("%q: no work recorded", part)
-		}
-	}
-}
-
-func TestPreprocessingSaveLoad(t *testing.T) {
-	n := testNetwork(t)
-	pre, _, err := n.Preprocess(TransferSelection{Fraction: 0.15}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := pre.SavePreprocessing(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := n.LoadPreprocessing(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Preprocessed() {
-		t.Fatal("loaded network not preprocessed")
-	}
-	// Same answers and same work as the freshly preprocessed network.
-	for dst := StationID(1); int(dst) < n.NumStations(); dst += 7 {
-		pa, sa, err := pre.Profile(0, dst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, sb, err := loaded.Profile(0, dst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa.SettledConnections != sb.SettledConnections {
-			t.Fatalf("loaded table changes work: %d vs %d", sa.SettledConnections, sb.SettledConnections)
-		}
-		for dep := Ticks(0); dep < 1440; dep += 311 {
-			if pa.EarliestArrival(dep) != pb.EarliestArrival(dep) {
-				t.Fatalf("loaded table changes answers at %d→%d dep %d", 0, dst, dep)
-			}
-		}
-	}
-	// Saving without preprocessing fails.
-	if err := n.SavePreprocessing(&strings.Builder{}); err == nil {
-		t.Fatal("saving unpreprocessed network accepted")
-	}
-	// Loading garbage fails.
-	if _, err := n.LoadPreprocessing(strings.NewReader("junk")); err == nil {
-		t.Fatal("garbage preprocessing accepted")
 	}
 }
 
@@ -411,29 +350,6 @@ func TestJourneyConvenience(t *testing.T) {
 	}
 	if _, err := n.Journey(0, 99999, dep, Options{}); err == nil {
 		t.Fatal("bad target accepted")
-	}
-}
-
-func TestBinaryNetworkRoundTrip(t *testing.T) {
-	n := testNetwork(t)
-	var buf strings.Builder
-	if err := n.WriteTimetableBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadNetwork(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := n.EarliestArrival(0, 5, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := back.EarliestArrival(0, 5, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Fatalf("binary round trip changed answers: %d vs %d", a1, a2)
 	}
 }
 
@@ -551,17 +467,17 @@ func TestFootpathsPublicAPI(t *testing.T) {
 	if err != nil || arr2 != arr {
 		t.Fatalf("text round trip changed footpath answer: %d vs %d (%v)", arr2, arr, err)
 	}
-	var bin strings.Builder
-	if err := n.WriteTimetableBinary(&bin); err != nil {
+	var snap bytes.Buffer
+	if err := n.WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	back2, err := ReadNetwork(strings.NewReader(bin.String()))
+	back2, _, err := LoadSnapshot(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arr3, err := back2.EarliestArrival(a, c, 480, Options{})
 	if err != nil || arr3 != arr {
-		t.Fatalf("binary round trip changed footpath answer: %d vs %d (%v)", arr3, arr, err)
+		t.Fatalf("snapshot round trip changed footpath answer: %d vs %d (%v)", arr3, arr, err)
 	}
 	// Footpaths survive ApplyDelays.
 	delayed, _, err := n.ApplyDelays(10, func(ci ConnectionInfo) bool { return ci.Train == "t1" })
