@@ -50,62 +50,6 @@ func benchSources(net *bench.Network, n int) []timetable.StationID {
 	return out
 }
 
-// BenchmarkRepreprocess regenerates the incremental distance-table repair
-// acceptance numbers on the losangeles 0.25 network: full re-preprocessing
-// (Preprocess of the patched network) against incremental Repreprocess from
-// the pre-delay base, for small delay batches (well under 1% of the
-// network's connections). rows_repaired/op and rows_windowed/op report how
-// much of the table the repair actually recomputed and how many of those
-// rows used the interval search over the batch's departure window.
-func BenchmarkRepreprocess(b *testing.B) {
-	net, err := Generate("losangeles", 0.25, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sel := TransferSelection{Fraction: 0.10}
-	opt := Options{RepairMaxDirty: 1}
-	base, _, err := net.Preprocess(sel, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		ops  []DelayOp
-	}{
-		{"delayed-train", []DelayOp{{Train: net.Timetable().Trains[0].Name, Delay: 10}}},
-		{"route-disruption", []DelayOp{{Routes: []int{3}, WindowFrom: 480, WindowTo: 540, Delay: 12}}},
-	}
-	for _, tc := range cases {
-		next, st, err := base.ApplyUpdates(tc.ops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name+"/full", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := next.Preprocess(sel, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(tc.name+"/repair", func(b *testing.B) {
-			var repaired, windowed int
-			for i := 0; i < b.N; i++ {
-				_, ps, err := next.Repreprocess(base, st.Touched, sel, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ps.FullRebuild {
-					b.Fatalf("repair fell back: %s", ps.Fallback)
-				}
-				repaired += ps.RowsRepaired
-				windowed += ps.RowsWindowed
-			}
-			b.ReportMetric(float64(repaired)/float64(b.N), "rows_repaired/op")
-			b.ReportMetric(float64(windowed)/float64(b.N), "rows_windowed/op")
-		})
-	}
-}
-
 // BenchmarkTable1OneToAll regenerates Table 1: one-to-all profile queries
 // with the connection-setting algorithm on 1, 2, 4 and 8 threads, and the
 // label-correcting baseline.
@@ -166,7 +110,7 @@ func BenchmarkTable2StationToStation(b *testing.B) {
 							}
 							marked = net.SG.SelectByContraction(keep)
 						}
-						pre, err := core.BuildDistanceTable(net.G, marked, core.Options{}, 1, false)
+						pre, err := core.BuildDistanceTable(net.G, marked, core.Options{}, 1)
 						if err != nil {
 							b.Fatal(err)
 						}

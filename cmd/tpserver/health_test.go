@@ -158,7 +158,6 @@ func TestMetricsReliabilityFamilies(t *testing.T) {
 		"tpserver_wal_append_errors_total 0",
 		"tpserver_wal_replayed_batches_total 0",
 		"tpserver_persist_failures_total 0",
-		"tpserver_repair_timeouts_total 0",
 		"tpserver_panics_total 0",
 		"tpserver_ready 1",
 	} {

@@ -259,8 +259,6 @@ func main() {
 	persistInterval := flag.Duration("persist-interval", 30*time.Second, "how often -persist checkpoints the current epoch")
 	walEnabled := flag.Bool("wal", true,
 		"write-ahead journal next to the persist file(s): delay batches are fsynced before being acked, so a crash between checkpoints loses no acked batch (docs/RELIABILITY.md)")
-	repairTimeout := flag.Duration("repair-timeout", 2*time.Minute,
-		"watchdog on one background distance-table repair; past it the repair is abandoned for a full rebuild (0 = no watchdog)")
 	preprocess := flag.Float64("preprocess", 0.05, "transfer-station fraction (0 = no distance table)")
 	repreprocess := flag.String("repreprocess", "async", "distance table policy after a delay update: async, sync or off")
 	threads := flag.Int("threads", 1, "parallel workers per query")
@@ -311,7 +309,7 @@ func main() {
 	}
 
 	if *pprofAddr != "" {
-		// Profiles (CPU of repair vs. rebuild, heap of the table) are served
+		// Profiles (CPU of table rebuilds, heap of the table) are served
 		// on a separate listener so they can stay firewalled off from query
 		// traffic; net/http/pprof registers on the default mux.
 		go func() {
@@ -357,10 +355,9 @@ func main() {
 			fatal("-catalog is exclusive with -net, -gtfs, -generate, -snapshot and -persist")
 		}
 		lcfg := live.Config{
-			Policy:        policy,
-			Selection:     transit.TransferSelection{Fraction: *preprocess},
-			Options:       transit.Options{Threads: *threads},
-			RepairTimeout: *repairTimeout,
+			Policy:    policy,
+			Selection: transit.TransferSelection{Fraction: *preprocess},
+			Options:   transit.Options{Threads: *threads},
 			Logf: func(format string, args ...any) {
 				logger.Info(fmt.Sprintf(format, args...))
 			},
@@ -471,10 +468,9 @@ func main() {
 		policy = live.ServeUnpruned
 	}
 	lcfg := live.Config{
-		Policy:        policy,
-		Selection:     sel,
-		Options:       transit.Options{Threads: *threads},
-		RepairTimeout: *repairTimeout,
+		Policy:    policy,
+		Selection: sel,
+		Options:   transit.Options{Threads: *threads},
 		Logf: func(format string, args ...any) {
 			logger.Info(fmt.Sprintf(format, args...))
 		},

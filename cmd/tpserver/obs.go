@@ -87,12 +87,6 @@ func newServerObs(s *server) *serverObs {
 		func() float64 { return float64(s.defaultLive().ReprocessedTotal) })
 	r.Counter("tpserver_repreprocess_errors_total", "Failed re-preprocessing runs.",
 		func() float64 { return float64(s.defaultLive().ReprocessErrors) })
-	r.Counter("dtable_repairs_total", "Re-preprocessing runs answered by incremental row repair.",
-		func() float64 { return float64(s.defaultLive().RepairsTotal) })
-	r.Counter("dtable_rows_repaired_total", "Distance-table rows recomputed by repairs.",
-		func() float64 { return float64(s.defaultLive().RowsRepairedTotal) })
-	r.Counter("dtable_full_rebuilds_total", "Re-preprocessing runs that fell back to a full rebuild.",
-		func() float64 { return float64(s.defaultLive().FullRebuildsTotal) })
 	r.Gauge("dtable_repreprocess_last_seconds", "Duration of the last repair or rebuild.",
 		func() float64 { return s.defaultLive().LastReprocess.Seconds() })
 	r.Counter("dtable_repair_seconds_total", "Cumulative wall-clock time spent in repairs and rebuilds.",
@@ -125,9 +119,6 @@ func newServerObs(s *server) *serverObs {
 	r.Gauge("tpserver_wal_size_bytes",
 		"Current write-ahead journal size (0 when journaling is off).",
 		func() float64 { return float64(s.defaultLive().WalBytes) })
-	r.Counter("tpserver_repair_timeouts_total",
-		"Background table repairs abandoned by the -repair-timeout watchdog for a full rebuild.",
-		func() float64 { return float64(s.defaultLive().RepairTimeouts) })
 	r.Counter("tpserver_panics_total",
 		"Handler panics recovered by the request fence (each answered with a typed 500).",
 		func() float64 { return float64(s.panics.Load()) })

@@ -142,10 +142,8 @@ type DelayOp struct {
 }
 
 // TouchedConn records one connection a dynamic-update batch changed: the
-// departure it had before (OldDep) and after (NewDep), or Cancelled. It is
-// the unit of incremental distance-table repair (Repreprocess): a batch's
-// touched set, accumulated across epochs with MergeTouched, tells the
-// repair which table rows the updates can possibly affect.
+// departure it had before (OldDep) and after (NewDep), or Cancelled. A
+// replica checks its own touched set against each delta it applies.
 type TouchedConn struct {
 	Conn      int
 	Train     int
@@ -160,7 +158,8 @@ type TouchedConn struct {
 // set describing the total change: per connection the first OldDep and the
 // last NewDep (cancellation is sticky, matching the patch semantics), with
 // net no-op retimes dropped. Both inputs are left untouched; the result is
-// sorted by connection ID.
+// sorted by connection ID. Only benchmark/ still calls it; it goes with
+// Repreprocess (ROADMAP (f)).
 func MergeTouched(acc, next []TouchedConn) []TouchedConn {
 	byConn := make(map[int]TouchedConn, len(acc)+len(next))
 	for _, t := range acc {
@@ -191,9 +190,7 @@ type UpdateStats struct {
 	ConnsRetimed    int
 	ConnsCancelled  int
 	Elapsed         time.Duration
-	// Touched lists the connections this batch changed (sorted by ID) —
-	// the input Repreprocess needs to repair a distance table built before
-	// the batch.
+	// Touched lists the connections this batch changed (sorted by ID).
 	Touched []TouchedConn
 }
 

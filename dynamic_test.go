@@ -319,3 +319,30 @@ func roundTrip(n *Network) error {
 	_, err := ReadNetwork(strings.NewReader(sb.String()))
 	return err
 }
+
+func TestMergeTouched(t *testing.T) {
+	a := []TouchedConn{
+		{Conn: 1, Route: 0, From: 2, OldDep: 100, NewDep: 105},
+		{Conn: 2, Route: 1, From: 3, OldDep: 200, NewDep: 210},
+	}
+	b := []TouchedConn{
+		{Conn: 1, Route: 0, From: 2, OldDep: 105, NewDep: 100}, // back to original: net no-op
+		{Conn: 2, Route: 1, From: 3, OldDep: 210, NewDep: 220, Cancelled: true},
+		{Conn: 5, Route: 2, From: 4, OldDep: 50, NewDep: 60},
+	}
+	m := MergeTouched(a, b)
+	if len(m) != 2 {
+		t.Fatalf("merged = %+v, want conn 1 dropped", m)
+	}
+	if m[0].Conn != 2 || m[0].OldDep != 200 || !m[0].Cancelled {
+		t.Fatalf("conn 2 merged wrong: %+v", m[0])
+	}
+	if m[1].Conn != 5 || m[1].OldDep != 50 || m[1].NewDep != 60 {
+		t.Fatalf("conn 5 merged wrong: %+v", m[1])
+	}
+	// Cancellation is sticky across later merges.
+	m2 := MergeTouched(m, []TouchedConn{{Conn: 2, Route: 1, From: 3, OldDep: 220, NewDep: 230}})
+	if !m2[0].Cancelled {
+		t.Fatal("cancellation must be sticky")
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"transit/internal/core"
-	"transit/internal/dtable"
 	"transit/internal/gen"
 	"transit/internal/graph"
 	"transit/internal/stationgraph"
@@ -213,14 +212,6 @@ type T2Row struct {
 	// Selection-independent (updates drop the distance table), so the value
 	// repeats on every row of a family.
 	UpdatesPerSec float64
-	// TableUpdatesPerSec is the same workload *including* the distance
-	// table: patch plus incremental table repair (dtable.Repair) from the
-	// selection's freshly built table, so a row's gap to UpdatesPerSec is
-	// exactly the table-repair cost. Zero on the no-table row.
-	TableUpdatesPerSec float64
-	// RepairedRows is the mean table rows recomputed per repair in the
-	// TableUpdatesPerSec measurement.
-	RepairedRows float64
 }
 
 // updateBatchConns is the delay-batch size MeasureUpdates targets in
@@ -229,25 +220,19 @@ const updateBatchConns = 100
 
 // delayBatch builds a ConnUpdate batch of at least want connections (whole
 // trains in ID order, so per-train schedules stay consistent), each shifted
-// delta ticks, together with the touched-connection descriptions the
-// distance-table repair consumes.
-func delayBatch(tt *timetable.Timetable, want int, delta timeutil.Ticks) ([]timetable.ConnUpdate, []timetable.ConnID, []dtable.TouchedConn) {
+// delta ticks.
+func delayBatch(tt *timetable.Timetable, want int, delta timeutil.Ticks) ([]timetable.ConnUpdate, []timetable.ConnID) {
 	var updates []timetable.ConnUpdate
 	var touched []timetable.ConnID
-	var tcs []dtable.TouchedConn
 	for z := 0; z < tt.NumTrains() && len(updates) < want; z++ {
-		route := tt.RouteOf(timetable.TrainID(z))
 		for _, id := range tt.TrainConnections(timetable.TrainID(z)) {
 			c := tt.Connections[id]
 			dep := tt.Period.Wrap(c.Dep + delta)
 			updates = append(updates, timetable.ConnUpdate{ID: id, Dep: dep, Arr: dep + c.Duration()})
 			touched = append(touched, id)
-			tcs = append(tcs, dtable.TouchedConn{
-				Conn: id, Train: c.Train, Route: route, From: c.From, OldDep: c.Dep, NewDep: dep,
-			})
 		}
 	}
-	return updates, touched, tcs
+	return updates, touched
 }
 
 // MeasureUpdates times the incremental patch path applying a delay batch of
@@ -255,7 +240,7 @@ func delayBatch(tt *timetable.Timetable, want int, delta timeutil.Ticks) ([]time
 // updates (snapshot swaps) per second. Each repetition patches the original
 // timetable, mirroring a registry that applies independent delay feeds.
 func MeasureUpdates(net *Network, batchConns int) (float64, error) {
-	updates, touched, _ := delayBatch(net.TT, batchConns, 7)
+	updates, touched := delayBatch(net.TT, batchConns, 7)
 	if len(updates) == 0 {
 		return 0, nil
 	}
@@ -272,38 +257,6 @@ func MeasureUpdates(net *Network, batchConns int) (float64, error) {
 		reps++
 	}
 	return float64(reps) / time.Since(start).Seconds(), nil
-}
-
-// MeasureTableUpdates times the full re-preprocessing update path: the same
-// delay batch as MeasureUpdates, but each repetition additionally repairs
-// the distance table (dtable.Repair from the given provenance-carrying
-// base), so the result is the end-to-end updates-per-second a server
-// achieves while keeping table-pruned queries exact. Returns achieved
-// updates per second and the mean rows repaired per update.
-func MeasureTableUpdates(net *Network, base *dtable.Table, batchConns int) (float64, float64, error) {
-	updates, touched, tcs := delayBatch(net.TT, batchConns, 7)
-	if len(updates) == 0 || base == nil {
-		return 0, 0, nil
-	}
-	reps, rows := 0, 0
-	start := time.Now()
-	for time.Since(start) < 250*time.Millisecond || reps < 3 {
-		ntt, err := net.TT.Patch(updates)
-		if err != nil {
-			return 0, 0, err
-		}
-		ng, err := net.G.PatchTimes(ntt, touched)
-		if err != nil {
-			return 0, 0, err
-		}
-		res, err := core.RepairDistanceTable(ng, base, core.RefineTouched(net.G, tcs), core.Options{}, 1, 1.0)
-		if err != nil {
-			return 0, 0, err
-		}
-		rows += res.RowsRepaired
-		reps++
-	}
-	return float64(reps) / time.Since(start).Seconds(), float64(rows) / float64(reps), nil
 }
 
 // Table2 runs the station-to-station experiment over the given selections.
@@ -329,7 +282,7 @@ func Table2(net *Network, sels []Selection, numQueries, threads int, seed int64)
 				}
 				marked = net.SG.SelectByContraction(keep)
 			}
-			pre, err := core.BuildDistanceTable(net.G, marked, core.Options{Threads: threads}, 1, true)
+			pre, err := core.BuildDistanceTable(net.G, marked, core.Options{Threads: threads}, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -338,10 +291,6 @@ func Table2(net *Network, sels []Selection, numQueries, threads int, seed int64)
 			row.Transfer = pre.Table.NumTransfer()
 			row.PreproTime = pre.Elapsed
 			row.TableMiB = float64(pre.SizeBytes) / (1 << 20)
-			row.TableUpdatesPerSec, row.RepairedRows, err = MeasureTableUpdates(net, pre.Table, updateBatchConns)
-			if err != nil {
-				return nil, err
-			}
 		}
 		// Queries run on one reused workspace, matching the paper's
 		// per-thread data-structure reuse; the warm-up query grows the
@@ -399,22 +348,16 @@ func PrintTable1(w io.Writer, rows []T1Row) {
 }
 
 // PrintTable2 renders Table 2 rows in the paper's layout, extended with the
-// dynamic-update columns: upd/s (timetable+graph patch only) and
-// upd/s(table) (patch plus incremental distance-table repair, with the mean
-// repaired row count in parentheses).
+// dynamic-update column upd/s (timetable+graph patch only).
 func PrintTable2(w io.Writer, rows []T2Row) {
-	fmt.Fprintf(w, "%-12s %-8s %6s %10s %9s %14s %10s %6s %8s %10s %8s %16s\n",
-		"network", "sel", "|T|", "prepro", "size MiB", "settled conns", "time [ms]", "spd", "t-spd", "allocs/q", "upd/s", "upd/s(table)")
+	fmt.Fprintf(w, "%-12s %-8s %6s %10s %9s %14s %10s %6s %8s %10s %8s\n",
+		"network", "sel", "|T|", "prepro", "size MiB", "settled conns", "time [ms]", "spd", "t-spd", "allocs/q", "upd/s")
 	for _, r := range rows {
 		prepro := "—"
 		if r.PreproTime > 0 {
 			prepro = r.PreproTime.Round(10 * time.Millisecond).String()
 		}
-		tblUpd := "—"
-		if r.TableUpdatesPerSec > 0 {
-			tblUpd = fmt.Sprintf("%.0f (%.0f rows)", r.TableUpdatesPerSec, r.RepairedRows)
-		}
-		fmt.Fprintf(w, "%-12s %-8s %6d %10s %9.1f %14.0f %10.1f %6.1f %8.1f %10.1f %8.0f %16s\n",
-			r.Family, r.Selection, r.Transfer, prepro, r.TableMiB, r.MeanSettled, r.MeanTimeMS, r.SpeedUp, r.TimeSpeedUp, r.AllocsPerQuery, r.UpdatesPerSec, tblUpd)
+		fmt.Fprintf(w, "%-12s %-8s %6d %10s %9.1f %14.0f %10.1f %6.1f %8.1f %10.1f %8.0f\n",
+			r.Family, r.Selection, r.Transfer, prepro, r.TableMiB, r.MeanSettled, r.MeanTimeMS, r.SpeedUp, r.TimeSpeedUp, r.AllocsPerQuery, r.UpdatesPerSec)
 	}
 }

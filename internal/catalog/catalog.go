@@ -23,7 +23,7 @@ type Config struct {
 	// Live is the template live.Config each tenant's registry is built
 	// from. Tenants whose snapshot carries no distance table are demoted to
 	// live.ServeUnpruned regardless of the template policy (there is no
-	// table to repair). Logf is wrapped with a per-tenant prefix.
+	// table to rebuild). Logf is wrapped with a per-tenant prefix.
 	Live live.Config
 	// PersistDir, when non-empty, gives every tenant a persist file
 	// <PersistDir>/<name>.live.snap: delay epochs survive eviction and
@@ -73,8 +73,8 @@ type tenant struct {
 }
 
 // Catalog is a registry of named networks, each backed by its own
-// live.Registry with independent delay epochs, persistence and repair
-// state. Tenants load lazily on first Acquire, stay pinned while handles
+// live.Registry with independent delay epochs, persistence and table
+// rebuilds. Tenants load lazily on first Acquire, stay pinned while handles
 // are out, and are evicted least-recently-used when the resident bytes
 // exceed the budget. See the package documentation for the lifecycle.
 type Catalog struct {

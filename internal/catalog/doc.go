@@ -3,7 +3,7 @@
 //
 // A catalog directory holds a manifest (catalog.json) naming each network
 // and its snapshot file. Every tenant owns its own live.Registry —
-// independent delay epochs, persist files and distance-table repair state —
+// independent delay epochs, persist files and distance-table rebuilds —
 // so nothing one city's delay feed does is observable from another city's
 // queries.
 //

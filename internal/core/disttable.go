@@ -5,36 +5,18 @@ import (
 
 	"transit/internal/dtable"
 	"transit/internal/graph"
+	"transit/internal/timetable"
 )
 
 // PreprocessResult reports distance-table preprocessing cost, matching the
-// Prepro columns of Table 2, plus the incremental-repair outcome when the
-// table came from RepairDistanceTable.
+// Prepro columns of Table 2.
 type PreprocessResult struct {
 	Table *dtable.Table
 	// Elapsed is the total preprocessing wall time.
 	Elapsed time.Duration
 	// SizeBytes estimates the stored profiles' footprint (the paper's
-	// table-size figure); ProvenanceBytes the repair provenance kept next
-	// to them.
-	SizeBytes       int64
-	ProvenanceBytes int64
-	// Rows is the transfer-station (row) count; RowsRepaired how many rows
-	// an incremental repair recomputed (equal to Rows after a full build).
-	Rows         int
-	RowsRepaired int
-	// DirtyByUsed/DirtyBySeed/DirtyByArc break a repair's recomputed rows
-	// down by the dirty rule that fired (see dtable.RepairStats);
-	// RowsWindowed counts repaired rows served by the interval search over
-	// the batch's departure window instead of a full-period run.
-	DirtyByUsed  int
-	DirtyBySeed  int
-	DirtyByArc   int
-	RowsWindowed int
-	// FullRebuild is set when every row was recomputed — a Build, or a
-	// repair that fell back; Fallback then names the reason.
-	FullRebuild bool
-	Fallback    string
+	// table-size figure).
+	SizeBytes int64
 }
 
 // BuildDistanceTable precomputes the distance table for the marked transfer
@@ -45,121 +27,38 @@ type PreprocessResult struct {
 // processed concurrently (1 reproduces the paper's setup, where
 // parallelism lives inside each one-to-all run); the workers pull rows from
 // a shared chunked queue and each reuses one pooled search workspace.
-// With provenance set, the searches additionally record the per-row repair
-// provenance that RepairDistanceTable needs (parent tracking plus a sweep
-// per row — slightly slower and bigger, but the table can then absorb
-// delay batches incrementally).
-func BuildDistanceTable(g *graph.Graph, isTransfer []bool, opts Options, sourceParallelism int, provenance bool) (*PreprocessResult, error) {
+func BuildDistanceTable(g *graph.Graph, isTransfer []bool, opts Options, sourceParallelism int) (*PreprocessResult, error) {
 	start := time.Now()
-	numTrains, numRoutes := 0, 0
-	if provenance {
-		numTrains, numRoutes = g.TT.NumTrains(), g.NumRoutes()
-	}
-	t, err := dtable.Build(g.TT.Period, g.TT.NumStations(), numTrains, numRoutes, isTransfer, sourceParallelism,
-		searchFactory(g, opts, provenance))
+	t, err := dtable.Build(g.TT.Period, g.TT.NumStations(), isTransfer, sourceParallelism, searchFactory(g, opts))
 	if err != nil {
 		return nil, err
 	}
 	return &PreprocessResult{
-		Table:           t,
-		Elapsed:         time.Since(start),
-		SizeBytes:       t.SizeBytes(),
-		ProvenanceBytes: t.ProvenanceBytes(),
-		Rows:            t.NumTransfer(),
-		RowsRepaired:    t.NumTransfer(),
-		FullRebuild:     true,
+		Table:     t,
+		Elapsed:   time.Since(start),
+		SizeBytes: t.SizeBytes(),
 	}, nil
 }
 
-// RefineTouched tightens the improvement arcs of a touched-connection batch
-// against the *base* network's graph (the schedule the repair base table
-// was built for) and returns the refined copy. A retimed connection c can
-// create a faster journey only for boarding readiness r in (OldDep, NewDep]
-// — but if another departure w on the same ride edge has (lifted)
-// dep_w + dur_w ≤ NewDep + dur_c, then for every r ≤ dep_w the old network
-// already boards w and arrives no later than the moved c ever will, so no
-// improvement is possible there. Ride-edge evaluation is the minimum over
-// members and each member's change is confined to its own arc, so raising
-// OldDep to the latest such dominating departure is sound even when several
-// members of one edge are touched in the same batch. On high-frequency
-// routes this typically shrinks the arc from the delay length to under the
-// headway — often to empty — which is what keeps the dirty-row fraction
-// (and so the repair cost) low.
-//
-// Only ArcFrom/Refined are set; OldDep is left untouched because the
-// repair's departure windows must still cover journeys that rode the
-// connection at its old time (the degradation direction), for which the
-// domination argument does not apply.
-func RefineTouched(gBase *graph.Graph, touched []dtable.TouchedConn) []dtable.TouchedConn {
-	pi := gBase.TT.Period.Len()
-	out := make([]dtable.TouchedConn, len(touched))
-	for i, tc := range touched {
-		out[i] = tc
-		if tc.Cancelled || tc.OldDep == tc.NewDep {
-			continue
-		}
-		members := gBase.RideEdgeConns(tc.Conn)
-		if len(members) == 0 {
-			continue
-		}
-		d := tc.OldDep
-		dln := tc.NewDep // lifted arc end in (d, d+π]
-		if dln <= d {
-			dln += pi
-		}
-		durC := gBase.TT.Connections[tc.Conn].Duration()
-		low := d
-		for _, w := range members {
-			if w.Conn == tc.Conn {
-				continue
-			}
-			dw := w.Dep // lifted into (d, d+π]
-			if dw <= d {
-				dw += pi
-			}
-			if dw+w.Dur > dln+durC {
-				continue // w arrives later than the moved c: no domination
-			}
-			if dw >= dln {
-				low = dln // a post-arc departure beats c for the whole arc
-				break
-			}
-			if dw > low {
-				low = dw
-			}
-		}
-		out[i].ArcFrom = gBase.TT.Period.Wrap(low)
-		out[i].Refined = true
-	}
-	return out
+// rowSearcher adapts a pooled workspace to dtable's per-worker searcher:
+// each Build worker owns one, so the O(n·k) search arrays are reused across
+// all rows the worker processes, and Close returns the workspace to the
+// package pool.
+type rowSearcher struct {
+	ws   *Workspace
+	g    *graph.Graph
+	opts Options
 }
 
-// RepairDistanceTable incrementally re-preprocesses after a dynamic update:
-// given the base table (built with provenance against the pre-update
-// network) and the touched-connection batch separating that network from g,
-// it recomputes only the rows the batch can change. When the repair is not
-// applicable — base without provenance, already-derived base, or an
-// estimated repair cost above maxDirtyFrac of a full rebuild — it returns
-// an error matching dtable.ErrRepairFallback; callers run a full build
-// with their *configured* transfer selection (transit.Repreprocess does),
-// so a fallback is also the moment a changed selection takes effect.
-func RepairDistanceTable(g *graph.Graph, base *dtable.Table, touched []dtable.TouchedConn, opts Options, sourceParallelism int, maxDirtyFrac float64) (*PreprocessResult, error) {
-	start := time.Now()
-	t, st, err := dtable.Repair(base, touched, maxDirtyFrac, sourceParallelism,
-		searchFactory(g, opts, false))
-	if err != nil {
-		return nil, err
+func (s *rowSearcher) Search(source timetable.StationID) (dtable.StationProfiler, error) {
+	return s.ws.OneToAll(s.g, source, s.opts)
+}
+
+func (s *rowSearcher) Close() { PutWorkspace(s.ws) }
+
+// searchFactory returns the dtable worker factory over pooled workspaces.
+func searchFactory(g *graph.Graph, opts Options) dtable.SearchFactory {
+	return func() (dtable.RowSearcher, error) {
+		return &rowSearcher{ws: GetWorkspace(), g: g, opts: opts}, nil
 	}
-	return &PreprocessResult{
-		Table:           t,
-		Elapsed:         time.Since(start),
-		SizeBytes:       t.SizeBytes(),
-		ProvenanceBytes: t.ProvenanceBytes(),
-		Rows:            st.Rows,
-		RowsRepaired:    st.RowsRepaired,
-		DirtyByUsed:     st.DirtyByUsed,
-		DirtyBySeed:     st.DirtyBySeed,
-		DirtyByArc:      st.DirtyByArc,
-		RowsWindowed:    st.RowsWindowed,
-	}, nil
 }

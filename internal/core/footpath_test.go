@@ -130,7 +130,7 @@ func TestFootpathStationToStation(t *testing.T) {
 		for i := range marked {
 			marked[i] = rng.Intn(4) == 0
 		}
-		pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+		pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

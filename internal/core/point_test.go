@@ -34,7 +34,7 @@ func TestEarliestArrivalExactAgainstTimeQuery(t *testing.T) {
 			marked[i] = rng.Intn(3) == 0
 		}
 		marked[rng.Intn(len(marked))] = true
-		pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+		pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestTablePruningSparesStationsWithFootpaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(tt)
-	pre, err := BuildDistanceTable(g, []bool{false, true, true}, Options{}, 1, false)
+	pre, err := BuildDistanceTable(g, []bool{false, true, true}, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

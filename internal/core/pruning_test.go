@@ -33,7 +33,7 @@ func railEnv(t *testing.T, scale float64, keepFrac float64) (QueryEnv, *graph.Gr
 		keep = 2
 	}
 	marked := sg.SelectByContraction(keep)
-	pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+	pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

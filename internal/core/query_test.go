@@ -38,7 +38,7 @@ func buildFixture(t *testing.T, fam gen.Family, scale float64, seed int64, trans
 		keep = 2
 	}
 	marked := sg.SelectByContraction(keep)
-	pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+	pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestRandomNetworksStationToStation(t *testing.T) {
 		for i := range marked {
 			marked[i] = rng.Intn(3) == 0
 		}
-		pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+		pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestRandomNetworksExactAgainstLabelCorrecting(t *testing.T) {
 			marked[i] = rng.Intn(3) == 0
 		}
 		marked[rng.Intn(len(marked))] = true
-		pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+		pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,10 +73,6 @@ type Workspace struct {
 	// Partition boundary buffer.
 	bounds []int
 
-	// Provenance-extraction scratch: visited stamps for the parent-chain
-	// sweep (internal/dtable repair provenance), sized like the label store.
-	provGen []uint32
-
 	// Per-thread search scratch, one entry per worker.
 	workers   []*workerSpace
 	spcsBuf   []spcsWorker
@@ -208,7 +204,6 @@ func (ws *Workspace) begin() uint32 {
 		wipe(ws.nodeArrGen)
 		wipe(ws.nodeSetGen)
 		wipe(ws.aboardGen)
-		wipe(ws.provGen)
 		for _, w := range ws.workers {
 			clear(w.labels[:cap(w.labels)])
 			wipe(w.maxconnGen)

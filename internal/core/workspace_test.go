@@ -181,7 +181,7 @@ func TestStationQueryTablePathAllocs(t *testing.T) {
 	g := workspaceNet(t)
 	sg := stationgraph.Build(g.TT)
 	marked := sg.SelectByDegree(2)
-	pre, err := BuildDistanceTable(g, marked, Options{}, 1, false)
+	pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

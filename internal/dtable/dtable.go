@@ -4,19 +4,15 @@
 // profile search from each transfer station. D(S, T, τ) is the arrival time
 // at T when departing S at τ, without any transfer times at S and T.
 //
-// Beyond the paper, the package supports *incremental repair* (Repair): a
-// table built with per-row provenance (RowProvenance) can absorb a dynamic
-// delay/cancellation batch by recomputing only the rows the batch can
-// possibly change, instead of re-running the one-to-all search from every
-// transfer station. See docs/PREPROCESSING.md for the full model.
+// A table is valid for the schedule it was built from only: after a dynamic
+// delay/cancellation batch the caller builds a new one (internal/live does
+// this after every batch). See docs/PREPROCESSING.md.
 package dtable
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
@@ -29,29 +25,13 @@ type StationProfiler interface {
 	StationProfile(t timetable.StationID) (*ttf.Function, error)
 }
 
-// RowProvenancer is optionally implemented by a StationProfiler whose
-// search recorded enough state (parent links) to summarize the row's
-// provenance. Build records provenance exactly when the searcher's results
-// implement it.
-type RowProvenancer interface {
-	RowProvenance(targets []timetable.StationID) (*RowProvenance, error)
-}
-
 // RowSearcher runs one-to-all profile searches for one worker goroutine.
 // Search results may borrow the searcher's memory: they are consumed (row
-// profiles and provenance extracted) before the next Search call, and Close
-// releases the searcher's resources (e.g. returns a pooled workspace).
+// profiles extracted) before the next Search call, and Close releases the
+// searcher's resources (e.g. returns a pooled workspace).
 type RowSearcher interface {
 	Search(source timetable.StationID) (StationProfiler, error)
 	Close()
-}
-
-// WindowSearcher is optionally implemented by searchers that support the
-// interval profile search (departures restricted to [from, to]): Repair
-// uses it to recompute a dirty row over only the departure window a batch
-// can affect, at a fraction of the full-period cost.
-type WindowSearcher interface {
-	SearchWindow(source timetable.StationID, from, to timeutil.Ticks) (StationProfiler, error)
 }
 
 // SearchFactory creates one RowSearcher per worker; dtable does not import
@@ -60,7 +40,7 @@ type WindowSearcher interface {
 type SearchFactory func() (RowSearcher, error)
 
 // Table is the precomputed distance table over the transfer stations.
-// Immutable after Build/Repair; safe for concurrent readers.
+// Immutable after Build; safe for concurrent readers.
 type Table struct {
 	period timeutil.Period
 	// index maps a station to its dense transfer index, or -1.
@@ -69,59 +49,32 @@ type Table struct {
 	stations []timetable.StationID
 	// prof[i][j] is the reduced profile from stations[i] to stations[j].
 	prof [][]*ttf.Function
-
-	// numTrains/numRoutes are the train and route counts of the network the
-	// table was built for (0 when the table carries no provenance).
-	numTrains int
-	numRoutes int
-	// prov[i] is the repair provenance of row i; nil entries (or a nil
-	// slice) force full rebuilds.
-	prov []*RowProvenance
-	// derived marks a table produced by Repair: its kept rows' Reach
-	// bitmaps describe the pre-patch network, so it cannot be the base of a
-	// further Repair (see RowProvenance).
-	derived bool
 }
 
-// ErrRepairFallback is the class of errors Repair returns when the base
-// table cannot support an incremental repair (no provenance, derived table,
-// foreign routes, or a dirty fraction above the threshold). Callers match
-// with errors.Is and fall back to a full Build.
-var ErrRepairFallback = errors.New("dtable: repair not applicable")
-
-var (
-	errDerived      = fmt.Errorf("%w: base table is itself repaired (stale provenance)", ErrRepairFallback)
-	errNoProvenance = fmt.Errorf("%w: base table carries no provenance", ErrRepairFallback)
-	errForeignID    = fmt.Errorf("%w: batch references a train or route the table was not built for", ErrRepairFallback)
-)
-
-// runRows runs the searcher pool over the given row indexes, applying fn to
-// each. Work is distributed over a chunked index channel so a slow row (a
-// hub station with a huge conn(S)) does not serialize the tail; each worker
-// owns one RowSearcher for its whole lifetime, so search workspaces are
-// reused across rows instead of allocated per row.
-func runRows(rows []int, parallelism int, factory SearchFactory, fn func(i int, s RowSearcher) error) error {
-	if len(rows) == 0 {
+// runRows runs the searcher pool over rows [0, n), applying fn to each.
+// Work is distributed over a chunked index channel so a slow row (a hub
+// station with a huge conn(S)) does not serialize the tail; each worker owns
+// one RowSearcher for its whole lifetime, so search workspaces are reused
+// across rows instead of allocated per row.
+func runRows(n, parallelism int, factory SearchFactory, fn func(i int, s RowSearcher) error) error {
+	if n == 0 {
 		return nil
 	}
 	if parallelism < 1 {
 		parallelism = 1
 	}
-	if parallelism > len(rows) {
-		parallelism = len(rows)
+	if parallelism > n {
+		parallelism = n
 	}
-	chunk := len(rows) / (parallelism * 8)
+	chunk := n / (parallelism * 8)
 	if chunk < 1 {
 		chunk = 1
 	}
-	chunks := make(chan []int)
+	type span struct{ lo, hi int }
+	chunks := make(chan span)
 	go func() {
-		for lo := 0; lo < len(rows); lo += chunk {
-			hi := lo + chunk
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			chunks <- rows[lo:hi]
+		for lo := 0; lo < n; lo += chunk {
+			chunks <- span{lo, min(lo+chunk, n)}
 		}
 		close(chunks)
 	}()
@@ -141,7 +94,7 @@ func runRows(rows []int, parallelism int, factory SearchFactory, fn func(i int, 
 			}
 			defer s.Close()
 			for ch := range chunks {
-				for _, i := range ch {
+				for i := ch.lo; i < ch.hi; i++ {
 					if err := fn(i, s); err != nil {
 						errs[w] = err
 						for range chunks {
@@ -172,32 +125,20 @@ func (t *Table) buildRow(i int, s RowSearcher) error {
 		row[j] = f
 	}
 	t.prof[i] = row
-	if t.prov != nil {
-		if rp, ok := res.(RowProvenancer); ok {
-			p, err := rp.RowProvenance(t.stations)
-			if err != nil {
-				return err
-			}
-			t.prov[i] = p
-		}
-	}
 	return nil
 }
 
 // Build precomputes the table for the marked transfer stations by running a
 // one-to-all profile search from each of them, with up to parallelism
-// worker goroutines pulling rows from a shared chunked queue. When the
-// factory's searchers support provenance extraction (RowProvenancer) and
-// numRoutes > 0, the table records per-row repair provenance and can later
-// absorb delay batches through Repair.
-func Build(period timeutil.Period, numStations, numTrains, numRoutes int, isTransfer []bool, parallelism int, factory SearchFactory) (*Table, error) {
+// worker goroutines pulling rows from a shared chunked queue.
+func Build(period timeutil.Period, numStations int, isTransfer []bool, parallelism int, factory SearchFactory) (*Table, error) {
 	if len(isTransfer) != numStations {
 		return nil, fmt.Errorf("dtable: isTransfer has %d entries for %d stations", len(isTransfer), numStations)
 	}
 	if factory == nil {
 		return nil, fmt.Errorf("dtable: nil search factory")
 	}
-	t := &Table{period: period, index: make([]int32, numStations), numTrains: numTrains, numRoutes: numRoutes}
+	t := &Table{period: period, index: make([]int32, numStations)}
 	for s := 0; s < numStations; s++ {
 		t.index[s] = -1
 		if isTransfer[s] {
@@ -205,327 +146,11 @@ func Build(period timeutil.Period, numStations, numTrains, numRoutes int, isTran
 			t.stations = append(t.stations, timetable.StationID(s))
 		}
 	}
-	n := len(t.stations)
-	t.prof = make([][]*ttf.Function, n)
-	if numTrains > 0 && numRoutes > 0 {
-		t.prov = make([]*RowProvenance, n)
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	if err := runRows(rows, parallelism, factory, t.buildRow); err != nil {
+	t.prof = make([][]*ttf.Function, len(t.stations))
+	if err := runRows(len(t.stations), parallelism, factory, t.buildRow); err != nil {
 		return nil, err
-	}
-	if t.prov != nil {
-		// Provenance is all-or-nothing: a searcher that cannot extract it
-		// leaves nil entries, and a partially covered table must not answer
-		// dirty-row questions.
-		for _, p := range t.prov {
-			if p == nil {
-				t.prov = nil
-				t.numTrains, t.numRoutes = 0, 0
-				break
-			}
-		}
 	}
 	return t, nil
-}
-
-// RepairStats reports the work of one Repair call.
-type RepairStats struct {
-	// Rows is the row count of the table, RowsRepaired how many of them the
-	// batch dirtied (and Repair recomputed).
-	Rows         int
-	RowsRepaired int
-	// DirtyByUsed/DirtyBySeed/DirtyByArc break RowsRepaired down by the
-	// first dirty rule that fired (used train / touched seed station /
-	// improvement-arc hit).
-	DirtyByUsed int
-	DirtyBySeed int
-	DirtyByArc  int
-	// RowsWindowed counts the repaired rows recomputed with the interval
-	// profile search over the batch's departure windows (the rest re-ran
-	// the full-period search).
-	RowsWindowed int
-	Elapsed      time.Duration
-}
-
-// maxWindowFrac is the fraction of the period above which a windowed row
-// recompute stops paying off and Repair re-runs the full-period search.
-const maxWindowFrac = 0.7
-
-// rowMaxSpan bounds, over every entry of a row and every departure time τ,
-// the time a departure waits plus travels: for τ in the gap before point p,
-// the value is at most (gap + p.W). The bound caps how far *before* a
-// touched departure d a journey can start and still reach d, i.e. the
-// look-back of the repair window. Rows with sparse entries (a single point
-// wraps a whole period) return bounds that exceed the window cap, falling
-// back to the full-period search.
-func rowMaxSpan(period timeutil.Period, prof []*ttf.Function) timeutil.Ticks {
-	var span timeutil.Ticks
-	pi := period.Len()
-	for _, f := range prof {
-		pts := f.Points()
-		for j, p := range pts {
-			var gap timeutil.Ticks
-			if j == 0 {
-				gap = p.Dep + pi - pts[len(pts)-1].Dep // wait across the period wrap
-			} else {
-				gap = p.Dep - pts[j-1].Dep
-			}
-			if s := gap + p.W; s > span {
-				span = s
-			}
-		}
-	}
-	return span
-}
-
-// winInterval is one linear piece of the (possibly midnight-wrapping)
-// repair window, both endpoints inclusive and within [0, π).
-type winInterval struct{ lo, hi timeutil.Ticks }
-
-// windowIntervals splits the circular window [lo, hi] (lo possibly
-// negative, meaning it wraps below midnight) into at most two linear
-// intervals. The caller guarantees hi − lo < π, so the pieces never
-// overlap.
-func windowIntervals(period timeutil.Period, lo, hi timeutil.Ticks) []winInterval {
-	if lo >= 0 {
-		return []winInterval{{lo, hi}}
-	}
-	return []winInterval{{0, hi}, {lo + period.Len(), period.Len() - 1}}
-}
-
-// maxWindowIntervals caps how many disjoint window pieces a single row
-// repair searches; batches touching more separate disruptions than this
-// re-run the full-period search.
-const maxWindowIntervals = 8
-
-// repairWindow computes the departure windows a row must recompute for a
-// batch whose touched departures are deps (sorted ascending, within
-// [0, π)): the circular union over deps d of [d − span, d], clustered so
-// that one disruption (a delayed train, a windowed route delay) yields one
-// interval. Returns ok=false when the union exceeds maxWin ticks or
-// fragments into more than maxWindowIntervals pieces — then a full-period
-// recompute is the better deal.
-func repairWindow(period timeutil.Period, deps []timeutil.Ticks, span, maxWin timeutil.Ticks) ([]winInterval, bool) {
-	if len(deps) == 0 {
-		return nil, false
-	}
-	type cluster struct{ lo, hi timeutil.Ticks }
-	var cls []cluster
-	start, last := deps[0], deps[0]
-	for _, d := range deps[1:] {
-		if d-last <= span {
-			last = d
-			continue
-		}
-		cls = append(cls, cluster{start - span, last})
-		start, last = d, d
-	}
-	cls = append(cls, cluster{start - span, last})
-	// Circular merge: the first cluster's look-back may wrap past midnight
-	// into (or beyond) the last cluster.
-	if len(cls) >= 2 && cls[0].lo < 0 && cls[0].lo+period.Len() <= cls[len(cls)-1].hi {
-		cls[0].lo = cls[len(cls)-1].lo - period.Len()
-		cls = cls[:len(cls)-1]
-	}
-	var total timeutil.Ticks
-	for _, c := range cls {
-		total += c.hi - c.lo
-	}
-	if total > maxWin {
-		return nil, false
-	}
-	var ivs []winInterval
-	for _, c := range cls {
-		ivs = append(ivs, windowIntervals(period, c.lo, c.hi)...)
-	}
-	if len(ivs) > maxWindowIntervals {
-		return nil, false
-	}
-	return ivs, true
-}
-
-// spliceProfile replaces the window intervals of an entry with the points
-// of the per-interval window-search profiles: old points outside every
-// interval survive, the new points cover the window, and the circular
-// reduction restores the canonical minimal point set (identical to what a
-// full rebuild produces, since both are the unique reduced representation
-// of the same profile function).
-func spliceProfile(period timeutil.Period, oldF *ttf.Function, winFs []*ttf.Function, ivs []winInterval) (*ttf.Function, error) {
-	oldPts := oldF.Points()
-	n := len(oldPts)
-	for _, wf := range winFs {
-		n += wf.NumPoints()
-	}
-	pts := make([]ttf.Point, 0, n)
-	for _, p := range oldPts {
-		inWin := false
-		for _, iv := range ivs {
-			if p.Dep >= iv.lo && p.Dep <= iv.hi {
-				inWin = true
-				break
-			}
-		}
-		if !inWin {
-			pts = append(pts, p)
-		}
-	}
-	for _, wf := range winFs {
-		pts = append(pts, wf.Points()...)
-	}
-	f, err := ttf.New(period, pts)
-	if err != nil {
-		return nil, err
-	}
-	f.Reduce()
-	return f, nil
-}
-
-// Repair returns a new table equivalent to rebuilding old's transfer set
-// from scratch against the patched network the factory searches, but
-// recomputing only the rows the touched-connection batch can change. The
-// dirty test is sound (see RowProvenance): kept rows are proven
-// entry-identical to what a full rebuild would produce.
-//
-// touched must describe every connection whose times differ between the
-// network old was built for and the factory's network (first OldDep, last
-// NewDep per connection; transit.MergeTouched composes multi-epoch
-// batches). maxDirtyFrac caps the repair's *estimated cost* as a fraction
-// of a full rebuild — each dirty row counts its window width over the
-// period (1.0 when it needs the full-period search) — e.g. 0.3: above it,
-// or when old cannot answer dirty-row questions at all, Repair returns an
-// ErrRepairFallback-wrapped error and the caller runs a full Build, which
-// is then both the cheaper and the provenance-refreshing choice.
-//
-// The repaired table serves queries exactly like a built one but is marked
-// derived: kept rows' Reach provenance describes the pre-patch network, so
-// a further Repair must start from the last fully built base (callers keep
-// that base and accumulate touches against it).
-func Repair(old *Table, touched []TouchedConn, maxDirtyFrac float64, parallelism int, factory SearchFactory) (*Table, *RepairStats, error) {
-	start := time.Now()
-	if factory == nil {
-		return nil, nil, fmt.Errorf("dtable: nil search factory")
-	}
-	dirty, causes, err := old.dirtyRows(touched)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(old.stations)
-	st := &RepairStats{
-		Rows: n, RowsRepaired: len(dirty),
-		DirtyByUsed: causes.used, DirtyBySeed: causes.seed, DirtyByArc: causes.arc,
-	}
-
-	// Departure windows of the batch: a touched occurrence (old or new
-	// departure) can only change profile values for departures τ with the
-	// occurrence inside [τ, τ + w_old(τ)], so per row the recompute may be
-	// restricted to the clustered union of [d − rowMaxSpan, d] over touched
-	// departures d, searched with the interval profile search and spliced
-	// into the old entries. Rows whose windows would cover most of the
-	// period, fragment too much, or whose seeds extend over footpaths
-	// (effective departures then live outside plain [0, π) time) re-run the
-	// full-period search instead.
-	depSet := make(map[timeutil.Ticks]struct{}, 2*len(touched))
-	for _, tc := range touched {
-		depSet[tc.OldDep] = struct{}{}
-		if !tc.Cancelled {
-			depSet[tc.NewDep] = struct{}{}
-		}
-	}
-	deps := make([]timeutil.Ticks, 0, len(depSet))
-	for d := range depSet {
-		deps = append(deps, d)
-	}
-	sort.Slice(deps, func(a, b int) bool { return deps[a] < deps[b] })
-	maxWin := timeutil.Ticks(maxWindowFrac * float64(old.period.Len()))
-	winOf := make(map[int][]winInterval, len(dirty))
-	var cost float64 // estimated repair cost, in full-period row searches
-	for _, i := range dirty {
-		if len(old.prov[i].Walk) != 1 {
-			cost++
-			continue
-		}
-		ivs, ok := repairWindow(old.period, deps, rowMaxSpan(old.period, old.prof[i]), maxWin)
-		if !ok {
-			cost++
-			continue
-		}
-		winOf[i] = ivs
-		var width timeutil.Ticks
-		for _, iv := range ivs {
-			width += iv.hi - iv.lo
-		}
-		cost += float64(width) / float64(old.period.Len())
-	}
-	if n > 0 && cost > maxDirtyFrac*float64(n) {
-		return nil, nil, fmt.Errorf("%w: %d of %d rows dirty, estimated repair cost %.1f of %d row rebuilds (threshold %.0f%%)",
-			ErrRepairFallback, len(dirty), n, cost, n, maxDirtyFrac*100)
-	}
-	nt := &Table{
-		period:    old.period,
-		index:     old.index,
-		stations:  old.stations,
-		prof:      make([][]*ttf.Function, n),
-		numTrains: old.numTrains,
-		numRoutes: old.numRoutes,
-		prov:      make([]*RowProvenance, n),
-		derived:   true,
-	}
-	copy(nt.prof, old.prof) // kept rows share the (immutable) profile slices
-	copy(nt.prov, old.prov)
-	// Repaired rows get nil provenance: the table is derived either way, so
-	// repair searches skip the parent tracking and provenance sweeps.
-	for _, i := range dirty {
-		nt.prov[i] = nil
-	}
-
-	windowed := 0
-	var wmu sync.Mutex
-	err = runRows(dirty, parallelism, factory, func(i int, s RowSearcher) error {
-		ws, ok := s.(WindowSearcher)
-		ivs := winOf[i]
-		if !ok || ivs == nil {
-			return nt.buildRow(i, s)
-		}
-		winFs := make([][]*ttf.Function, len(ivs))
-		for v, iv := range ivs {
-			res, err := ws.SearchWindow(nt.stations[i], iv.lo, iv.hi)
-			if err != nil {
-				return err
-			}
-			winFs[v] = make([]*ttf.Function, n)
-			for j := 0; j < n; j++ {
-				if winFs[v][j], err = res.StationProfile(nt.stations[j]); err != nil {
-					return err
-				}
-			}
-		}
-		row := make([]*ttf.Function, n)
-		fs := make([]*ttf.Function, len(ivs))
-		for j := 0; j < n; j++ {
-			for v := range winFs {
-				fs[v] = winFs[v][j]
-			}
-			var err error
-			if row[j], err = spliceProfile(nt.period, old.prof[i][j], fs, ivs); err != nil {
-				return err
-			}
-		}
-		nt.prof[i] = row
-		wmu.Lock()
-		windowed++
-		wmu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	st.RowsWindowed = windowed
-	st.Elapsed = time.Since(start)
-	return nt, st, nil
 }
 
 // NumTransfer returns |S_trans|.
@@ -534,24 +159,6 @@ func (t *Table) NumTransfer() int { return len(t.stations) }
 // Stations returns the transfer stations in increasing ID order (shared
 // slice; do not modify).
 func (t *Table) Stations() []timetable.StationID { return t.stations }
-
-// HasProvenance reports whether every row carries valid repair provenance
-// — true only for repair-base tables. Derived tables retain the kept rows'
-// provenance internally but report false: repaired rows have none and the
-// kept rows' Reach bitmaps describe the pre-patch schedule.
-func (t *Table) HasProvenance() bool { return t.prov != nil && !t.derived }
-
-// Derived reports whether this table was produced by Repair (and therefore
-// cannot be the base of a further Repair).
-func (t *Table) Derived() bool { return t.derived }
-
-// NumRoutes returns the route count the provenance was recorded for (0
-// without provenance).
-func (t *Table) NumRoutes() int { return t.numRoutes }
-
-// NumTrains returns the train count the provenance was recorded for (0
-// without provenance).
-func (t *Table) NumTrains() int { return t.numTrains }
 
 // IsTransfer reports whether s is a transfer station. Unknown station IDs
 // are simply not transfer stations.
@@ -586,23 +193,8 @@ func (t *Table) D(from, to timetable.StationID, at timeutil.Ticks) timeutil.Tick
 	return t.prof[fi][ti].EvalArrival(at)
 }
 
-// ProvenanceBytes estimates the memory footprint of the per-row repair
-// provenance (zero for tables without it) — reported separately from
-// SizeBytes so the paper's table-size figure stays comparable.
-func (t *Table) ProvenanceBytes() int64 {
-	var b int64
-	for _, p := range t.prov {
-		if p == nil {
-			continue
-		}
-		b += int64(len(p.Used))*8 + int64(len(p.Reach))*8 + int64(len(p.Walk))*4
-	}
-	return b
-}
-
 // SizeBytes estimates the memory footprint of the stored profiles: eight
 // bytes per connection point (the figure the paper reports in MiB).
-// Repair provenance is accounted separately by ProvenanceBytes.
 func (t *Table) SizeBytes() int64 {
 	var pts int64
 	for _, row := range t.prof {

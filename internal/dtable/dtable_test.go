@@ -26,7 +26,7 @@ func fixture(t *testing.T) (*graph.Graph, *dtable.Table, []timetable.StationID) 
 	g := graph.Build(tt)
 	sg := stationgraph.Build(tt)
 	marked := sg.SelectByContraction(8)
-	pre, err := core.BuildDistanceTable(g, marked, core.Options{}, 2, true)
+	pre, err := core.BuildDistanceTable(g, marked, core.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +123,16 @@ func (stubSearcher) Close() {}
 func stubFactory() (dtable.RowSearcher, error) { return stubSearcher{}, nil }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := dtable.Build(timeutil.NewPeriod(1440), 5, 0, 0, []bool{true}, 1, stubFactory); err == nil {
+	if _, err := dtable.Build(timeutil.NewPeriod(1440), 5, []bool{true}, 1, stubFactory); err == nil {
 		t.Fatal("mismatched isTransfer length accepted")
 	}
-	if _, err := dtable.Build(timeutil.NewPeriod(1440), 1, 0, 0, []bool{true}, 1, nil); err == nil {
+	if _, err := dtable.Build(timeutil.NewPeriod(1440), 1, []bool{true}, 1, nil); err == nil {
 		t.Fatal("nil factory accepted")
 	}
 }
 
 func TestBuildEmptySelection(t *testing.T) {
-	table, err := dtable.Build(timeutil.NewPeriod(1440), 3, 0, 0, []bool{false, false, false}, 1, stubFactory)
+	table, err := dtable.Build(timeutil.NewPeriod(1440), 3, []bool{false, false, false}, 1, stubFactory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dtable
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -10,11 +9,6 @@ import (
 	"transit/internal/timeutil"
 	"transit/internal/ttf"
 )
-
-// ErrProvenanceIncompatible marks a structurally valid provenance section
-// written with incompatible parameters (e.g. a different ReachBuckets);
-// readers skip it — the table still serves, only repair falls back.
-var ErrProvenanceIncompatible = errors.New("dtable: provenance incompatible with this build")
 
 // Distance-table section body (little endian), the SecDistanceTable payload
 // of the snapshot container (docs/SNAPSHOT_FORMAT.md):
@@ -148,140 +142,4 @@ func ReadSection(r io.Reader, wantStations int) (*Table, error) {
 		t.prof[i] = row
 	}
 	return t, nil
-}
-
-// Provenance section body (little endian), the SecTableProvenance payload
-// of the snapshot container — optional, only written for repair-base tables
-// (provenance present, not derived):
-//
-//	numTransfer int32            (must match the table section)
-//	numTrains   int32            (of the network the table was built for)
-//	numRoutes   int32            (of the network the table was built for)
-//	buckets     int32            (ReachBuckets of the writing build)
-//	for each row:
-//	  walkLen int32
-//	  walk    [walkLen]int32
-//	  used    [ceil(numTrains/64)]uint64
-//	  reach   [numRoutes * ReachBuckets/64]uint64
-
-// WriteProvenanceSection serializes the table's repair provenance. The
-// table must be a repair base (HasProvenance and not Derived).
-func WriteProvenanceSection(w io.Writer, t *Table) error {
-	if !t.HasProvenance() {
-		return fmt.Errorf("dtable: table has no serializable provenance")
-	}
-	put := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := put(int32(len(t.stations))); err != nil {
-		return err
-	}
-	if err := put(int32(t.numTrains)); err != nil {
-		return err
-	}
-	if err := put(int32(t.numRoutes)); err != nil {
-		return err
-	}
-	if err := put(int32(ReachBuckets)); err != nil {
-		return err
-	}
-	for _, p := range t.prov {
-		if err := put(int32(len(p.Walk))); err != nil {
-			return err
-		}
-		for _, s := range p.Walk {
-			if err := put(int32(s)); err != nil {
-				return err
-			}
-		}
-		if err := put(p.Used); err != nil {
-			return err
-		}
-		if err := put(p.Reach); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadProvenanceSection parses a provenance section and attaches it to a
-// table read from the same snapshot, validating shape against the table and
-// the network's station and route counts. A bucket-count mismatch (written
-// by a build with a different ReachBuckets) rejects the section; callers
-// treat that like an absent section and fall back to full rebuilds.
-func ReadProvenanceSection(r io.Reader, t *Table, numStations, numTrains, numRoutes int) error {
-	get := func() (int32, error) {
-		var v int32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	nt, err := get()
-	if err != nil {
-		return err
-	}
-	if int(nt) != len(t.stations) {
-		return fmt.Errorf("dtable: provenance for %d rows, table has %d", nt, len(t.stations))
-	}
-	nz, err := get()
-	if err != nil {
-		return err
-	}
-	if int(nz) != numTrains {
-		return fmt.Errorf("dtable: provenance built for %d trains, network has %d", nz, numTrains)
-	}
-	nr, err := get()
-	if err != nil {
-		return err
-	}
-	if int(nr) != numRoutes {
-		return fmt.Errorf("dtable: provenance built for %d routes, network has %d", nr, numRoutes)
-	}
-	buckets, err := get()
-	if err != nil {
-		return err
-	}
-	if buckets != ReachBuckets {
-		return fmt.Errorf("%w: provenance uses %d reach buckets, this build uses %d",
-			ErrProvenanceIncompatible, buckets, ReachBuckets)
-	}
-	usedWords := (numTrains + 63) / 64
-	prov := make([]*RowProvenance, len(t.stations))
-	for i := range prov {
-		wl, err := get()
-		if err != nil {
-			return err
-		}
-		if wl < 0 || int(wl) > numStations {
-			return fmt.Errorf("dtable: provenance row %d has implausible walk length %d", i, wl)
-		}
-		p := &RowProvenance{
-			Used:  make([]uint64, usedWords),
-			Reach: make([]uint64, numRoutes*reachWords),
-			Walk:  make([]timetable.StationID, wl),
-		}
-		for j := range p.Walk {
-			v, err := get()
-			if err != nil {
-				return err
-			}
-			if v < 0 || int(v) >= numStations {
-				return fmt.Errorf("dtable: provenance row %d walks to unknown station %d", i, v)
-			}
-			if j > 0 && timetable.StationID(v) <= p.Walk[j-1] {
-				// walksTo binary-searches this list; unsorted data would
-				// silently miss seed hits and corrupt the dirty test.
-				return fmt.Errorf("dtable: provenance row %d walk list not strictly ascending", i)
-			}
-			p.Walk[j] = timetable.StationID(v)
-		}
-		if err := binary.Read(r, binary.LittleEndian, p.Used); err != nil {
-			return err
-		}
-		if err := binary.Read(r, binary.LittleEndian, p.Reach); err != nil {
-			return err
-		}
-		prov[i] = p
-	}
-	t.prov = prov
-	t.numTrains = numTrains
-	t.numRoutes = numRoutes
-	return nil
 }

@@ -274,17 +274,6 @@ func reduceRideConns(period timeutil.Period, conns []RideConn) []RideConn {
 // NumNodes returns the total node count (stations + route nodes).
 func (g *Graph) NumNodes() int { return len(g.nodeStation) }
 
-// NumRoutes returns the number of routes the graph was built over.
-func (g *Graph) NumRoutes() int { return len(g.routeOffset) - 1 }
-
-// RouteNodeSpan returns the first route node of route ri and the number of
-// route nodes on it (one per station of the route's sequence). The nodes are
-// contiguous: [first, first+n). The last node of the span has no outgoing
-// Ride edge.
-func (g *Graph) RouteNodeSpan(ri int) (first NodeID, n int) {
-	return g.routeOffset[ri], int(g.routeOffset[ri+1] - g.routeOffset[ri])
-}
-
 // NumStations returns the number of station nodes.
 func (g *Graph) NumStations() int { return g.numStations }
 
@@ -314,18 +303,6 @@ func (g *Graph) RideConns(e *Edge) []RideConn {
 // ConnDepartureNode returns the route node where connection c departs; this
 // is where the profile search seeds queue items (r, i).
 func (g *Graph) ConnDepartureNode(c timetable.ConnID) NodeID { return g.connDepNode[c] }
-
-// RideEdgeConns returns the (sorted, dominance-free) departures of the Ride
-// edge connection c lives on — c's same-hop alternatives, including c
-// itself unless dominated — or nil when c was cancelled at build time.
-// Shared slice; do not modify.
-func (g *Graph) RideEdgeConns(c timetable.ConnID) []RideConn {
-	e := g.connRideEdge[c]
-	if e < 0 {
-		return nil
-	}
-	return g.RideConns(&g.edges[e])
-}
 
 // ConnArrivalNode returns the route node where connection c arrives.
 func (g *Graph) ConnArrivalNode(c timetable.ConnID) NodeID { return g.connArrNode[c] }

@@ -49,17 +49,11 @@
 //   - ReprocessSync: restore the table before the swap. Updates block for
 //     the re-preprocessing time but every served snapshot is always pruned.
 //
-// Restoring the table is incremental whenever possible: the registry
-// keeps the last fully built network as the *repair base* and accumulates
-// the touched connections of every applied batch against it
-// (transit.MergeTouched); re-preprocessing then calls
-// transit.Repreprocess, which recomputes only the table rows the
-// accumulated updates can affect — typically over a bounded departure
-// window via the interval search — and falls back to a full rebuild
-// (which resets the base and the pending set) when the dirty fraction
-// crosses Options.RepairMaxDirty or no usable base exists. See
-// docs/PREPROCESSING.md for the provenance model and the soundness
-// argument, and Metrics for the repair/rebuild counters tpserver exports.
+// Restoring the table is a full rebuild, Preprocess(Selection, Options),
+// which is all the paper's fully dynamic scenario needs
+// (docs/PREPROCESSING.md, "After a delay batch", has the measurements that
+// retired incremental repair). Metrics holds the rebuild counters tpserver
+// exports.
 //
 // The station graph, unlike the table, survives updates: delays never
 // change connectivity and cancellations only shrink it, and a conservative

@@ -86,11 +86,6 @@ type Config struct {
 	// FS is the filesystem behind persistence and the journal; nil means
 	// the real disk. Tests inject faultfs.Mem to simulate crashes.
 	FS faultfs.FS
-	// RepairTimeout bounds one async table repair: past it the straggling
-	// run is abandoned and a full rebuild from scratch is started instead,
-	// so a pathological repair cannot wedge the background loop. Zero
-	// disables the watchdog.
-	RepairTimeout time.Duration
 	// OnApply, when set, observes every epoch-advancing batch right after
 	// its snapshot swap: the new epoch, the ops that produced it, and the
 	// touched connections. Called under the registry's apply lock — epochs
@@ -132,17 +127,6 @@ type Registry struct {
 	rebuilding  bool          // an async re-preprocess goroutine is alive (under mu)
 	persistStop chan struct{} // closes the StartPersist loop (set under mu)
 
-	// Incremental-repair state (under mu): base is the last network whose
-	// distance table was fully built with fresh provenance — the only valid
-	// starting point of a table repair — and pending accumulates the
-	// touched connections of every update applied since, composed with
-	// transit.MergeTouched. A repair recomputes base-dirty rows and leaves
-	// base and pending in place (the repaired table cannot seed further
-	// repairs); a full rebuild — forced when the pending set dirties too
-	// much of the table — resets both.
-	base    *transit.Network
-	pending []transit.TouchedConn
-
 	// journal, when attached, receives every epoch-advancing batch before
 	// the snapshot swap acks it. Set once at boot (RecoverJournal); closed
 	// by Close after the final persist checkpoint.
@@ -154,11 +138,8 @@ type Registry struct {
 	lastUpdateMicros atomic.Int64
 	reprocessed      atomic.Uint64
 	reprocessErrors  atomic.Uint64
-	repairs          atomic.Uint64
-	rowsRepaired     atomic.Uint64
-	fullRebuilds     atomic.Uint64
 	lastReproMicros  atomic.Int64
-	repairMicros     atomic.Int64 // cumulative time spent in repairs/rebuilds
+	repairMicros     atomic.Int64 // cumulative time spent in rebuilds
 	lastApplyMicros  atomic.Int64 // Unix µs of the last epoch-advancing Apply
 	persists         atomic.Uint64
 	persistErrors    atomic.Uint64
@@ -166,7 +147,6 @@ type Registry struct {
 	walAppends       atomic.Uint64
 	walAppendErrors  atomic.Uint64
 	walReplayed      atomic.Uint64
-	repairTimeouts   atomic.Uint64
 }
 
 // NewRegistry wraps an already-loaded (and possibly preprocessed) network
@@ -174,17 +154,7 @@ type Registry struct {
 func NewRegistry(net *transit.Network, cfg Config) *Registry {
 	r := &Registry{cfg: cfg}
 	r.cur.Store(&Snapshot{Net: net, Created: time.Now()})
-	r.initBase(net)
 	return r
-}
-
-// initBase seeds the repair base when the starting network's table can back
-// incremental repairs (built by this process, or restored from a snapshot
-// carrying the provenance section).
-func (r *Registry) initBase(net *transit.Network) {
-	if net.TableRepairable() {
-		r.base = net
-	}
 }
 
 // Snapshot returns the current snapshot: a single atomic load, wait-free,
@@ -212,14 +182,10 @@ func (r *Registry) Apply(ops []transit.DelayOp) (*Snapshot, *transit.UpdateStats
 	}
 	// Under ReprocessSync the rebuild runs before the batch is journaled:
 	// a failed rebuild must not leave an orphaned journal entry that would
-	// poison replay at the next boot. The repair state (base/pending) is
-	// committed only after the journal accepts the batch.
-	var syncPre *transit.Network
+	// poison replay at the next boot.
 	var syncPS *transit.PreprocessStats
-	var syncPending []transit.TouchedConn
 	if r.cfg.Policy == ReprocessSync {
-		syncPending = transit.MergeTouched(r.pending, st.Touched)
-		syncPre, syncPS, err = next.Repreprocess(r.base, syncPending, r.cfg.Selection, r.cfg.Options)
+		next, syncPS, err = next.Preprocess(r.cfg.Selection, r.cfg.Options)
 		if err != nil {
 			r.reprocessErrors.Add(1)
 			return nil, nil, fmt.Errorf("%w: %v", ErrReprocess, err)
@@ -237,14 +203,9 @@ func (r *Registry) Apply(ops []transit.DelayOp) (*Snapshot, *transit.UpdateStats
 		r.walAppends.Add(1)
 	}
 	if r.cfg.Policy == ReprocessSync {
-		r.pending = syncPending
 		r.noteRepreprocess(syncPS)
-		if syncPS.FullRebuild {
-			r.base, r.pending = syncPre, nil
-		}
-		r.logf("live: epoch %d re-preprocessed synchronously (%s in %v)",
-			cur.Epoch+1, repairDesc(syncPS), syncPS.Elapsed)
-		next = syncPre
+		r.logf("live: epoch %d re-preprocessed synchronously (%d rows in %v)",
+			cur.Epoch+1, syncPS.Rows, syncPS.Elapsed)
 	}
 	snap := &Snapshot{Net: next, Epoch: cur.Epoch + 1, Created: time.Now()}
 	r.cur.Store(snap)
@@ -257,7 +218,6 @@ func (r *Registry) Apply(ops []transit.DelayOp) (*Snapshot, *transit.UpdateStats
 		r.cfg.OnApply(snap.Epoch, ops, st.Touched)
 	}
 	if r.cfg.Policy == ReprocessAsync {
-		r.pending = transit.MergeTouched(r.pending, st.Touched)
 		if !r.rebuilding {
 			// At most one rebuild goroutine is alive; it rolls forward to the
 			// newest epoch by itself, so a delay feed faster than the
@@ -271,60 +231,32 @@ func (r *Registry) Apply(ops []transit.DelayOp) (*Snapshot, *transit.UpdateStats
 }
 
 // noteRepreprocess updates the re-preprocessing counters for one successful
-// repair or rebuild.
+// rebuild.
 func (r *Registry) noteRepreprocess(ps *transit.PreprocessStats) {
 	r.reprocessed.Add(1)
 	r.lastReproMicros.Store(ps.Elapsed.Microseconds())
 	r.repairMicros.Add(ps.Elapsed.Microseconds())
-	if ps.FullRebuild {
-		r.fullRebuilds.Add(1)
-	} else {
-		r.repairs.Add(1)
-		r.rowsRepaired.Add(uint64(ps.RowsRepaired))
-	}
 }
 
-// repairDesc renders a re-preprocessing outcome for the log.
-func repairDesc(ps *transit.PreprocessStats) string {
-	if !ps.FullRebuild {
-		return fmt.Sprintf("repaired %d/%d rows", ps.RowsRepaired, ps.Rows)
-	}
-	if ps.Fallback != "" {
-		return fmt.Sprintf("full rebuild of %d rows: %s", ps.Rows, ps.Fallback)
-	}
-	return fmt.Sprintf("full rebuild of %d rows", ps.Rows)
-}
-
-// reprocess restores snap's distance table in the background — repairing
-// the last fully built base table when the accumulated touched set dirties
-// few enough rows, rebuilding from scratch otherwise — and, if snap is
-// still current, swaps in the preprocessed network under the same epoch.
+// reprocess rebuilds snap's distance table in the background and, if snap
+// is still current, swaps in the preprocessed network under the same epoch.
 // When newer updates landed during the work, the stale result is discarded
 // and the loop continues with the now-current snapshot, so intermediate
 // epochs are skipped rather than each spawning a rebuild.
 func (r *Registry) reprocess(snap *Snapshot) {
 	defer r.wg.Done()
 	for {
-		r.mu.Lock()
-		base, pending := r.base, r.pending
-		r.mu.Unlock()
-		pre, ps, err := r.repreprocessGuarded(snap.Net, base, pending)
+		pre, ps, err := snap.Net.Preprocess(r.cfg.Selection, r.cfg.Options)
 		r.mu.Lock()
 		cur := r.cur.Load()
 		if err != nil {
 			r.reprocessErrors.Add(1)
 			r.logf("live: async re-preprocess of epoch %d failed: %v", snap.Epoch, err)
 		} else if cur.Epoch == snap.Epoch {
-			// Any Apply since the attempt started would have bumped the
-			// epoch, so base and pending are exactly what the result
-			// consumed: a full rebuild becomes the new repair base.
 			r.noteRepreprocess(ps)
-			if ps.FullRebuild {
-				r.base, r.pending = pre, nil
-			}
 			r.cur.Store(&Snapshot{Net: pre, Epoch: snap.Epoch, Created: snap.Created})
-			r.logf("live: epoch %d re-preprocessed (%s in %v)",
-				snap.Epoch, repairDesc(ps), ps.Elapsed)
+			r.logf("live: epoch %d re-preprocessed (%d rows in %v)",
+				snap.Epoch, ps.Rows, ps.Elapsed)
 			cur = r.cur.Load()
 		}
 		if r.closed || cur.Epoch == snap.Epoch {
@@ -335,54 +267,17 @@ func (r *Registry) reprocess(snap *Snapshot) {
 			return
 		}
 		// Superseded while re-preprocessing: roll forward to the current
-		// epoch (the next attempt reads the grown pending set).
+		// epoch.
 		snap = cur
 		r.mu.Unlock()
-	}
-}
-
-// repreprocessGuarded runs one table repair under the RepairTimeout
-// watchdog: when the run overstays its budget its eventual result is
-// abandoned (the straggling goroutine drops its answer into a buffered
-// channel nobody reads) and a full rebuild from scratch — whose cost is
-// predictable — is started in its place.
-func (r *Registry) repreprocessGuarded(net, base *transit.Network, pending []transit.TouchedConn) (*transit.Network, *transit.PreprocessStats, error) {
-	if r.cfg.RepairTimeout <= 0 || base == nil {
-		return net.Repreprocess(base, pending, r.cfg.Selection, r.cfg.Options)
-	}
-	type result struct {
-		pre *transit.Network
-		ps  *transit.PreprocessStats
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		pre, ps, err := net.Repreprocess(base, pending, r.cfg.Selection, r.cfg.Options)
-		ch <- result{pre, ps, err}
-	}()
-	timer := time.NewTimer(r.cfg.RepairTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.pre, res.ps, res.err
-	case <-timer.C:
-		r.repairTimeouts.Add(1)
-		r.logf("live: table repair exceeded %v, abandoning it for a full rebuild", r.cfg.RepairTimeout)
-		pre, ps, err := net.Repreprocess(nil, nil, r.cfg.Selection, r.cfg.Options)
-		if err == nil {
-			ps.Fallback = "repair watchdog timeout"
-		}
-		return pre, ps, err
 	}
 }
 
 // Install replaces the current snapshot wholesale with a network restored
 // from a full snapshot image — a replica resyncing after falling beyond the
 // updater's delta retention. The installed epoch must not move backwards:
-// readers already saw the current one. The incremental-repair state is
-// reset (the new network's own table, if repairable, seeds it), and the
-// OnApply hook is NOT fired — observers stream deltas, and a wholesale
-// swap is not a delta.
+// readers already saw the current one. The OnApply hook is NOT fired —
+// observers stream deltas, and a wholesale swap is not a delta.
 func (r *Registry) Install(net *transit.Network, st transit.SnapshotState) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -399,8 +294,6 @@ func (r *Registry) Install(net *transit.Network, st transit.SnapshotState) error
 	}
 	r.cur.Store(&Snapshot{Net: net, Epoch: st.Epoch, Created: created})
 	r.lastApplyMicros.Store(created.UnixMicro())
-	r.base, r.pending = nil, nil
-	r.initBase(net)
 	return nil
 }
 
@@ -442,16 +335,10 @@ type Metrics struct {
 	LastUpdate       time.Duration
 	ReprocessedTotal uint64
 	ReprocessErrors  uint64
-	// Incremental distance-table repair: how many re-preprocessing runs
-	// were repairs vs. full rebuilds (RepairsTotal + FullRebuildsTotal =
-	// ReprocessedTotal), the total rows the repairs recomputed, and the
-	// duration of the last run of either kind.
-	RepairsTotal      uint64
-	RowsRepairedTotal uint64
-	FullRebuildsTotal uint64
-	LastReprocess     time.Duration
-	// RepairDuration is the cumulative wall-clock time spent in all repairs
-	// and rebuilds — divided by ReprocessedTotal it is the mean repair cost,
+	// LastReprocess is the duration of the last table rebuild.
+	LastReprocess time.Duration
+	// RepairDuration is the cumulative wall-clock time spent in table
+	// rebuilds — divided by ReprocessedTotal it is the mean rebuild cost,
 	// and its rate is the fraction of real time the delay feed keeps the
 	// preprocessor busy.
 	RepairDuration time.Duration
@@ -469,36 +356,29 @@ type Metrics struct {
 	WalAppendErrors uint64
 	WalReplayed     uint64
 	WalBytes        int64
-	// RepairTimeouts counts async repairs abandoned by the watchdog in
-	// favour of a full rebuild.
-	RepairTimeouts uint64
 }
 
 // Metrics reads the counters (wait-free).
 func (r *Registry) Metrics() Metrics {
 	snap := r.Snapshot()
 	return Metrics{
-		Epoch:             snap.Epoch,
-		Preprocessed:      snap.Preprocessed(),
-		UpdatesTotal:      r.updates.Load(),
-		ConnsRetimed:      r.connsRetimed.Load(),
-		ConnsCancelled:    r.connsCancelled.Load(),
-		LastUpdate:        time.Duration(r.lastUpdateMicros.Load()) * time.Microsecond,
-		ReprocessedTotal:  r.reprocessed.Load(),
-		ReprocessErrors:   r.reprocessErrors.Load(),
-		RepairsTotal:      r.repairs.Load(),
-		RowsRepairedTotal: r.rowsRepaired.Load(),
-		FullRebuildsTotal: r.fullRebuilds.Load(),
-		LastReprocess:     time.Duration(r.lastReproMicros.Load()) * time.Microsecond,
-		RepairDuration:    time.Duration(r.repairMicros.Load()) * time.Microsecond,
-		LastApply:         lastApply(r.lastApplyMicros.Load()),
-		PersistsTotal:     r.persists.Load(),
-		PersistErrors:     r.persistErrors.Load(),
-		WalAppends:        r.walAppends.Load(),
-		WalAppendErrors:   r.walAppendErrors.Load(),
-		WalReplayed:       r.walReplayed.Load(),
-		WalBytes:          r.journalBytes(),
-		RepairTimeouts:    r.repairTimeouts.Load(),
+		Epoch:            snap.Epoch,
+		Preprocessed:     snap.Preprocessed(),
+		UpdatesTotal:     r.updates.Load(),
+		ConnsRetimed:     r.connsRetimed.Load(),
+		ConnsCancelled:   r.connsCancelled.Load(),
+		LastUpdate:       time.Duration(r.lastUpdateMicros.Load()) * time.Microsecond,
+		ReprocessedTotal: r.reprocessed.Load(),
+		ReprocessErrors:  r.reprocessErrors.Load(),
+		LastReprocess:    time.Duration(r.lastReproMicros.Load()) * time.Microsecond,
+		RepairDuration:   time.Duration(r.repairMicros.Load()) * time.Microsecond,
+		LastApply:        lastApply(r.lastApplyMicros.Load()),
+		PersistsTotal:    r.persists.Load(),
+		PersistErrors:    r.persistErrors.Load(),
+		WalAppends:       r.walAppends.Load(),
+		WalAppendErrors:  r.walAppendErrors.Load(),
+		WalReplayed:      r.walReplayed.Load(),
+		WalBytes:         r.journalBytes(),
 	}
 }
 

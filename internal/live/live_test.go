@@ -254,20 +254,16 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestSyncRepair: with a repairable base table, the sync policy repairs
-// incrementally on every batch (accumulating touches against the base) and
-// never falls back to a full rebuild.
+// TestSyncRepair: with a full transfer table (every station selected), the
+// sync policy restores the table on every batch — by a rebuild of the
+// patched network — so each batch is served preprocessed and correct.
 func TestSyncRepair(t *testing.T) {
 	sel := transit.TransferSelection{Fraction: 1}
-	opt := transit.Options{RepairMaxDirty: 1}
-	n, _, err := hourlyNetwork(t).Preprocess(sel, opt)
+	n, _, err := hourlyNetwork(t).Preprocess(sel, transit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !n.TableRepairable() {
-		t.Fatal("fresh preprocessing must be a repair base")
-	}
-	r := NewRegistry(n, Config{Policy: ReprocessSync, Selection: sel, Options: opt})
+	r := NewRegistry(n, Config{Policy: ReprocessSync, Selection: sel})
 	snap, _, err := r.Apply([]transit.DelayOp{{Train: "ab08", Delay: 15}})
 	if err != nil {
 		t.Fatal(err)
@@ -282,28 +278,30 @@ func TestSyncRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !snap.Preprocessed() {
+		t.Fatal("sync repair served an unpruned snapshot")
+	}
 	if got := arrival(t, snap.Net, 0, 1, 540); got != 575 {
 		t.Fatalf("second-delay arrival %d, want 575", got)
 	}
 	m := r.Metrics()
-	if m.RepairsTotal != 2 || m.FullRebuildsTotal != 0 || m.ReprocessedTotal != 2 {
-		t.Fatalf("want 2 repairs, 0 rebuilds: %+v", m)
+	if m.ReprocessedTotal != 2 || m.ReprocessErrors != 0 {
+		t.Fatalf("want 2 rebuilds, no errors: %+v", m)
 	}
-	if m.RowsRepairedTotal == 0 || m.LastReprocess <= 0 {
-		t.Fatalf("repair metrics empty: %+v", m)
+	if m.LastReprocess <= 0 || m.RepairDuration < m.LastReprocess {
+		t.Fatalf("rebuild timings empty: %+v", m)
 	}
 }
 
-// TestAsyncRepair: the async policy repairs in the background from the
-// boot-time base; the repaired table lands under the same epoch.
+// TestAsyncRepair: the async policy restores the full table in the
+// background; the rebuilt table lands under the same epoch, exactly once.
 func TestAsyncRepair(t *testing.T) {
 	sel := transit.TransferSelection{Fraction: 1}
-	opt := transit.Options{RepairMaxDirty: 1}
-	n, _, err := hourlyNetwork(t).Preprocess(sel, opt)
+	n, _, err := hourlyNetwork(t).Preprocess(sel, transit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRegistry(n, Config{Policy: ReprocessAsync, Selection: sel, Options: opt})
+	r := NewRegistry(n, Config{Policy: ReprocessAsync, Selection: sel})
 	if _, _, err := r.Apply([]transit.DelayOp{{Train: "ab08", Delay: 15}}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,27 +320,7 @@ func TestAsyncRepair(t *testing.T) {
 		t.Fatalf("repaired snapshot answers differently: %d", got)
 	}
 	r.Close()
-	m := r.Metrics()
-	if m.RepairsTotal != 1 || m.FullRebuildsTotal != 0 {
-		t.Fatalf("want exactly one async repair: %+v", m)
-	}
-}
-
-// TestRepairEstablishesBase: booting without preprocessing, the first sync
-// re-preprocess is a full rebuild (no base) that establishes the repair
-// base; the second batch then repairs from it.
-func TestRepairEstablishesBase(t *testing.T) {
-	sel := transit.TransferSelection{Fraction: 0.5}
-	opt := transit.Options{RepairMaxDirty: 1}
-	r := NewRegistry(hourlyNetwork(t), Config{Policy: ReprocessSync, Selection: sel, Options: opt})
-	if _, _, err := r.Apply([]transit.DelayOp{{Train: "ab08", Delay: 15}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Apply([]transit.DelayOp{{Train: "ab09", Delay: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	m := r.Metrics()
-	if m.FullRebuildsTotal != 1 || m.RepairsTotal != 1 {
-		t.Fatalf("want rebuild-then-repair: %+v", m)
+	if m := r.Metrics(); m.ReprocessedTotal != 1 || m.ReprocessErrors != 0 {
+		t.Fatalf("want exactly one async rebuild: %+v", m)
 	}
 }

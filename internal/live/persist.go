@@ -21,7 +21,6 @@ func NewRegistryAt(net *transit.Network, st transit.SnapshotState, cfg Config) *
 		created = time.Now()
 	}
 	r.cur.Store(&Snapshot{Net: net, Epoch: st.Epoch, Created: created})
-	r.initBase(net)
 	return r
 }
 

@@ -4,14 +4,14 @@
 // its stream of epoch deltas.
 //
 // The paper's economics make the split natural: preprocessing (distance
-// tables) is hours of work, delay repair is near patch cost, and queries
-// are read-only against an immutable snapshot. So the write side is a
+// tables) is the expensive part, a delay patch is cheap, and queries are
+// read-only against an immutable snapshot. So the write side is a
 // single Publisher that, after every applied batch, retains and fans out
 // one Delta — the batch's ops in the journal's WAL entry encoding plus the
 // touched-connection set the apply computed. The read side is a Follower
 // that applies each delta through the registry's ordinary Apply path
-// (journal, incremental table repair, atomic snapshot swap): a replica is
-// just an updater whose only delay feed is the stream.
+// (journal, table rebuild, atomic snapshot swap): a replica is just an
+// updater whose only delay feed is the stream.
 //
 // # Wire format
 //

@@ -46,7 +46,7 @@ type FollowerConfig struct {
 // Follower is the replica side of replication: a background loop that
 // subscribes to the updater's delta stream from the local epoch, applies
 // each delta through the registry's ordinary Apply path (journal, table
-// repair, atomic swap — a replica IS an updater whose only feed client is
+// rebuild, atomic swap — a replica IS an updater whose only feed client is
 // the stream), verifies the updater's touched-set against its own, and
 // falls back to a full snapshot install when it cannot catch up by deltas.
 type Follower struct {

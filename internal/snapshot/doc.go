@@ -28,14 +28,11 @@
 //   - SecLiveState: the live-serving provenance — the epoch of the
 //     internal/live registry the snapshot was persisted from and its
 //     creation time — so a restarted server resumes with delays intact.
-//   - SecTableProvenance: the distance table's per-row repair provenance
-//     (internal/dtable.RowProvenance), written only for repair-base tables,
-//     so a restored server can absorb delay batches with an incremental
-//     table repair instead of a full re-preprocessing run
-//     (docs/PREPROCESSING.md).
 //
 // Readers skip unknown section IDs (forward compatibility within a major
-// format version) and reject unknown format versions outright.
+// format version) and reject unknown format versions outright. ID 5 is
+// retired: builds before PR 25 wrote the table's repair provenance there,
+// and this build skips it on read.
 //
 // The public entry points are transit.Network.WriteSnapshot and
 // transit.LoadSnapshot; internal/live.Registry persists its current epoch

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -24,13 +23,14 @@ var Magic = [8]byte{'T', 'P', 'S', 'N', 'A', 'P', '\r', '\n'}
 // changes of the header or of an existing section do.
 const Version uint32 = 1
 
-// Section IDs. See docs/SNAPSHOT_FORMAT.md for each payload's layout.
+// Section IDs. See docs/SNAPSHOT_FORMAT.md for each payload's layout. ID 5
+// is retired: builds before PR 25 wrote the distance table's repair
+// provenance there. Read skips it like any unknown ID; never reuse it.
 const (
-	SecTimetable       uint32 = 1
-	SecStationGraph    uint32 = 2
-	SecDistanceTable   uint32 = 3
-	SecLiveState       uint32 = 4
-	SecTableProvenance uint32 = 5
+	SecTimetable     uint32 = 1
+	SecStationGraph  uint32 = 2
+	SecDistanceTable uint32 = 3
+	SecLiveState     uint32 = 4
 )
 
 // maxSections bounds the section table of a well-formed snapshot; it is far
@@ -80,8 +80,6 @@ func sectionName(id uint32) string {
 		return "distance-table"
 	case SecLiveState:
 		return "live-state"
-	case SecTableProvenance:
-		return "table-provenance"
 	default:
 		return fmt.Sprintf("unknown(%d)", id)
 	}
@@ -127,13 +125,6 @@ func Write(w io.Writer, d *Data) error {
 			return dtable.WriteSection(w, d.Table, d.TT.NumStations())
 		}); err != nil {
 			return err
-		}
-		if d.Table.HasProvenance() {
-			if err := add(SecTableProvenance, func(w io.Writer) error {
-				return dtable.WriteProvenanceSection(w, d.Table)
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	created := d.Created
@@ -274,16 +265,6 @@ func Read(r io.Reader) (*Data, error) {
 		t, err := dtable.ReadSection(bytes.NewReader(p), tt.NumStations())
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: distance-table section: %w", err)
-		}
-		if pp, ok := payloads[SecTableProvenance]; ok {
-			err := dtable.ReadProvenanceSection(bytes.NewReader(pp), t, tt.NumStations(), tt.NumTrains(), len(tt.Routes()))
-			switch {
-			case errors.Is(err, dtable.ErrProvenanceIncompatible):
-				// Written by a build with different provenance parameters:
-				// the table still serves, repairs fall back to full rebuilds.
-			case err != nil:
-				return nil, fmt.Errorf("snapshot: table-provenance section: %w", err)
-			}
 		}
 		d.Table = t
 	}

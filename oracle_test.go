@@ -110,18 +110,17 @@ type oracleVariant struct {
 }
 
 // oracleVariants derives the four states from a plain network: no table, a
-// built table, and — after a random delay batch — the repaired table and
-// the table dropped. Variants that share a timetable must answer alike.
+// built table, and — after a random delay batch — the table dropped and the
+// table rebuilt. Variants that share a timetable must answer alike.
 func oracleVariants(t *testing.T, rng *rand.Rand, plain *Network, sel TransferSelection) []oracleVariant {
 	t.Helper()
-	opt := Options{RepairMaxDirty: 1}
-	built, _, err := plain.Preprocess(sel, opt)
+	built, _, err := plain.Preprocess(sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := []oracleVariant{{"no-table", plain}, {"table", built}}
 	for try := 0; try < 8; try++ {
-		dropped, st, err := built.ApplyUpdates(randomOps(rng, built))
+		dropped, _, err := built.ApplyUpdates(randomOps(rng, built))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,14 +130,42 @@ func oracleVariants(t *testing.T, rng *rand.Rand, plain *Network, sel TransferSe
 		if dropped.Preprocessed() {
 			t.Fatal("ApplyUpdates kept the distance table")
 		}
-		repaired, _, err := dropped.Repreprocess(built, st.Touched, sel, opt)
+		rebuilt, _, err := dropped.Preprocess(sel, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(out, oracleVariant{"dropped", dropped}, oracleVariant{"repaired", repaired})
+		return append(out, oracleVariant{"dropped", dropped}, oracleVariant{"rebuilt", rebuilt})
 	}
 	t.Fatal("no delay batch changed the network")
 	return nil
+}
+
+// randomOps draws a small batch of delay/cancellation ops — mostly
+// train-level (the realistic delay-feed shape), occasionally a windowed
+// route-level op, including negative delays.
+func randomOps(rng *rand.Rand, n *Network) []DelayOp {
+	tt := n.Timetable()
+	ops := make([]DelayOp, 0, 4)
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		var op DelayOp
+		if rng.Intn(5) == 0 {
+			op.Routes = []int{rng.Intn(len(tt.Routes()))}
+			op.WindowFrom = Ticks(rng.Intn(1200))
+			op.WindowTo = op.WindowFrom + Ticks(30+rng.Intn(120))
+		} else {
+			op.Train = tt.Trains[rng.Intn(tt.NumTrains())].Name
+		}
+		switch rng.Intn(8) {
+		case 0:
+			op.Cancel = true
+		case 1:
+			op.Delay = -Ticks(1 + rng.Intn(15))
+		default:
+			op.Delay = Ticks(1 + rng.Intn(45))
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // footpathTime is the shortest walk from a to b over footpaths alone.

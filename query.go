@@ -21,15 +21,11 @@ type Options struct {
 	// itineraries (slightly more memory per query).
 	TrackJourneys bool
 	// PreprocessWorkers bounds how many distance-table rows (source
-	// stations) Preprocess/Repreprocess computes concurrently; values < 1
-	// mean 1, the paper's setup, where parallelism lives inside each
-	// one-to-all run (Threads). Workers pull rows from a shared chunked
-	// queue and each reuses one pooled search workspace.
+	// stations) Preprocess computes concurrently; values < 1 mean 1, the
+	// paper's setup, where parallelism lives inside each one-to-all run
+	// (Threads). Workers pull rows from a shared chunked queue and each
+	// reuses one pooled search workspace.
 	PreprocessWorkers int
-	// RepairMaxDirty is the dirty-row fraction above which Repreprocess
-	// falls back to a full rebuild; 0 means RepairMaxDirtyDefault, negative
-	// values always rebuild.
-	RepairMaxDirty float64
 	// Effort, when non-nil, receives the query's search-work counters
 	// (connections scanned, labels settled, priority-queue traffic). The
 	// block is caller-owned and atomic, so one Effort can be shared across
@@ -144,37 +140,22 @@ type QueryStats struct {
 }
 
 // PreprocessStats reports the cost of distance-table preprocessing,
-// matching the Prepro columns of the paper's Table 2, plus the outcome of
-// an incremental Repreprocess.
+// matching the Prepro columns of the paper's Table 2.
 type PreprocessStats struct {
 	TransferStations int
 	Elapsed          time.Duration
 	// TableBytes estimates the stored profiles' footprint (the paper's
-	// table-size figure); ProvenanceBytes the repair provenance recorded
-	// next to them (zero for repaired/derived tables' recomputed rows and
-	// for provenance-less tables).
-	TableBytes      int64
-	ProvenanceBytes int64
-	// Rows is the table's row count; RowsRepaired how many of them were
-	// recomputed (all of them for Preprocess or a repair fallback).
-	Rows         int
+	// table-size figure).
+	TableBytes int64
+	// Rows is the table's row count.
+	Rows int
+	// Deprecated: always Rows. The table is rebuilt after every delay
+	// batch; kept until benchmark/ stops reading it (ROADMAP (f)).
 	RowsRepaired int
-	// DirtyByUsed/DirtyBySeed/DirtyByArc break a repair's recomputed rows
-	// down by the dirty rule that fired: a touched train ridden by a
-	// recorded optimal journey, a touched seed station, or an
-	// improvement-arc hit.
-	DirtyByUsed int
-	DirtyBySeed int
-	DirtyByArc  int
-	// RowsWindowed counts repaired rows recomputed with the interval
-	// profile search over the batch's departure window (and spliced into
-	// the old entries) instead of a full-period one-to-all run.
+	// Deprecated: always 0, see RowsRepaired.
 	RowsWindowed int
-	// FullRebuild reports that every row was recomputed from scratch; after
-	// a Repreprocess this means the result is a fresh repair base. Fallback
-	// carries the reason when a requested repair was not possible.
+	// Deprecated: always true, see RowsRepaired.
 	FullRebuild bool
-	Fallback    string
 }
 
 // EarliestArrival answers a plain time-query: the earliest arrival at dst

@@ -2,8 +2,15 @@ package transit
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"os"
+	"slices"
 	"testing"
 	"time"
+
+	"transit/internal/dtable"
+	"transit/internal/snapshot"
 )
 
 // sampleQueries compares earliest-arrival and profile answers of two
@@ -224,5 +231,105 @@ func TestSnapshotBootFasterThanPreprocessing(t *testing.T) {
 	t.Logf("preprocess: %v, snapshot load: %v (%.0fx)", rebuild, load, float64(rebuild)/float64(load))
 	if load*3 > rebuild {
 		t.Errorf("snapshot load %v not at least 3x faster than preprocessing %v", load, rebuild)
+	}
+}
+
+// snapshotSections splits a snapshot container into its section payloads,
+// in section-table order.
+func snapshotSections(t *testing.T, img []byte) (ids []uint32, payloads map[uint32][]byte) {
+	t.Helper()
+	r := bytes.NewReader(img[len(snapshot.Magic)+4:]) // magic, version
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		t.Fatal(err)
+	}
+	lens := make([]uint64, n)
+	for i := range lens {
+		var id, crc uint32
+		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
+			t.Fatal(err)
+		}
+		if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
+			t.Fatal(err)
+		}
+		if err := binary.Read(r, binary.LittleEndian, &lens[i]); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	payloads = make(map[uint32][]byte, n)
+	for i, id := range ids {
+		p := make([]byte, lens[i])
+		if _, err := io.ReadFull(r, p); err != nil {
+			t.Fatal(err)
+		}
+		payloads[id] = p
+	}
+	return ids, payloads
+}
+
+// TestLoadSnapshotWithRetiredProvenanceSection loads a snapshot written
+// before PR 25, which still carries the table's repair provenance in the
+// now-retired section 5. The fixture was written at commit 00f3f0e by
+//
+//	go run ./cmd/tpgen -family oahu -scale 0.05 -preprocess 0.10 -o testdata/table-provenance.snap
+func TestLoadSnapshotWithRetiredProvenanceSection(t *testing.T) {
+	img, err := os.ReadFile("testdata/table-provenance.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, old := snapshotSections(t, img)
+	if !slices.Equal(ids, []uint32{1, 2, 3, 5, 4}) {
+		t.Fatalf("fixture sections %v, want the parent's 1, 2, 3, 5, 4", ids)
+	}
+	loaded, _, err := LoadSnapshot(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.Preprocessed() {
+		t.Fatal("fixture lost its distance table")
+	}
+
+	// The table section re-serialises byte for byte.
+	var sec bytes.Buffer
+	if err := dtable.WriteSection(&sec, loaded.table, loaded.NumStations()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sec.Bytes(), old[snapshot.SecDistanceTable]) {
+		t.Fatal("distance-table section does not re-serialise byte-identically")
+	}
+
+	// Every row is what a fresh Preprocess of the same timetable builds.
+	fresh, _, err := NewNetwork(loaded.Timetable()).Preprocess(TransferSelection{Fraction: 0.10}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stations := loaded.table.Stations()
+	if !slices.Equal(stations, fresh.table.Stations()) {
+		t.Fatalf("transfer set %v, fresh Preprocess picks %v", stations, fresh.table.Stations())
+	}
+	for _, from := range stations {
+		for _, to := range stations {
+			got, _ := loaded.table.Profile(from, to)
+			want, _ := fresh.table.Profile(from, to)
+			if !slices.Equal(got.Points(), want.Points()) {
+				t.Fatalf("row %d→%d: %v, fresh %v", from, to, got.Points(), want.Points())
+			}
+		}
+	}
+
+	// Written again by this build: sections 1–4 only, 1–3 unchanged.
+	var out bytes.Buffer
+	if err := loaded.WriteSnapshot(&out); err != nil {
+		t.Fatal(err)
+	}
+	ids, cur := snapshotSections(t, out.Bytes())
+	if !slices.Equal(ids, []uint32{1, 2, 3, 4}) {
+		t.Fatalf("rewritten sections %v, want 1–4", ids)
+	}
+	for _, id := range ids[:3] {
+		if !bytes.Equal(cur[id], old[id]) {
+			t.Errorf("section %d changed on rewrite", id)
+		}
 	}
 }

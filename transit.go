@@ -49,7 +49,6 @@
 package transit
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -208,11 +207,9 @@ type TransferSelection struct {
 // Preprocess computes a distance table between transfer stations selected
 // by the given strategy, returning a new Network that shares all base data
 // and answers station-to-station queries with the Section 4 prunings.
-// Preprocessing cost is reported through PreprocessStats.
-//
-// The table is built with repair provenance, so later dynamic updates can
-// be absorbed incrementally with Repreprocess instead of re-running the
-// full preprocessing.
+// Preprocessing cost is reported through PreprocessStats. A dynamic update
+// invalidates the table; serving systems preprocess the updated network
+// again (internal/live does, after every delay batch).
 func (n *Network) Preprocess(sel TransferSelection, opt Options) (*Network, *PreprocessStats, error) {
 	var marked []bool
 	switch {
@@ -227,112 +224,30 @@ func (n *Network) Preprocess(sel TransferSelection, opt Options) (*Network, *Pre
 	default:
 		return nil, nil, fmt.Errorf("transit: invalid transfer selection %+v", sel)
 	}
-	pre, err := core.BuildDistanceTable(n.g, marked, opt.core(), opt.sourceParallelism(), true)
+	pre, err := core.BuildDistanceTable(n.g, marked, opt.core(), opt.sourceParallelism())
 	if err != nil {
 		return nil, nil, err
 	}
 	n2 := *n
 	n2.table = pre.Table
-	return &n2, n.preprocessStats(pre), nil
-}
-
-func (n *Network) preprocessStats(pre *core.PreprocessResult) *PreprocessStats {
-	return &PreprocessStats{
-		TransferStations: pre.Table.NumTransfer(),
+	rows := pre.Table.NumTransfer()
+	return &n2, &PreprocessStats{
+		TransferStations: rows,
 		Elapsed:          pre.Elapsed,
 		TableBytes:       pre.SizeBytes,
-		ProvenanceBytes:  pre.ProvenanceBytes,
-		Rows:             pre.Rows,
-		RowsRepaired:     pre.RowsRepaired,
-		DirtyByUsed:      pre.DirtyByUsed,
-		DirtyBySeed:      pre.DirtyBySeed,
-		DirtyByArc:       pre.DirtyByArc,
-		RowsWindowed:     pre.RowsWindowed,
-		FullRebuild:      pre.FullRebuild,
-		Fallback:         pre.Fallback,
-	}
+		Rows:             rows,
+		RowsRepaired:     rows,
+		FullRebuild:      true,
+	}, nil
 }
 
-// RepairMaxDirtyDefault is the dirty-row fraction above which Repreprocess
-// abandons an incremental repair for a full rebuild (recomputing most rows
-// through the repair path costs the same as a rebuild but would leave the
-// table derived; the rebuild also refreshes provenance).
-const RepairMaxDirtyDefault = 0.30
-
-// Repreprocess recomputes the distance table of this (updated) network
-// incrementally: base is a previously preprocessed network of the same
-// lineage whose table carries repair provenance, and touched is the
-// accumulated TouchedConn set separating base's schedule from n's (one
-// batch's UpdateStats.Touched, or several composed with MergeTouched).
-// Only table rows the updates can affect are recomputed; the repaired
-// table answers every query exactly like a from-scratch Preprocess of n.
+// Repreprocess preprocesses n from scratch; base and touched are ignored.
 //
-// When an incremental repair is not possible — nil or unpreprocessed base,
-// base table without provenance (e.g. loaded from a legacy file), a base
-// that is itself repaired, or a dirty fraction above Options.RepairMaxDirty
-// — Repreprocess transparently falls back to a full rebuild (using sel
-// when the base provides no transfer set) and reports it in the stats.
-// Repaired tables cannot serve as a future repair base (their kept rows'
-// provenance describes the pre-update schedule), so callers keep the last
-// fully built network as base and accumulate touches against it; full
-// rebuilds (FullRebuild in the stats) establish a new base.
+// Deprecated: use n.Preprocess(sel, opt). Kept until benchmark/ stops
+// calling it (ROADMAP (f)).
 func (n *Network) Repreprocess(base *Network, touched []TouchedConn, sel TransferSelection, opt Options) (*Network, *PreprocessStats, error) {
-	if base == nil || base.table == nil {
-		pre, ps, err := n.Preprocess(sel, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		ps.Fallback = "no preprocessed base network"
-		return pre, ps, nil
-	}
-	dt := make([]dtable.TouchedConn, len(touched))
-	for i, tc := range touched {
-		dt[i] = dtable.TouchedConn{
-			Conn:      timetable.ConnID(tc.Conn),
-			Train:     timetable.TrainID(tc.Train),
-			Route:     timetable.RouteID(tc.Route),
-			From:      tc.From,
-			OldDep:    tc.OldDep,
-			NewDep:    tc.NewDep,
-			Cancelled: tc.Cancelled,
-		}
-	}
-	// Tighten the improvement arcs against the base schedule: a moved
-	// departure dominated by a same-edge alternative cannot improve any
-	// journey, which is what keeps small batches from dirtying whole rows
-	// on high-frequency routes.
-	dt = core.RefineTouched(base.g, dt)
-	maxDirty := opt.RepairMaxDirty
-	if maxDirty == 0 {
-		maxDirty = RepairMaxDirtyDefault
-	}
-	pre, err := core.RepairDistanceTable(n.g, base.table, dt, opt.core(), opt.sourceParallelism(), maxDirty)
-	if errors.Is(err, dtable.ErrRepairFallback) {
-		// Full rebuild under the *configured* selection — also the moment a
-		// changed selection (e.g. a new -preprocess flag after a restart
-		// from a snapshot) takes effect.
-		reason := err.Error()
-		full, ps, err := n.Preprocess(sel, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		ps.Fallback = reason
-		return full, ps, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	n2 := *n
-	n2.table = pre.Table
-	return &n2, n.preprocessStats(pre), nil
+	return n.Preprocess(sel, opt)
 }
 
 // Preprocessed reports whether this Network carries a distance table.
 func (n *Network) Preprocessed() bool { return n.table != nil }
-
-// TableRepairable reports whether the network's distance table can serve as
-// the base of an incremental Repreprocess: it must carry repair provenance
-// and not itself be the product of a repair.
-func (n *Network) TableRepairable() bool {
-	return n.table != nil && n.table.HasProvenance()
-}
