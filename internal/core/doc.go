@@ -35,39 +35,65 @@
 // of being swept. Generations wrap around once every 2^31 queries, at which
 // point (and only then) one real sweep runs.
 //
+// The one-to-all label row (see below) is stamped per connection, not per
+// query, from a counter of its own in each workerSpace. It advances k times
+// per query, so it reaches the same 2^31 limit after 2^31/k queries (about
+// 3.2 M at k = 672); a query that would cross it sweeps the row first and
+// starts the counter over, before it draws its first stamp.
+//
 // # Queue and label layout
 //
-// The two connection-setting profile loops (spcsWorker.run for one-to-all,
-// journeys and distance-table rows; s2sWorker.run for station-to-station
-// profiles and earliest arrivals) share one design, and the time-query is
-// its one-connection form with a label per node. The queue is
-// pq.RadixHeap, a monotone bucket queue without a position index or
-// decrease-key. Each (node, connection) pair
-// has one 8-byte record {best key pushed, stamp}, stamp = gen<<1 while
-// tentative and gen<<1|1 once settled, stored connection-major (row i holds
-// connection i's records in node order, so a train ride walks consecutive
-// records). Relaxing an edge compares against the record; an improvement
-// overwrites it and pushes a second queue entry, and the superseded entry
-// stays queued until it surfaces and is dropped (lazy deletion).
+// All searches run on pq.RadixHeap, a monotone bucket queue without a
+// position index or decrease-key, over 8-byte label records {best key
+// pushed, stamp}. Relaxing an edge compares against the head's record; an
+// improvement overwrites it and pushes a second queue entry, and the
+// superseded entry stays queued until it surfaces and is dropped (lazy
+// deletion). Parent links are written exactly when a record improves, so
+// the last link written belongs to the final key.
+//
+// One-to-all (spcsWorker.run: one-to-all profiles, journeys and
+// distance-table rows) searches its connections one at a time, latest
+// departure first, each with its own queue over one numNodes-sized row of
+// records. Before connection i starts, the row holds, at every node v the
+// worker has reached, best(v) = min over j > i of arr(v, j): the search of
+// connection j leaves its settled keys in the row, and a later search only
+// ever lowers them. Connection i refuses a seed or a push whose key is at
+// least best(head) — Theorem 1's self-pruning, with the later connection's
+// label complete before the earlier one asks, so a dominated label never
+// enters the queue. What the global-queue formulation of Section 3 prunes
+// when a pair surfaces is exactly that: it settles (v, j) before (v, i)
+// whenever arr(v, j) < arr(v, i). Only ties differ (a tie is now always
+// refused), and a tied label is dominated, so the reduced profiles are
+// identical. The record of a node stamped by connection i itself is i's
+// tentative label; an entry whose key is no longer the record's is
+// superseded, and since no push ties or undercuts a settled key, the entry
+// that carries the record's key surfaces once and settles it. The search
+// keeps numNodes records per worker, whatever k is, where one queue over
+// all connections needed numNodes × k.
+//
+// Station-to-station (s2sWorker.run: profiles and earliest arrivals) keeps
+// the single queue over all of its connections, because its stopping
+// criterion and table prunings (Theorems 2–4) compare connections as they
+// surface. Each (node, connection) pair has its own record, stamp = gen<<1
+// while tentative and gen<<1|1 once settled, stored connection-major (row i
+// holds connection i's records in node order, so a train ride walks
+// consecutive records), and self-pruning compares against maxconn(v) when a
+// pair surfaces. The time-query is the one-connection form, with one record
+// per node.
 //
 // The monotonicity invariant that makes this exact: keys are arrival times,
 // every edge weight is ≥ 0 (board T(S) ≥ 0, alight 0, walk ≥ 0, ride = wait
-// + duration ≥ 0), and all seeds are pushed before the first pop — so no
-// push is ever below the last popped key, and entries surface in
-// non-decreasing key order (pq.RadixHeap panics under `go test` if a caller
-// breaks this). Hence the first entry of a pair to surface carries the
-// pair's smallest key, which is the record's key and final by the
-// label-setting property; it flips the stamp to settled, and every later
-// entry of the pair is recognised by that stamp and discarded before any
-// pruning rule or work counter sees it. Parent links are written exactly
-// when a record improves, so the last link written belongs to the final
-// key. Only the order among equal keys differs from an addressable heap:
-// self-pruning may then keep a different one of two tied labels, and the
-// reduced profiles are identical either way. That order is nevertheless
-// fixed: two entries with equal keys surface in the reverse of the order
-// they were pushed in, whatever else the queue holds — which is why a search
-// over fewer connections (JourneySearch) settles the labels it shares with
-// the whole-period search in the same order and records the same parents.
+// + duration ≥ 0), and every seed is pushed before the first pop of its
+// queue — so no push is ever below the last popped key, and entries surface
+// in non-decreasing key order (pq.RadixHeap panics under `go test` if a
+// caller breaks this). Hence the first entry of a pair to surface carries
+// the pair's smallest key, which is the record's key and final by the
+// label-setting property, and every later entry of the pair is recognised
+// and discarded before any pruning rule or work counter sees it. Two
+// entries with equal keys surface in the reverse of the order they were
+// pushed in, whatever else the queue holds — which is why a search over
+// fewer connections (JourneySearch) settles the labels it shares with the
+// whole-period search in the same order and records the same parents.
 //
 // The Pareto search and the label-correcting baseline keep the addressable
 // binary pq.Heap (the last one re-inserts nodes below the last popped key).

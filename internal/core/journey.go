@@ -27,23 +27,33 @@ var ErrUnreachable = errors.New("core: target unreachable")
 // leave at or after τ and arrive at a* − π), so the wanted connection c
 // leaves in [τ, min(a*, τ + π)): today when a* < π, and otherwise tomorrow
 // exactly if dist(S, T, π) is still a* — one more point query. Its time
-// point is then in [τ, min(a*, π−1)] or in [0, min(a*−π, τ−1)], and one
-// search over the seed connections in that window, keeping no label after
-// a* (oneToAll), contains it. Of the labels at T within the bound all arrive
-// at a*, so connection reduction keeps the latest one, c, and the extraction
-// picks it whatever the requested time.
+// point (its effective departure wrapped into the period, which for a walk
+// into a train just after midnight is late in the evening) is then in
+// [τ, min(a*, π−1)] or in [0, min(a*−π, τ−1)], and one search over the seed
+// connections in that window, keeping no label after a* (oneToAll),
+// contains it. Of the labels at T within the bound all arrive at a*, so
+// connection reduction keeps the latest one, c, and the extraction picks it
+// whatever the requested time.
 //
-// The itinerary is the whole-period one, not merely as good: a label that
-// the whole-period search self-prunes, or one beyond the bound, is on no
-// itinerary that brings c to T at a* — the connection that pruned it leaves
-// later and reaches whatever lies behind it no later, so it would be at T by
-// a* too and c would not be the latest such departure. The labels on c's
-// best itineraries therefore carry the same keys in both searches; which of
-// two equally good parents a label keeps depends on the order its
-// predecessors settled in, and equal keys surface in the reverse of their
-// push order whatever else is queued (pq.RadixHeap), so that is the same as
-// well. (With Threads > 1 the two searches partition conn(S) differently,
-// and of two connections that leave and arrive together either may be kept.)
+// The itinerary is the whole-period one, not merely as good. Both searches
+// search c by itself from the same seed, after every connection that leaves
+// later, and refuse a label of c whose key is no better than the bound at
+// its node: the earliest arrival there of any later connection of the
+// search (spcs.go). Induction from the latest connection down shows that
+// every label at or below a* is created with the same key in both, except
+// where a connection one search has and the other lacks sets the bound. Such
+// a connection that refused a label on an itinerary bringing c to T at a*,
+// or one of that label's equally good parents, reaches it no later than c,
+// hence T by a* too: it leaves later than c, and c would not be the latest
+// such departure (or a* not the earliest arrival). A label beyond the bound
+// refuses nothing at or below it. The labels on c's best itineraries and
+// their equally good parents are therefore created in both searches with
+// the same keys; which parent a label keeps depends on the order its
+// predecessors settled in c's own queue, and equal keys surface in the
+// reverse of their push order whatever else is queued (pq.RadixHeap), so
+// that is the same as well. (With Threads > 1 the two searches partition
+// conn(S) differently, and of two connections that leave and arrive together
+// either may be kept.)
 //
 // Where walking alone beats every train (and for S = T) the point query is
 // lower than any train arrival and the bounded search finds nothing at T;

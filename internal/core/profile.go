@@ -70,7 +70,10 @@ func (ws *Workspace) newProfileResult(g *graph.Graph, source timetable.StationID
 // newProfileResultWindow restricts the seed list to effective departures in
 // [from, to] — the interval profile search of Dean [5] referenced in the
 // paper's related work ("all quickest connections in a given time
-// interval"). The full-period search passes [0, ∞).
+// interval"). The full-period search passes [0, ∞). A departure is a time
+// point of the period: a walk into a train just after midnight has a
+// negative effective departure, and it is in the window when its wrapped
+// time point is.
 func (ws *Workspace) newProfileResultWindow(g *graph.Graph, source timetable.StationID, opts Options, from, to timeutil.Ticks) *ProfileResult {
 	gen := ws.begin()
 	tt := g.TT
@@ -84,7 +87,7 @@ func (ws *Workspace) newProfileResultWindow(g *graph.Graph, source timetable.Sta
 		fc := ws.conns[:0]
 		fd := deps[:0] // deps is always workspace memory
 		for i, d := range deps {
-			if d >= from && d <= to {
+			if w := tt.Period.Wrap(d); w >= from && w <= to {
 				fc = append(fc, ws.conns[i])
 				fd = append(fd, d)
 			}
@@ -121,7 +124,7 @@ func (r *ProfileResult) K() int { return len(r.Conns) }
 // and the arrivals at station nodes. Station nodes are the first
 // NumStations rows of the label store, so that is one prefix of
 // numStations × k arrivals, materialized through the stamps (4 bytes per
-// station label instead of the workspace's 16–28 per node label). Parent
+// station label instead of the workspace's 8–20 per node label). Parent
 // links chain through route nodes, so they are copied in full, but only
 // when the search tracked them.
 //

@@ -386,7 +386,8 @@ type s2sQuery struct {
 // are partitioned across workers. The worker's label memory lives in its
 // workerSpace: the fused label records and maxconn are generation-stamped
 // (O(1) reset), while the O(k)-sized pruning arrays are refilled eagerly.
-// Queue and label layout are those of spcsWorker (package comment, "Queue
+// Unlike spcsWorker it keeps one queue over all of its connections, since
+// Theorems 2–4 compare connections as they surface (package comment, "Queue
 // and label layout").
 type s2sWorker struct {
 	q        *s2sQuery
@@ -499,7 +500,11 @@ func (w *s2sWorker) run() {
 	heap := &w.ws.radix
 	heap.Reset()
 	stations := g.TT.Stations
-	// Items are laid out as in spcsWorker.run: iLocal*numNodes + node.
+	// Items encode (node, local connection index) as iLocal*numNodes + node,
+	// so one connection's records are one contiguous row in node order:
+	// riding a train walks consecutive route nodes, hence consecutive
+	// records. 32-bit unsigned division takes them apart: items are
+	// non-negative int32.
 	numNodes := g.NumNodes()
 
 	point := q.depart >= 0

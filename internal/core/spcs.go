@@ -13,14 +13,15 @@ import (
 
 // spcsWorker runs the self-pruning connection-setting search for the
 // contiguous global connection range [lo, hi) of conn(S) (Section 3.1). It
-// borrows its priority queue and its label records from a per-thread
+// borrows its priority queue and its label row from a per-thread
 // workerSpace; the arrival (and parent) arrays of the shared ProfileResult
 // are written only at global indexes in [lo, hi), so concurrent workers
 // never touch the same label.
 //
-// The queue is a monotone radix heap with lazy deletion over fused label
-// records; the package comment ("Queue and label layout") states the
-// invariant and why that is exact.
+// The connections are searched one at a time, latest departure first, each
+// by its own label-setting search over one numNodes-sized label row; the
+// package comment ("Queue and label layout") states why that settles the
+// same labels as one queue over all of them.
 type spcsWorker struct {
 	g    *graph.Graph
 	res  *ProfileResult
@@ -28,7 +29,6 @@ type spcsWorker struct {
 	lo   int
 	hi   int
 	ws   *workerSpace
-	gen  uint32
 	// limit is one past the largest key the search keeps: Infinity, or lower
 	// when the caller needs nothing that arrives later (oneToAll).
 	limit timeutil.Ticks
@@ -39,117 +39,109 @@ type spcsWorker struct {
 	cancelled bool
 }
 
-// run executes the worker. Queue items encode (node, local connection
-// index) as (i-lo)*numNodes + node; keys are absolute arrival times. The
-// label records are indexed by item, so one connection's labels are one
-// contiguous row in node order: riding a train walks consecutive route
-// nodes, hence consecutive records, and the stations a connection alights
-// at share the row's first numStations records — where the node-major
-// layout put every one of those on its own cache line.
+// run executes the worker: for i = hi-1 down to lo, one radix-queue search
+// from connection c_i's departure node. The row record of node v holds the
+// best key any connection of this query has given v so far, stamped with the
+// connection that gave it (stamps count up from floor, one per connection).
+// When connection i starts, every record stamped by this query therefore
+// holds best(v) = min over j > i of arr(v, j), and a seed or push whose key
+// is ≥ best(head) is refused: Theorem 1's self-pruning, decided before the
+// label is queued instead of when it surfaces. Within connection i's search
+// the record is its tentative label (stamp cur), an entry whose key is no
+// longer the record's key is superseded, and because no push ties or
+// undercuts a settled key, the record is final when its entry surfaces.
 func (w *spcsWorker) run() {
 	g, res := w.g, w.res
-	kLocal := w.hi - w.lo
-	if kLocal == 0 {
+	if w.hi == w.lo {
 		return
 	}
-	numNodes := g.NumNodes()
-	gen := w.gen
-	tentative, settled := gen<<1, gen<<1|1
-	heap := &w.ws.radix
-	heap.Reset()
-	// labels and maxconn are generation-stamped: a pair is untouched (and
-	// maxconn(v) = -1, unvisited) unless its stamp belongs to this query's
-	// generation, so no O(n·k) clearing sweep runs between queries.
-	labels := growLabels(w.ws.labels, numNodes*kLocal)
-	w.ws.labels = labels
-	maxconn := growI32(w.ws.maxconn, numNodes)
-	w.ws.maxconn = maxconn
-	maxconnGen := growU32(w.ws.maxconnGen, numNodes)
-	w.ws.maxconnGen = maxconnGen
-
-	// Initialization: seed (r, i) with key τ_dep(c_i) at the route node r
-	// where connection c_i departs. Keys are the *real* departure time
-	// points (arrival times at the departure platform); res.Deps holds the
-	// effective departures from the source, which differ for walk-seeded
-	// connections. Seeds are distinct pairs, so each is a plain insert.
-	for i := w.lo; i < w.hi; i++ {
-		id := res.Conns[i]
-		it := (i-w.lo)*numNodes + int(g.ConnDepartureNode(id))
-		dep := g.TT.Connections[id].Dep
-		if dep >= w.limit {
-			continue // a walk-seeded connection that leaves after the bound
-		}
-		labels[it] = label{key: dep, stamp: tentative}
-		heap.Push(int32(it), dep)
-		w.counters.QueuePushes++
+	ws := w.ws
+	row := growLabels(ws.row, g.NumNodes())
+	ws.row = row
+	// The stamps of one query are floor, floor+1, …, one per connection;
+	// anything below floor is an earlier query's and reads as "no bound".
+	// Room for the whole range is made before the first one is drawn, so the
+	// wipe never discards a bound this query has set.
+	if ws.rowGen > maxGen-uint32(w.hi-w.lo) {
+		clear(row[:cap(row)])
+		ws.rowGen = 0
 	}
-
+	floor := ws.rowGen + 1
+	heap := &ws.radix
+	k := len(res.Conns)
 	done := w.opts.Done
 	hasParents := res.hasParents
-	un := uint32(numNodes)
-	for !heap.Empty() {
-		it, key := heap.PopMin()
-		if labels[it].stamp == settled {
-			continue // stale entry of a pair that surfaced with a better key
-		}
-		labels[it].stamp = settled
-		w.counters.QueuePops++
-		if done != nil && w.counters.QueuePops&cancelMask == 0 {
-			w.counters.CancelPolls++
-			if cancelled(done) {
-				w.cancelled = true
-				return
-			}
-		}
-		// 32-bit unsigned division: items are non-negative int32.
-		iLocal := int(uint32(it) / un)
-		row := iLocal * numNodes
-		v := graph.NodeID(int(it) - row)
-		i := w.lo + iLocal
+	limit := w.limit
 
-		// Self-pruning: v was settled earlier by a later connection j > i
-		// with arr(v, j) ≤ arr(v, i); connection i does not pay off here.
-		mc := int32(-1)
-		if maxconnGen[v] == gen {
-			mc = maxconn[v]
+	for i := w.hi - 1; i >= w.lo; i-- {
+		ws.rowGen++
+		cur := ws.rowGen
+		if w.opts.DisableSelfPruning {
+			floor = cur // later connections bound nothing
 		}
-		if !w.opts.DisableSelfPruning && int32(i) <= mc {
+		// Seed (r, i) with key τ_dep(c_i) at the route node r where c_i
+		// departs. Keys are the *real* departure time points; res.Deps holds
+		// the effective departures from the source, which differ for
+		// walk-seeded connections.
+		id := res.Conns[i]
+		r := g.ConnDepartureNode(id)
+		dep := g.TT.Connections[id].Dep
+		if dep >= limit {
+			continue // a walk-seeded connection that leaves after the bound
+		}
+		if l := row[r]; l.stamp >= floor && dep >= l.key {
 			w.counters.PrunedConns++
-			continue // arr stays Infinity: connection i does not 'reach' v
+			continue // a later connection is at r by then: c_i pays off nowhere
 		}
-		if int32(i) > mc {
-			maxconn[v] = int32(i)
-			maxconnGen[v] = gen
-		}
-		res.setArr(res.label(v, i), key)
-		w.counters.SettledConns++
+		row[r] = label{key: dep, stamp: cur}
+		heap.Reset()
+		heap.Push(int32(r), dep)
+		w.counters.QueuePushes++
 
-		// Relax all outgoing edges of (v, i) at arrival time key.
-		edges := g.OutEdges(v)
-		for e := range edges {
-			edge := &edges[e]
-			// EvalEdge by hand: the call is too big to inline and most
-			// edges are constant-weight.
-			arrTent, ride := key+edge.W, timetable.ConnID(-1)
-			if edge.Kind == graph.Ride {
-				arrTent, ride = g.EvalRide(edge, key)
+		for !heap.Empty() {
+			it, key := heap.PopMin()
+			if row[it].key != key {
+				continue // superseded by a better push of the same node
 			}
-			w.counters.Relaxed++
-			// Infinity included. Read through w, not hoisted: the loop is
-			// out of registers and a local cost 2 % on the dense workload.
-			if arrTent >= w.limit {
-				continue
+			w.counters.QueuePops++
+			if done != nil && w.counters.QueuePops&cancelMask == 0 {
+				w.counters.CancelPolls++
+				if cancelled(done) {
+					w.cancelled = true
+					return
+				}
 			}
-			hi := row + int(edge.Head)
-			l := &labels[hi]
-			if l.stamp == settled || (l.stamp == tentative && arrTent >= l.key) {
-				continue // connection-setting: (head, i) final, or no better
-			}
-			*l = label{key: arrTent, stamp: tentative}
-			heap.Push(int32(hi), arrTent)
-			w.counters.QueuePushes++
-			if hasParents {
-				res.setParent(res.label(edge.Head, i), v, ride)
+			v := graph.NodeID(it)
+			res.setArr(int(v)*k+i, key)
+			w.counters.SettledConns++
+
+			// Relax all outgoing edges of (v, i) at arrival time key.
+			edges := g.OutEdges(v)
+			for e := range edges {
+				edge := &edges[e]
+				// EvalEdge by hand: the call is too big to inline and most
+				// edges are constant-weight.
+				arrTent, ride := key+edge.W, timetable.ConnID(-1)
+				if edge.Kind == graph.Ride {
+					arrTent, ride = g.EvalRide(edge, key)
+				}
+				w.counters.Relaxed++
+				if arrTent >= limit {
+					continue // Infinity included
+				}
+				l := &row[edge.Head]
+				if l.stamp >= floor && arrTent >= l.key {
+					if l.stamp != cur {
+						w.counters.PrunedConns++ // self-pruning (Theorem 1)
+					}
+					continue // connection-setting: (head, i) no better
+				}
+				*l = label{key: arrTent, stamp: cur}
+				heap.Push(int32(edge.Head), arrTent)
+				w.counters.QueuePushes++
+				if hasParents {
+					res.setParent(int(edge.Head)*k+i, v, ride)
+				}
 			}
 		}
 	}
@@ -225,7 +217,7 @@ func (ws *Workspace) oneToAll(g *graph.Graph, source timetable.StationID, from, 
 		workers[t] = spcsWorker{
 			g: g, res: res, opts: opts,
 			lo: bounds[t], hi: bounds[t+1],
-			ws: ws.worker(t), gen: res.gen,
+			ws:    ws.worker(t),
 			limit: timeutil.Min(until, timeutil.Infinity-1) + 1,
 		}
 	}

@@ -119,7 +119,13 @@ type workerSpace struct {
 	radix  pq.RadixHeap
 	binary *pq.Heap
 
-	labels     []label // kLocal × numNodes, row per connection (time-query: one row)
+	// row is spcsWorker's one numNodes-sized label row, stamped per
+	// connection from rowGen, a counter of its own: it advances k times per
+	// query, so it wraps 2^31/k times sooner than the workspace generation.
+	row    []label
+	rowGen uint32
+
+	labels     []label // station-to-station: kLocal × numNodes, row per connection (time-query: one row)
 	maxconn    []int32 // numNodes; valid when maxconnGen matches
 	maxconnGen []uint32
 
@@ -237,10 +243,13 @@ func growU32(s []uint32, n int) []uint32 {
 }
 
 // growLabels returns a label slice of length n; like growU32, entries from
-// earlier generations read as untouched.
+// earlier generations read as untouched. Unlike the label store it at least
+// doubles when it grows: station-to-station queries size it by
+// numNodes × kLocal, and creeping up one busier source at a time would leave
+// a trail of dead arrays behind.
 func growLabels(s []label, n int) []label {
 	if cap(s) < n {
-		return make([]label, n)
+		return make([]label, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -252,9 +261,11 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
+// growBool grows geometrically, like growLabels, for the ancestor flags
+// that are indexed like the station-to-station labels.
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]bool, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

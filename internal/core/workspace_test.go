@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -337,66 +338,150 @@ func TestFreeListBounded(t *testing.T) {
 	}
 }
 
-// When the generation counter reaches the fused stamps' limit, begin must
-// wipe the label records (and every other stamp array): generation 1 comes
-// round again, and a record left over from the first generation 1 would
-// read as settled.
+// Both stamp counters wrap, and each wrap must wipe what it stamps.
+//
+// The workspace generation reaches the fused stamps' limit and begin wipes
+// the station-to-station label records (and every other stamp array):
+// generation 1 comes round again, and a record left over from the first
+// generation 1 would read as settled.
+//
+// The one-to-all row counter advances once per connection, so it reaches
+// the same limit k times sooner. A query that would cross it wipes the row
+// and starts over at 1 — the stamps of the query just before, which ran right
+// up to the limit, would otherwise read as bounds of later connections and
+// prune labels a fresh workspace keeps.
 func TestGenerationWrapWipesLabels(t *testing.T) {
 	g := workspaceNet(t)
 	env := QueryEnv{Graph: g}
 	src, dst := timetable.StationID(2), timetable.StationID(9)
-	want, err := OneToAll(g, src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantS2S, err := StationToStation(env, src, dst, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ws := NewWorkspace()
-	// Generation 1: leave settled records behind, in an array big enough for
-	// the query below to reuse (same source, same k).
-	if _, err := ws.OneToAll(g, src, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if ws.gen != 1 {
-		t.Fatalf("first query ran under generation %d", ws.gen)
-	}
-	stale := 0
-	for _, l := range ws.workers[0].labels {
-		if l.stamp == 1<<1|1 {
-			stale++
-		}
-	}
-	if stale == 0 {
-		t.Fatal("generation 1 left no settled label records")
-	}
-
-	ws.gen = maxGen - 1 // the next begin() wraps
-	got, err := ws.OneToAll(g, src, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.gen != 1 {
-		t.Fatalf("generation after the wrap is %d, want 1", ws.gen)
-	}
-	for s := 0; s < g.TT.NumStations(); s++ {
-		st := timetable.StationID(s)
-		for i := 0; i < want.K(); i++ {
-			if a, b := got.StationArrival(st, i), want.StationArrival(st, i); a != b {
-				t.Fatalf("after the wrap arr(%d, %d) = %d, fresh workspace says %d", s, i, a, b)
+	sameArrivals := func(t *testing.T, what string, got, want *ProfileResult) {
+		t.Helper()
+		for s := 0; s < g.TT.NumStations(); s++ {
+			st := timetable.StationID(s)
+			for i := 0; i < want.K(); i++ {
+				if a, b := got.StationArrival(st, i), want.StationArrival(st, i); a != b {
+					t.Fatalf("%s: arr(%d, %d) = %d, fresh workspace says %d", what, s, i, a, b)
+				}
 			}
 		}
 	}
-	// Generation 2 on the wiped arrays, through the other profile loop.
-	gotS2S, err := ws.StationToStation(env, src, dst, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
+
+	t.Run("generation", func(t *testing.T) {
+		want, err := OneToAll(g, src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantS2S, err := StationToStation(env, src, dst, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWorkspace()
+		// Generation 1: leave settled records behind, in an array big enough
+		// for the query below to reuse (same source, same k).
+		if _, err := ws.StationToStation(env, src, dst, QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if ws.gen != 1 {
+			t.Fatalf("first query ran under generation %d", ws.gen)
+		}
+		stale := 0
+		for _, l := range ws.workers[0].labels {
+			if l.stamp == 1<<1|1 {
+				stale++
+			}
+		}
+		if stale == 0 {
+			t.Fatal("generation 1 left no settled label records")
+		}
+
+		ws.gen = maxGen - 1 // the next begin() wraps
+		gotS2S, err := ws.StationToStation(env, src, dst, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws.gen != 1 {
+			t.Fatalf("generation after the wrap is %d, want 1", ws.gen)
+		}
+		for i, a := range wantS2S.ArrT {
+			if gotS2S.ArrT[i] != a {
+				t.Fatalf("after the wrap ArrT[%d] = %d, fresh workspace says %d", i, gotS2S.ArrT[i], a)
+			}
+		}
+		// Generation 2 on the wiped arrays, through the other profile loop.
+		got, err := ws.OneToAll(g, src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameArrivals(t, "after the wrap", got, want)
+	})
+
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("row/threads=%d", threads), func(t *testing.T) {
+			opts := Options{Threads: threads}
+			want, err := OneToAll(g, src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := NewWorkspace()
+			if _, err := ws.OneToAll(g, src, opts); err != nil {
+				t.Fatal(err)
+			}
+			bounds := append([]int(nil), ws.bounds...)
+			if len(bounds) != threads+1 {
+				t.Fatalf("partition %v for %d threads", bounds, threads)
+			}
+			// The last query that fits: its stamps end exactly at the limit.
+			for w := 0; w < threads; w++ {
+				ws.workers[w].rowGen = maxGen - uint32(bounds[w+1]-bounds[w])
+			}
+			got, err := ws.OneToAll(g, src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArrivals(t, "up to the limit", got, want)
+			// The next one wraps, over records stamped up to the limit.
+			got, err = ws.OneToAll(g, src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArrivals(t, "after the wrap", got, want)
+			for w := 0; w < threads; w++ {
+				if k, gen := bounds[w+1]-bounds[w], ws.workers[w].rowGen; gen != uint32(k) {
+					t.Fatalf("worker %d: row counter %d after the wrap, want %d (one per connection)", w, gen, k)
+				}
+			}
+		})
 	}
-	for i, a := range wantS2S.ArrT {
-		if gotS2S.ArrT[i] != a {
-			t.Fatalf("after the wrap ArrT[%d] = %d, fresh workspace says %d", i, gotS2S.ArrT[i], a)
+}
+
+// A one-to-all search keeps one label row per worker, not one per
+// connection: whatever k, the search labels it leaves behind are at most
+// numNodes records per worker.
+func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
+	g := workspaceNet(t)
+	busiest, k := timetable.StationID(0), 0
+	for s := 0; s < g.NumStations(); s++ {
+		if n := len(g.TT.Outgoing(timetable.StationID(s))); n > k {
+			busiest, k = timetable.StationID(s), n
+		}
+	}
+	if k < 16 {
+		t.Fatalf("busiest source has %d connections: network too thin", k)
+	}
+	for _, threads := range []int{1, 2} {
+		ws := NewWorkspace()
+		res, err := ws.OneToAll(g, busiest, Options{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Run.Total.SettledConns == 0 {
+			t.Fatal("the search settled nothing")
+		}
+		for w, wsw := range ws.workers {
+			if n := cap(wsw.row) + cap(wsw.labels); n > g.NumNodes() {
+				t.Fatalf("threads=%d worker %d: %d label records after a one-to-all with k = %d; one row is %d",
+					threads, w, n, k, g.NumNodes())
+			}
 		}
 	}
 }

@@ -64,9 +64,11 @@ func oracleRandomNetwork(t *testing.T, rng *rand.Rand, footpaths bool) *Network 
 // C→D joined only by the footpath B↔C) extended by the shapes the point
 // kinds special-case: S→W, an initial walk to better service; X→D, where a
 // walk (3) leaves a transfer station the table knows only by its train
-// departures; and P→Q, where for most of the day walking (30) beats waiting
+// departures; P→Q, where for most of the day walking (30) beats waiting
 // for the one train, so the journey's itinerary arrives after the point
-// query's answer.
+// query's answer; and O→E, a walk (10) into the only train, which leaves R
+// at 00:03, so its effective departure from O is −9 and a traveller leaving
+// O late in the evening rides it the next day.
 func oracleFootpathFixture(t *testing.T) *Network {
 	t.Helper()
 	tb := NewTimetableBuilder(0)
@@ -74,6 +76,7 @@ func oracleFootpathFixture(t *testing.T) *Network {
 	c, d := tb.AddStation("C", 2), tb.AddStation("D", 2)
 	s, w, x := tb.AddStation("S", 2), tb.AddStation("W", 2), tb.AddStation("X", 2)
 	p, q := tb.AddStation("P", 2), tb.AddStation("Q", 2)
+	o, r, e := tb.AddStation("O", 2), tb.AddStation("R", 2), tb.AddStation("E", 2)
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -91,11 +94,13 @@ func oracleFootpathFixture(t *testing.T) *Network {
 	must(tb.AddTrain("crawl", []StationID{s, w}, 700, []Ticks{40}, 0))
 	must(tb.AddTrain("hop", []StationID{p, q}, 700, []Ticks{5}, 0))
 	must(tb.AddTrain("back", []StationID{q, a, p}, 800, []Ticks{50, 50}, 1))
+	must(tb.AddTrain("owl", []StationID{r, e}, 3, []Ticks{20}, 0))
 	tb.AddFootpath(b, c, 5)
 	tb.AddFootpath(c, b, 5)
 	tb.AddFootpath(s, w, 7)
 	tb.AddFootpath(x, d, 3)
 	tb.AddFootpath(p, q, 30)
+	tb.AddFootpath(o, r, 10)
 	n, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +260,7 @@ type oracleTally struct {
 
 // checkPointKinds compares Plan's earliest-arrival and journey answers on
 // every variant with their whole-graph references, for the given sources,
-// all targets and the given departure times.
+// all targets and the given departure times, at Threads 1, 2 and 4.
 func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sources []StationID, targets []StationID, deps []Ticks, tally *oracleTally) {
 	t.Helper()
 	ctx := context.Background()
@@ -286,93 +291,110 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 					t.Fatal(err)
 				}
 				for _, dst := range targets {
-					where := fmt.Sprintf("%s/%s: %d→%d @%d", label, v.name, src, dst, dep)
-					res, err := n.Plan(ctx, Request{Kind: KindEarliestArrival, From: src, To: dst, Depart: dep})
-					if err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
-					got, want := res.arrival, tq.StationArrival(dst)
-					if got != want {
-						t.Fatalf("%s: Plan arrival %d, time-query %d (stats %+v)", where, got, want, res.stats)
-					}
-					if scan := cs.StationArrival(dst); scan != want && !(scan.IsInf() && want.IsInf()) {
-						t.Fatalf("%s: Plan arrival %d, connection scan %d", where, got, scan)
-					}
-					tally.arrivals++
-					switch {
-					case src == dst:
-						tally.sameStation++
-					case want.IsInf():
-						tally.unreachable++
-					case res.stats.TableHit:
-						tally.tableHits++
-					case res.stats.Local:
-						tally.local++
-					case n.table != nil:
-						tally.pruned++
-					}
-
 					wantJ, wantErr := ref.Journey(dst, dep)
-					var effort SearchEffort
-					jres, err := n.Plan(ctx, Request{Kind: KindJourney, From: src, To: dst, Depart: dep, Options: Options{Effort: &effort}})
-					if (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s: Plan journey error %v, whole-period search %v", where, err, wantErr)
-					}
-					key := sample{n.tt, src, dst, dep}
-					if err != nil {
-						if ErrorCodeOf(err) != CodeUnreachable || err.Error() != "transit: "+strings.TrimPrefix(wantErr.Error(), "transit: ") {
-							t.Fatalf("%s: Plan journey error %q, whole-period search %q", where, err, wantErr)
+					// With Threads > 1 the window search and the whole-period
+					// search partition conn(S) differently, and of two
+					// connections that leave and arrive together either may
+					// be named (JourneySearch): there the itinerary must be
+					// as good, not the same.
+					for _, threads := range []int{1, 2, 4} {
+						where := fmt.Sprintf("%s/%s/p%d: %d→%d @%d", label, v.name, threads, src, dst, dep)
+						res, err := n.Plan(ctx, Request{Kind: KindEarliestArrival, From: src, To: dst, Depart: dep, Options: Options{Threads: threads}})
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
 						}
-						if prev, ok := journeys[key]; ok && prev != err.Error() {
-							t.Fatalf("%s: error %q here, %q with the table state flipped", where, err, prev)
+						got, want := res.arrival, tq.StationArrival(dst)
+						if got != want {
+							t.Fatalf("%s: Plan arrival %d, time-query %d (stats %+v)", where, got, want, res.stats)
 						}
-						journeys[key] = err.Error()
-						continue
-					}
-					j := jres.journey
-					if j.String() != wantJ.String() || j.RequestedDeparture != dep || fmt.Sprint(j.Legs) != fmt.Sprint(wantJ.Legs) {
-						t.Fatalf("%s: Plan journey %q, whole-period search %q", where, j, wantJ)
-					}
-					if prev, ok := journeys[key]; ok && prev != j.String() {
-						t.Fatalf("%s: journey %q here, %q with the table state flipped", where, j, prev)
-					}
-					journeys[key] = j.String()
-					// The itinerary is the earliest arrival by train; the
-					// point query may beat it on foot alone, never lose.
-					fn, err := ref.res.StationProfile(dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					byTrain := fn.EvalArrival(dep)
-					if want < byTrain {
-						tally.walkWins++
-					} else if want != byTrain {
-						t.Fatalf("%s: earliest arrival %d is later than the best train arrival %d", where, want, byTrain)
-					}
-					// The phases behind it: a point query, a second one at
-					// the next day start only when the trip runs past
-					// midnight, one bounded window search — and the
-					// whole-period search only where walking alone wins.
-					if src != dst {
-						rounds := int64(2)
-						if want-dep/n.Period()*n.Period() >= n.Period() {
-							rounds++
+						if scan := cs.StationArrival(dst); scan != want && !(scan.IsInf() && want.IsInf()) {
+							t.Fatalf("%s: Plan arrival %d, connection scan %d", where, got, scan)
 						}
-						if want < byTrain {
-							rounds++
+						if threads == 1 {
+							tally.arrivals++
+							switch {
+							case src == dst:
+								tally.sameStation++
+							case want.IsInf():
+								tally.unreachable++
+							case res.stats.TableHit:
+								tally.tableHits++
+							case res.stats.Local:
+								tally.local++
+							case n.table != nil:
+								tally.pruned++
+							}
 						}
-						if got := effort.Rounds.Load(); got != rounds {
-							t.Fatalf("%s: journey took %d searches, want %d", where, got, rounds)
+
+						var effort SearchEffort
+						jres, err := n.Plan(ctx, Request{Kind: KindJourney, From: src, To: dst, Depart: dep, Options: Options{Effort: &effort, Threads: threads}})
+						if (err == nil) != (wantErr == nil) {
+							t.Fatalf("%s: Plan journey error %v, whole-period search %v", where, err, wantErr)
+						}
+						key := sample{n.tt, src, dst, dep}
+						if err != nil {
+							if ErrorCodeOf(err) != CodeUnreachable || err.Error() != "transit: "+strings.TrimPrefix(wantErr.Error(), "transit: ") {
+								t.Fatalf("%s: Plan journey error %q, whole-period search %q", where, err, wantErr)
+							}
+							if prev, ok := journeys[key]; ok && prev != err.Error() {
+								t.Fatalf("%s: error %q here, %q with the table state flipped", where, err, prev)
+							}
+							journeys[key] = err.Error()
+							continue
+						}
+						j := jres.journey
+						if j.RequestedDeparture != dep {
+							t.Fatalf("%s: journey requested at %d, asked at %d", where, j.RequestedDeparture, dep)
+						}
+						if threads == 1 {
+							if j.String() != wantJ.String() || fmt.Sprint(j.Legs) != fmt.Sprint(wantJ.Legs) {
+								t.Fatalf("%s: Plan journey %q, whole-period search %q", where, j, wantJ)
+							}
+							if prev, ok := journeys[key]; ok && prev != j.String() {
+								t.Fatalf("%s: journey %q here, %q with the table state flipped", where, j, prev)
+							}
+							journeys[key] = j.String()
+						}
+						// The itinerary is the earliest arrival by train; the
+						// point query may beat it on foot alone, never lose.
+						fn, err := ref.res.StationProfile(dst)
+						if err != nil {
+							t.Fatal(err)
+						}
+						byTrain := fn.EvalArrival(dep)
+						if want > byTrain {
+							t.Fatalf("%s: earliest arrival %d is later than the best train arrival %d", where, want, byTrain)
+						}
+						// The phases behind it: a point query, a second one at
+						// the next day start only when the trip runs past
+						// midnight, one bounded window search — and the
+						// whole-period search only where walking alone wins.
+						if src != dst {
+							rounds := int64(2)
+							if want-dep/n.Period()*n.Period() >= n.Period() {
+								rounds++
+							}
+							if want < byTrain {
+								rounds++
+							}
+							if got := effort.Rounds.Load(); got != rounds {
+								t.Fatalf("%s: journey took %d searches, want %d", where, got, rounds)
+							}
+						}
+						arr, err := replayJourney(n, j, src, dst, dep)
+						if err != nil {
+							t.Fatalf("%s: journey %q does not replay: %v", where, j, err)
+						}
+						if arr != byTrain {
+							t.Fatalf("%s: journey %q replays to %d, best train arrival is %d", where, j, arr, byTrain)
+						}
+						if threads == 1 {
+							tally.journeys++
+							if want < byTrain {
+								tally.walkWins++
+							}
 						}
 					}
-					arr, err := replayJourney(n, j, src, dst, dep)
-					if err != nil {
-						t.Fatalf("%s: journey %q does not replay: %v", where, j, err)
-					}
-					if arr != byTrain {
-						t.Fatalf("%s: journey %q replays to %d, best train arrival is %d", where, j, arr, byTrain)
-					}
-					tally.journeys++
 				}
 			}
 		}
@@ -413,8 +435,8 @@ func TestPlanPointKindsOracle(t *testing.T) {
 	// transfer stations (X→D, B→C) and a walk that beats the train (S→W).
 	fixSel := TransferSelection{MinDegree: 1}
 	walkBefore := tally.walkWins
-	checkPointKinds(t, "footpaths", oracleVariants(t, rng, fix, fixSel)[:2], allStations(fix), allStations(fix),
-		append(oracleDeps(rng, fix.Period()), 470, 700), &tally)
+	checkPointKinds(t, "footpaths", oracleVariants(t, rng, fix, fixSel), allStations(fix), allStations(fix),
+		append(oracleDeps(rng, fix.Period()), 470, 700, 1420, 1430), &tally)
 	if tally.walkWins == walkBefore {
 		t.Error("footpath fixture: no pair where walking alone beats the itinerary")
 	}
@@ -441,5 +463,44 @@ func TestPlanPointKindsOracle(t *testing.T) {
 	if tally.journeys == 0 || tally.unreachable == 0 || tally.sameStation == 0 ||
 		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 {
 		t.Fatalf("vacuous run: %+v", tally)
+	}
+}
+
+// A walk into a train just after midnight gives that train a negative
+// effective departure (O walks 10 to R, the owl leaves R at 00:03, transfer
+// 2: −9). A traveller leaving O at 23:40 or 23:50 rides it the next day; the
+// journey must name it, not fail to find the label behind its profile
+// point, whose departure the profile keeps wrapped into the period (1431).
+func TestJourneyWalkIntoTrainAfterMidnight(t *testing.T) {
+	n := oracleFootpathFixture(t)
+	var o, e StationID = -1, -1
+	for i := range n.NumStations() {
+		switch n.tt.Stations[i].Name {
+		case "O":
+			o = StationID(i)
+		case "E":
+			e = StationID(i)
+		}
+	}
+	whole, err := n.ProfileAll(o, Options{TrackJourneys: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dep := range []Ticks{1420, 1430} {
+		want := n.Period() + 3 + 20
+		j, err := whole.Journey(e, dep)
+		if err != nil {
+			t.Fatalf("AllProfiles.Journey @%d: %v", dep, err)
+		}
+		if arr, err := replayJourney(n, j, o, e, dep); err != nil || arr != want {
+			t.Fatalf("AllProfiles.Journey @%d: %q replays to %d (%v), want %d", dep, j, arr, err, want)
+		}
+		res, err := n.Plan(context.Background(), Request{Kind: KindJourney, From: o, To: e, Depart: dep})
+		if err != nil {
+			t.Fatalf("Plan journey @%d: %v", dep, err)
+		}
+		if res.journey.String() != j.String() {
+			t.Fatalf("Plan journey @%d: %q, whole-period search %q", dep, res.journey, j)
+		}
 	}
 }

@@ -295,10 +295,11 @@ func (a *AllProfiles) Journey(dst StationID, dep Ticks) (*Journey, error) {
 	}
 	pt, _ := fn.NextDeparture(dep)
 	// Find the connection index whose departure point and duration realize
-	// this profile point.
+	// this profile point. The profile keeps departures wrapped into the
+	// period; a walk-seeded connection's effective departure may be negative.
 	idx := -1
 	for i, d := range a.res.Deps {
-		if d != pt.Dep {
+		if a.n.tt.Period.Wrap(d) != pt.Dep {
 			continue
 		}
 		arr := a.res.StationArrival(dst, i)
