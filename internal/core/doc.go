@@ -22,24 +22,27 @@
 // The paper reports per-query times in the low milliseconds because its
 // C++ implementation keeps every search data structure alive between
 // queries, once per thread. This package reproduces that discipline with
-// the Workspace type: a bundle owning the label arrays (arr, the fused
-// search labels, maxconn, parents), the pruning state (µ, γ, ancestor
-// flags), the seed scratch (conn(S) and walk distances) and the priority
-// queues of internal/pq, with one workerSpace per search thread.
+// the Workspace type: a bundle owning the label arrays (the arrivals and
+// parents of one-to-all results, the profile loops' label row and ride
+// cursors, the time-query's labels), the station-to-station pruning state
+// (µ per via station, one ancestor flag per node), the seed scratch (conn(S)
+// and walk distances) and the priority queues of internal/pq, with one
+// workerSpace per search thread.
 //
 // Resetting a workspace between queries is O(1), not O(numNodes·k): each
-// resettable slot carries a uint32 generation stamp, and a query begins by
-// incrementing the workspace generation. A label is "Infinity", a pair
-// "untouched" and maxconn "-1" unless its stamp belongs to the current
-// generation, so the previous query's data simply becomes invisible instead
-// of being swept. Generations wrap around once every 2^31 queries, at which
-// point (and only then) one real sweep runs.
+// resettable slot carries a uint32 stamp, and a query begins by moving a
+// counter on. A slot stamped by an earlier query reads as "Infinity" or
+// "untouched", so the previous query's data simply becomes invisible
+// instead of being swept. The workspace generation stamps the one-to-all
+// arrivals and parents and the time-query's labels; it wraps around once
+// every 2^31 queries, at which point (and only then) one real sweep runs.
 //
-// The one-to-all label row (see below) is stamped per connection, not per
-// query, from a counter of its own in each workerSpace. It advances k times
-// per query, so it reaches the same 2^31 limit after 2^31/k queries (about
-// 3.2 M at k = 672); a query that would cross it sweeps the row first and
-// starts the counter over, before it draws its first stamp.
+// The label row and the ride cursors of the two profile loops (see below)
+// are stamped per connection, not per query, from a counter of its own in
+// each workerSpace. It advances k times per query, so it reaches the same
+// 2^31 limit after 2^31/k queries (about 3.2 M at k = 672); a query that
+// would cross it sweeps the row and the cursors first and starts the counter
+// over, before it draws its first stamp.
 //
 // # Queue and label layout
 //
@@ -51,35 +54,56 @@
 // deletion). Parent links are written exactly when a record improves, so
 // the last link written belongs to the final key.
 //
-// One-to-all (spcsWorker.run: one-to-all profiles, journeys and
-// distance-table rows) searches its connections one at a time, latest
-// departure first, each with its own queue over one numNodes-sized row of
-// records. Before connection i starts, the row holds, at every node v the
-// worker has reached, best(v) = min over j > i of arr(v, j): the search of
-// connection j leaves its settled keys in the row, and a later search only
-// ever lowers them. Connection i refuses a seed or a push whose key is at
-// least best(head) — Theorem 1's self-pruning, with the later connection's
-// label complete before the earlier one asks, so a dominated label never
-// enters the queue. What the global-queue formulation of Section 3 prunes
-// when a pair surfaces is exactly that: it settles (v, j) before (v, i)
-// whenever arr(v, j) < arr(v, i). Only ties differ (a tie is now always
-// refused), and a tied label is dominated, so the reduced profiles are
-// identical. The record of a node stamped by connection i itself is i's
-// tentative label; an entry whose key is no longer the record's is
-// superseded, and since no push ties or undercuts a settled key, the entry
-// that carries the record's key surfaces once and settles it. The search
-// keeps numNodes records per worker, whatever k is, where one queue over
-// all connections needed numNodes × k.
+// Both profile loops — one-to-all (spcsWorker.run: one-to-all profiles,
+// journeys' window search and distance-table rows) and station-to-station
+// (s2sWorker.run: profiles and earliest arrivals) — search a worker's
+// connections one at a time, latest departure first, each with its own
+// queue over one numNodes-sized row of records. Before connection i starts,
+// the row holds, at every node v the worker has reached, best(v) = min over
+// j > i of the key connection j left at v: the search of connection j
+// leaves its keys in the row, and a later search only ever lowers them.
+// Connection i refuses a seed or a push whose key is at least best(head) —
+// Theorem 1's self-pruning, with the later connection's label complete
+// before the earlier one asks, so a dominated label never enters the queue.
+// What the global-queue formulation of Section 3 prunes when a pair
+// surfaces is exactly that: it settles (v, j) before (v, i) whenever
+// arr(v, j) < arr(v, i). Only ties differ (a tie is now always refused),
+// and a tied label is dominated, so the reduced profiles are identical. The
+// record of a node stamped by connection i itself is i's tentative label;
+// an entry whose key is no longer the record's is superseded, and since no
+// push ties or undercuts a settled key, the entry that carries the record's
+// key surfaces once and settles it. The search keeps numNodes records per
+// worker, whatever k is, where one queue over all connections needed
+// numNodes × k.
 //
-// Station-to-station (s2sWorker.run: profiles and earliest arrivals) keeps
-// the single queue over all of its connections, because its stopping
-// criterion and table prunings (Theorems 2–4) compare connections as they
-// surface. Each (node, connection) pair has its own record, stamp = gen<<1
-// while tentative and gen<<1|1 once settled, stored connection-major (row i
-// holds connection i's records in node order, so a train ride walks
-// consecutive records), and self-pruning compares against maxconn(v) when a
-// pair surfaces. The time-query is the one-connection form, with one record
-// per node.
+// Station-to-station adds Section 4's prunings on the same schedule.
+// Theorems 2–4 compare connection i with connections that leave later, and
+// on this schedule the worker's later connections are finished before i
+// starts. The earliest arrival at T among them bounds every key i keeps
+// (Theorem 2; the bound another worker published through stopState is read
+// at each pop), and i ends when T settles. µ, γ and the count of tentative
+// labels without a transfer-station ancestor belong to the one connection
+// being searched, beside one ancestor flag per node (Theorems 3–4). A
+// connection cut short leaves tentative keys in the row; each is an arrival
+// it achieves, so as bounds they refuse only dominated labels
+// (docs/PREPROCESSING.md has that argument and the one for γ). The
+// time-query is the one-connection form, with one record per node stamped
+// from the workspace generation: gen<<1 while tentative, gen<<1|1 once
+// settled.
+//
+// A connection settles node v only below every key a later connection left
+// at v, so within one query each worker settles every node at strictly
+// falling keys, and evaluates the node's ride edge at falling keys too. The
+// next departure then only ever moves back through the edge's sorted
+// departures: the worker keeps one ride cursor per node (rideCursor: the
+// day base, time point and departure index of the last evaluation, and a
+// row stamp) and walks back from it instead of bisecting, which visits each
+// departure at most once per day the keys pass through. It bisects when the
+// cursor is from an earlier query, the key lies on another day, or the key
+// rose, which only DisableSelfPruning allows. A node has at most one ride
+// edge (a graph invariant the graph tests check), which is what lets the
+// cursor be indexed by node; every evaluation returns what graph.EvalRide
+// returns, so the cursor changes no label.
 //
 // The monotonicity invariant that makes this exact: keys are arrival times,
 // every edge weight is ≥ 0 (board T(S) ≥ 0, alight 0, walk ≥ 0, ride = wait

@@ -236,7 +236,6 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 		return nil, ErrCancelled
 	}
 	start := time.Now()
-	gen := ws.begin()
 	point := depart >= 0
 
 	walk := ws.walkDistances(g.TT, source)
@@ -327,7 +326,7 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 	}
 	workers := ws.s2sBuf[:nw]
 	for t := 0; t < nw; t++ {
-		workers[t].init(q, bounds[t], bounds[t+1], ws.worker(t), gen)
+		workers[t] = s2sWorker{q: q, lo: bounds[t], hi: bounds[t+1], ws: ws.worker(t)}
 	}
 	if nw == 1 {
 		workers[0].run()
@@ -381,286 +380,266 @@ type s2sQuery struct {
 }
 
 // s2sWorker runs the pruned connection-setting search on the connection
-// range [lo, hi). All per-connection pruning state (µ bounds, γ bounds,
-// done flags, ancestor counters) is local to the worker, since connections
-// are partitioned across workers. The worker's label memory lives in its
-// workerSpace: the fused label records and maxconn are generation-stamped
-// (O(1) reset), while the O(k)-sized pruning arrays are refilled eagerly.
-// Unlike spcsWorker it keeps one queue over all of its connections, since
-// Theorems 2–4 compare connections as they surface (package comment, "Queue
-// and label layout").
+// range [lo, hi) the way spcsWorker does: one radix-queue search per
+// connection, latest departure first, over the worker's one label row, with
+// Theorem 1's self-pruning decided when a label is pushed. Theorems 2–4
+// compare connection i with the connections of the worker that leave later,
+// and those are finished before i starts, so what the prunings keep is per
+// connection and restarted for each: µ (one entry per via station), γ and
+// the count of tentative labels without a transfer-station ancestor, plus
+// one ancestor flag per node (package comment, "Queue and label layout").
 type s2sWorker struct {
 	q        *s2sQuery
 	lo, hi   int
 	ws       *workerSpace
-	gen      uint32
 	counters stats.Counters
 	// cancelled is set when the worker abandoned its range because
 	// Options.Done closed; StationToStation turns it into ErrCancelled.
 	cancelled bool
-
-	labels     []label
-	maxconn    []int32
-	maxconnGen []uint32
-
-	// µ[iLocal*len(vias)+j]: upper bound µ_{i,j} on the useful arrival at
-	// via station j (Theorem 3).
-	mu []timeutil.Ticks
-	// Target pruning (Theorem 4) state.
-	gamma      []timeutil.Ticks // γ_i lower bounds
-	connDone   []bool           // search for i stopped
-	anc        []bool           // label has a transfer-station ancestor
-	noAncCount []int            // queued entries of i without transfer ancestor
+	// bestT is the earliest arrival at T of the connections this worker has
+	// answered, all of which leave no earlier than the one it searches next
+	// (Infinity with the stopping criterion off).
+	bestT timeutil.Ticks
+	// anc[v] says whether the path behind v's row record passed a transfer
+	// station; nil unless target pruning (Theorem 4) is on.
+	anc []bool
 }
 
-// init prepares a worker for one query, reusing the workerSpace arrays.
-func (w *s2sWorker) init(q *s2sQuery, lo, hi int, wsw *workerSpace, gen uint32) {
-	*w = s2sWorker{q: q, lo: lo, hi: hi, ws: wsw, gen: gen}
-	kLocal := hi - lo
-	n := q.g.NumNodes()
-	wsw.labels = growLabels(wsw.labels, n*kLocal)
-	w.labels = wsw.labels
-	wsw.maxconn = growI32(wsw.maxconn, n)
-	w.maxconn = wsw.maxconn
-	wsw.maxconnGen = growU32(wsw.maxconnGen, n)
-	w.maxconnGen = wsw.maxconnGen
-	if q.table != nil {
-		wsw.mu = growTicks(wsw.mu, kLocal*len(q.vias))
-		w.mu = wsw.mu
-		for i := range w.mu {
-			w.mu[i] = timeutil.Infinity
-		}
-		if q.targetIsTransfer {
-			wsw.gamma = growTicks(wsw.gamma, kLocal)
-			w.gamma = wsw.gamma
-			for i := range w.gamma {
-				w.gamma[i] = timeutil.Infinity
-			}
-			wsw.connDone = growBool(wsw.connDone, kLocal)
-			w.connDone = wsw.connDone
-			clear(w.connDone)
-			// anc needs no clearing: every slot is written by push before
-			// any read of the same query (see push).
-			wsw.anc = growBool(wsw.anc, n*kLocal)
-			w.anc = wsw.anc
-			wsw.noAncCount = growInt(wsw.noAncCount, kLocal)
-			w.noAncCount = wsw.noAncCount
-			clear(w.noAncCount)
-		}
+// answer records a as connection i's arrival at T, where every later
+// connection's search on any worker can see it (Theorem 2).
+func (w *s2sWorker) answer(i int, a timeutil.Ticks) {
+	w.q.res.ArrT[i] = a
+	if !w.q.opts.DisableStoppingCriterion {
+		w.q.stop.observeTargetSettle(i, a)
+		w.bestT = timeutil.Min(w.bestT, a)
 	}
 }
 
-// push relaxes queue item it — pair (v, iLocal), see run — to key: a no-op
-// when the pair is settled or already queued with a key at least as good,
-// otherwise the label record is overwritten and a (possibly second) queue
-// entry pushed. childAnc says whether the path behind this key passed a
-// transfer station; noAncCount tracks, per connection, the tentative pairs
-// whose best path did not — "queued" for Theorem 4 means a tentative label,
-// however many stale entries the queue still holds for it.
-func (w *s2sWorker) push(it, iLocal int, key timeutil.Ticks, childAnc bool) {
-	l := &w.labels[it]
-	tentative := w.gen << 1
-	if l.stamp == tentative|1 {
-		return
+// seed starts the current connection (stamp cur) at node v with key, unless
+// key reaches the connection's limit or a later connection is at v by then.
+// It reports whether v was queued.
+func (w *s2sWorker) seed(v graph.NodeID, key, limit timeutil.Ticks, floor, cur uint32) bool {
+	if key >= limit {
+		w.counters.PrunedConns++ // stopping criterion (Theorem 2)
+		return false
 	}
-	wasIn := l.stamp == tentative
-	if wasIn && key >= l.key {
-		return
+	l := &w.ws.row[v]
+	if l.stamp >= floor && key >= l.key {
+		if l.stamp != cur {
+			w.counters.PrunedConns++ // a later connection is at v by then
+		}
+		return false
 	}
-	*l = label{key: key, stamp: tentative}
-	w.ws.radix.Push(int32(it), key)
+	*l = label{key: key, stamp: cur}
+	w.ws.radix.Push(int32(v), key)
 	w.counters.QueuePushes++
 	if w.anc != nil {
-		if !wasIn {
-			if !childAnc {
-				w.noAncCount[iLocal]++
-			}
-			w.anc[it] = childAnc
-		} else if w.anc[it] != childAnc {
-			if childAnc {
-				w.noAncCount[iLocal]--
-			} else {
-				w.noAncCount[iLocal]++
-			}
-			w.anc[it] = childAnc
-		}
+		w.anc[v] = false
 	}
+	return true
 }
 
+// run executes the worker: for i = hi-1 down to lo, one search from
+// connection c_i's departure node (from the source itself, like a
+// time-query, for the one virtual connection of a point query). The row is
+// spcsWorker's: stamps count up from floor, one per connection, and a seed or
+// push whose key is at least the record of a later connection is refused
+// (Theorem 1). On top of that:
+//
+//   - Theorem 2: connection i keeps no key at or beyond the earliest arrival
+//     at T of a later connection of this worker (bestT, its limit), and ends
+//     at the first pop at or beyond the arrival another worker published for
+//     a later connection (stopState). It also ends when T settles: nothing
+//     it settles afterwards can reach T earlier.
+//   - Theorem 3: a settled transfer station that cannot improve µ at any via
+//     station is not expanded.
+//   - Theorem 4: once every tentative label of i has a transfer-station
+//     ancestor, γ answers i and ends it.
+//
+// A connection ended early leaves tentative keys in the row; each is an
+// arrival the connection achieves, so as bounds for earlier connections they
+// refuse only dominated labels (docs/PREPROCESSING.md).
 func (w *s2sWorker) run() {
 	q := w.q
 	g := q.g
 	res := q.res
-	kLocal := w.hi - w.lo
-	if kLocal == 0 {
+	if w.hi == w.lo {
 		return
 	}
-	gen := w.gen
-	settled := gen<<1 | 1
-	heap := &w.ws.radix
-	heap.Reset()
-	stations := g.TT.Stations
-	// Items encode (node, local connection index) as iLocal*numNodes + node,
-	// so one connection's records are one contiguous row in node order:
-	// riding a train walks consecutive route nodes, hence consecutive
-	// records. 32-bit unsigned division takes them apart: items are
-	// non-negative int32.
+	ws := w.ws
 	numNodes := g.NumNodes()
-
-	point := q.depart >= 0
-	if point {
-		// The virtual connection of a point query starts like a time-query:
-		// at the station node (walking off needs no train) and, without the
-		// boarding transfer, on every route of the source.
-		sn := g.StationNode(res.Source)
-		w.push(int(sn), 0, q.depart, false)
-		for _, e := range g.OutEdges(sn) {
-			if e.Kind == graph.Board {
-				w.push(int(e.Head), 0, q.depart, false)
-			}
-		}
-	} else {
-		for i := w.lo; i < w.hi; i++ {
-			id := res.Conns[i]
-			iLocal := i - w.lo
-			w.push(iLocal*numNodes+int(g.ConnDepartureNode(id)), iLocal, g.TT.Connections[id].Dep, false)
-		}
-	}
-
+	floor := ws.beginRow(numNodes, w.hi-w.lo)
+	qfloor := floor
+	row, rides := ws.row, ws.rides
+	period := g.TT.Period
+	heap := &ws.radix
+	stations := g.TT.Stations
 	done := q.opts.Done
-	un := uint32(numNodes)
-	for !heap.Empty() {
-		it, key := heap.PopMin()
-		if w.labels[it].stamp == settled {
-			continue // stale entry of a pair that surfaced with a better key
-		}
-		w.labels[it].stamp = settled
-		w.counters.QueuePops++
-		if done != nil && w.counters.QueuePops&cancelMask == 0 {
-			w.counters.CancelPolls++
-			if cancelled(done) {
-				w.cancelled = true
-				return
-			}
-		}
-		iLocal := int(uint32(it) / un)
-		row := iLocal * numNodes
-		v := graph.NodeID(int(it) - row)
-		i := w.lo + iLocal
-		hasAnc := false
-		if w.anc != nil {
-			hasAnc = w.anc[it]
-			if !hasAnc {
-				w.noAncCount[iLocal]--
-			}
-		}
+	useStop := !q.opts.DisableStoppingCriterion
+	var mu []timeutil.Ticks
+	if q.table != nil {
+		ws.mu = growTicks(ws.mu, len(q.vias))
+		mu = ws.mu
+	}
+	if q.targetIsTransfer {
+		ws.anc = growBool(ws.anc, numNodes)
+		w.anc = ws.anc
+	}
+	anc := w.anc
+	point := q.depart >= 0
+	w.bestT = timeutil.Infinity
 
-		// Target pruning already finished this connection.
-		if w.connDone != nil && w.connDone[iLocal] {
-			w.counters.PrunedConns++
-			continue
+	for i := w.hi - 1; i >= w.lo; i-- {
+		ws.rowGen++
+		cur := ws.rowGen
+		if q.opts.DisableSelfPruning {
+			floor = cur // later connections bound nothing
 		}
-		// Stopping criterion (Theorem 2).
-		if !q.opts.DisableStoppingCriterion && q.stop.shouldPrune(i, key) {
-			w.counters.PrunedConns++
-			continue
+		limit := w.bestT
+		heap.Reset()
+		for j := range mu {
+			mu[j] = timeutil.Infinity
 		}
-		// Self-pruning (Theorem 1).
-		mc := int32(-1)
-		if w.maxconnGen[v] == gen {
-			mc = w.maxconn[v]
-		}
-		if !q.opts.DisableSelfPruning && int32(i) <= mc {
-			w.counters.PrunedConns++
-			continue
-		}
-		if int32(i) > mc {
-			w.maxconn[v] = int32(i)
-			w.maxconnGen[v] = gen
-		}
-		w.counters.SettledConns++
+		gamma := timeutil.Infinity
+		noAnc := 0 // tentative labels of i whose path passed no transfer station
 
-		st := g.Station(v)
-
-		// Target reached for this connection.
-		if v == q.targetNode {
-			res.ArrT[i] = key
-			if !q.opts.DisableStoppingCriterion {
-				q.stop.observeTargetSettle(i, key)
+		// Seeds. Keys are the *real* departure time points; res.Deps holds
+		// the effective departures from the source, which differ for
+		// walk-seeded connections.
+		if point {
+			// The virtual connection of a point query starts like a
+			// time-query: at the station node (walking off needs no train)
+			// and, without the boarding transfer, on every route of the
+			// source.
+			sn := g.StationNode(res.Source)
+			if w.seed(sn, q.depart, limit, floor, cur) {
+				noAnc++
 			}
-			if point {
-				return // the only connection is answered
-			}
-			// Leaving the target and coming back cannot arrive earlier
-			// (FIFO), and other stations are irrelevant to this query.
-			continue
-		}
-
-		// The table prunings read D(st, ·, key) as the earliest arrival of
-		// anything that continues from here. A table profile holds the
-		// connections leaving st, not the walk that starts at st itself, so
-		// that only holds where no footpath leaves: elsewhere st is neither
-		// pruned at nor counted as a transfer-station ancestor.
-		atTransfer := q.table != nil && q.table.IsTransfer(st) &&
-			!(q.footpaths && len(g.TT.FootpathsFrom(st)) > 0)
-		if atTransfer {
-			arrWithTransfer := key + stations[st].Transfer
-			// Target pruning (Theorem 4).
-			if w.gamma != nil {
-				if d := q.table.D(st, q.target, key); d < w.gamma[iLocal] {
-					w.gamma[iLocal] = d
+			for _, e := range g.OutEdges(sn) {
+				if e.Kind == graph.Board && w.seed(e.Head, q.depart, limit, floor, cur) {
+					noAnc++
 				}
-				if w.noAncCount[iLocal] == 0 {
-					// γ_i is a feasible lower bound only once every queued
-					// entry of i has a transfer-station ancestor: then the
+			}
+		} else {
+			id := res.Conns[i]
+			if w.seed(g.ConnDepartureNode(id), g.TT.Connections[id].Dep, limit, floor, cur) {
+				noAnc++
+			}
+		}
+
+		for !heap.Empty() {
+			it, key := heap.PopMin()
+			if row[it].key != key {
+				continue // superseded by a better push of the same node
+			}
+			w.counters.QueuePops++
+			if done != nil && w.counters.QueuePops&cancelMask == 0 {
+				w.counters.CancelPolls++
+				if cancelled(done) {
+					w.cancelled = true
+					return
+				}
+			}
+			// Stopping criterion (Theorem 2) across workers.
+			if useStop && q.stop.shouldPrune(i, key) {
+				w.counters.PrunedConns++
+				break
+			}
+			v := graph.NodeID(it)
+			hasAnc := false
+			if anc != nil {
+				if hasAnc = anc[v]; !hasAnc {
+					noAnc--
+				}
+			}
+			w.counters.SettledConns++
+
+			if v == q.targetNode {
+				w.answer(i, key)
+				break
+			}
+
+			// The table prunings read D(st, ·, key) as the earliest arrival of
+			// anything that continues from here. A table profile holds the
+			// connections leaving st, not the walk that starts at st itself,
+			// so that only holds where no footpath leaves: elsewhere st is
+			// neither pruned at nor counted as a transfer-station ancestor.
+			st := g.Station(v)
+			atTransfer := q.table != nil && q.table.IsTransfer(st) &&
+				!(q.footpaths && len(g.TT.FootpathsFrom(st)) > 0)
+			if atTransfer {
+				arrWithTransfer := key + stations[st].Transfer
+				// Target pruning (Theorem 4).
+				if anc != nil {
+					if d := q.table.D(st, q.target, key); d < gamma {
+						gamma = d
+					}
+					// γ is a feasible lower bound only once every tentative
+					// label of i has a transfer-station ancestor: then the
 					// optimal path's frontier passed a settled transfer
-					// station, which has already contributed to γ_i.
-					if d := q.table.D(st, q.target, arrWithTransfer); d == w.gamma[iLocal] {
-						res.ArrT[i] = d
-						if !q.opts.DisableStoppingCriterion {
-							q.stop.observeTargetSettle(i, d)
+					// station, which has already contributed to γ.
+					if noAnc == 0 {
+						if d := q.table.D(st, q.target, arrWithTransfer); d == gamma {
+							w.answer(i, d)
+							break
 						}
-						if point {
-							return
-						}
-						w.connDone[iLocal] = true
-						continue
 					}
 				}
-			}
-			// Distance-table pruning (Theorem 3): refresh µ_{i,j}, then
-			// prune v if it provably cannot improve any via station.
-			prune := true
-			base := iLocal * len(q.vias)
-			for j, vj := range q.vias {
-				mu := q.table.D(st, vj, arrWithTransfer) + stations[vj].Transfer
-				if mu < w.mu[base+j] {
-					w.mu[base+j] = mu
+				// Distance-table pruning (Theorem 3): refresh µ_j, then prune
+				// v if it provably cannot improve any via station.
+				prune := true
+				for j, vj := range q.vias {
+					if m := q.table.D(st, vj, arrWithTransfer) + stations[vj].Transfer; m < mu[j] {
+						mu[j] = m
+					}
+					if q.table.D(st, vj, key) <= mu[j] {
+						prune = false
+					}
 				}
-				if q.table.D(st, vj, key) <= w.mu[base+j] {
-					prune = false
+				if prune {
+					w.counters.PrunedConns++
+					w.counters.SettledConns-- // settled but not expanded
+					continue
 				}
 			}
-			if prune {
-				w.counters.PrunedConns++
-				w.counters.SettledConns-- // settled but not expanded
-				continue
-			}
-		}
 
-		childAnc := hasAnc || atTransfer
-		edges := g.OutEdges(v)
-		for e := range edges {
-			edge := &edges[e]
-			arrTent := key + edge.W // EvalEdge by hand, as in spcsWorker.run
-			if edge.Kind == graph.Ride {
-				arrTent, _ = g.EvalRide(edge, key)
+			childAnc := hasAnc || atTransfer
+			edges := g.OutEdges(v)
+			for e := range edges {
+				edge := &edges[e]
+				arrTent := key + edge.W // EvalEdge by hand, as in spcsWorker.run
+				if edge.Kind == graph.Ride {
+					arrTent, _ = rides[v].eval(g.RideConns(edge), period, key, qfloor, cur)
+				}
+				w.counters.Relaxed++
+				if arrTent >= limit {
+					if !arrTent.IsInf() {
+						w.counters.PrunedConns++ // stopping criterion (Theorem 2)
+					}
+					continue
+				}
+				l := &row[edge.Head]
+				if l.stamp >= floor && arrTent >= l.key {
+					if l.stamp != cur {
+						w.counters.PrunedConns++ // self-pruning (Theorem 1)
+					}
+					continue // connection-setting: (head, i) no better
+				}
+				if anc != nil {
+					// A label of i replaced by a better one leaves the count
+					// first (a settled one is never replaced: see above).
+					if l.stamp == cur && !anc[edge.Head] {
+						noAnc--
+					}
+					if !childAnc {
+						noAnc++
+					}
+					anc[edge.Head] = childAnc
+				}
+				*l = label{key: arrTent, stamp: cur}
+				heap.Push(int32(edge.Head), arrTent)
+				w.counters.QueuePushes++
 			}
-			w.counters.Relaxed++
-			if arrTent.IsInf() {
-				continue
-			}
-			w.push(row+int(edge.Head), iLocal, arrTent, childAnc)
 		}
 	}
 }

@@ -50,23 +50,20 @@ type spcsWorker struct {
 // the record is its tentative label (stamp cur), an entry whose key is no
 // longer the record's key is superseded, and because no push ties or
 // undercuts a settled key, the record is final when its entry surfaces.
+//
+// A node's ride edge is evaluated through the worker's ride cursor of that
+// node (rideCursor), valid from the query's first stamp on.
 func (w *spcsWorker) run() {
 	g, res := w.g, w.res
 	if w.hi == w.lo {
 		return
 	}
 	ws := w.ws
-	row := growLabels(ws.row, g.NumNodes())
-	ws.row = row
-	// The stamps of one query are floor, floor+1, …, one per connection;
-	// anything below floor is an earlier query's and reads as "no bound".
-	// Room for the whole range is made before the first one is drawn, so the
-	// wipe never discards a bound this query has set.
-	if ws.rowGen > maxGen-uint32(w.hi-w.lo) {
-		clear(row[:cap(row)])
-		ws.rowGen = 0
-	}
-	floor := ws.rowGen + 1
+	// Anything stamped below floor is an earlier query's: "no bound".
+	floor := ws.beginRow(g.NumNodes(), w.hi-w.lo)
+	qfloor := floor
+	row, rides := ws.row, ws.rides
+	period := g.TT.Period
 	heap := &ws.radix
 	k := len(res.Conns)
 	done := w.opts.Done
@@ -123,7 +120,7 @@ func (w *spcsWorker) run() {
 				// edges are constant-weight.
 				arrTent, ride := key+edge.W, timetable.ConnID(-1)
 				if edge.Kind == graph.Ride {
-					arrTent, ride = g.EvalRide(edge, key)
+					arrTent, ride = rides[v].eval(g.RideConns(edge), period, key, qfloor, cur)
 				}
 				w.counters.Relaxed++
 				if arrTent >= limit {

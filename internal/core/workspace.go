@@ -94,11 +94,12 @@ type connSeed struct {
 	dep timeutil.Ticks
 }
 
-// label is the fused search state of one (node, connection) pair in the
-// connection-setting profile loops: the best key pushed for it so far and a
-// stamp that says what that key means. stamp == gen<<1 is "tentative, queued
-// with this key", gen<<1|1 is "settled"; any other value belongs to an
-// earlier query and reads as "untouched". One 8-byte load therefore answers
+// label is the fused search state of one node: the best key pushed for it so
+// far and a stamp that says what that key means. In the time-query, stamp ==
+// gen<<1 is "tentative, queued with this key", gen<<1|1 is "settled"; in the
+// profile loops' row it is the connection that set the key (package
+// comment, "Queue and label layout"). Any other value belongs to an earlier
+// query and reads as "untouched". One 8-byte load therefore answers
 // "settled?", "queued?" and "is this key better?", which the addressable
 // heap needed three arrays (settled stamps, heap positions, position
 // stamps) for.
@@ -119,25 +120,44 @@ type workerSpace struct {
 	radix  pq.RadixHeap
 	binary *pq.Heap
 
-	// row is spcsWorker's one numNodes-sized label row, stamped per
-	// connection from rowGen, a counter of its own: it advances k times per
-	// query, so it wraps 2^31/k times sooner than the workspace generation.
+	// row is the one numNodes-sized label row of both profile loops
+	// (spcsWorker, s2sWorker), and rides holds one ride cursor per node;
+	// both are stamped per connection from rowGen, a counter of its own: it
+	// advances k times per query, so it wraps 2^31/k times sooner than the
+	// workspace generation.
 	row    []label
+	rides  []rideCursor
 	rowGen uint32
 
-	labels     []label // station-to-station: kLocal × numNodes, row per connection (time-query: one row)
-	maxconn    []int32 // numNodes; valid when maxconnGen matches
-	maxconnGen []uint32
+	labels []label // the time-query's one label per node, stamped from the workspace generation
 
-	// Station-to-station pruning state. anc needs no stamps: every entry is
-	// written on its first push of a query before it can be read (see
-	// s2sWorker.push). The k-sized arrays are refilled eagerly — they are
-	// O(k·|via|), not O(n·k), so a sweep is cheap.
-	anc        []bool // kLocal × numNodes, indexed like labels
-	mu         []timeutil.Ticks
-	gamma      []timeutil.Ticks
-	connDone   []bool
-	noAncCount []int
+	// Station-to-station pruning state of the connection being searched:
+	// µ per via station (refilled per connection), and one ancestor flag per
+	// node, written with every row record the connection sets before it can
+	// be read (s2sWorker.run).
+	mu  []timeutil.Ticks
+	anc []bool
+}
+
+// beginRow readies the row and the ride cursors for one query of k
+// connections over n nodes and returns the first stamp it will draw. The
+// stamps of one query are that floor, floor+1, …, one per connection;
+// anything below it is an earlier query's. Room for the whole query is made
+// before the first stamp is drawn: a query that would cross the limit sweeps
+// the row and the cursors and starts the counter over, so no record or
+// cursor stamped just below the limit can read as this query's.
+func (w *workerSpace) beginRow(n, k int) uint32 {
+	w.row = growLabels(w.row, n)
+	if cap(w.rides) < n {
+		w.rides = make([]rideCursor, n)
+	}
+	w.rides = w.rides[:n]
+	if w.rowGen > maxGen-uint32(k) {
+		clear(w.row[:cap(w.row)])
+		clear(w.rides[:cap(w.rides)])
+		w.rowGen = 0
+	}
+	return w.rowGen + 1
 }
 
 // NewWorkspace returns an empty workspace; arrays grow on first use and are
@@ -212,7 +232,6 @@ func (ws *Workspace) begin() uint32 {
 		wipe(ws.aboardGen)
 		for _, w := range ws.workers {
 			clear(w.labels[:cap(w.labels)])
-			wipe(w.maxconnGen)
 		}
 		ws.gen = 1
 	}
@@ -243,29 +262,17 @@ func growU32(s []uint32, n int) []uint32 {
 }
 
 // growLabels returns a label slice of length n; like growU32, entries from
-// earlier generations read as untouched. Unlike the label store it at least
-// doubles when it grows: station-to-station queries size it by
-// numNodes × kLocal, and creeping up one busier source at a time would leave
-// a trail of dead arrays behind.
+// earlier generations read as untouched.
 func growLabels(s []label, n int) []label {
 	if cap(s) < n {
-		return make([]label, n, max(n, 2*cap(s)))
+		return make([]label, n)
 	}
 	return s[:n]
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growBool grows geometrically, like growLabels, for the ancestor flags
-// that are indexed like the station-to-station labels.
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
-		return make([]bool, n, max(n, 2*cap(s)))
+		return make([]bool, n)
 	}
 	return s[:n]
 }

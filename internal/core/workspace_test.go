@@ -181,7 +181,9 @@ func TestStationQueryTablePathAllocs(t *testing.T) {
 	}
 	g := workspaceNet(t)
 	sg := stationgraph.Build(g.TT)
-	marked := sg.SelectByDegree(2)
+	// A quarter of the stations: none of workspaceNet's has degree > 2, and
+	// an empty table would leave the table path unused.
+	marked := sg.SelectByContraction(g.NumStations() / 4)
 	pre, err := BuildDistanceTable(g, marked, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -338,47 +340,77 @@ func TestFreeListBounded(t *testing.T) {
 	}
 }
 
-// Both stamp counters wrap, and each wrap must wipe what it stamps.
-//
-// The workspace generation reaches the fused stamps' limit and begin wipes
-// the station-to-station label records (and every other stamp array):
-// generation 1 comes round again, and a record left over from the first
-// generation 1 would read as settled.
-//
-// The one-to-all row counter advances once per connection, so it reaches
-// the same limit k times sooner. A query that would cross it wipes the row
-// and starts over at 1 — the stamps of the query just before, which ran right
-// up to the limit, would otherwise read as bounds of later connections and
-// prune labels a fresh workspace keeps.
-func TestGenerationWrapWipesLabels(t *testing.T) {
-	g := workspaceNet(t)
-	env := QueryEnv{Graph: g}
-	src, dst := timetable.StationID(2), timetable.StationID(9)
-	sameArrivals := func(t *testing.T, what string, got, want *ProfileResult) {
-		t.Helper()
-		for s := 0; s < g.TT.NumStations(); s++ {
-			st := timetable.StationID(s)
-			for i := 0; i < want.K(); i++ {
-				if a, b := got.StationArrival(st, i), want.StationArrival(st, i); a != b {
-					t.Fatalf("%s: arr(%d, %d) = %d, fresh workspace says %d", what, s, i, a, b)
-				}
-			}
+// thinnedCopy returns g's network with every other train cancelled: the same
+// nodes and edges, half the departures on the ride edges.
+func thinnedCopy(t testing.TB, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	var ups []timetable.ConnUpdate
+	for _, c := range g.TT.Connections {
+		if c.Train%2 == 1 {
+			ups = append(ups, timetable.ConnUpdate{ID: c.ID, Cancel: true})
 		}
 	}
+	ntt, err := g.TT.Patch(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graph.Build(ntt)
+}
+
+// sameTicks fails the test unless got and want agree entry for entry.
+func sameTicks(t *testing.T, what string, got, want []timeutil.Ticks) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers, a fresh workspace gives %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: answer %d is %d, a fresh workspace says %d", what, i, got[i], want[i])
+		}
+	}
+}
+
+// stationArrivals flattens a one-to-all result into one answer vector.
+func stationArrivals(res *ProfileResult) []timeutil.Ticks {
+	var out []timeutil.Ticks
+	for s := 0; s < res.g.NumStations(); s++ {
+		for i := 0; i < res.K(); i++ {
+			out = append(out, res.StationArrival(timetable.StationID(s), i))
+		}
+	}
+	return out
+}
+
+// Both stamp counters wrap, and each wrap must wipe what it stamps.
+//
+// The workspace generation stamps the time-query's labels (gen<<1|1 once
+// settled). When it reaches the limit, begin wipes them: generation 1 comes
+// round again, and a label left over from the first generation 1 would read
+// as settled.
+//
+// The row counter stamps the label row and the ride cursors of both profile
+// loops, once per connection, so it reaches the same limit k times sooner. A
+// query that would cross it wipes both and starts over at 1, before it draws
+// its first stamp. The query just before ran right up to the limit: without
+// the row sweep its records would read as bounds of later connections and
+// prune labels a fresh workspace keeps, and without the cursor sweep its
+// cursors would read as the next query's. A cursor only misleads a query on
+// another graph that evaluates the node at an earlier key the same day, so
+// the cursor round searches a late window of a thinned network up to the
+// limit, then an earlier window of the full one.
+func TestGenerationWrapWipesLabels(t *testing.T) {
+	g := workspaceNet(t)
+	src, dst := timetable.StationID(2), timetable.StationID(9)
 
 	t.Run("generation", func(t *testing.T) {
-		want, err := OneToAll(g, src, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantS2S, err := StationToStation(env, src, dst, QueryOptions{})
+		const depart = 600
+		want, err := TimeQuery(g, src, depart, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws := NewWorkspace()
-		// Generation 1: leave settled records behind, in an array big enough
-		// for the query below to reuse (same source, same k).
-		if _, err := ws.StationToStation(env, src, dst, QueryOptions{}); err != nil {
+		// Generation 1 settles labels at the arrivals of an earlier departure.
+		if _, err := ws.TimeQuery(g, src, depart-120, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if ws.gen != 1 {
@@ -391,65 +423,107 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 			}
 		}
 		if stale == 0 {
-			t.Fatal("generation 1 left no settled label records")
+			t.Fatal("generation 1 left no settled labels")
 		}
 
 		ws.gen = maxGen - 1 // the next begin() wraps
-		gotS2S, err := ws.StationToStation(env, src, dst, QueryOptions{})
+		got, err := ws.TimeQuery(g, src, depart, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ws.gen != 1 {
 			t.Fatalf("generation after the wrap is %d, want 1", ws.gen)
 		}
-		for i, a := range wantS2S.ArrT {
-			if gotS2S.ArrT[i] != a {
-				t.Fatalf("after the wrap ArrT[%d] = %d, fresh workspace says %d", i, gotS2S.ArrT[i], a)
+		for s := 0; s < g.NumStations(); s++ {
+			st := timetable.StationID(s)
+			if a, b := got.StationArrival(st), want.StationArrival(st); a != b {
+				t.Fatalf("after the wrap arr(%d) = %d, fresh workspace says %d", s, a, b)
 			}
 		}
-		// Generation 2 on the wiped arrays, through the other profile loop.
-		got, err := ws.OneToAll(g, src, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameArrivals(t, "after the wrap", got, want)
 	})
 
+	// toLimit runs q once to learn its partition, then sets every worker's
+	// counter so that the next run of q draws its last stamp slack past the
+	// limit, and returns the partition.
+	toLimit := func(t *testing.T, ws *Workspace, threads int, slack uint32, q func() []timeutil.Ticks) []int {
+		t.Helper()
+		q()
+		bounds := append([]int(nil), ws.bounds...)
+		if len(bounds) != threads+1 {
+			t.Fatalf("partition %v for %d threads", bounds, threads)
+		}
+		for w := 0; w < threads; w++ {
+			ws.workers[w].rowGen = maxGen - uint32(bounds[w+1]-bounds[w]) + slack
+		}
+		return bounds
+	}
+	// wrapped checks that the last query wiped and drew one stamp per
+	// connection from 1.
+	wrapped := func(t *testing.T, ws *Workspace, bounds []int) {
+		t.Helper()
+		for w := 0; w+1 < len(bounds); w++ {
+			if k, gen := bounds[w+1]-bounds[w], ws.workers[w].rowGen; gen != uint32(k) {
+				t.Fatalf("worker %d: row counter %d after the wrap, want %d (one per connection)", w, gen, k)
+			}
+		}
+	}
+
+	kinds := []struct {
+		name string
+		run  func(t *testing.T, ws *Workspace, threads int) []timeutil.Ticks
+	}{
+		{"row", func(t *testing.T, ws *Workspace, threads int) []timeutil.Ticks {
+			res, err := ws.OneToAll(g, src, Options{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stationArrivals(res)
+		}},
+		{"row/station-to-station", func(t *testing.T, ws *Workspace, threads int) []timeutil.Ticks {
+			res, err := ws.StationToStation(QueryEnv{Graph: g}, src, dst, QueryOptions{Options: Options{Threads: threads}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append([]timeutil.Ticks(nil), res.ArrT...)
+		}},
+	}
+	for _, kind := range kinds {
+		for _, threads := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/threads=%d", kind.name, threads), func(t *testing.T) {
+				want := kind.run(t, NewWorkspace(), threads)
+				ws := NewWorkspace()
+				q := func() []timeutil.Ticks { return kind.run(t, ws, threads) }
+
+				// The last query that fits: its stamps end exactly at the limit.
+				toLimit(t, ws, threads, 0, q)
+				sameTicks(t, "up to the limit", q(), want)
+				// The next one wraps, over records stamped up to the limit.
+				sameTicks(t, "after the wrap", q(), want)
+				wrapped(t, ws, ws.bounds)
+				// One that would end one past the limit wraps before it starts.
+				bounds := toLimit(t, ws, threads, 1, q)
+				sameTicks(t, "one past the limit", q(), want)
+				wrapped(t, ws, bounds)
+			})
+		}
+	}
+
+	thinned := thinnedCopy(t, g)
 	for _, threads := range []int{1, 2} {
-		t.Run(fmt.Sprintf("row/threads=%d", threads), func(t *testing.T) {
-			opts := Options{Threads: threads}
-			want, err := OneToAll(g, src, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws := NewWorkspace()
-			if _, err := ws.OneToAll(g, src, opts); err != nil {
-				t.Fatal(err)
-			}
-			bounds := append([]int(nil), ws.bounds...)
-			if len(bounds) != threads+1 {
-				t.Fatalf("partition %v for %d threads", bounds, threads)
-			}
-			// The last query that fits: its stamps end exactly at the limit.
-			for w := 0; w < threads; w++ {
-				ws.workers[w].rowGen = maxGen - uint32(bounds[w+1]-bounds[w])
-			}
-			got, err := ws.OneToAll(g, src, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameArrivals(t, "up to the limit", got, want)
-			// The next one wraps, over records stamped up to the limit.
-			got, err = ws.OneToAll(g, src, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameArrivals(t, "after the wrap", got, want)
-			for w := 0; w < threads; w++ {
-				if k, gen := bounds[w+1]-bounds[w], ws.workers[w].rowGen; gen != uint32(k) {
-					t.Fatalf("worker %d: row counter %d after the wrap, want %d (one per connection)", w, gen, k)
+		t.Run(fmt.Sprintf("row/cursors/threads=%d", threads), func(t *testing.T) {
+			window := func(ws *Workspace, g *graph.Graph, from timeutil.Ticks) []timeutil.Ticks {
+				res, err := ws.OneToAllWindow(g, src, from, from+90, Options{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
 				}
+				return stationArrivals(res)
 			}
+			const late, early = 1140, 1020
+			want := window(NewWorkspace(), g, early)
+			ws := NewWorkspace()
+			toLimit(t, ws, threads, 0, func() []timeutil.Ticks { return window(ws, thinned, late) })
+			window(ws, thinned, late)
+			sameTicks(t, "after the wrap from the thinned network", window(ws, g, early), want)
 		})
 	}
 }
@@ -481,6 +555,73 @@ func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
 			if n := cap(wsw.row) + cap(wsw.labels); n > g.NumNodes() {
 				t.Fatalf("threads=%d worker %d: %d label records after a one-to-all with k = %d; one row is %d",
 					threads, w, n, k, g.NumNodes())
+			}
+		}
+	}
+}
+
+// A station-to-station search keeps one label row per worker as well, with
+// and without a table: whatever k, at most numNodes label records and
+// numNodes ancestor flags per worker. The source is the busiest station that
+// is not a transfer station (both endpoints transfer stations is one table
+// look-up) and, with the table, the target a transfer station the query is
+// global for, so that target pruning keeps its ancestor flags.
+func TestStationQueryLabelStoreIsOneRow(t *testing.T) {
+	g := workspaceNet(t)
+	sg := stationgraph.Build(g.TT)
+	// A quarter of the stations: none of workspaceNet's has degree > 2.
+	pre, err := BuildDistanceTable(g, sg.SelectByContraction(g.NumStations()/4), Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := pre.Table
+	busiest, k := timetable.StationID(-1), 0
+	for s := 0; s < g.NumStations(); s++ {
+		st := timetable.StationID(s)
+		if n := len(g.TT.Outgoing(st)); n > k && !table.IsTransfer(st) {
+			busiest, k = st, n
+		}
+	}
+	if k < 16 {
+		t.Fatalf("busiest source has %d connections: network too thin", k)
+	}
+	withTable := QueryEnv{Graph: g, StationGraph: sg, Table: table}
+	target := timetable.StationID(-1)
+	for _, s := range table.Stations() {
+		res, err := NewWorkspace().StationToStation(withTable, busiest, s, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != busiest && !res.Local && !res.TableHit {
+			target = s
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("no transfer station the busiest source queries globally")
+	}
+	for _, env := range []QueryEnv{{Graph: g}, withTable} {
+		for _, threads := range []int{1, 2} {
+			ws := NewWorkspace()
+			res, err := ws.StationToStation(env, busiest, target, QueryOptions{Options: Options{Threads: threads}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Run.Total.SettledConns == 0 {
+				t.Fatal("the search settled nothing")
+			}
+			for w, wsw := range ws.workers {
+				if n := cap(wsw.row) + cap(wsw.labels); n > g.NumNodes() {
+					t.Fatalf("table=%v threads=%d worker %d: %d label records after a station query with k = %d; one row is %d",
+						env.Table != nil, threads, w, n, k, g.NumNodes())
+				}
+				if n := cap(wsw.anc); n > g.NumNodes() {
+					t.Fatalf("table=%v threads=%d worker %d: %d ancestor flags; one per node is %d",
+						env.Table != nil, threads, w, n, g.NumNodes())
+				}
+				if env.Table != nil && len(wsw.anc) == 0 {
+					t.Fatalf("threads=%d worker %d: target pruning kept no ancestor flags", threads, w)
+				}
 			}
 		}
 	}

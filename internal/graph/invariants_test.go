@@ -12,6 +12,78 @@ import (
 	"transit/internal/timeutil"
 )
 
+// assertOneRideEdgePerNode checks that no node has two Ride out-edges. The
+// profile searches keep one ride cursor per node (internal/core), which is
+// only right while a node's ride departures are those of one edge.
+func assertOneRideEdgePerNode(t *testing.T, g *Graph) {
+	t.Helper()
+	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
+		rides := 0
+		for _, e := range g.OutEdges(n) {
+			if e.Kind == Ride {
+				rides++
+			}
+		}
+		if rides > 1 {
+			t.Fatalf("node %d has %d ride edges", n, rides)
+		}
+	}
+}
+
+// A patched graph keeps the shape of the one it was patched from, ride edges
+// included.
+func TestOneRideEdgePerNodeAfterPatch(t *testing.T) {
+	for _, fam := range gen.Families() {
+		t.Run(string(fam), func(t *testing.T) {
+			cfg, err := gen.FamilyConfig(fam, 0.06, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tt, err := gen.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := Build(tt)
+			// Delay the first train that stays within the period and cancel
+			// the last one.
+			fits := make(map[timetable.TrainID]bool)
+			for _, c := range tt.Connections {
+				ok, seen := fits[c.Train]
+				fits[c.Train] = (ok || !seen) && !c.Arr.IsInf() && tt.Period.Valid(c.Dep+15)
+			}
+			delayed, cancelled := timetable.TrainID(-1), tt.Connections[len(tt.Connections)-1].Train
+			for _, c := range tt.Connections {
+				if fits[c.Train] && c.Train != cancelled {
+					delayed = c.Train
+					break
+				}
+			}
+			var ups []timetable.ConnUpdate
+			var touched []timetable.ConnID
+			for _, c := range tt.Connections {
+				switch c.Train {
+				case delayed:
+					ups = append(ups, timetable.ConnUpdate{ID: c.ID, Dep: c.Dep + 15, Arr: c.Arr + 15})
+				case cancelled:
+					ups = append(ups, timetable.ConnUpdate{ID: c.ID, Cancel: true})
+				default:
+					continue
+				}
+				touched = append(touched, c.ID)
+			}
+			ntt, err := tt.Patch(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := g.PatchTimes(ntt, touched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertOneRideEdgePerNode(t, pg)
+		})
+	}
+}
+
 func TestGraphInvariantsAcrossFamilies(t *testing.T) {
 	for _, fam := range gen.Families() {
 		t.Run(string(fam), func(t *testing.T) {
@@ -111,6 +183,8 @@ func TestGraphInvariantsAcrossFamilies(t *testing.T) {
 					t.Fatalf("connection %d has no ride edge from its departure node", c.ID)
 				}
 			}
+
+			assertOneRideEdgePerNode(t, g)
 
 			// Station nodes have exactly one board edge per route node at
 			// that station.
