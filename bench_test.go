@@ -62,7 +62,7 @@ func BenchmarkTable1OneToAll(b *testing.B) {
 				b.Run(fmt.Sprintf("CS-p%d", p), func(b *testing.B) {
 					var settled, critical int64
 					for i := 0; i < b.N; i++ {
-						res, err := core.OneToAll(net.G, sources[i%len(sources)], core.Options{Threads: p})
+						res, err := core.NewWorkspace().OneToAll(net.G, sources[i%len(sources)], core.Options{Threads: p})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -126,11 +126,13 @@ func BenchmarkTable2StationToStation(b *testing.B) {
 						if src == dst {
 							dst = timetable.StationID((int(dst) + 1) % net.TT.NumStations())
 						}
-						res, err := core.StationToStation(env, src, dst, core.QueryOptions{})
+						ws := core.GetWorkspace()
+						res, err := ws.StationToStation(env, src, dst, core.QueryOptions{})
 						if err != nil {
 							b.Fatal(err)
 						}
 						settled += res.Run.Total.SettledConns
+						core.PutWorkspace(ws)
 					}
 					b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 				})
@@ -161,7 +163,7 @@ func BenchmarkAblationSelfPruning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var settled int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.OneToAll(net.G, sources[i%len(sources)], core.Options{DisableSelfPruning: disable})
+				res, err := core.NewWorkspace().OneToAll(net.G, sources[i%len(sources)], core.Options{DisableSelfPruning: disable})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -181,7 +183,7 @@ func BenchmarkAblationPartition(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			var critical int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.OneToAll(net.G, sources[i%len(sources)], core.Options{Threads: 4, Partition: strat})
+				res, err := core.NewWorkspace().OneToAll(net.G, sources[i%len(sources)], core.Options{Threads: 4, Partition: strat})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -211,24 +213,26 @@ func BenchmarkAblationStopping(b *testing.B) {
 				if src == dst {
 					dst = timetable.StationID((int(dst) + 1) % net.TT.NumStations())
 				}
-				res, err := core.StationToStation(env, src, dst, core.QueryOptions{DisableStoppingCriterion: disable})
+				ws := core.GetWorkspace()
+				res, err := ws.StationToStation(env, src, dst, core.QueryOptions{DisableStoppingCriterion: disable})
 				if err != nil {
 					b.Fatal(err)
 				}
 				settled += res.Run.Total.SettledConns
+				core.PutWorkspace(ws)
 			}
 			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 		})
 	}
 }
 
-// BenchmarkApplyDelays compares the two dynamic-update paths on a delay
-// batch of roughly 100 connections (one route class of the benchmark
-// network): ApplyDelays — the seed's full rebuild with re-validation, route
-// re-derivation and complete index reconstruction — against ApplyUpdates,
-// the incremental copy-on-write patch behind internal/live. The gap is the
-// per-update cost a live server saves on every delay message.
-func BenchmarkApplyDelays(b *testing.B) {
+// BenchmarkApplyUpdates compares ApplyUpdates, the incremental
+// copy-on-write patch behind internal/live, with a full rebuild
+// (rebuildDelayed: re-validation, route re-derivation and complete index
+// reconstruction) on a delay batch of roughly 100 connections, one route
+// class of the benchmark network. The gap is the per-update cost a live
+// server saves on every delay message.
+func BenchmarkApplyUpdates(b *testing.B) {
 	net := benchNet(b, "washington")
 	n := transitNetwork(net)
 	// Pick the route class whose connection count is closest to 100.
@@ -249,7 +253,7 @@ func BenchmarkApplyDelays(b *testing.B) {
 	b.Run("full-rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := n.ApplyDelays(7, func(ci ConnectionInfo) bool { return ci.Route == route }); err != nil {
+			if _, _, err := rebuildDelayed(n, 7, func(ci ConnectionInfo) bool { return ci.Route == route }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,10 +286,14 @@ func BenchmarkPublicAPIQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.Run("EarliestArrival", func(b *testing.B) {
+		var reuse Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := n.EarliestArrival(0, StationID(1+i%(n.NumStations()-1)), 480, Options{}); err != nil {
+			if _, err := n.Plan(ctx, Request{
+				Kind: KindEarliestArrival, From: 0, To: StationID(1 + i%(n.NumStations()-1)), Depart: 480, Reuse: &reuse,
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -293,7 +301,7 @@ func BenchmarkPublicAPIQuery(b *testing.B) {
 	b.Run("Profile", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := n.Profile(0, StationID(1+i%(n.NumStations()-1)), Options{}); err != nil {
+			if _, err := n.Plan(ctx, Request{Kind: KindProfile, From: 0, To: StationID(1 + i%(n.NumStations()-1))}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -314,7 +322,7 @@ func BenchmarkSteadyStateStationQuery(b *testing.B) {
 	// attached core.Effort counter block — the observability contract is
 	// that tracing a query costs zero allocations, so its allocs/op column
 	// must read identically to pooled-workspace.
-	for _, mode := range []string{"pooled-workspace", "effort-tracked", "detached"} {
+	for _, mode := range []string{"pooled-workspace", "effort-tracked"} {
 		b.Run(mode, func(b *testing.B) {
 			ws := core.GetWorkspace()
 			defer core.PutWorkspace(ws)
@@ -336,15 +344,7 @@ func BenchmarkSteadyStateStationQuery(b *testing.B) {
 				if src == dst {
 					dst = timetable.StationID((int(dst) + 1) % net.TT.NumStations())
 				}
-				var err error
-				var res *core.StationQueryResult
-				if mode == "detached" {
-					// Package-level wrapper: pools the search arrays but
-					// detaches (copies) the O(k) result vectors.
-					res, err = core.StationToStation(env, src, dst, opts)
-				} else {
-					res, err = ws.StationToStation(env, src, dst, opts)
-				}
+				res, err := ws.StationToStation(env, src, dst, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -376,7 +376,7 @@ func BenchmarkBaselineCSA(b *testing.B) {
 	b.Run("td-dijkstra", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TimeQuery(net.G, sources[i%len(sources)], 480, core.Options{}); err != nil {
+			if _, err := core.NewWorkspace().TimeQuery(net.G, sources[i%len(sources)], 480, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,6 +62,17 @@ type updaterNode struct {
 	reg *live.Registry
 	pub *replica.Publisher
 	srv *httptest.Server
+}
+
+// arrival answers one earliest-arrival request on n through Plan.
+func arrival(t testing.TB, n *transit.Network, from, to transit.StationID, at transit.Ticks) transit.Ticks {
+	t.Helper()
+	res, err := n.Plan(context.Background(), transit.Request{Kind: transit.KindEarliestArrival, From: from, To: to, Depart: at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, _ := res.Arrival()
+	return arr
 }
 
 func startUpdater(t testing.TB, n *transit.Network, retain int) *updaterNode {
@@ -460,15 +472,7 @@ func TestReplicationChaos(t *testing.T) {
 
 	// Both sides answer identically after the double restart.
 	for _, at := range []transit.Ticks{400, 500, 600} {
-		u, err := regU2.Snapshot().Net.EarliestArrival(0, 3, at, transit.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := regR2.Snapshot().Net.EarliestArrival(0, 3, at, transit.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u != r {
+		if u, r := arrival(t, regU2.Snapshot().Net, 0, 3, at), arrival(t, regR2.Snapshot().Net, 0, 3, at); u != r {
 			t.Fatalf("at %d: updater arrival %v, replica %v", at, u, r)
 		}
 	}

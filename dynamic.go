@@ -61,64 +61,12 @@ func (n *Network) Departures(s StationID) ([]ConnectionInfo, error) {
 	return out, nil
 }
 
-// ApplyDelays returns a new Network in which every connection accepted by
-// the filter is shifted delta ticks later (negative delta means earlier;
-// the result is re-validated). This is the fully dynamic scenario the
-// paper's conclusion targets: the profile search needs no preprocessing, so
-// delayed trains only require rebuilding the (cheap) query structures.
-//
-// The filter decides per *train*: if any connection of a train matches, the
-// whole train is shifted, keeping its internal schedule consistent.
-func (n *Network) ApplyDelays(delta Ticks, filter func(ConnectionInfo) bool) (*Network, int, error) {
-	affected := make(map[timetable.TrainID]bool)
-	for _, c := range n.tt.Connections {
-		if filter(n.connInfo(c)) {
-			affected[c.Train] = true
-		}
-	}
-	conns := make([]timetable.Connection, len(n.tt.Connections))
-	copy(conns, n.tt.Connections)
-	shifted := 0
-	for i := range conns {
-		if !affected[conns[i].Train] {
-			continue
-		}
-		if conns[i].Arr.IsInf() {
-			// Cancelled by a previous ApplyUpdates: cancellation is
-			// permanent for the snapshot lineage. Re-timing would push the
-			// Infinity arrival below the sentinel and resurrect the train.
-			continue
-		}
-		dep := conns[i].Dep + delta
-		dur := conns[i].Arr - conns[i].Dep
-		dep = n.tt.Period.Wrap(dep)
-		conns[i].Dep = dep
-		conns[i].Arr = dep + dur
-		shifted++
-	}
-	stations := make([]timetable.Station, len(n.tt.Stations))
-	copy(stations, n.tt.Stations)
-	trains := make([]timetable.Train, len(n.tt.Trains))
-	copy(trains, n.tt.Trains)
-	footpaths := make([]timetable.Footpath, len(n.tt.Footpaths))
-	copy(footpaths, n.tt.Footpaths)
-	tt, err := timetable.NewWithFootpaths(n.tt.Period, stations, trains, conns, footpaths)
-	if err != nil {
-		return nil, 0, fmt.Errorf("transit: delayed timetable invalid: %w", err)
-	}
-	nn := NewNetwork(tt)
-	// A no-op filter on an unpatched network leaves an equivalent schedule;
-	// patchedness is otherwise sticky along the derivation chain.
-	nn.patched = n.patched || shifted > 0
-	return nn, shifted, nil
-}
-
 // DelayOp is one operation of a dynamic-update batch: a train-level delay
 // or cancellation, selected by train name, route class and/or a departure
 // window. Selection is per train — every connection of a matched train is
-// shifted (or cancelled) together, keeping its schedule consistent, exactly
-// like ApplyDelays. All set filters must match (AND); an op with no filter
-// at all matches every train whose departures intersect the window.
+// shifted (or cancelled) together, keeping its schedule consistent. All set
+// filters must match (AND); an op with no filter at all matches every train
+// whose departures intersect the window.
 type DelayOp struct {
 	// Train selects trains by exact name; "" disables the name filter.
 	Train string
@@ -194,14 +142,14 @@ type UpdateStats struct {
 	Touched []TouchedConn
 }
 
-// ApplyUpdates is the incremental counterpart of ApplyDelays: it returns a
-// new Network with the delay/cancellation batch applied, sharing every
-// untouched structure with the receiver — the route partition, the
-// time-dependent graph's node set and CSR skeleton, the station graph, and
-// the per-station connection indexes of unaffected stations. An update
-// touching k connections costs O(k log k) recompute plus flat copies of the
-// connection and edge arrays, instead of the full rebuild + re-validation
-// ApplyDelays pays; see BenchmarkApplyDelays for the gap.
+// ApplyUpdates returns a new Network with the delay/cancellation batch
+// applied incrementally, sharing every untouched structure with the
+// receiver — the route partition, the time-dependent graph's node set and
+// CSR skeleton, the station graph, and the per-station connection indexes
+// of unaffected stations. An update touching k connections costs
+// O(k log k) recompute plus flat copies of the connection and edge arrays,
+// instead of a full rebuild with re-validation; BenchmarkApplyUpdates
+// measures the gap.
 //
 // The receiver is never modified, so in-flight queries on it stay valid —
 // this is the snapshot discipline internal/live builds on. The returned

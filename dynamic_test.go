@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"transit/internal/timetable"
 )
 
 // lineNetwork builds a deterministic three-station line with hourly trains
@@ -31,13 +33,50 @@ func lineNetwork(t testing.TB) *Network {
 	return n
 }
 
+// rebuildDelayed is the full-rebuild oracle ApplyUpdates is checked
+// against: it shifts every connection of each train the filter matches by
+// delta ticks (negative means earlier), re-validates the copied timetable
+// and builds a new Network from scratch, sharing no code with
+// timetable.Patch or graph.PatchTimes. The filter decides per train, so a
+// train's schedule stays consistent. Cancelled connections stay cancelled:
+// re-timing would pull their Infinity arrival below the sentinel.
+func rebuildDelayed(n *Network, delta Ticks, filter func(ConnectionInfo) bool) (*Network, int, error) {
+	affected := make(map[timetable.TrainID]bool)
+	for _, c := range n.tt.Connections {
+		if filter(n.connInfo(c)) {
+			affected[c.Train] = true
+		}
+	}
+	conns := append([]timetable.Connection(nil), n.tt.Connections...)
+	shifted := 0
+	for i := range conns {
+		if !affected[conns[i].Train] || conns[i].Arr.IsInf() {
+			continue
+		}
+		dur := conns[i].Arr - conns[i].Dep
+		conns[i].Dep = n.tt.Period.Wrap(conns[i].Dep + delta)
+		conns[i].Arr = conns[i].Dep + dur
+		shifted++
+	}
+	tt, err := timetable.NewWithFootpaths(n.tt.Period,
+		append([]timetable.Station(nil), n.tt.Stations...),
+		append([]timetable.Train(nil), n.tt.Trains...),
+		conns,
+		append([]timetable.Footpath(nil), n.tt.Footpaths...))
+	if err != nil {
+		return nil, 0, fmt.Errorf("delayed timetable invalid: %w", err)
+	}
+	return NewNetwork(tt), shifted, nil
+}
+
 // TestApplyUpdatesMatchesFullRebuild checks the incremental patch path
-// against ApplyDelays (full rebuild + re-validation) on a real synthetic
-// network: same delay, same answers, for time queries and whole profiles.
+// against a full rebuild with re-validation (rebuildDelayed) on a real
+// synthetic network: same delay, same answers, for time queries and whole
+// profiles.
 func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 	n := testNetwork(t)
 	const route, delta = 3, 25
-	full, shifted, err := n.ApplyDelays(delta, func(ci ConnectionInfo) bool { return ci.Route == route })
+	full, shifted, err := rebuildDelayed(n, delta, func(ci ConnectionInfo) bool { return ci.Route == route })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +96,8 @@ func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		pf, _, err := full.Profile(src, dst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pi, _, err := inc.Profile(src, dst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		req := Request{Kind: KindProfile, From: src, To: dst}
+		pf, pi := plan(t, full, req).profile, plan(t, inc, req).profile
 		cf, ci := pf.Connections(), pi.Connections()
 		if len(cf) != len(ci) {
 			t.Fatalf("%d→%d: %d vs %d profile connections", src, dst, len(cf), len(ci))
@@ -95,11 +128,7 @@ func TestApplyUpdatesNegativeDelta(t *testing.T) {
 	if st.TrainsDelayed != 1 || st.ConnsRetimed != 2 {
 		t.Fatalf("stats %+v", st)
 	}
-	arr, err := upd.EarliestArrival(0, 2, 505, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr != 560 {
+	if arr := plan(t, upd, Request{Kind: KindEarliestArrival, From: 0, To: 2, Depart: 505}).arrival; arr != 560 {
 		t.Fatalf("arrival %d, want 560 (09:50-30min)", arr)
 	}
 	// The patched timetable still validates as a whole (negative deltas
@@ -135,11 +164,7 @@ func TestApplyUpdatesPeriodBoundary(t *testing.T) {
 	if err := roundTrip(upd); err != nil {
 		t.Fatalf("boundary wrap broke validation: %v", err)
 	}
-	arr, err := upd.EarliestArrival(0, 1, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr != 50 {
+	if arr := plan(t, upd, Request{Kind: KindEarliestArrival, From: 0, To: 1, Depart: 10}).arrival; arr != 50 {
 		t.Fatalf("arrival %d, want 50 (00:20 + 30min ride)", arr)
 	}
 	// Delaying an 11:00 train so its *arrival* crosses the period boundary
@@ -168,11 +193,8 @@ func TestApplyUpdatesCancellation(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	// The 07:30 traveller falls through to the 09:00 train.
-	arr, err := upd.EarliestArrival(0, 2, 450, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr != 590 {
+	ac := Request{Kind: KindEarliestArrival, From: 0, To: 2, Depart: 450}
+	if arr := plan(t, upd, ac).arrival; arr != 590 {
 		t.Fatalf("arrival %d, want 590 (line09 at C)", arr)
 	}
 	// Cancelled connections disappear from Departures but keep dense IDs
@@ -198,37 +220,38 @@ func TestApplyUpdatesCancellation(t *testing.T) {
 	if upd.Timetable().NumConnections() != n.Timetable().NumConnections() {
 		t.Fatal("cancellation renumbered connections")
 	}
-	// A later ApplyDelays (full rebuild) on the lineage must not resurrect
-	// the cancelled train — negative deltas used to pull the Infinity
-	// arrival back below the sentinel.
-	rb, _, err := upd.ApplyDelays(-10, func(ci ConnectionInfo) bool { return ci.Train == "line08" || ci.Train == "line09" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ci := range rb.Connections() {
-		if ci.Train == "line08" && !ci.Cancelled {
-			t.Fatalf("ApplyDelays resurrected a cancelled connection: %+v", ci)
+	// A later batch on the lineage must not resurrect the cancelled train,
+	// earlier or later: re-timing would pull its Infinity arrival back below
+	// the sentinel. The batch still moves line09.
+	for _, delta := range []Ticks{-10, 10} {
+		rb, st, err := upd.ApplyUpdates([]DelayOp{{Train: "line08", Delay: delta}, {Train: "line09", Delay: delta}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if deps, err := rb.Departures(0); err == nil {
-		for _, d := range deps {
-			if d.Train == "line08" {
-				t.Fatal("cancelled train boardable again after ApplyDelays")
+		if st.TrainsDelayed != 1 || st.ConnsRetimed != 2 {
+			t.Fatalf("delay %d of a cancelled and a running train: stats %+v, want line09 alone", delta, st)
+		}
+		for _, ci := range rb.Connections() {
+			if ci.Train == "line08" && !ci.Cancelled {
+				t.Fatalf("delay %d resurrected a cancelled connection: %+v", delta, ci)
 			}
 		}
-	} else {
-		t.Fatal(err)
+		deps, err := rb.Departures(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range deps {
+			if d.Train == "line08" {
+				t.Fatalf("cancelled train boardable again after a delay of %d", delta)
+			}
+		}
 	}
 	// Cancelling everything leaves stations unreachable but valid.
 	all, _, err := upd.ApplyUpdates([]DelayOp{{Cancel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err = all.EarliestArrival(0, 2, 450, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !arr.IsInf() {
+	if arr := plan(t, all, ac).arrival; !arr.IsInf() {
 		t.Fatalf("fully cancelled network still reachable: %d", arr)
 	}
 }
@@ -291,20 +314,13 @@ func TestApplyUpdatesDropsPreprocessing(t *testing.T) {
 	}
 	// The unpruned update still answers correctly: compare with a full
 	// rebuild of the same delay.
-	full, _, err := n.ApplyDelays(10, func(ci ConnectionInfo) bool { return ci.Route == 1 })
+	full, _, err := rebuildDelayed(n, 10, func(ci ConnectionInfo) bool { return ci.Route == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dep := range []Ticks{300, 480, 660, 1000} {
-		af, err := full.EarliestArrival(2, 9, dep, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ai, err := upd.EarliestArrival(2, 9, dep, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if af != ai {
+		req := Request{Kind: KindEarliestArrival, From: 2, To: 9, Depart: dep}
+		if af, ai := plan(t, full, req).arrival, plan(t, upd, req).arrival; af != ai {
 			t.Fatalf("at %d: full %d, incremental %d", dep, af, ai)
 		}
 	}

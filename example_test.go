@@ -35,15 +35,33 @@ func exampleNetwork() *transit.Network {
 	return net
 }
 
+// earliestArrival answers one earliest-arrival request through Plan.
+func earliestArrival(net *transit.Network, from, to transit.StationID, dep transit.Ticks) transit.Ticks {
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindEarliestArrival, From: from, To: to, Depart: dep,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	arr, _ := res.Arrival()
+	return arr
+}
+
 // A plain time-query: depart at 08:10, when do we arrive? The 08:00 express
 // is gone, so the answer rides the 08:30 local.
-func ExampleNetwork_EarliestArrival() {
+func ExampleResult_Arrival() {
 	net := exampleNetwork()
 	airport, _ := net.StationByName("Airport")
 	center, _ := net.StationByName("Center")
 
 	dep, _ := transit.ParseClock("08:10")
-	arr, err := net.EarliestArrival(airport, center, dep, transit.Options{})
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindEarliestArrival, From: airport, To: center, Depart: dep,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	arr, err := res.Arrival()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,12 +74,18 @@ func ExampleNetwork_EarliestArrival() {
 // A profile query: all best connections of the whole period in one search —
 // the paper's core operation. Both lines appear: a traveller present at
 // hh:30 sharp is better off on the local than waiting for the next express.
-func ExampleNetwork_Profile() {
+func ExampleResult_Profile() {
 	net := exampleNetwork()
 	airport, _ := net.StationByName("Airport")
 	center, _ := net.StationByName("Center")
 
-	profile, _, err := net.Profile(airport, center, transit.Options{Threads: 2})
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindProfile, From: airport, To: center, Options: transit.Options{Threads: 2},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	profile, err := res.Profile()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +110,7 @@ func ExampleNetwork_ApplyUpdates() {
 	center, _ := net.StationByName("Center")
 	dep, _ := transit.ParseClock("07:55")
 
-	before, _ := net.EarliestArrival(airport, center, dep, transit.Options{})
+	before := earliestArrival(net, airport, center, dep)
 	updated, stats, err := net.ApplyUpdates([]transit.DelayOp{
 		{Train: "X08", Delay: 20},    // 08:00 express leaves 08:20
 		{Train: "X09", Cancel: true}, // 09:00 express never runs
@@ -94,7 +118,7 @@ func ExampleNetwork_ApplyUpdates() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, _ := updated.EarliestArrival(airport, center, dep, transit.Options{})
+	after := earliestArrival(updated, airport, center, dep)
 	fmt.Printf("delayed %d train(s), cancelled %d\n", stats.TrainsDelayed, stats.TrainsCancelled)
 	fmt.Printf("07:55 traveller: %s before, %s after\n", net.FormatClock(before), net.FormatClock(after))
 	// Output:
@@ -118,7 +142,7 @@ func ExampleLoadSnapshot() {
 	airport, _ := loaded.StationByName("Airport")
 	harbor, _ := loaded.StationByName("Harbor")
 	dep, _ := transit.ParseClock("08:00")
-	arr, _ := loaded.EarliestArrival(airport, harbor, dep, transit.Options{})
+	arr := earliestArrival(loaded, airport, harbor, dep)
 	fmt.Printf("epoch %d snapshot; Airport→Harbor at %s arrives %s\n",
 		state.Epoch, loaded.FormatClock(dep), loaded.FormatClock(arr))
 	// Output:

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,14 +29,8 @@ func main() {
 	work := transit.StationID(net.NumStations() - 4)
 	fmt.Printf("home %q → work %q\n\n", net.Station(home).Name, net.Station(work).Name)
 
-	morning, stats, err := net.Profile(home, work, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	evening, _, err := net.Profile(work, home, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	morning, stats := profile(net, home, work)
+	evening, _ := profile(net, work, home)
 
 	fmt.Println("morning options (06:30–09:30):")
 	printWindow(net, morning, "06:30", "09:30")
@@ -60,15 +55,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, accel, err := pre.Profile(home, work, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	_, accel := profile(pre, home, work)
 	fmt.Printf("\npreprocessing: %d transfer stations, %.1f MiB, built in %v\n",
 		ps.TransferStations, float64(ps.TableBytes)/(1<<20), ps.Elapsed)
 	fmt.Printf("query work: %d settled labels without table, %d with (%.0f%%)\n",
 		stats.SettledConnections, accel.SettledConnections,
 		100*float64(accel.SettledConnections)/float64(stats.SettledConnections))
+}
+
+// profile runs one station-to-station profile query on four threads.
+func profile(net *transit.Network, from, to transit.StationID) (*transit.Profile, transit.QueryStats) {
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindProfile, From: from, To: to, Options: transit.Options{Threads: 4},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	p, _ := res.Profile()
+	return p, res.Stats()
 }
 
 func printWindow(net *transit.Network, p *transit.Profile, from, to string) {

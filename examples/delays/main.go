@@ -4,16 +4,17 @@
 // refresh the cheap query structures, query again — fast enough for
 // on-line use after every delay message.
 //
-// The example delays all morning trips of one route by 20 minutes through
-// both update paths — ApplyDelays (full rebuild + re-validation) and
+// The example delays all morning trips of one route by 20 minutes with
 // ApplyUpdates (the incremental copy-on-write patch behind the live-update
-// subsystem, internal/live) — verifies they agree, compares their cost,
-// and then cancels the route outright.
+// subsystem, internal/live), checks the patched network against query
+// structures rebuilt from scratch from the patched timetable, compares their
+// cost, and then cancels the route outright.
 //
 //	go run ./examples/delays
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,46 +32,33 @@ func main() {
 	src := transit.StationID(1)
 	dst := transit.StationID(net.NumStations() - 2)
 
-	before, _, err := net.Profile(src, dst, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	before, _ := profile(net, src, dst)
 
 	// Pick the route with the most morning departures out of src and
-	// delay its 07:00–10:00 trips by 20 minutes — first the seed way
-	// (rebuild everything), then the live-update way (patch in place).
+	// delay its 07:00–10:00 trips by 20 minutes the live-update way (patch
+	// in place), then rebuild the query structures from the patched
+	// timetable the way the paper's conclusion describes.
 	route := busiestMorningRoute(net, src)
-	start := time.Now()
-	rebuilt, shifted, err := net.ApplyDelays(20, func(c transit.ConnectionInfo) bool {
-		return c.Route == route && c.Dep >= 420 && c.Dep <= 600
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fullRebuild := time.Since(start)
-
 	ops := []transit.DelayOp{{Routes: []int{route}, WindowFrom: 420, WindowTo: 600, Delay: 20}}
-	start = time.Now()
+	start := time.Now()
 	patched, st, err := net.ApplyUpdates(ops)
 	if err != nil {
 		log.Fatal(err)
 	}
 	incremental := time.Since(start)
 
-	after, stats, err := patched.Profile(src, dst, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	start = time.Now()
+	rebuilt := transit.NewNetwork(patched.Timetable())
+	fullRebuild := time.Since(start)
+
+	after, stats := profile(patched, src, dst)
 	fmt.Printf("\ndelayed %d connections (%d trains)\n", st.ConnsRetimed, st.TrainsDelayed)
-	fmt.Printf("  full rebuild (ApplyDelays):    %v  (%d conns shifted)\n", fullRebuild, shifted)
+	fmt.Printf("  full rebuild (NewNetwork):     %v\n", fullRebuild)
 	fmt.Printf("  incremental (ApplyUpdates):    %v  (%.0fx faster)\n",
 		incremental, float64(fullRebuild)/float64(incremental))
 	fmt.Printf("  re-query on patched snapshot:  %v\n", stats.Elapsed)
 
-	ref, _, err := rebuilt.Profile(src, dst, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	ref, _ := profile(rebuilt, src, dst)
 	fmt.Printf("\n%-12s %-16s %-16s\n", "depart", "arrive (before)", "arrive (after)")
 	for _, at := range []string{"07:00", "07:45", "08:30", "09:15", "12:00"} {
 		dep, _ := transit.ParseClock(at)
@@ -92,13 +80,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pc, _, err := cancelled.Profile(src, dst, transit.Options{Threads: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
+	pc, _ := profile(cancelled, src, dst)
 	dep, _ := transit.ParseClock("08:30")
 	fmt.Printf("\ncancelled the route outright (%d connections): 08:30 arrival %s → %s\n",
 		cst.ConnsCancelled, net.FormatClock(after.EarliestArrival(dep)), net.FormatClock(pc.EarliestArrival(dep)))
+}
+
+// profile runs one station-to-station profile query on four threads.
+func profile(net *transit.Network, from, to transit.StationID) (*transit.Profile, transit.QueryStats) {
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindProfile, From: from, To: to, Options: transit.Options{Threads: 4},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	p, _ := res.Profile()
+	return p, res.Stats()
 }
 
 // busiestMorningRoute returns the route class with the most 07:00–10:00

@@ -1,8 +1,8 @@
 // Isochrone: network analysis built on the one-to-all profile search. A
-// single ProfileAll run yields, for every station, the complete travel-time
-// function from a source — enough to compute reachability maps for *every*
-// departure time at once, where a classic Dijkstra would need one run per
-// departure time.
+// single one-to-all request yields, for every station, the complete
+// travel-time function from a source — enough to compute reachability maps
+// for *every* departure time at once, where a classic Dijkstra would need one
+// run per departure time.
 //
 // The example renders an ASCII isochrone map of a rail network at two
 // departure times and reports all-day accessibility statistics.
@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -29,10 +30,13 @@ func main() {
 	fmt.Printf("source: %q\n", net.Station(hub).Name)
 
 	// ONE query — then any departure time is a lookup.
-	all, err := net.ProfileAll(hub, transit.Options{Threads: 4})
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindOneToAll, From: hub, Options: transit.Options{Threads: 4},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	all, _ := res.All()
 	st := all.Stats()
 	fmt.Printf("one-to-all profile search: %d settled labels in %v\n\n",
 		st.SettledConnections, st.Elapsed)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,10 +23,13 @@ func main() {
 	fmt.Println("network:", net.Stats())
 
 	src := transit.StationID(0)
-	pareto, err := net.ProfileAllPareto(src, 4, transit.Options{Threads: 4})
+	res, err := net.Plan(context.Background(), transit.Request{
+		Kind: transit.KindPareto, From: src, MaxTransfers: 4, Options: transit.Options{Threads: 4},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	pareto, _ := res.Pareto()
 	st := pareto.Stats()
 	fmt.Printf("multi-criteria one-to-all from %q: %d settled labels in %v\n\n",
 		net.Station(src).Name, st.SettledConnections, st.Elapsed)

@@ -28,9 +28,10 @@ func main() {
 
 	// 1. A plain time-query: depart at 08:15, when do we arrive? Every
 	// query kind runs through the unified, context-aware entry point
-	// Network.Plan (the convenience methods below wrap it).
+	// Network.Plan.
+	ctx := context.Background()
 	dep, _ := transit.ParseClock("08:15")
-	res, err := net.Plan(context.Background(), transit.Request{
+	res, err := net.Plan(ctx, transit.Request{
 		Kind: transit.KindEarliestArrival, From: src, To: dst, Depart: dep,
 	})
 	if err != nil {
@@ -42,7 +43,7 @@ func main() {
 
 	// 1b. The batch form: one matrix request answers many pairs at once
 	// (the /v1/matrix endpoint of cmd/tpserver).
-	mres, err := net.Plan(context.Background(), transit.Request{
+	mres, err := net.Plan(ctx, transit.Request{
 		Kind:    transit.KindMatrix,
 		Sources: []transit.StationID{src, dst},
 		Targets: []transit.StationID{src, dst},
@@ -66,10 +67,14 @@ func main() {
 
 	// 2. The full profile: every relevant connection of the day in one
 	// query (the paper's core contribution), computed in parallel.
-	profile, stats, err := net.Profile(src, dst, transit.Options{Threads: 4})
+	pres, err := net.Plan(ctx, transit.Request{
+		Kind: transit.KindProfile, From: src, To: dst, Options: transit.Options{Threads: 4},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	profile, _ := pres.Profile()
+	stats := pres.Stats()
 	conns := profile.Connections()
 	fmt.Printf("\n%d relevant connections today (settled %d labels in %v):\n",
 		len(conns), stats.SettledConnections, stats.Elapsed)
@@ -83,10 +88,13 @@ func main() {
 	}
 
 	// 3. A concrete itinerary with trains and transfers.
-	all, err := net.ProfileAll(src, transit.Options{TrackJourneys: true})
+	ares, err := net.Plan(ctx, transit.Request{
+		Kind: transit.KindOneToAll, From: src, Options: transit.Options{TrackJourneys: true},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	all, _ := ares.All()
 	journey, err := all.Journey(dst, dep)
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,7 @@ func AblationPartition(net *Network, threads, numQueries int, seed int64) ([]Abl
 		agg := &stats.Aggregate{}
 		var maxW, minW float64
 		for _, src := range sources {
-			res, err := core.OneToAll(net.G, src, core.Options{Threads: threads, Partition: strat})
+			res, err := core.NewWorkspace().OneToAll(net.G, src, core.Options{Threads: threads, Partition: strat})
 			if err != nil {
 				return nil, err
 			}
@@ -72,7 +72,7 @@ func AblationSelfPruning(net *Network, numQueries int, seed int64) ([]AblationRo
 		}
 		agg := &stats.Aggregate{}
 		for _, src := range sources {
-			res, err := core.OneToAll(net.G, src, core.Options{DisableSelfPruning: disable})
+			res, err := core.NewWorkspace().OneToAll(net.G, src, core.Options{DisableSelfPruning: disable})
 			if err != nil {
 				return nil, err
 			}
@@ -101,12 +101,15 @@ func AblationStopping(net *Network, numQueries int, seed int64) ([]AblationRow, 
 		}
 		agg := &stats.Aggregate{}
 		for _, pr := range pairs {
-			res, err := core.StationToStation(env, pr[0], pr[1],
+			ws := core.GetWorkspace()
+			res, err := ws.StationToStation(env, pr[0], pr[1],
 				core.QueryOptions{DisableStoppingCriterion: disable})
 			if err != nil {
+				core.PutWorkspace(ws)
 				return nil, err
 			}
 			agg.Observe(&res.Run)
+			core.PutWorkspace(ws)
 		}
 		rows = append(rows, AblationRow{
 			Family:      net.Family,
@@ -138,7 +141,7 @@ func AblationPareto(net *Network, budgets []int, numQueries int, seed int64) ([]
 	sources := randomSources(net, numQueries, seed)
 	base := &stats.Aggregate{}
 	for _, src := range sources {
-		res, err := core.OneToAll(net.G, src, core.Options{})
+		res, err := core.NewWorkspace().OneToAll(net.G, src, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -215,7 +215,7 @@ type T2Row struct {
 }
 
 // updateBatchConns is the delay-batch size MeasureUpdates targets in
-// Table 2, matching the acceptance workload of BenchmarkApplyDelays.
+// Table 2, matching the batch BenchmarkApplyUpdates times.
 const updateBatchConns = 100
 
 // delayBatch builds a ConnUpdate batch of at least want connections (whole

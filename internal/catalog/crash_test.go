@@ -26,17 +26,19 @@ var (
 	}
 )
 
-// catFingerprint probes hourly arrivals A→B — the behavioural signature of
-// the buildNet test networks.
+// catFingerprint probes hourly arrivals A→B through Plan — the behavioural
+// signature of the buildNet test networks.
 func catFingerprint(t testing.TB, n *transit.Network) [17]transit.Ticks {
 	t.Helper()
 	var fp [17]transit.Ticks
 	for h := 6; h <= 22; h++ {
-		arr, err := n.EarliestArrival(0, 1, transit.Ticks(h*60), transit.Options{})
+		res, err := n.Plan(context.Background(), transit.Request{
+			Kind: transit.KindEarliestArrival, From: 0, To: 1, Depart: transit.Ticks(h * 60),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp[h-6] = arr
+		fp[h-6], _ = res.Arrival()
 	}
 	return fp
 }

@@ -26,20 +26,20 @@ func TestCancelClosedDone(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		opts := Options{Threads: threads, Done: closedDone()}
 
-		if _, err := OneToAll(g, src, opts); !errors.Is(err, ErrCancelled) {
+		if _, err := NewWorkspace().OneToAll(g, src, opts); !errors.Is(err, ErrCancelled) {
 			t.Errorf("threads=%d: OneToAll err = %v, want ErrCancelled", threads, err)
 		}
-		if _, err := OneToAllWindow(g, src, 0, 600, opts); !errors.Is(err, ErrCancelled) {
+		if _, err := NewWorkspace().OneToAllWindow(g, src, 0, 600, opts); !errors.Is(err, ErrCancelled) {
 			t.Errorf("threads=%d: OneToAllWindow err = %v, want ErrCancelled", threads, err)
 		}
 		if _, err := OneToAllPareto(g, src, 3, opts); !errors.Is(err, ErrCancelled) {
 			t.Errorf("threads=%d: OneToAllPareto err = %v, want ErrCancelled", threads, err)
 		}
-		if _, err := TimeQuery(g, src, 480, opts); !errors.Is(err, ErrCancelled) {
+		if _, err := NewWorkspace().TimeQuery(g, src, 480, opts); !errors.Is(err, ErrCancelled) {
 			t.Errorf("threads=%d: TimeQuery err = %v, want ErrCancelled", threads, err)
 		}
 		env := QueryEnv{Graph: g}
-		if _, err := StationToStation(env, src, 5, QueryOptions{Options: opts}); !errors.Is(err, ErrCancelled) {
+		if _, err := NewWorkspace().StationToStation(env, src, 5, QueryOptions{Options: opts}); !errors.Is(err, ErrCancelled) {
 			t.Errorf("threads=%d: StationToStation err = %v, want ErrCancelled", threads, err)
 		}
 		ws := NewWorkspace()
@@ -89,7 +89,7 @@ func TestCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := OneToAll(g, 1, Options{})
+	fresh, err := NewWorkspace().OneToAll(g, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +107,16 @@ func TestCancelMidFlight(t *testing.T) {
 // cancels and produces identical results to the pre-cancellation code path.
 func TestCancelNilDoneUnaffected(t *testing.T) {
 	g := workspaceNet(t)
-	if _, err := OneToAll(g, 0, Options{}); err != nil {
+	if _, err := NewWorkspace().OneToAll(g, 0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	open := make(chan struct{})
 	defer close(open)
-	withOpen, err := OneToAll(g, 0, Options{Done: open})
+	withOpen, err := NewWorkspace().OneToAll(g, 0, Options{Done: open})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := OneToAll(g, 0, Options{})
+	plain, err := NewWorkspace().OneToAll(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

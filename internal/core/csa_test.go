@@ -14,7 +14,7 @@ func TestCSAMatchesTimeQueryDiamond(t *testing.T) {
 	g := diamond(t)
 	sched := NewConnectionScan(g.TT)
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 59 {
-		tq, err := TimeQuery(g, 0, tau, Options{})
+		tq, err := NewWorkspace().TimeQuery(g, 0, tau, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestCSAMatchesTimeQueryFamilies(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			src := timetable.StationID(rng.Intn(tt.NumStations()))
 			tau := timeutil.Ticks(rng.Intn(1440))
-			tq, err := TimeQuery(g, src, tau, Options{})
+			tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestCSAOvernightTrain(t *testing.T) {
 	}
 	// Cross-check against the graph machinery.
 	g := graph.Build(tt)
-	tq, err := TimeQuery(g, a, 1400, Options{})
+	tq, err := NewWorkspace().TimeQuery(g, a, 1400, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCSARandomNetworks(t *testing.T) {
 		sched := NewConnectionScan(tt)
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
 		tau := timeutil.Ticks(rng.Intn(1440))
-		tq, err := TimeQuery(g, src, tau, Options{})
+		tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

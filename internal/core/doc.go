@@ -125,25 +125,16 @@
 // # Lifecycle
 //
 // A Workspace serves one query at a time and is not safe for concurrent
-// use. There are two ways to run a query:
-//
-//   - Workspace methods (Workspace.OneToAll, Workspace.StationToStation,
-//     Workspace.EarliestArrival, Workspace.JourneySearch,
-//     Workspace.TimeQuery, CSASchedule.QueryWS): zero steady-state
-//     allocations; the result borrows workspace memory and is valid only
-//     until the next query on the same workspace. Check workspaces out of
-//     the package free list with GetWorkspace/PutWorkspace — this is what
-//     Plan does per request — or keep one per worker. The free list holds
-//     up to GOMAXPROCS grown workspaces and, unlike a runtime-managed pool,
-//     keeps them across garbage collections; ProfileResult.Detach copies
-//     the station rows out of a one-to-all result before the workspace
-//     goes back.
-//
-//   - Package-level functions (OneToAll, StationToStation, TimeQuery,
-//     LabelCorrecting, CSASchedule.Query): self-contained results. Big
-//     results (profile searches) bind a private workspace that lives and
-//     dies with the result; small results (station-to-station) run on a
-//     pooled workspace and are detached by a copy of their O(k) vectors.
+// use. Every search runs as a Workspace method (Workspace.OneToAll,
+// Workspace.StationToStation, Workspace.EarliestArrival,
+// Workspace.JourneySearch, Workspace.TimeQuery, CSASchedule.QueryWS): zero
+// steady-state allocations; the result borrows workspace memory and is
+// valid only until the next query on the same workspace. Check workspaces
+// out of the package free list with GetWorkspace/PutWorkspace — this is
+// what Plan does per request — or keep one per worker. The free list holds
+// up to GOMAXPROCS grown workspaces and, unlike a runtime-managed pool,
+// keeps them across garbage collections; ProfileResult.Detach copies the
+// station rows out of a one-to-all result before the workspace goes back.
 //
 // The stopping criterion's cross-thread state (stopState) packs a
 // connection index and an arrival into one atomic word; the arrival half

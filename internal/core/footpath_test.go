@@ -40,7 +40,7 @@ func TestFootpathTimeQuery(t *testing.T) {
 	g := footpathNetwork(t)
 	// Depart A 08:00 → B 08:15 → walk to C 08:20 → board 08:30 (+T(C)=2
 	// still catchable: 08:20+2=08:22 ≤ 08:30) → D 08:45.
-	res, err := TimeQuery(g, 0, 480, Options{})
+	res, err := NewWorkspace().TimeQuery(g, 0, 480, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestFootpathTimeQuery(t *testing.T) {
 func TestFootpathAllAlgorithmsAgree(t *testing.T) {
 	g := footpathNetwork(t)
 	sched := NewConnectionScan(g.TT)
-	prof, err := OneToAll(g, 0, Options{})
+	prof, err := NewWorkspace().OneToAll(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := OneToAll(g, 0, Options{Threads: 3})
+	par, err := NewWorkspace().OneToAll(g, 0, Options{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFootpathAllAlgorithmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 93 {
-		tq, err := TimeQuery(g, 0, tau, Options{})
+		tq, err := NewWorkspace().TimeQuery(g, 0, tau, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestFootpathStationToStation(t *testing.T) {
 		}
 		env := QueryEnv{Graph: g, StationGraph: sg, Table: pre.Table}
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
-		ref, err := OneToAll(g, src, Options{})
+		ref, err := NewWorkspace().OneToAll(g, src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestFootpathStationToStation(t *testing.T) {
 			if dst == src {
 				continue
 			}
-			res, err := StationToStation(env, src, dst, QueryOptions{})
+			res, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestFootpathInitialWalk(t *testing.T) {
 
 	// Departing S at 07:50: walk to W (arrive 07:57), board 08:00, arrive
 	// 08:20. The direct train would arrive 14:00.
-	prof, err := OneToAll(g, s, Options{})
+	prof, err := NewWorkspace().OneToAll(g, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFootpathInitialWalk(t *testing.T) {
 	// Full agreement with the time-query and CSA at every departure.
 	sched := NewConnectionScan(tt)
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 41 {
-		tq, err := TimeQuery(g, s, tau, Options{})
+		tq, err := NewWorkspace().TimeQuery(g, s, tau, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,14 +243,14 @@ func TestFootpathInitialWalk(t *testing.T) {
 	// Station-to-station (no table) agrees too, including the walk-only
 	// answer to W.
 	env := QueryEnv{Graph: g}
-	res, err := StationToStation(env, s, w, QueryOptions{})
+	res, err := NewWorkspace().StationToStation(env, s, w, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.EarliestArrival(470); got != 477 {
 		t.Fatalf("s2s to W = %d, want 477 (pure walk)", got)
 	}
-	resD, err := StationToStation(env, s, d, QueryOptions{})
+	resD, err := NewWorkspace().StationToStation(env, s, d, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +280,12 @@ func TestFootpathRandomCrossValidate(t *testing.T) {
 		g := graph.Build(tt)
 		sched := NewConnectionScan(tt)
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
-		prof, err := OneToAll(g, src, Options{Threads: 1 + rng.Intn(4)})
+		prof, err := NewWorkspace().OneToAll(g, src, Options{Threads: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tau := range []timeutil.Ticks{0, timeutil.Ticks(rng.Intn(1440)), 1439} {
-			tq, err := TimeQuery(g, src, tau, Options{})
+			tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,7 +76,7 @@ func TestParetoMatchesUnconstrained(t *testing.T) {
 		}
 		g := graph.Build(tt)
 		src := timetable.StationID(1)
-		plain, err := OneToAll(g, src, Options{})
+		plain, err := NewWorkspace().OneToAll(g, src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

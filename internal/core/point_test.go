@@ -41,7 +41,7 @@ func TestEarliestArrivalExactAgainstTimeQuery(t *testing.T) {
 		envs := []QueryEnv{{Graph: g}, {Graph: g, StationGraph: sg, Table: pre.Table}}
 		for _, tau := range []timeutil.Ticks{0, 1, timeutil.Ticks(rng.Intn(1440)), 1439, 1440, 1920, 2897} {
 			src := timetable.StationID(rng.Intn(tt.NumStations()))
-			tq, err := TimeQuery(g, src, tau, Options{})
+			tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestTimeQueryToMatchesFullSearch(t *testing.T) {
 		g := graph.Build(tt)
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
 		tau := timeutil.Ticks(rng.Intn(3000))
-		full, err := TimeQuery(g, src, tau, Options{})
+		full, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +176,11 @@ func TestTablePruningSparesStationsWithFootpaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := QueryEnv{Graph: g, StationGraph: stationgraph.Build(tt), Table: pre.Table}
-	want, err := OneToAll(g, s, Options{})
+	want, err := NewWorkspace().OneToAll(g, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := StationToStation(env, s, d, QueryOptions{})
+	got, err := NewWorkspace().StationToStation(env, s, d, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

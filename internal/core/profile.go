@@ -20,9 +20,7 @@ import (
 // meaningful arrival only when its stamp matches the generation the search
 // ran under, and every other slot reads as Infinity. Results produced by a
 // Workspace query method are therefore valid only until the next query on
-// that workspace; Detach copies out what a caller keeps (the station rows),
-// and package-level OneToAll binds a private workspace to the result, which
-// stays valid for as long as the caller keeps it.
+// that workspace; Detach copies out what a caller keeps (the station rows).
 //
 // Without footpaths the seed list is exactly the paper's conn(S). With
 // footpaths it is the extended list (see extendedConns): connections of
@@ -269,12 +267,6 @@ func (r *ProfileResult) EarliestArrival(t timetable.StationID, at timeutil.Ticks
 		best = a
 	}
 	return best
-}
-
-// IdealSpeedupOver estimates the machine-independent parallel speed-up of
-// this run over a sequential baseline run (see stats.Run.IdealSpeedup).
-func (r *ProfileResult) IdealSpeedupOver(seq *ProfileResult) float64 {
-	return r.Run.IdealSpeedup(&seq.Run)
 }
 
 // HasParents reports whether parent links were recorded.

@@ -53,11 +53,11 @@ func TestTargetPruningActivates(t *testing.T) {
 			if s == target || table.IsTransfer(s) {
 				continue // transfer→transfer answers from the table directly
 			}
-			with, err := StationToStation(env, s, target, QueryOptions{})
+			with, err := NewWorkspace().StationToStation(env, s, target, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			without, err := StationToStation(env, s, target, QueryOptions{DisableTargetPruning: true})
+			without, err := NewWorkspace().StationToStation(env, s, target, QueryOptions{DisableTargetPruning: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,14 +179,14 @@ func TestLocalQueryUsesStoppingOnly(t *testing.T) {
 			continue
 		}
 		src := v.Local[0]
-		res, err := StationToStation(env, src, timetable.StationID(dst), QueryOptions{})
+		res, err := NewWorkspace().StationToStation(env, src, timetable.StationID(dst), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Local {
 			t.Fatalf("%d→%d should be local", src, dst)
 		}
-		noStop, err := StationToStation(env, src, timetable.StationID(dst), QueryOptions{DisableStoppingCriterion: true})
+		noStop, err := NewWorkspace().StationToStation(env, src, timetable.StationID(dst), QueryOptions{DisableStoppingCriterion: true})
 		if err != nil {
 			t.Fatal(err)
 		}

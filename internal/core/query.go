@@ -43,9 +43,8 @@ type QueryOptions struct {
 // StationQueryResult is the profile of an S–T station-to-station query:
 // arr(T, i) for every outgoing connection i of S.
 //
-// Results returned by Workspace.StationToStation borrow workspace memory
-// (Conns, Deps, ArrT, Run.PerThread) and are valid until the next query on
-// that workspace; StationToStation returns a detached copy.
+// Results borrow workspace memory (Conns, Deps, ArrT, Run.PerThread) and
+// are valid until the next query on that workspace.
 type StationQueryResult struct {
 	Source timetable.StationID
 	Target timetable.StationID
@@ -91,17 +90,6 @@ func (r *StationQueryResult) EarliestArrival(at timeutil.Ticks) timeutil.Ticks {
 		best = a
 	}
 	return best
-}
-
-// detach deep-copies the result out of workspace memory so it survives the
-// workspace's return to the pool.
-func (r *StationQueryResult) detach() *StationQueryResult {
-	out := *r
-	out.Conns = append([]timetable.ConnID(nil), r.Conns...)
-	out.Deps = append([]timeutil.Ticks(nil), r.Deps...)
-	out.ArrT = append([]timeutil.Ticks(nil), r.ArrT...)
-	out.Run.PerThread = append([]stats.Counters(nil), r.Run.PerThread...)
-	return &out
 }
 
 // stopState is the shared stopping-criterion state (Theorem 2), packed for
@@ -166,24 +154,8 @@ func (s *stopState) shouldPrune(i int, key timeutil.Ticks) bool {
 // and distance table — pruning via the distance table for global queries
 // plus target pruning when T is a transfer station.
 //
-// It runs on a pooled workspace and returns a detached (caller-owned)
-// result. Steady-state callers that can consume the result immediately
-// should use Workspace.StationToStation to also skip the copy.
-func StationToStation(env QueryEnv, source, target timetable.StationID, opts QueryOptions) (*StationQueryResult, error) {
-	ws := GetWorkspace()
-	res, err := ws.StationToStation(env, source, target, opts)
-	if err != nil {
-		PutWorkspace(ws)
-		return nil, err
-	}
-	out := res.detach()
-	PutWorkspace(ws)
-	return out, nil
-}
-
-// StationToStation is the workspace-reusing form of the package-level
-// StationToStation: the steady state allocates nothing. The result borrows
-// workspace memory and is valid until the next query on this workspace.
+// The steady state allocates nothing. The result borrows workspace memory
+// and is valid until the next query on this workspace.
 func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.StationID, opts QueryOptions) (*StationQueryResult, error) {
 	return ws.stationQuery(env, source, target, wholePeriod, opts)
 }

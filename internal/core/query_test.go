@@ -54,11 +54,11 @@ func buildFixture(t *testing.T, fam gen.Family, scale float64, seed int64, trans
 // station profile at every sampled departure time.
 func checkAgainstOneToAll(t *testing.T, fx *queryFixture, src, dst timetable.StationID, opts QueryOptions, label string) *StationQueryResult {
 	t.Helper()
-	res, err := StationToStation(fx.env, src, dst, opts)
+	res, err := NewWorkspace().StationToStation(fx.env, src, dst, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ref, err := OneToAll(fx.g, src, Options{})
+	ref, err := NewWorkspace().OneToAll(fx.g, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestStoppingCriterionReducesWork(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		a, err := StationToStation(env, src, dst, QueryOptions{})
+		a, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := StationToStation(env, src, dst, QueryOptions{DisableStoppingCriterion: true})
+		b, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{DisableStoppingCriterion: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,14 +207,14 @@ func TestTablePruningReducesWork(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		a, err := StationToStation(fx.env, src, dst, QueryOptions{})
+		a, err := NewWorkspace().StationToStation(fx.env, src, dst, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Local || a.TableHit {
 			continue // only global searched queries are informative
 		}
-		b, err := StationToStation(fx.env, src, dst, QueryOptions{DisableTablePruning: true})
+		b, err := NewWorkspace().StationToStation(fx.env, src, dst, QueryOptions{DisableTablePruning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,26 +230,26 @@ func TestTablePruningReducesWork(t *testing.T) {
 
 func TestStationToStationErrors(t *testing.T) {
 	fx := buildFixture(t, gen.Oahu, 0.04, 3, 0.1)
-	if _, err := StationToStation(QueryEnv{}, 0, 1, QueryOptions{}); err == nil {
+	if _, err := NewWorkspace().StationToStation(QueryEnv{}, 0, 1, QueryOptions{}); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := StationToStation(QueryEnv{Graph: fx.g, Table: fx.table}, 0, 1, QueryOptions{}); err == nil {
+	if _, err := NewWorkspace().StationToStation(QueryEnv{Graph: fx.g, Table: fx.table}, 0, 1, QueryOptions{}); err == nil {
 		t.Error("table without station graph accepted")
 	}
-	if _, err := StationToStation(fx.env, -1, 1, QueryOptions{}); err == nil {
+	if _, err := NewWorkspace().StationToStation(fx.env, -1, 1, QueryOptions{}); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := StationToStation(fx.env, 0, 99999, QueryOptions{}); err == nil {
+	if _, err := NewWorkspace().StationToStation(fx.env, 0, 99999, QueryOptions{}); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if _, err := StationToStation(fx.env, 0, 1, QueryOptions{Options: Options{Partition: PartitionStrategy(9)}}); err == nil {
+	if _, err := NewWorkspace().StationToStation(fx.env, 0, 1, QueryOptions{Options: Options{Partition: PartitionStrategy(9)}}); err == nil {
 		t.Error("bad partition strategy accepted")
 	}
 }
 
 func TestEarliestArrivalSelf(t *testing.T) {
 	fx := buildFixture(t, gen.Oahu, 0.04, 3, 0.1)
-	res, err := StationToStation(fx.env, 2, 2, QueryOptions{})
+	res, err := NewWorkspace().StationToStation(fx.env, 2, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,13 +59,13 @@ func TestRandomNetworksCrossValidate(t *testing.T) {
 		g := graph.Build(tt)
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
 
-		spcs, err := OneToAll(g, src, Options{})
+		spcs, err := NewWorkspace().OneToAll(g, src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := 1 + rng.Intn(7)
 		strat := PartitionStrategy(rng.Intn(3))
-		par, err := OneToAll(g, src, Options{Threads: p, Partition: strat})
+		par, err := NewWorkspace().OneToAll(g, src, Options{Threads: p, Partition: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestRandomNetworksCrossValidate(t *testing.T) {
 			for _, tau := range []timeutil.Ticks{0, timeutil.Ticks(rng.Intn(1440)), 719, 1439} {
 				want := spcs.EarliestArrival(st, tau)
 				// Reference: independent time-query.
-				tq, err := TimeQuery(g, src, tau, Options{})
+				tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestRandomNetworksStationToStation(t *testing.T) {
 		env := QueryEnv{Graph: g, StationGraph: sg, Table: pre.Table}
 
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
-		ref, err := OneToAll(g, src, Options{})
+		ref, err := NewWorkspace().OneToAll(g, src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestRandomNetworksStationToStation(t *testing.T) {
 			if dst == src {
 				continue
 			}
-			res, err := StationToStation(env, src, dst, QueryOptions{
+			res, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{
 				Options: Options{Threads: 1 + rng.Intn(4)},
 			})
 			if err != nil {
@@ -272,7 +272,7 @@ func TestRandomNetworksExactAgainstLabelCorrecting(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 2, 4} {
-			ota, err := OneToAll(g, src, Options{Threads: threads, TrackParents: true})
+			ota, err := NewWorkspace().OneToAll(g, src, Options{Threads: threads, TrackParents: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestRandomNetworksExactAgainstLabelCorrecting(t *testing.T) {
 			// entries occur (a station node is only ever pushed at the key
 			// being settled). Self-pruning would discard one that slipped
 			// through; here it would overwrite the label.
-			unpruned, err := OneToAll(g, src, Options{Threads: threads, DisableSelfPruning: true})
+			unpruned, err := NewWorkspace().OneToAll(g, src, Options{Threads: threads, DisableSelfPruning: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestRandomNetworksExactAgainstLabelCorrecting(t *testing.T) {
 					journeys++
 				}
 				for e, env := range envs {
-					res, err := StationToStation(env, src, dst, QueryOptions{Options: Options{Threads: threads}})
+					res, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{Options: Options{Threads: threads}})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -152,30 +152,16 @@ func (w *spcsWorker) run() {
 // per-station connection reduction of ProfileResult restores the FIFO
 // property that is not guaranteed across threads.
 //
-// The result owns a private workspace and stays valid indefinitely; for
-// steady-state query traffic, use Workspace.OneToAll with a pooled
-// workspace instead and consume the result before the next query.
-func OneToAll(g *graph.Graph, source timetable.StationID, opts Options) (*ProfileResult, error) {
-	return NewWorkspace().OneToAllWindow(g, source, 0, timeutil.Infinity, opts)
-}
-
-// OneToAllWindow runs the profile search restricted to itineraries leaving
-// the source (effectively) within [from, to] — Dean's interval search [5],
-// referenced in the paper's related work. The resulting profiles cover
-// exactly the departures in the window; with [0, ∞) it is OneToAll.
-func OneToAllWindow(g *graph.Graph, source timetable.StationID, from, to timeutil.Ticks, opts Options) (*ProfileResult, error) {
-	return NewWorkspace().OneToAllWindow(g, source, from, to, opts)
-}
-
-// OneToAll is the workspace-reusing form of the package-level OneToAll.
 // The result borrows workspace memory and is valid until the next query on
 // this workspace.
 func (ws *Workspace) OneToAll(g *graph.Graph, source timetable.StationID, opts Options) (*ProfileResult, error) {
 	return ws.OneToAllWindow(g, source, 0, timeutil.Infinity, opts)
 }
 
-// OneToAllWindow is the workspace-reusing form of the package-level
-// OneToAllWindow.
+// OneToAllWindow runs the profile search restricted to itineraries leaving
+// the source (effectively) within [from, to] — Dean's interval search [5],
+// referenced in the paper's related work. The resulting profiles cover
+// exactly the departures in the window; with [0, ∞) it is OneToAll.
 func (ws *Workspace) OneToAllWindow(g *graph.Graph, source timetable.StationID, from, to timeutil.Ticks, opts Options) (*ProfileResult, error) {
 	return ws.oneToAll(g, source, from, to, timeutil.Infinity, opts)
 }

@@ -39,7 +39,7 @@ func diamond(t *testing.T) *graph.Graph {
 
 func TestOneToAllDiamond(t *testing.T) {
 	g := diamond(t)
-	res, err := OneToAll(g, 0, Options{})
+	res, err := NewWorkspace().OneToAll(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestOneToAllDiamond(t *testing.T) {
 
 func TestSelfPruningReducesWork(t *testing.T) {
 	g := diamond(t)
-	with, err := OneToAll(g, 0, Options{})
+	with, err := NewWorkspace().OneToAll(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := OneToAll(g, 0, Options{DisableSelfPruning: true})
+	without, err := NewWorkspace().OneToAll(g, 0, Options{DisableSelfPruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestProfileMatchesTimeQuery(t *testing.T) {
 		g := graph.Build(tt)
 		sources := []timetable.StationID{0, timetable.StationID(tt.NumStations() / 2)}
 		for _, src := range sources {
-			res, err := OneToAll(g, src, Options{})
+			res, err := NewWorkspace().OneToAll(g, src, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for tau := timeutil.Ticks(0); tau < 1440; tau += 177 {
-				tq, err := TimeQuery(g, src, tau, Options{})
+				tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func TestLCAgreesWithCS(t *testing.T) {
 	}
 	g := graph.Build(tt)
 	src := timetable.StationID(1)
-	cs, err := OneToAll(g, src, Options{})
+	cs, err := NewWorkspace().OneToAll(g, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +193,13 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 	g := graph.Build(tt)
 	src := timetable.StationID(2)
-	seq, err := OneToAll(g, src, Options{})
+	seq, err := NewWorkspace().OneToAll(g, src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 4, 8} {
 		for _, strat := range []PartitionStrategy{EqualConnections, EqualTimeSlots, KMeans} {
-			par, err := OneToAll(g, src, Options{Threads: p, Partition: strat})
+			par, err := NewWorkspace().OneToAll(g, src, Options{Threads: p, Partition: strat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,11 +236,11 @@ func TestParallelWorkGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(tt)
-	seq, err := OneToAll(g, 0, Options{})
+	seq, err := NewWorkspace().OneToAll(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := OneToAll(g, 0, Options{Threads: 8})
+	par, err := NewWorkspace().OneToAll(g, 0, Options{Threads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,24 +251,24 @@ func TestParallelWorkGrowth(t *testing.T) {
 	if growth > 2.0 {
 		t.Fatalf("work grew %.2f× on 8 threads; expected moderate growth", growth)
 	}
-	t.Logf("work growth at p=8: %.3f; ideal speed-up %.2f", growth, par.IdealSpeedupOver(seq))
+	t.Logf("work growth at p=8: %.3f; ideal speed-up %.2f", growth, par.Run.IdealSpeedup(&seq.Run))
 }
 
 func TestOneToAllErrors(t *testing.T) {
 	g := diamond(t)
-	if _, err := OneToAll(g, -1, Options{}); err == nil {
+	if _, err := NewWorkspace().OneToAll(g, -1, Options{}); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := OneToAll(g, 99, Options{}); err == nil {
+	if _, err := NewWorkspace().OneToAll(g, 99, Options{}); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := OneToAll(g, 0, Options{Partition: PartitionStrategy(9)}); err == nil {
+	if _, err := NewWorkspace().OneToAll(g, 0, Options{Partition: PartitionStrategy(9)}); err == nil {
 		t.Error("bad partition strategy accepted")
 	}
-	if _, err := TimeQuery(g, 0, -5, Options{}); err == nil {
+	if _, err := NewWorkspace().TimeQuery(g, 0, -5, Options{}); err == nil {
 		t.Error("negative departure accepted")
 	}
-	if _, err := TimeQuery(g, 77, 0, Options{}); err == nil {
+	if _, err := NewWorkspace().TimeQuery(g, 77, 0, Options{}); err == nil {
 		t.Error("bad source accepted by TimeQuery")
 	}
 	if _, err := LabelCorrecting(g, 44, Options{}); err == nil {
@@ -281,7 +281,7 @@ func TestOneToAllErrors(t *testing.T) {
 
 func TestJourneyExtraction(t *testing.T) {
 	g := diamond(t)
-	res, err := OneToAll(g, 0, Options{TrackParents: true})
+	res, err := NewWorkspace().OneToAll(g, 0, Options{TrackParents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestJourneyExtraction(t *testing.T) {
 	if _, err := res.JourneyConnections(3, 9999); err == nil {
 		t.Error("out-of-range connection accepted")
 	}
-	noparents, _ := OneToAll(g, 0, Options{})
+	noparents, _ := NewWorkspace().OneToAll(g, 0, Options{})
 	if _, err := noparents.JourneyConnections(3, idx); err == nil {
 		t.Error("journey without parent tracking accepted")
 	}
@@ -333,12 +333,12 @@ func TestOneToAllWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(tt)
-	full, err := OneToAll(g, 0, Options{})
+	full, err := NewWorkspace().OneToAll(g, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	from, to := timeutil.Ticks(420), timeutil.Ticks(600) // 07:00–10:00
-	win, err := OneToAllWindow(g, 0, from, to, Options{})
+	win, err := NewWorkspace().OneToAllWindow(g, 0, from, to, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestOneToAllWindow(t *testing.T) {
 			}
 		}
 	}
-	if _, err := OneToAllWindow(g, 0, 600, 420, Options{}); err == nil {
+	if _, err := NewWorkspace().OneToAllWindow(g, 0, 600, 420, Options{}); err == nil {
 		t.Fatal("inverted window accepted")
 	}
 }

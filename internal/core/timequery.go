@@ -12,9 +12,8 @@ import (
 
 // TimeQueryResult holds dist(S, ·, τ) for one departure time: the earliest
 // absolute arrival time at every node. The arrivals are the search's own
-// fused labels, generation-stamped workspace memory; results from
-// Workspace.TimeQuery are valid until the next query on the same workspace,
-// while the package-level TimeQuery binds a private workspace to the result.
+// fused labels, generation-stamped workspace memory, valid until the next
+// query on the same workspace.
 type TimeQueryResult struct {
 	Source timetable.StationID
 	Depart timeutil.Ticks
@@ -47,12 +46,8 @@ func (r *TimeQueryResult) StationArrival(s timetable.StationID) timeutil.Ticks {
 // Initialization matches the profile search convention: the station node of
 // S and every route node at S are seeded at τ, so no transfer time is paid
 // for boarding the first train.
-func TimeQuery(g *graph.Graph, source timetable.StationID, depart timeutil.Ticks, opts Options) (*TimeQueryResult, error) {
-	return NewWorkspace().TimeQuery(g, source, depart, opts)
-}
-
-// TimeQuery is the workspace-reusing form of the package-level TimeQuery:
-// the steady state allocates nothing. The result borrows workspace memory
+//
+// The steady state allocates nothing. The result borrows workspace memory
 // and is valid until the next query on this workspace.
 func (ws *Workspace) TimeQuery(g *graph.Graph, source timetable.StationID, depart timeutil.Ticks, opts Options) (*TimeQueryResult, error) {
 	return ws.TimeQueryTo(g, source, depart, nil, opts)

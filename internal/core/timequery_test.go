@@ -12,7 +12,7 @@ import (
 func TestTimeQueryBasics(t *testing.T) {
 	g := diamond(t)
 	// Depart A at 07:00: morning train at 08:00 via B arrives 08:30.
-	res, err := TimeQuery(g, 0, 420, Options{})
+	res, err := NewWorkspace().TimeQuery(g, 0, 420, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestTimeQueryNoSourceTransferPenalty(t *testing.T) {
 	// A has T=2, and the 08:00 train must be catchable when departing at
 	// exactly 08:00.
 	g := diamond(t)
-	res, err := TimeQuery(g, 0, 480, Options{})
+	res, err := NewWorkspace().TimeQuery(g, 0, 480, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTimeQueryNoSourceTransferPenalty(t *testing.T) {
 func TestTimeQueryAbsoluteTimesBeyondPeriod(t *testing.T) {
 	g := diamond(t)
 	// Departing on day 1 at 08:00 (1920) gives day-1 arrivals.
-	res, err := TimeQuery(g, 0, 1920, Options{})
+	res, err := NewWorkspace().TimeQuery(g, 0, 1920, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTimeQueryUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Build(tt)
-	res, err := TimeQuery(g, 1, 100, Options{})
+	res, err := NewWorkspace().TimeQuery(g, 1, 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTimeQueryFIFO(t *testing.T) {
 	g := diamond(t)
 	prev := make(map[timetable.StationID]timeutil.Ticks)
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 60 {
-		res, err := TimeQuery(g, 0, tau, Options{})
+		res, err := NewWorkspace().TimeQuery(g, 0, tau, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

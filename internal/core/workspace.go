@@ -28,8 +28,8 @@ import (
 // worker goroutine for concurrency. Results returned by the workspace query
 // methods (OneToAll, StationToStation, TimeQuery, …) borrow workspace
 // memory and are valid only until the next query on the same workspace —
-// copy out what must survive (ProfileResult.Detach), or use the
-// package-level functions, which return self-contained results.
+// copy out what must survive (ProfileResult.Detach), or run the query on a
+// workspace of its own (NewWorkspace), which lives as long as the result.
 type Workspace struct {
 	// gen stays below maxGen so that the fused label stamps (gen<<1 | settled
 	// bit) fit a uint32.

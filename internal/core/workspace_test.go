@@ -44,7 +44,7 @@ func TestWorkspaceReuseMatchesFreshSearches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := OneToAll(g, src, Options{})
+		fresh, err := NewWorkspace().OneToAll(g, src, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestWorkspaceReuseMatchesFreshSearches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := StationToStation(env, src, dst, QueryOptions{})
+		want, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		res, err := StationToStation(env, src, dst, QueryOptions{})
+		res, err := NewWorkspace().StationToStation(env, src, dst, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +404,7 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 
 	t.Run("generation", func(t *testing.T) {
 		const depart = 600
-		want, err := TimeQuery(g, src, depart, Options{})
+		want, err := NewWorkspace().TimeQuery(g, src, depart, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

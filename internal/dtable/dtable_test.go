@@ -42,7 +42,7 @@ func TestTableMatchesTimeQueries(t *testing.T) {
 	// sampled times (both share the "no transfer at endpoints" convention).
 	for _, a := range ts {
 		for tau := timeutil.Ticks(0); tau < 1440; tau += 360 {
-			tq, err := core.TimeQuery(g, a, tau, core.Options{})
+			tq, err := core.NewWorkspace().TimeQuery(g, a, tau, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,11 +25,7 @@ func fingerprint(t testing.TB, n *transit.Network) [17]transit.Ticks {
 	t.Helper()
 	var fp [17]transit.Ticks
 	for h := 6; h <= 22; h++ {
-		arr, err := n.EarliestArrival(0, 1, transit.Ticks(h*60), transit.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp[h-6] = arr
+		fp[h-6] = arrival(t, n, 0, 1, transit.Ticks(h*60))
 	}
 	return fp
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,12 +35,14 @@ func hourlyNetwork(t testing.TB) *transit.Network {
 	return n
 }
 
+// arrival answers one earliest-arrival request on n through Plan.
 func arrival(t testing.TB, n *transit.Network, from, to transit.StationID, at transit.Ticks) transit.Ticks {
 	t.Helper()
-	arr, err := n.EarliestArrival(from, to, at, transit.Options{})
+	res, err := n.Plan(context.Background(), transit.Request{Kind: transit.KindEarliestArrival, From: from, To: to, Depart: at})
 	if err != nil {
 		t.Fatal(err)
 	}
+	arr, _ := res.Arrival()
 	return arr
 }
 
@@ -190,7 +193,7 @@ func TestClosedRegistryRejectsUpdates(t *testing.T) {
 }
 
 // TestConcurrentReadersAndWriter exercises the atomic-swap consistency
-// contract under -race: readers hammer EarliestArrival on whatever snapshot
+// contract under -race: readers hammer earliest-arrival queries on whatever snapshot
 // is current while a writer applies delay batches and cancellations.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	r := NewRegistry(hourlyNetwork(t), Config{})
@@ -207,11 +210,12 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 			for q := 0; q < queries; q++ {
 				snap := r.Snapshot()
 				at := transit.Ticks(360 + (seed*queries+q)%720)
-				arr, err := snap.Net.EarliestArrival(0, 2, at, transit.Options{})
+				res, err := snap.Net.Plan(context.Background(), transit.Request{Kind: transit.KindEarliestArrival, From: 0, To: 2, Depart: at})
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				arr, _ := res.Arrival()
 				if !arr.IsInf() && arr < at {
 					t.Errorf("arrival %d before departure %d", arr, at)
 					return

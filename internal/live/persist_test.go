@@ -33,11 +33,7 @@ func persistNetwork(t testing.TB) *transit.Network {
 
 func arrivalAt0800(t *testing.T, n *transit.Network) transit.Ticks {
 	t.Helper()
-	arr, err := n.EarliestArrival(0, 1, 8*60, transit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return arr
+	return arrival(t, n, 0, 1, 8*60)
 }
 
 // TestPersistResume is the restart story end to end: apply delays, persist,

@@ -40,12 +40,14 @@ func hourlyNetwork(t testing.TB) *transit.Network {
 	return n
 }
 
+// arrival answers one earliest-arrival request on n through Plan.
 func arrival(t testing.TB, n *transit.Network, from, to transit.StationID, at transit.Ticks) transit.Ticks {
 	t.Helper()
-	arr, err := n.EarliestArrival(from, to, at, transit.Options{})
+	res, err := n.Plan(context.Background(), transit.Request{Kind: transit.KindEarliestArrival, From: from, To: to, Depart: at})
 	if err != nil {
 		t.Fatal(err)
 	}
+	arr, _ := res.Arrival()
 	return arr
 }
 

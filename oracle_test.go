@@ -276,13 +276,13 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 		n := v.n
 		sched := core.NewConnectionScan(n.tt)
 		for _, src := range sources {
-			whole, err := core.OneToAll(n.g, src, core.Options{TrackParents: true})
+			whole, err := core.NewWorkspace().OneToAll(n.g, src, core.Options{TrackParents: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref := &AllProfiles{n: n, res: whole}
 			for _, dep := range deps {
-				tq, err := core.TimeQuery(n.g, src, dep, core.Options{})
+				tq, err := core.NewWorkspace().TimeQuery(n.g, src, dep, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -482,10 +482,7 @@ func TestJourneyWalkIntoTrainAfterMidnight(t *testing.T) {
 			e = StationID(i)
 		}
 	}
-	whole, err := n.ProfileAll(o, Options{TrackJourneys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := plan(t, n, Request{Kind: KindOneToAll, From: o, Options: Options{TrackJourneys: true}}).all
 	for _, dep := range []Ticks{1420, 1430} {
 		want := n.Period() + 3 + 20
 		j, err := whole.Journey(e, dep)

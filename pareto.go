@@ -1,10 +1,6 @@
 package transit
 
-import (
-	"context"
-
-	"transit/internal/core"
-)
+import "transit/internal/core"
 
 // ParetoChoice is one point of the arrival-time / number-of-transfers
 // Pareto frontier for a given departure.
@@ -19,25 +15,6 @@ type ParetoChoice struct {
 type ParetoProfiles struct {
 	n   *Network
 	res *core.ParetoResult
-}
-
-// ProfileAllPareto runs the multi-criteria one-to-all profile search from
-// src, minimizing arrival time and number of transfers simultaneously up
-// to maxTransfers (the paper's future-work extension; see
-// internal/core.OneToAllPareto for the layered connection-setting scheme).
-//
-// It is a convenience wrapper over Plan with KindPareto; use Plan directly
-// to thread a context.Context through the search.
-func (n *Network) ProfileAllPareto(src StationID, maxTransfers int, opt Options) (*ParetoProfiles, error) {
-	r := planResults.Get().(*Result)
-	defer planResults.Put(r)
-	res, err := n.Plan(context.Background(), Request{
-		Kind: KindPareto, From: src, MaxTransfers: maxTransfers, Options: opt, Reuse: r,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.pareto, nil
 }
 
 // Source returns the search's source station.

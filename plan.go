@@ -94,8 +94,8 @@ type Request struct {
 	// MaxTransfers is the transfer budget of a pareto request (0–32).
 	MaxTransfers int
 
-	// Options carries the execution tuning (threads, partition strategy,
-	// journey tracking) shared with the legacy entry points.
+	// Options carries the execution tuning (threads, journey tracking,
+	// effort counters).
 	Options Options
 
 	// Reuse, when non-nil, is overwritten with the answer and returned by
@@ -105,10 +105,10 @@ type Request struct {
 	Reuse *Result
 }
 
-// Result is the unified answer of Network.Plan: one type behind which the
-// earlier Profile / AllProfiles / ParetoProfiles / Journey result types
-// live on as accessors. Accessors that do not match the result's Kind
-// return a *Error with CodeKindMismatch.
+// Result is the unified answer of Network.Plan. One accessor per kind
+// returns the kind's answer (Arrival, Journey, Profile, All, Pareto,
+// Matrix); an accessor that does not match the result's Kind returns a
+// *Error with CodeKindMismatch.
 type Result struct {
 	kind    Kind
 	arrival Ticks
@@ -202,9 +202,8 @@ func planErr(ctx context.Context, err error) error {
 	return err
 }
 
-// Plan answers a unified query Request. It is the single entry point every
-// other query method of Network — and both the /v1 HTTP surface and the
-// legacy endpoints of cmd/tpserver — delegates to.
+// Plan answers a unified query Request. It is the single query entry point
+// of Network; the /v1 HTTP surface of cmd/tpserver delegates to it.
 //
 // ctx cancellation and deadlines are honored cooperatively: the core
 // settle loops poll ctx.Done() on a coarse stride, so an abandoned HTTP
@@ -537,7 +536,3 @@ func (n *Network) planMatrix(req Request, done <-chan struct{}, res *Result) err
 	res.stats = total
 	return nil
 }
-
-// planResults pools Result shells for the legacy scalar wrappers, keeping
-// EarliestArrival allocation-free without exposing pooling to callers.
-var planResults = sync.Pool{New: func() any { return new(Result) }}

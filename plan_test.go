@@ -35,9 +35,19 @@ func planPairs(n *Network, count int) [][2]StationID {
 	return out
 }
 
+// plan answers req on n with a background context and fails the test on an
+// error.
+func plan(t testing.TB, n *Network, req Request) *Result {
+	t.Helper()
+	res, err := n.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatalf("%s %d→%d: %v", req.Kind, req.From, req.To, err)
+	}
+	return res
+}
+
 // TestPlanEarliestArrivalEquivalence pins Plan's earliest-arrival path to
-// the direct core time-query it replaced (and to the legacy wrapper, which
-// now delegates).
+// the direct core time-query it replaced.
 func TestPlanEarliestArrivalEquivalence(t *testing.T) {
 	n := testNetwork(t)
 	for _, pair := range planPairs(n, 24) {
@@ -52,19 +62,12 @@ func TestPlanEarliestArrivalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tq, err := core.TimeQuery(n.g, pair[0], dep, core.Options{})
+			tq, err := core.NewWorkspace().TimeQuery(n.g, pair[0], dep, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := tq.StationArrival(pair[1]); got != want {
 				t.Fatalf("%d→%d@%d: Plan %d, core time-query %d", pair[0], pair[1], dep, got, want)
-			}
-			legacy, err := n.EarliestArrival(pair[0], pair[1], dep, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != legacy {
-				t.Fatalf("%d→%d@%d: Plan %d, legacy wrapper %d", pair[0], pair[1], dep, got, legacy)
 			}
 		}
 	}
@@ -93,7 +96,8 @@ func TestPlanProfileEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sres, err := core.StationToStation(env, pair[0], pair[1], core.QueryOptions{})
+			ws := core.GetWorkspace()
+			sres, err := ws.StationToStation(env, pair[0], pair[1], core.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,6 +119,7 @@ func TestPlanProfileEquivalence(t *testing.T) {
 			if p.WalkOnly() != sres.WalkOnly {
 				t.Fatalf("%s %d→%d: walk %d vs %d", name, pair[0], pair[1], p.WalkOnly(), sres.WalkOnly)
 			}
+			core.PutWorkspace(ws)
 		}
 	}
 }
@@ -136,9 +141,9 @@ func TestPlanOneToAllEquivalence(t *testing.T) {
 		}
 		var want *core.ProfileResult
 		if w == nil {
-			want, err = core.OneToAll(n.g, src, core.Options{})
+			want, err = core.NewWorkspace().OneToAll(n.g, src, core.Options{})
 		} else {
-			want, err = core.OneToAllWindow(n.g, src, w.From, w.To, core.Options{})
+			want, err = core.NewWorkspace().OneToAllWindow(n.g, src, w.From, w.To, core.Options{})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +178,7 @@ func TestPlanJourneyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := core.OneToAll(n.g, pair[0], core.Options{TrackParents: true})
+		pr, err := core.NewWorkspace().OneToAll(n.g, pair[0], core.Options{TrackParents: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,10 +261,7 @@ func TestPlanMatrix(t *testing.T) {
 				t.Fatalf("threads=%d: row %d has %d cells, want %d", threads, i, len(m[i]), len(targets))
 			}
 			for j, dst := range targets {
-				want, err := n.EarliestArrival(src, dst, 495, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := plan(t, n, Request{Kind: KindEarliestArrival, From: src, To: dst, Depart: 495}).arrival
 				if m[i][j] != want {
 					t.Fatalf("threads=%d: cell (%d,%d) = %d, scalar query says %d", threads, i, j, m[i][j], want)
 				}
@@ -398,7 +400,7 @@ func TestPlanContextCancellation(t *testing.T) {
 
 // TestPlanEarliestArrivalAllocs is the allocation-regression guard of the
 // unified API: the scalar path through Plan, with a reused Result, must
-// stay at zero allocations per query like the legacy wrapper it backs.
+// stay at zero allocations per query.
 func TestPlanEarliestArrivalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -452,17 +454,6 @@ func TestPlanEarliestArrivalAllocs(t *testing.T) {
 	}
 	if withTable := testing.AllocsPerRun(64, tableQuery); withTable != 0 {
 		t.Fatalf("Plan earliest-arrival with a distance table allocates %.1f objects per query, want 0", withTable)
-	}
-	// The legacy wrapper shares the same path and pooling.
-	wrapped := testing.AllocsPerRun(64, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		if _, err := n.EarliestArrival(p[0], p[1], 480, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if wrapped != 0 {
-		t.Fatalf("legacy EarliestArrival wrapper allocates %.1f objects per query, want 0", wrapped)
 	}
 }
 

@@ -1,7 +1,6 @@
 package transit
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -12,13 +11,13 @@ import (
 )
 
 // Options tunes query execution. The zero value is a sensible default: one
-// thread, equal-connections partitioning, self-pruning enabled.
+// thread, no journey tracking, one preprocessing worker, no effort block.
 type Options struct {
 	// Threads is the number of parallel workers (goroutines) the profile
 	// search partitions conn(S) over; values < 1 mean 1.
 	Threads int
-	// TrackJourneys records parent links so Journey can reconstruct
-	// itineraries (slightly more memory per query).
+	// TrackJourneys records parent links so AllProfiles.Journey can
+	// reconstruct itineraries (slightly more memory per query).
 	TrackJourneys bool
 	// PreprocessWorkers bounds how many distance-table rows (source
 	// stations) Preprocess computes concurrently; values < 1 mean 1, the
@@ -158,99 +157,6 @@ type PreprocessStats struct {
 	FullRebuild bool
 }
 
-// EarliestArrival answers a plain time-query: the earliest arrival at dst
-// when departing src at dep. Only a scalar escapes, so the query runs on a
-// pooled workspace and the steady state allocates nothing.
-//
-// It is a convenience wrapper over Plan with KindEarliestArrival; use Plan
-// directly to thread a context.Context through the search.
-func (n *Network) EarliestArrival(src, dst StationID, dep Ticks, opt Options) (Ticks, error) {
-	r := planResults.Get().(*Result)
-	defer planResults.Put(r)
-	res, err := n.Plan(context.Background(), Request{
-		Kind: KindEarliestArrival, From: src, To: dst, Depart: dep, Options: opt, Reuse: r,
-	})
-	if err != nil {
-		return Infinity, err
-	}
-	return res.arrival, nil
-}
-
-// Profile answers a station-to-station profile query: all best connections
-// from src to dst over the whole period. With a preprocessed Network the
-// query uses the distance-table prunings; otherwise the stopping criterion
-// alone.
-//
-// It is a convenience wrapper over Plan with KindProfile; use Plan directly
-// to thread a context.Context through the search.
-func (n *Network) Profile(src, dst StationID, opt Options) (*Profile, *QueryStats, error) {
-	r := planResults.Get().(*Result)
-	defer planResults.Put(r)
-	res, err := n.Plan(context.Background(), Request{Kind: KindProfile, From: src, To: dst, Options: opt, Reuse: r})
-	if err != nil {
-		return nil, nil, err
-	}
-	st := res.stats
-	return res.profile, &st, nil
-}
-
-// Journey computes a concrete itinerary from src to dst for a departure at
-// dep: of the train itineraries that arrive earliest, the one that leaves
-// latest. An earliest-arrival query bounds the answer, and a windowed
-// one-to-all profile search with parent tracking over the connections
-// leaving between dep and that arrival finds the itinerary (docs/
-// PREPROCESSING.md, "Journeys behind the point query"); the distance table
-// speeds up the bound, the itinerary itself always comes from the unpruned
-// search — pruned subtrees are exactly what the table replaces. When many
-// journeys from the same source are needed, run ProfileAll once with
-// Options.TrackJourneys and call Journey on the result instead.
-//
-// It is a convenience wrapper over Plan with KindJourney; use Plan directly
-// to thread a context.Context through the search.
-func (n *Network) Journey(src, dst StationID, dep Ticks, opt Options) (*Journey, error) {
-	r := planResults.Get().(*Result)
-	defer planResults.Put(r)
-	res, err := n.Plan(context.Background(), Request{Kind: KindJourney, From: src, To: dst, Depart: dep, Options: opt, Reuse: r})
-	if err != nil {
-		return nil, err
-	}
-	return res.journey, nil
-}
-
-// ProfileAll runs the one-to-all profile search from src: all best
-// connections of the period to every station in a single (parallel) run.
-//
-// It is a convenience wrapper over Plan with KindOneToAll; use Plan
-// directly to thread a context.Context through the search.
-func (n *Network) ProfileAll(src StationID, opt Options) (*AllProfiles, error) {
-	r := planResults.Get().(*Result)
-	defer planResults.Put(r)
-	res, err := n.Plan(context.Background(), Request{Kind: KindOneToAll, From: src, Options: opt, Reuse: r})
-	if err != nil {
-		return nil, err
-	}
-	return res.all, nil
-}
-
-// ProfileAllWindow restricts the one-to-all profile search to departures
-// within [from, to] (Dean's interval search, referenced in the paper's
-// related work): all best connections leaving src in the window, to every
-// station, at a fraction of the full-period work.
-//
-// It is a convenience wrapper over Plan with KindOneToAll and a Window; use
-// Plan directly to thread a context.Context through the search.
-func (n *Network) ProfileAllWindow(src StationID, from, to Ticks, opt Options) (*AllProfiles, error) {
-	r := planResults.Get().(*Result)
-	defer planResults.Put(r)
-	res, err := n.Plan(context.Background(), Request{
-		Kind: KindOneToAll, From: src, Window: &Window{From: from, To: to}, Options: opt, Reuse: r,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.all, nil
-}
-
 // AllProfiles is the result of a one-to-all profile search.
 type AllProfiles struct {
 	n   *Network
@@ -281,7 +187,10 @@ func (a *AllProfiles) EarliestArrival(dst StationID, dep Ticks) Ticks {
 }
 
 // Journey reconstructs the itinerary to dst for a departure at dep. The
-// search must have been run with Options.TrackJourneys.
+// search must have been run with Options.TrackJourneys. When many journeys
+// from the same source are needed, run Plan once with KindOneToAll and
+// Options.TrackJourneys and call Journey on its result for each of them,
+// instead of one KindJourney request per itinerary.
 func (a *AllProfiles) Journey(dst StationID, dep Ticks) (*Journey, error) {
 	if err := a.n.checkStation(dst); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package transit
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"os"
@@ -22,30 +23,33 @@ func sampleQueries(t *testing.T, want, got *Network, label string) {
 		t.Fatalf("%s: station count %d vs %d", label, got.NumStations(), want.NumStations())
 	}
 	nS := want.NumStations()
+	ctx := context.Background()
 	deps := []Ticks{0, 7 * 60, 12*60 + 30, 23 * 60}
 	step := nS/7 + 1
 	for from := 0; from < nS; from += step {
 		for to := nS - 1; to >= 0; to -= step {
 			src, dst := StationID(from), StationID(to)
 			for _, dep := range deps {
-				a1, err1 := want.EarliestArrival(src, dst, dep, Options{})
-				a2, err2 := got.EarliestArrival(src, dst, dep, Options{})
+				req := Request{Kind: KindEarliestArrival, From: src, To: dst, Depart: dep}
+				r1, err1 := want.Plan(ctx, req)
+				r2, err2 := got.Plan(ctx, req)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("%s: EarliestArrival(%d,%d,%d) errors diverge: %v vs %v", label, src, dst, dep, err1, err2)
 				}
-				if a1 != a2 {
-					t.Fatalf("%s: EarliestArrival(%d,%d,%d) = %d, want %d", label, src, dst, dep, a2, a1)
+				if err1 == nil && r1.arrival != r2.arrival {
+					t.Fatalf("%s: EarliestArrival(%d,%d,%d) = %d, want %d", label, src, dst, dep, r2.arrival, r1.arrival)
 				}
 			}
-			p1, _, err1 := want.Profile(src, dst, Options{})
-			p2, _, err2 := got.Profile(src, dst, Options{})
+			req := Request{Kind: KindProfile, From: src, To: dst}
+			r1, err1 := want.Plan(ctx, req)
+			r2, err2 := got.Plan(ctx, req)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%s: Profile(%d,%d) errors diverge: %v vs %v", label, src, dst, err1, err2)
 			}
 			if err1 != nil {
 				continue
 			}
-			c1, c2 := p1.Connections(), p2.Connections()
+			c1, c2 := r1.profile.Connections(), r2.profile.Connections()
 			if len(c1) != len(c2) {
 				t.Fatalf("%s: Profile(%d,%d) has %d connections, want %d", label, src, dst, len(c2), len(c1))
 			}
@@ -157,20 +161,20 @@ func TestSnapshotRoundTripPatched(t *testing.T) {
 	if !loaded.patched {
 		t.Fatal("snapshot-restored patched network lost the patched flag")
 	}
-	// The flag follows the derivation chain: ApplyDelays sets it when it
-	// shifts something, and a no-op filter neither sets nor launders it.
+	// The flag follows the derivation chain: a batch that retimes something
+	// sets it, and a batch that matches no train neither sets nor launders it.
 	for _, tc := range []struct {
-		from *Network
-		all  bool
-		want bool
-	}{{n, true, true}, {n, false, false}, {patched, false, true}} {
-		d, _, err := tc.from.ApplyDelays(5, func(ConnectionInfo) bool { return tc.all })
+		from  *Network
+		train string
+		want  bool
+	}{{n, "", true}, {n, "ghost", false}, {patched, "ghost", true}} {
+		d, _, err := tc.from.ApplyUpdates([]DelayOp{{Train: tc.train, Delay: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.patched != tc.want {
-			t.Fatalf("ApplyDelays(all=%v) on patched=%v network: patched = %v, want %v",
-				tc.all, tc.from.patched, d.patched, tc.want)
+			t.Fatalf("ApplyUpdates(train=%q) on patched=%v network: patched = %v, want %v",
+				tc.train, tc.from.patched, d.patched, tc.want)
 		}
 	}
 

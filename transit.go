@@ -20,32 +20,22 @@
 // values with machine-readable codes; cmd/tpserver exposes the same
 // requests over the versioned /v1 JSON API (docs/API.md).
 //
-// Convenience wrappers remain for the common shapes:
-//
-//   - EarliestArrival: one departure time, one target (a "time-query").
-//   - Profile: all best connections of the whole period to one target.
-//   - ProfileAll: all best connections to every station in one run — the
-//     paper's one-to-all profile search, parallelizable over goroutines.
-//   - Journey, ProfileAllWindow, ProfileAllPareto: itineraries, interval
-//     and multi-criteria searches.
-//
 // Preprocess accelerates repeated station-to-station queries with a
 // distance table between automatically selected transfer stations.
 //
 // # Dynamic updates
 //
-// Networks are immutable; delay feeds produce new networks. ApplyDelays is
-// the simple path (full rebuild + re-validation); ApplyUpdates is the
-// incremental path: a batch of train-level DelayOps (delays and
-// cancellations, selected by train name, route class and/or departure
-// window) patches only the touched connection and ride-edge slices,
-// sharing everything else with the receiver, so in-flight queries on the
-// old network stay valid. That snapshot discipline is what internal/live
-// builds on to serve delay ingestion under live traffic (cmd/tpserver's
-// POST /delays): queries always read one consistent version, updates swap
-// the next version in atomically. Updates invalidate a distance table —
-// the patched network returns Preprocessed() == false — so serving systems
-// re-preprocess (asynchronously, in live.Registry) or run unpruned.
+// Networks are immutable; delay feeds produce new networks. ApplyUpdates
+// applies a batch of train-level DelayOps (delays and cancellations,
+// selected by train name, route class and/or departure window) by patching
+// only the touched connection and ride-edge slices, sharing everything else
+// with the receiver, so in-flight queries on the old network stay valid.
+// That snapshot discipline is what internal/live builds on to serve delay
+// ingestion under live traffic (cmd/tpserver's POST /delays): queries
+// always read one consistent version, updates swap the next version in
+// atomically. Updates invalidate a distance table — the patched network
+// returns Preprocessed() == false — so serving systems re-preprocess
+// (asynchronously, in live.Registry) or run unpruned.
 package transit
 
 import (
@@ -90,8 +80,8 @@ type Network struct {
 	// wrapper sharing the base data.
 	table *dtable.Table
 
-	// patched marks networks produced by dynamic updates (ApplyUpdates,
-	// ApplyDelays, or a snapshot restored at epoch > 0): their times differ
+	// patched marks networks produced by dynamic updates (ApplyUpdates, or a
+	// snapshot restored at epoch > 0): their times differ
 	// from the base schedule's. WriteSnapshot records it in the header's
 	// patched flag and LoadSnapshot restores it.
 	patched bool

@@ -2,6 +2,7 @@ package transit
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,14 +83,9 @@ func TestWriteReadNetworkRoundTrip(t *testing.T) {
 		t.Fatal("round trip changed station count")
 	}
 	// Same query answers.
-	a1, err := n.EarliestArrival(0, 5, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := back.EarliestArrival(0, 5, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := Request{Kind: KindEarliestArrival, From: 0, To: 5, Depart: 480}
+	a1 := plan(t, n, req).arrival
+	a2 := plan(t, back, req).arrival
 	if a1 != a2 {
 		t.Fatalf("round trip changed answers: %d vs %d", a1, a2)
 	}
@@ -97,25 +93,16 @@ func TestWriteReadNetworkRoundTrip(t *testing.T) {
 
 func TestEarliestArrivalAndProfileAgree(t *testing.T) {
 	n := testNetwork(t)
-	all, err := n.ProfileAll(0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := plan(t, n, Request{Kind: KindOneToAll, From: 0}).all
 	for dst := StationID(1); int(dst) < n.NumStations(); dst += 3 {
 		for dep := Ticks(300); dep < 1440; dep += 333 {
-			ea, err := n.EarliestArrival(0, dst, dep, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ea := plan(t, n, Request{Kind: KindEarliestArrival, From: 0, To: dst, Depart: dep}).arrival
 			if got := all.EarliestArrival(dst, dep); got != ea {
-				t.Fatalf("ProfileAll vs EarliestArrival differ at %d→%d dep %d: %d vs %d", 0, dst, dep, got, ea)
+				t.Fatalf("one-to-all vs earliest-arrival differ at %d→%d dep %d: %d vs %d", 0, dst, dep, got, ea)
 			}
-			p, _, err := n.Profile(0, dst, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := plan(t, n, Request{Kind: KindProfile, From: 0, To: dst}).profile
 			if got := p.EarliestArrival(dep); got != ea {
-				t.Fatalf("Profile vs EarliestArrival differ at %d→%d dep %d: %d vs %d", 0, dst, dep, got, ea)
+				t.Fatalf("profile vs earliest-arrival differ at %d→%d dep %d: %d vs %d", 0, dst, dep, got, ea)
 			}
 		}
 	}
@@ -123,10 +110,8 @@ func TestEarliestArrivalAndProfileAgree(t *testing.T) {
 
 func TestProfileAPI(t *testing.T) {
 	n := testNetwork(t)
-	p, st, err := n.Profile(0, 7, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := plan(t, n, Request{Kind: KindProfile, From: 0, To: 7, Options: Options{Threads: 2}})
+	p, st := res.profile, res.stats
 	if st.SettledConnections <= 0 || st.QueueOps <= 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
@@ -153,10 +138,7 @@ func TestProfileAPI(t *testing.T) {
 		t.Fatal("profile should not be empty")
 	}
 	// Self profile.
-	self, _, err := n.Profile(3, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	self := plan(t, n, Request{Kind: KindProfile, From: 3, To: 3}).profile
 	if self.EarliestArrival(100) != 100 || self.TravelTime(100) != 0 {
 		t.Fatal("self profile must be identity")
 	}
@@ -176,16 +158,11 @@ func TestPreprocessAcceleratesQueries(t *testing.T) {
 	}
 	var base, accel int64
 	for dst := StationID(1); int(dst) < n.NumStations(); dst += 5 {
-		pb, sb, err := n.Profile(0, dst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, sa, err := pre.Profile(0, dst, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		base += sb.SettledConnections
-		accel += sa.SettledConnections
+		rb := plan(t, n, Request{Kind: KindProfile, From: 0, To: dst})
+		ra := plan(t, pre, Request{Kind: KindProfile, From: 0, To: dst})
+		pb, pa := rb.profile, ra.profile
+		base += rb.stats.SettledConnections
+		accel += ra.stats.SettledConnections
 		// Identical answers.
 		for dep := Ticks(0); dep < 1440; dep += 181 {
 			if pb.EarliestArrival(dep) != pa.EarliestArrival(dep) {
@@ -212,10 +189,7 @@ func TestPreprocessAcceleratesQueries(t *testing.T) {
 
 func TestJourneyAPI(t *testing.T) {
 	n := testNetwork(t)
-	all, err := n.ProfileAll(0, Options{TrackJourneys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := plan(t, n, Request{Kind: KindOneToAll, From: 0, Options: Options{TrackJourneys: true}}).all
 	found := false
 	for dst := StationID(1); int(dst) < n.NumStations() && !found; dst++ {
 		p, err := all.To(dst)
@@ -258,10 +232,7 @@ func TestJourneyAPI(t *testing.T) {
 		t.Fatal("no reachable station found for journey test")
 	}
 	// Journeys require TrackJourneys.
-	plain, err := n.ProfileAll(0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := plan(t, n, Request{Kind: KindOneToAll, From: 0}).all
 	if _, err := plain.Journey(1, 480); err == nil {
 		t.Fatal("journey without tracking accepted")
 	}
@@ -269,33 +240,28 @@ func TestJourneyAPI(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	n := testNetwork(t)
-	if _, err := n.ProfileAll(-1, Options{}); err == nil {
+	ctx := context.Background()
+	if _, err := n.Plan(ctx, Request{Kind: KindOneToAll, From: -1}); err == nil {
 		t.Fatal("bad station accepted")
 	}
-	if _, err := n.EarliestArrival(0, 99999, 0, Options{}); err == nil {
+	if _, err := n.Plan(ctx, Request{Kind: KindEarliestArrival, From: 0, To: 99999}); err == nil {
 		t.Fatal("bad target accepted")
 	}
-	if _, _, err := n.Profile(0, 99999, Options{}); err == nil {
+	if _, err := n.Plan(ctx, Request{Kind: KindProfile, From: 0, To: 99999}); err == nil {
 		t.Fatal("bad target accepted by Profile")
 	}
 }
 
 func TestParetoPublicAPI(t *testing.T) {
 	n := testNetwork(t)
-	pareto, err := n.ProfileAllPareto(0, 4, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pareto := plan(t, n, Request{Kind: KindPareto, From: 0, MaxTransfers: 4, Options: Options{Threads: 2}}).pareto
 	if pareto.Source() != 0 || pareto.MaxTransfers() != 4 {
 		t.Fatal("metadata wrong")
 	}
 	if pareto.Stats().SettledConnections <= 0 {
 		t.Fatal("no work recorded")
 	}
-	all, err := n.ProfileAll(0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := plan(t, n, Request{Kind: KindOneToAll, From: 0}).all
 	for dst := StationID(1); int(dst) < n.NumStations(); dst += 4 {
 		choices, err := pareto.Choices(dst, 480)
 		if err != nil {
@@ -323,7 +289,7 @@ func TestParetoPublicAPI(t *testing.T) {
 			t.Fatalf("To(·,4) disagrees with Choices at %d", dst)
 		}
 	}
-	if _, err := n.ProfileAllPareto(0, -1, Options{}); err == nil {
+	if _, err := n.Plan(context.Background(), Request{Kind: KindPareto, From: 0, MaxTransfers: -1}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 	if _, err := pareto.Choices(99999, 480); err == nil {
@@ -334,21 +300,15 @@ func TestParetoPublicAPI(t *testing.T) {
 func TestJourneyConvenience(t *testing.T) {
 	n := testNetwork(t)
 	dep := Ticks(480)
-	j, err := n.Journey(0, 9, dep, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := n.EarliestArrival(0, 9, dep, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := plan(t, n, Request{Kind: KindJourney, From: 0, To: 9, Depart: dep}).journey
+	arr := plan(t, n, Request{Kind: KindEarliestArrival, From: 0, To: 9, Depart: dep}).arrival
 	if got := j.Legs[len(j.Legs)-1].Arrival; got != arr {
 		t.Fatalf("journey arrives %d, time-query says %d", got, arr)
 	}
 	if j.RequestedDeparture != dep {
 		t.Fatal("requested departure not recorded")
 	}
-	if _, err := n.Journey(0, 99999, dep, Options{}); err == nil {
+	if _, err := n.Plan(context.Background(), Request{Kind: KindJourney, From: 0, To: 99999, Depart: dep}); err == nil {
 		t.Fatal("bad target accepted")
 	}
 }
@@ -369,11 +329,7 @@ func TestConcurrentQueries(t *testing.T) {
 	want := map[key]Ticks{}
 	for dst := StationID(1); int(dst) < n.NumStations(); dst += 3 {
 		for dep := Ticks(400); dep < 1200; dep += 400 {
-			a, err := pre.EarliestArrival(0, dst, dep, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[key{dst, dep}] = a
+			want[key{dst, dep}] = plan(t, pre, Request{Kind: KindEarliestArrival, From: 0, To: dst, Depart: dep}).arrival
 		}
 	}
 	var wg sync.WaitGroup
@@ -383,21 +339,18 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for k, expect := range want {
-				var got Ticks
-				if w%2 == 0 {
-					a, err := pre.EarliestArrival(0, k.dst, k.dep, Options{})
-					if err != nil {
-						errs <- err
-						return
-					}
-					got = a
-				} else {
-					p, _, err := pre.Profile(0, k.dst, Options{Threads: 2})
-					if err != nil {
-						errs <- err
-						return
-					}
-					got = p.EarliestArrival(k.dep)
+				req := Request{Kind: KindEarliestArrival, From: 0, To: k.dst, Depart: k.dep}
+				if w%2 == 1 {
+					req = Request{Kind: KindProfile, From: 0, To: k.dst, Options: Options{Threads: 2}}
+				}
+				res, err := pre.Plan(context.Background(), req)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := res.arrival
+				if w%2 == 1 {
+					got = res.profile.EarliestArrival(k.dep)
 				}
 				if got != expect {
 					errs <- fmt.Errorf("worker %d: %v got %d want %d", w, k, got, expect)
@@ -430,18 +383,13 @@ func TestFootpathsPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A → B by train, then on foot to C.
-	arr, err := n.EarliestArrival(a, c, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ac := Request{Kind: KindEarliestArrival, From: a, To: c, Depart: 480}
+	arr := plan(t, n, ac).arrival
 	if arr != 500 {
 		t.Fatalf("arrival at C = %d, want 500 (495 + 5 walk)", arr)
 	}
 	// Profile to C accounts the walk; B→C is walk-only.
-	p, _, err := n.Profile(b, c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := plan(t, n, Request{Kind: KindProfile, From: b, To: c}).profile
 	if p.WalkOnly() != 5 {
 		t.Fatalf("WalkOnly = %d, want 5", p.WalkOnly())
 	}
@@ -463,9 +411,8 @@ func TestFootpathsPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr2, err := back.EarliestArrival(a, c, 480, Options{})
-	if err != nil || arr2 != arr {
-		t.Fatalf("text round trip changed footpath answer: %d vs %d (%v)", arr2, arr, err)
+	if arr2 := plan(t, back, ac).arrival; arr2 != arr {
+		t.Fatalf("text round trip changed footpath answer: %d vs %d", arr2, arr)
 	}
 	var snap bytes.Buffer
 	if err := n.WriteSnapshot(&snap); err != nil {
@@ -475,24 +422,11 @@ func TestFootpathsPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr3, err := back2.EarliestArrival(a, c, 480, Options{})
-	if err != nil || arr3 != arr {
-		t.Fatalf("snapshot round trip changed footpath answer: %d vs %d (%v)", arr3, arr, err)
+	if arr3 := plan(t, back2, ac).arrival; arr3 != arr {
+		t.Fatalf("snapshot round trip changed footpath answer: %d vs %d", arr3, arr)
 	}
-	// Footpaths survive ApplyDelays.
-	delayed, _, err := n.ApplyDelays(10, func(ci ConnectionInfo) bool { return ci.Train == "t1" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr4, err := delayed.EarliestArrival(a, c, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr4 != 510 {
-		t.Fatalf("delayed arrival = %d, want 510", arr4)
-	}
-	// ... and equally survive the incremental patch path: the patched
-	// network shares the footpath structures and answers identically.
+	// Footpaths survive the incremental patch path: the patched network
+	// shares the footpath structures and answers identically.
 	patched, st, err := n.ApplyUpdates([]DelayOp{{Train: "t1", Delay: 10}})
 	if err != nil {
 		t.Fatal(err)
@@ -500,23 +434,23 @@ func TestFootpathsPublicAPI(t *testing.T) {
 	if st.ConnsRetimed != 1 {
 		t.Fatalf("incremental delay retimed %d conns, want 1", st.ConnsRetimed)
 	}
-	arr5, err := patched.EarliestArrival(a, c, 480, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr5 != 510 {
+	if arr5 := plan(t, patched, ac).arrival; arr5 != 510 {
 		t.Fatalf("incrementally delayed arrival = %d, want 510", arr5)
 	}
-	if p2, _, err := patched.Profile(b, c, Options{}); err != nil || p2.WalkOnly() != 5 {
-		t.Fatalf("walk-only time lost under incremental patch: %v (%v)", p2.WalkOnly(), err)
+	if p2 := plan(t, patched, Request{Kind: KindProfile, From: b, To: c}).profile; p2.WalkOnly() != 5 {
+		t.Fatalf("walk-only time lost under incremental patch: %v", p2.WalkOnly())
+	}
+	// ... and a rebuild of the query structures from the patched timetable.
+	if arr4 := plan(t, NewNetwork(patched.Timetable()), ac).arrival; arr4 != 510 {
+		t.Fatalf("delayed arrival after rebuild = %d, want 510", arr4)
 	}
 	// Cancelling the only train leaves the walk as the sole option.
 	walked, _, err := patched.ApplyUpdates([]DelayOp{{Train: "t1", Cancel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr6, err := walked.EarliestArrival(b, c, 480, Options{}); err != nil || arr6 != 485 {
-		t.Fatalf("walk after cancellation = %d (%v), want 485", arr6, err)
+	if arr6 := plan(t, walked, Request{Kind: KindEarliestArrival, From: b, To: c, Depart: 480}).arrival; arr6 != 485 {
+		t.Fatalf("walk after cancellation = %d, want 485", arr6)
 	}
 }
 
@@ -566,9 +500,8 @@ func TestLoadGTFSPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, err := n.EarliestArrival(0, 1, 470, Options{})
-	if err != nil || arr != 490 {
-		t.Fatalf("GTFS arrival = %d, %v", arr, err)
+	if arr := plan(t, n, Request{Kind: KindEarliestArrival, From: 0, To: 1, Depart: 470}).arrival; arr != 490 {
+		t.Fatalf("GTFS arrival = %d", arr)
 	}
 	if _, err := LoadGTFS(t.TempDir()); err == nil {
 		t.Fatal("empty GTFS dir accepted")
@@ -581,20 +514,14 @@ func writeFileHelper(dir, name, content string) error {
 
 func TestAllProfilesSource(t *testing.T) {
 	n := testNetwork(t)
-	all, err := n.ProfileAll(4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := plan(t, n, Request{Kind: KindOneToAll, From: 4}).all
 	if all.Source() != 4 {
 		t.Fatal("Source wrong")
 	}
 	if _, err := all.To(-1); err == nil {
 		t.Fatal("bad target accepted by To")
 	}
-	pareto, err := n.ProfileAllPareto(4, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pareto := plan(t, n, Request{Kind: KindPareto, From: 4, MaxTransfers: 2}).pareto
 	if _, err := pareto.To(-1, 2); err == nil {
 		t.Fatal("bad target accepted by pareto To")
 	}
@@ -604,14 +531,8 @@ func TestProfileAllWindowPublic(t *testing.T) {
 	n := testNetwork(t)
 	from, _ := ParseClock("07:00")
 	to, _ := ParseClock("10:00")
-	win, err := n.ProfileAllWindow(0, from, to, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := n.ProfileAll(0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	win := plan(t, n, Request{Kind: KindOneToAll, From: 0, Window: &Window{From: from, To: to}}).all
+	full := plan(t, n, Request{Kind: KindOneToAll, From: 0}).all
 	if win.Stats().SettledConnections >= full.Stats().SettledConnections {
 		t.Fatal("window search did not reduce work")
 	}
@@ -624,7 +545,7 @@ func TestProfileAllWindowPublic(t *testing.T) {
 			t.Fatalf("connection departs %d outside window", c.Departure)
 		}
 	}
-	if _, err := n.ProfileAllWindow(0, to, from, Options{}); err == nil {
+	if _, err := n.Plan(context.Background(), Request{Kind: KindOneToAll, From: 0, Window: &Window{From: to, To: from}}); err == nil {
 		t.Fatal("inverted window accepted")
 	}
 }
