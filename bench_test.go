@@ -16,7 +16,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"transit/internal/bench"
 	"transit/internal/core"
@@ -447,6 +449,73 @@ func BenchmarkMatrixRows(b *testing.B) {
 }
 
 var sinkTicks Ticks
+
+// BenchmarkChurnMixTableVsBare prices the distance table on serve_churn's
+// reads: that workload's network (europe 0.25 from the benchmark module's
+// dataset seed 2010, a 5 % contraction table of 18 rows) under its 8:1:1
+// arrival:journey:profile mix of uniform station pairs and departure
+// minutes, answered by Plan at one thread with the table and without it —
+// what a replica serves between a delay batch and the rebuilt table. Each
+// read is timed on its own; the rows report every kind's median and the
+// mix's 95th percentile in microseconds.
+func BenchmarkChurnMixTableVsBare(b *testing.B) {
+	bare, err := Generate("europe", 0.25, 2010)
+	if err != nil {
+		b.Fatal(err)
+	}
+	table, _, err := bare.Preprocess(TransferSelection{Fraction: 0.05}, Options{PreprocessWorkers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("%d stations, %d table rows", bare.NumStations(), table.table.NumTransfer())
+	rng := rand.New(rand.NewSource(16))
+	ns := bare.NumStations()
+	reqs := make([]Request, 1024)
+	for i := range reqs {
+		from, to := rng.Intn(ns), rng.Intn(ns-1)
+		if to >= from {
+			to++
+		}
+		r := Request{Kind: KindProfile, From: StationID(from), To: StationID(to), Options: Options{Threads: 1}}
+		if x := rng.Intn(10); x < 9 {
+			r.Kind = KindEarliestArrival
+			if x == 8 {
+				r.Kind = KindJourney
+			}
+			r.Depart = Ticks(rng.Intn(1440))
+		}
+		reqs[i] = r
+	}
+	us := func(ds []time.Duration, q float64) float64 {
+		slices.Sort(ds)
+		return float64(ds[int(q*float64(len(ds)-1))]) / float64(time.Microsecond)
+	}
+	for _, tc := range []struct {
+		name string
+		n    *Network
+	}{{"table", table}, {"bare", bare}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := context.Background()
+			byKind := map[Kind][]time.Duration{}
+			all := make([]time.Duration, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				r := reqs[i%len(reqs)]
+				start := time.Now()
+				_, err := tc.n.Plan(ctx, r)
+				d := time.Since(start)
+				if err != nil && ErrorCodeOf(err) != CodeUnreachable {
+					b.Fatal(err)
+				}
+				byKind[r.Kind] = append(byKind[r.Kind], d)
+				all = append(all, d)
+			}
+			for kind, ds := range byKind {
+				b.ReportMetric(us(ds, 0.5), string(kind)+"-p50-us")
+			}
+			b.ReportMetric(us(all, 0.95), "mix-p95-us")
+		})
+	}
+}
 
 // BenchmarkPlanPoint is the micro-row of the two point kinds through Plan:
 // earliest-arrival and journey, without and with a distance table, over a

@@ -96,11 +96,10 @@ func TestResultApproxBytes(t *testing.T) {
 	if sizes[KindOneToAll] <= 20*sizes[KindEarliestArrival] {
 		t.Fatalf("one-to-all %dB not >> earliest-arrival %dB", sizes[KindOneToAll], sizes[KindEarliestArrival])
 	}
-	// A one-to-all result is detached from its workspace and keeps the
-	// station rows only: shell + 4 B per (station, connection) arrival, 8 B
-	// per seed connection, 24 B per walkable station — not the numNodes × k
-	// stamped label store the search ran on (29368 B on this network before
-	// results were detached, 4792 B now).
+	// A one-to-all result is detached from its workspace and keeps a copy of
+	// its station rows: shell + 4 B per (station, connection) arrival, 8 B
+	// per seed connection, 24 B per walkable station, and nothing for the
+	// parent links this query did not track (4792 B on this network).
 	all, _ := oneToAll.All()
 	k, walkable := all.res.K(), 0
 	for s := 0; s < n.NumStations(); s++ {

@@ -41,9 +41,11 @@ func BuildDistanceTable(g *graph.Graph, isTransfer []bool, opts Options, sourceP
 }
 
 // rowSearcher adapts a pooled workspace to dtable's per-worker searcher:
-// each Build worker owns one, so the O(n·k) search arrays are reused across
-// all rows the worker processes, and Close returns the workspace to the
-// package pool.
+// each Build worker owns one, so the label row, the ride cursors and the
+// numStations × k arrival store are reused across all rows the worker
+// processes, and Close returns the workspace to the package pool. A row's
+// profiles are reduced straight from the arrival store
+// (ProfileResult.StationProfile), with no copy per target.
 type rowSearcher struct {
 	ws   *Workspace
 	g    *graph.Graph

@@ -22,20 +22,25 @@
 // The paper reports per-query times in the low milliseconds because its
 // C++ implementation keeps every search data structure alive between
 // queries, once per thread. This package reproduces that discipline with
-// the Workspace type: a bundle owning the label arrays (the arrivals and
-// parents of one-to-all results, the profile loops' label row and ride
-// cursors, the time-query's labels), the station-to-station pruning state
-// (µ per via station, one ancestor flag per node), the seed scratch (conn(S)
-// and walk distances) and the priority queues of internal/pq, with one
-// workerSpace per search thread.
+// the Workspace type: a bundle owning the label arrays (the station
+// arrivals and parents of one-to-all results, the profile loops' label row
+// and ride cursors, the time-query's labels), the station-to-station
+// pruning state (µ per via station, one ancestor flag per node), the seed
+// scratch (conn(S) and walk distances) and the priority queues of
+// internal/pq, with one workerSpace per search thread.
 //
 // Resetting a workspace between queries is O(1), not O(numNodes·k): each
 // resettable slot carries a uint32 stamp, and a query begins by moving a
 // counter on. A slot stamped by an earlier query reads as "Infinity" or
 // "untouched", so the previous query's data simply becomes invisible
 // instead of being swept. The workspace generation stamps the one-to-all
-// arrivals and parents and the time-query's labels; it wraps around once
-// every 2^31 queries, at which point (and only then) one real sweep runs.
+// parent links and the time-query's labels; it wraps around once every 2^31
+// queries, at which point (and only then) one real sweep runs.
+//
+// The one-to-all arrivals carry no stamp. They are kept at station nodes
+// only, numStations × k in the layout a detached result uses, and a search
+// fills them with Infinity before it starts, a sweep the size of the copy
+// Detach makes.
 //
 // The label row and the ride cursors of the two profile loops (see below)
 // are stamped per connection, not per query, from a counter of its own in
@@ -74,7 +79,10 @@
 // push ties or undercuts a settled key, the entry that carries the record's
 // key surfaces once and settles it. The search keeps numNodes records per
 // worker, whatever k is, where one queue over all connections needed
-// numNodes × k.
+// numNodes × k. Of the keys a connection settles, one-to-all copies out only
+// those of station nodes, into arr(T, i): Section 3.1 reads a station's
+// profile off its station node's labels, and a route node's key is read by
+// self-pruning alone, through the row.
 //
 // Station-to-station adds Section 4's prunings on the same schedule.
 // Theorems 2–4 compare connection i with connections that leave later, and
@@ -121,6 +129,8 @@
 //
 // The Pareto search and the label-correcting baseline keep the addressable
 // binary pq.Heap (the last one re-inserts nodes below the last popped key).
+// Label-correcting keeps every node's function in a numNodes × k array of
+// its own and returns the station rows of it.
 //
 // # Lifecycle
 //

@@ -13,9 +13,11 @@ import (
 // LabelCorrecting runs the classic profile-search baseline of Section 2:
 // travel-time *functions* instead of scalars are propagated through the
 // network, so the label-setting property is lost and nodes re-enter the
-// queue whenever any point of their function improves. The result is
-// label-compatible with OneToAll (same arr(v, i) semantics), but the work
-// differs greatly — this is the LC row of Table 1.
+// queue whenever any point of their function improves. It keeps the
+// functions of all numNodes nodes in a private numNodes × k array, and its
+// result holds the station rows of it, label-compatible with OneToAll (same
+// arr(T, i) semantics); the work differs greatly — this is the LC row of
+// Table 1.
 //
 // Counting follows the paper: the settled-connections figure is the sum of
 // the sizes of the connection labels taken from the priority queue, i.e.
@@ -39,14 +41,16 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 	var c stats.Counters
 
 	heap := ws.worker(0).heap(numNodes)
+	arr := make([]timeutil.Ticks, numNodes*k) // arr(v, i) at res.label(v, i)
+	for li := range arr {
+		arr[li] = timeutil.Infinity
+	}
 
 	// Seed the departure route nodes: arr(r, i) = τ_dep(c_i).
 	for i, id := range res.Conns {
 		r := g.ConnDepartureNode(id)
 		li := res.label(r, i)
-		if res.Deps[i] < res.arrAt(li) {
-			res.setArr(li, res.Deps[i])
-		}
+		arr[li] = min(arr[li], res.Deps[i])
 	}
 	seeded := make(map[graph.NodeID]bool)
 	for _, id := range res.Conns {
@@ -56,7 +60,7 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 			base := res.label(r, 0)
 			m := timeutil.Infinity
 			for i := 0; i < k; i++ {
-				if a := res.arrAt(base + i); a < m {
+				if a := arr[base+i]; a < m {
 					m = a
 				}
 			}
@@ -74,7 +78,7 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 		// The popped label carries all its finite points; each is relaxed.
 		edges := g.OutEdges(v)
 		for i := 0; i < k; i++ {
-			av := res.arrAt(base + i)
+			av := arr[base+i]
 			if av.IsInf() {
 				continue
 			}
@@ -87,8 +91,8 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 				}
 				head := edges[e].Head
 				hl := res.label(head, i)
-				if arrTent < res.arrAt(hl) {
-					res.setArr(hl, arrTent)
+				if arrTent < arr[hl] {
+					arr[hl] = arrTent
 					if heap.Push(int32(head), arrTent) {
 						c.QueuePushes++
 					}
@@ -96,6 +100,7 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 			}
 		}
 	}
+	copy(res.arr, arr) // the station rows: station nodes come first
 	res.Run.PerThread = []stats.Counters{c}
 	res.Run.Total = c
 	res.Run.Elapsed = time.Since(start)

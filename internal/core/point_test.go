@@ -196,7 +196,8 @@ func TestTablePruningSparesStationsWithFootpaths(t *testing.T) {
 
 // A stream of journeys must leave the workspace small: the window search
 // tracks parents for the few connections that can matter, so the shared
-// label store never reaches numNodes × |conn(S)| for any busy source.
+// label store never reaches numStations × |conn(S)| arrivals or
+// numNodes × |conn(S)| parent links for any busy source.
 func TestJourneySearchKeepsLabelStoreSmall(t *testing.T) {
 	g := workspaceNet(t)
 	env := QueryEnv{Graph: g}
@@ -227,10 +228,9 @@ func TestJourneySearchKeepsLabelStoreSmall(t *testing.T) {
 	if found == 0 || minBusyK == 1<<30 {
 		t.Fatalf("%d journeys, busiest-source floor %d: sample too thin", found, minBusyK)
 	}
-	limit := g.NumNodes() * minBusyK
-	if cap(ws.arr) >= limit || cap(ws.parentNode) >= limit {
-		t.Fatalf("label store grew to %d arrivals, %d parents; a whole-period search from a source with %d connections needs %d",
-			cap(ws.arr), cap(ws.parentNode), minBusyK, limit)
+	if arrs, parents := g.NumStations()*minBusyK, g.NumNodes()*minBusyK; cap(ws.arr) >= arrs || cap(ws.parentNode) >= parents {
+		t.Fatalf("label store grew to %d arrivals, %d parents; a whole-period search from a source with %d connections needs %d and %d",
+			cap(ws.arr), cap(ws.parentNode), minBusyK, arrs, parents)
 	}
 	// The searches themselves keep one label row.
 	if n := cap(ws.worker(0).row) + cap(ws.worker(0).labels); n > g.NumNodes() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"transit/internal/graph"
 	"transit/internal/stats"
@@ -11,16 +12,17 @@ import (
 )
 
 // ProfileResult holds the outcome of a one-to-all profile search from a
-// source station: for every node v and every seed connection index i, the
-// arrival time arr(v, i) (Infinity when connection i does not usefully
-// reach v). Station profiles dist(S, T, ·) are derived on demand by
-// connection reduction.
+// source station: for every station T and every seed connection index i,
+// the arrival time arr(T, i) at T's station node (Infinity when connection i
+// does not usefully reach T). Station profiles dist(S, T, ·) are derived on
+// demand by connection reduction (Section 3.1). Route-node labels live only
+// in the search's own label row and are not kept.
 //
-// The label store is generation-stamped workspace memory: a slot holds a
-// meaningful arrival only when its stamp matches the generation the search
-// ran under, and every other slot reads as Infinity. Results produced by a
-// Workspace query method are therefore valid only until the next query on
-// that workspace; Detach copies out what a caller keeps (the station rows).
+// The arrivals are workspace memory, filled with Infinity when the search
+// starts, and the parent links are generation-stamped workspace memory.
+// Results produced by a Workspace query method are therefore valid only
+// until the next query on that workspace; Detach copies out what a caller
+// keeps.
 //
 // Without footpaths the seed list is exactly the paper's conn(S). With
 // footpaths it is the extended list (see extendedConns): connections of
@@ -43,16 +45,17 @@ type ProfileResult struct {
 	g    *graph.Graph
 	walk map[timetable.StationID]timeutil.Ticks
 
-	// Generation-stamped labels: arr[li] is meaningful iff arrGen[li] == gen.
-	// A detached result owns materialized copies instead: no stamps, every
-	// slot meaningful, and arr cut down to the station rows.
-	arr      []timeutil.Ticks // numNodes × k, row-major by node
-	arrGen   []uint32
-	gen      uint32
-	detached bool
+	// arr holds arr(T, i) at index T·k + i, numStations × k: station nodes
+	// are the first NumStations nodes, so T·k + i is also the label index of
+	// (StationNode(T), i).
+	arr []timeutil.Ticks
 
-	// Parent links, present only when Options.TrackParents was set; stamped
-	// like the labels.
+	// Parent links, present only when Options.TrackParents was set, for
+	// numNodes × k labels: journeys chain through route nodes. parentNode[li]
+	// is meaningful iff parentGen[li] == gen; a detached result owns
+	// materialized copies instead, with no stamps and every slot meaningful.
+	gen        uint32
+	detached   bool
 	hasParents bool
 	parentNode []graph.NodeID
 	parentConn []timetable.ConnID
@@ -93,7 +96,7 @@ func (ws *Workspace) newProfileResultWindow(g *graph.Graph, source timetable.Sta
 		connIDs, deps = fc, fd
 	}
 	k := len(connIDs)
-	ws.ensureLabels(g.NumNodes()*k, opts.TrackParents)
+	ws.ensureLabels(g.NumStations()*k, g.NumNodes()*k, opts.TrackParents)
 	r := &ws.pres
 	*r = ProfileResult{
 		Source: source,
@@ -102,7 +105,6 @@ func (ws *Workspace) newProfileResultWindow(g *graph.Graph, source timetable.Sta
 		g:      g,
 		walk:   walk,
 		arr:    ws.arr,
-		arrGen: ws.arrGen,
 		gen:    gen,
 	}
 	if opts.TrackParents {
@@ -119,17 +121,13 @@ func (r *ProfileResult) K() int { return len(r.Conns) }
 
 // Detach returns a caller-owned copy of the result that survives the
 // workspace's next query: the seed list, the walk distances, the counters
-// and the arrivals at station nodes. Station nodes are the first
-// NumStations rows of the label store, so that is one prefix of
-// numStations × k arrivals, materialized through the stamps (4 bytes per
-// station label instead of the workspace's 8–20 per node label). Parent
-// links chain through route nodes, so they are copied in full, but only
-// when the search tracked them.
+// and the numStations × k arrivals (one copy). Parent links chain through
+// route nodes, so they are copied in full, materialized through their
+// stamps, but only when the search tracked them.
 //
-// A detached result answers everything station-level (StationArrival,
-// StationArrivals, StationProfile, EarliestArrival, WalkOnly,
-// JourneyConnections); it holds no route-node arrivals, so Arrival on a
-// route node is out of its range.
+// A detached result answers everything a workspace result does
+// (StationArrival, StationArrivals, StationProfile, EarliestArrival,
+// WalkOnly, JourneyConnections).
 func (r *ProfileResult) Detach() *ProfileResult {
 	out := &ProfileResult{
 		Source:     r.Source,
@@ -145,10 +143,7 @@ func (r *ProfileResult) Detach() *ProfileResult {
 	for s, d := range r.walk {
 		out.walk[s] = d
 	}
-	out.arr = make([]timeutil.Ticks, r.g.NumStations()*len(r.Conns))
-	for li := range out.arr {
-		out.arr[li] = r.arrAt(li)
-	}
+	out.arr = slices.Clone(r.arr)
 	if r.hasParents {
 		n := r.g.NumNodes() * len(r.Conns)
 		out.parentNode = make([]graph.NodeID, n)
@@ -160,34 +155,25 @@ func (r *ProfileResult) Detach() *ProfileResult {
 	return out
 }
 
-// MemBytes approximates the heap memory the result keeps alive: the label
-// (and, when tracked, parent) arrays dominate, at 4 bytes per entry —
-// numStations × k arrivals for a detached result, numNodes × k stamped ones
-// for a result that still borrows its workspace.
+// MemBytes approximates the heap memory the result keeps alive: the
+// numStations × k arrivals and, when tracked, the numNodes × k parent links
+// dominate, at 4 bytes per entry.
 func (r *ProfileResult) MemBytes() int {
-	n := 4*(len(r.Conns)+len(r.Deps)) + 4*len(r.arr) + 4*len(r.arrGen) + 24*len(r.walk)
+	n := 4*(len(r.Conns)+len(r.Deps)) + 4*len(r.arr) + 24*len(r.walk)
 	if r.hasParents {
 		n += 4*len(r.parentNode) + 4*len(r.parentConn) + 4*len(r.parentGen)
 	}
 	return n
 }
 
-// label returns the flat index of (v, i).
+// label returns the flat index of (v, i): into the parent links for any
+// node, and into arr for a station node.
 func (r *ProfileResult) label(v graph.NodeID, i int) int { return int(v)*len(r.Conns) + i }
 
-// arrAt reads a label through its generation stamp: unset slots are
-// Infinity without ever having been written.
-func (r *ProfileResult) arrAt(li int) timeutil.Ticks {
-	if !r.detached && r.arrGen[li] != r.gen {
-		return timeutil.Infinity
-	}
-	return r.arr[li]
-}
-
-// setArr writes a label and stamps it live for this generation.
-func (r *ProfileResult) setArr(li int, v timeutil.Ticks) {
-	r.arr[li] = v
-	r.arrGen[li] = r.gen
+// stationRow returns arr(T, ·), the k arrivals of station T, in place.
+func (r *ProfileResult) stationRow(t timetable.StationID) []timeutil.Ticks {
+	base := r.label(r.g.StationNode(t), 0)
+	return r.arr[base : base+len(r.Conns)]
 }
 
 // setParent records a parent link for journey extraction.
@@ -205,38 +191,22 @@ func (r *ProfileResult) parentAt(li int) (graph.NodeID, timetable.ConnID) {
 	return r.parentNode[li], r.parentConn[li]
 }
 
-// Arrival returns arr(v, i) for a node (station nodes only on a detached
-// result).
-func (r *ProfileResult) Arrival(v graph.NodeID, i int) timeutil.Ticks {
-	return r.arrAt(r.label(v, i))
-}
-
 // StationArrival returns arr(T, i) at the station node of T.
 func (r *ProfileResult) StationArrival(t timetable.StationID, i int) timeutil.Ticks {
-	return r.arrAt(r.label(r.g.StationNode(t), i))
+	return r.stationRow(t)[i]
 }
 
 // StationArrivals returns the full label vector arr(T, ·) of a station as
-// a freshly allocated slice, materialized through the generation stamps.
-// Allocating here keeps concurrent readers of one result safe (the
-// pre-workspace implementation returned a read-only view, and e.g. a
-// shared AllProfiles may serve many goroutines); the zero-allocation hot
-// path is the station-to-station query, which never calls this.
+// a freshly allocated slice the caller may keep and modify.
 func (r *ProfileResult) StationArrivals(t timetable.StationID) []timeutil.Ticks {
-	v := r.g.StationNode(t)
-	k := len(r.Conns)
-	row := make([]timeutil.Ticks, k)
-	base := r.label(v, 0)
-	for i := 0; i < k; i++ {
-		row[i] = r.arrAt(base + i)
-	}
-	return row
+	return slices.Clone(r.stationRow(t))
 }
 
 // StationProfile reduces the label vector of T into the distance function
-// dist(S, T, ·) (Section 3.1, "Connection Reduction").
+// dist(S, T, ·) (Section 3.1, "Connection Reduction"). It reads the
+// arrivals in place: the function keeps no reference to them.
 func (r *ProfileResult) StationProfile(t timetable.StationID) (*ttf.Function, error) {
-	return ttf.FromArrivals(r.g.TT.Period, r.Deps, r.StationArrivals(t))
+	return ttf.FromArrivals(r.g.TT.Period, r.Deps, r.stationRow(t))
 }
 
 // WalkOnly returns the pure walking time from the source to t over
@@ -282,10 +252,10 @@ func (r *ProfileResult) JourneyConnections(t timetable.StationID, i int) ([]time
 	if i < 0 || i >= len(r.Conns) {
 		return nil, fmt.Errorf("core: connection index %d out of range [0,%d)", i, len(r.Conns))
 	}
-	v := r.g.StationNode(t)
-	if r.arrAt(r.label(v, i)).IsInf() {
+	if r.StationArrival(t, i).IsInf() {
 		return nil, fmt.Errorf("core: station %d unreachable via connection %d", t, i)
 	}
+	v := r.g.StationNode(t)
 	var rides []timetable.ConnID
 	for steps := 0; ; steps++ {
 		if steps > r.g.NumNodes()+1 {

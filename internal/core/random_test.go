@@ -178,10 +178,13 @@ func TestRandomNetworksStationToStation(t *testing.T) {
 
 // validateJourney checks the itinerary recorded for arr(dst, i) twice over.
 //
-// Link by link: every parent link (p → v, ride c) on the chain must
-// reproduce the child's final arrival when the edge is evaluated at the
-// parent's final arrival. A link written for a key that was later improved
-// — or kept after a worse push — fails this.
+// Along the parent chain: starting from the seed connection's departure at
+// the seed node, each link (p → v, ride c) is evaluated in travel order at
+// the key the replay has reached p with. Some edge p → v must give ride c
+// there, and the replay takes the earliest such arrival; it must reach dst
+// at exactly the label's arrival. A link left behind when its child's key
+// was later improved — or kept after a worse push — sends the replay along
+// a slower itinerary, and it arrives late or names another ride.
 //
 // Against the timetable alone: each extracted ride must leave from where the
 // previous one arrived, no earlier than the traveller is ready (a route
@@ -190,7 +193,15 @@ func TestRandomNetworksStationToStation(t *testing.T) {
 // replay must end at dst at exactly the label's arrival.
 func validateJourney(g *graph.Graph, r *ProfileResult, dst timetable.StationID, i int) error {
 	tt := g.TT
+	type link struct {
+		from, to graph.NodeID
+		ride     timetable.ConnID
+	}
+	var chain []link // from dst back to the seed
 	for v := g.StationNode(dst); ; {
+		if len(chain) > g.NumNodes() {
+			return fmt.Errorf("parent chain cycle at node %d", v)
+		}
 		p, c := r.parentAt(r.label(v, i))
 		if p == graph.NoNode {
 			if seed := g.ConnDepartureNode(r.Conns[i]); v != seed {
@@ -198,20 +209,29 @@ func validateJourney(g *graph.Graph, r *ProfileResult, dst timetable.StationID, 
 			}
 			break
 		}
-		linked := false
-		edges := g.OutEdges(p)
+		chain = append(chain, link{p, v, c})
+		v = p
+	}
+	key := tt.Connections[r.Conns[i]].Dep
+	for n := len(chain) - 1; n >= 0; n-- {
+		l := chain[n]
+		next := timeutil.Infinity
+		edges := g.OutEdges(l.from)
 		for e := range edges {
-			if edges[e].Head != v {
+			if edges[e].Head != l.to {
 				continue
 			}
-			arr, ride := g.EvalEdge(&edges[e], r.Arrival(p, i))
-			linked = linked || (arr == r.Arrival(v, i) && ride == c)
+			if arr, ride := g.EvalEdge(&edges[e], key); ride == l.ride && arr < next {
+				next = arr
+			}
 		}
-		if !linked {
-			return fmt.Errorf("link %d→%d (ride %d): arr(parent) = %d does not yield arr(child) = %d",
-				p, v, c, r.Arrival(p, i), r.Arrival(v, i))
+		if next.IsInf() {
+			return fmt.Errorf("link %d→%d: no edge gives ride %d at %d", l.from, l.to, l.ride, key)
 		}
-		v = p
+		key = next
+	}
+	if want := r.StationArrival(dst, i); key != want {
+		return fmt.Errorf("parent chain replays to %d at %d, label says %d", dst, key, want)
 	}
 
 	rides, err := r.JourneyConnections(dst, i)
@@ -276,19 +296,19 @@ func TestRandomNetworksExactAgainstLabelCorrecting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Without self-pruning every label is the exact per-connection
-			// arrival, at route nodes too — which is where superseded queue
-			// entries occur (a station node is only ever pushed at the key
-			// being settled). Self-pruning would discard one that slipped
-			// through; here it would overwrite the label.
+			// Without self-pruning every station label is the exact
+			// per-connection arrival label-correcting computes. A node's keys
+			// then rise from one connection to the next as well as fall, which
+			// sends the ride cursors down their bisecting path (ride.go).
 			unpruned, err := NewWorkspace().OneToAll(g, src, Options{Threads: threads, DisableSelfPruning: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			for s := 0; s < tt.NumStations(); s++ {
+				st := timetable.StationID(s)
 				for i := 0; i < lc.K(); i++ {
-					if got, want := unpruned.Arrival(v, i), lc.Arrival(v, i); got != want {
-						t.Fatalf("trial %d, %d threads: unpruned arr(%d, %d) = %d, label-correcting %d", trial, threads, v, i, got, want)
+					if got, want := unpruned.StationArrival(st, i), lc.StationArrival(st, i); got != want {
+						t.Fatalf("trial %d, %d threads: unpruned arr(%d, %d) = %d, label-correcting %d", trial, threads, s, i, got, want)
 					}
 				}
 			}

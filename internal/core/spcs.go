@@ -14,9 +14,9 @@ import (
 // spcsWorker runs the self-pruning connection-setting search for the
 // contiguous global connection range [lo, hi) of conn(S) (Section 3.1). It
 // borrows its priority queue and its label row from a per-thread
-// workerSpace; the arrival (and parent) arrays of the shared ProfileResult
-// are written only at global indexes in [lo, hi), so concurrent workers
-// never touch the same label.
+// workerSpace; the station arrivals (and parent links) of the shared
+// ProfileResult are written only at global indexes in [lo, hi), so
+// concurrent workers never touch the same label.
 //
 // The connections are searched one at a time, latest departure first, each
 // by its own label-setting search over one numNodes-sized label row; the
@@ -50,6 +50,8 @@ type spcsWorker struct {
 // the record is its tentative label (stamp cur), an entry whose key is no
 // longer the record's key is superseded, and because no push ties or
 // undercuts a settled key, the record is final when its entry surfaces.
+// Only a station node's final key leaves the row: it is arr(T, i). A route
+// node's keys are read by self-pruning alone, through the row.
 //
 // A node's ride edge is evaluated through the worker's ride cursor of that
 // node (rideCursor), valid from the query's first stamp on.
@@ -66,6 +68,7 @@ func (w *spcsWorker) run() {
 	period := g.TT.Period
 	heap := &ws.radix
 	k := len(res.Conns)
+	arr, numStations := res.arr, graph.NodeID(g.NumStations())
 	done := w.opts.Done
 	hasParents := res.hasParents
 	limit := w.limit
@@ -109,7 +112,9 @@ func (w *spcsWorker) run() {
 				}
 			}
 			v := graph.NodeID(it)
-			res.setArr(int(v)*k+i, key)
+			if v < numStations {
+				arr[int(v)*k+i] = key
+			}
 			w.counters.SettledConns++
 
 			// Relax all outgoing edges of (v, i) at arrival time key.
@@ -145,8 +150,8 @@ func (w *spcsWorker) run() {
 }
 
 // OneToAll runs the (possibly parallel) self-pruning connection-setting
-// profile search from the source station and returns all labels arr(·, ·)
-// (Section 3). With opts.Threads > 1, conn(S) is partitioned by
+// profile search from the source station and returns the station labels
+// arr(T, ·) (Section 3). With opts.Threads > 1, conn(S) is partitioned by
 // opts.Partition and the workers run concurrently; labels are merged by
 // construction since workers write disjoint connection columns, and the
 // per-station connection reduction of ProfileResult restores the FIFO

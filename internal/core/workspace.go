@@ -21,7 +21,8 @@ import (
 // generation, and runs; label, settled and parent slots are valid only when
 // their stamp equals the current generation, so "reset to Infinity /
 // unsettled" is a single counter increment instead of an O(numNodes·k)
-// sweep.
+// sweep. The one-to-all station arrivals are the exception: numStations × k
+// unstamped values, filled with Infinity when a search starts.
 //
 // A Workspace is NOT safe for concurrent use: one query at a time. Use the
 // package free list (GetWorkspace / PutWorkspace) or one workspace per
@@ -35,11 +36,11 @@ type Workspace struct {
 	// bit) fit a uint32.
 	gen uint32
 
-	// Shared profile label store arr(v, i), numNodes × k row-major, plus
-	// parent links for journey extraction. Written by all SPCS workers (at
-	// disjoint indexes), read through the result types.
+	// One-to-all arrival store arr(T, i) at station nodes, numStations × k
+	// row-major, plus numNodes × k generation-stamped parent links for
+	// journey extraction. Written by all SPCS workers (at disjoint indexes),
+	// read through the result types.
 	arr        []timeutil.Ticks
-	arrGen     []uint32
 	parentNode []graph.NodeID
 	parentConn []timetable.ConnID
 	parentGen  []uint32
@@ -225,7 +226,6 @@ func PoolStats() (gets, puts uint64) { return wsFree.gets.Load(), wsFree.puts.Lo
 func (ws *Workspace) begin() uint32 {
 	ws.gen++
 	if ws.gen == maxGen {
-		wipe(ws.arrGen)
 		wipe(ws.parentGen)
 		wipe(ws.nodeArrGen)
 		wipe(ws.nodeSetGen)
@@ -284,10 +284,13 @@ func growInt(s []int, n int) []int {
 	return s[:n]
 }
 
-// ensureLabels dimensions the shared label store for n labels.
-func (ws *Workspace) ensureLabels(n int, parents bool) {
-	ws.arr = growTicks(ws.arr, n)
-	ws.arrGen = growU32(ws.arrGen, n)
+// ensureLabels dimensions the arrival store for ns station labels, all
+// Infinity, and, when parents are tracked, the parent links for n labels.
+func (ws *Workspace) ensureLabels(ns, n int, parents bool) {
+	ws.arr = growTicks(ws.arr, ns)
+	for li := range ws.arr {
+		ws.arr[li] = timeutil.Infinity
+	}
 	if parents {
 		if cap(ws.parentNode) < n {
 			ws.parentNode = make([]graph.NodeID, n)

@@ -528,11 +528,11 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 	}
 }
 
-// A one-to-all search keeps one label row per worker, not one per
-// connection: whatever k, the search labels it leaves behind are at most
-// numNodes records per worker.
-func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
-	g := workspaceNet(t)
+// busiestSource returns the station with the most outgoing connections and
+// their number, failing the test when the network is too thin for a label
+// store of k rows to stand out.
+func busiestSource(t *testing.T, g *graph.Graph) (timetable.StationID, int) {
+	t.Helper()
 	busiest, k := timetable.StationID(0), 0
 	for s := 0; s < g.NumStations(); s++ {
 		if n := len(g.TT.Outgoing(timetable.StationID(s))); n > k {
@@ -542,6 +542,15 @@ func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
 	if k < 16 {
 		t.Fatalf("busiest source has %d connections: network too thin", k)
 	}
+	return busiest, k
+}
+
+// A one-to-all search keeps one label row per worker, not one per
+// connection: whatever k, the search labels it leaves behind are at most
+// numNodes records per worker.
+func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
+	g := workspaceNet(t)
+	busiest, k := busiestSource(t, g)
 	for _, threads := range []int{1, 2} {
 		ws := NewWorkspace()
 		res, err := ws.OneToAll(g, busiest, Options{Threads: threads})
@@ -558,6 +567,65 @@ func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A one-to-all search stores arrivals at station nodes only, numStations × k
+// of them; route-node keys stay in the workers' rows. Parent links, which
+// journeys chain through route nodes, stay numNodes × k.
+func TestOneToAllStoreIsStationRows(t *testing.T) {
+	g := workspaceNet(t)
+	busiest, _ := busiestSource(t, g)
+	ns := g.NumStations()
+	check := func(t *testing.T, ws *Workspace, res *ProfileResult) {
+		t.Helper()
+		reached := 0
+		for s := 0; s < ns; s++ {
+			if res.reaches(timetable.StationID(s)) {
+				reached++
+			}
+		}
+		if reached < 2 {
+			t.Fatalf("k = %d: the search reached %d stations", res.K(), reached)
+		}
+		if n := cap(ws.arr); n > ns*res.K() {
+			t.Fatalf("k = %d: %d arrivals stored; numStations × k is %d", res.K(), n, ns*res.K())
+		}
+	}
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			ws := NewWorkspace()
+			res, err := ws.OneToAll(g, busiest, Options{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, ws, res)
+		})
+	}
+	t.Run("window/parents", func(t *testing.T) {
+		ws := NewWorkspace()
+		res, err := ws.OneToAllWindow(g, busiest, 420, 600, Options{TrackParents: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, ws, res)
+		if n := len(ws.parentNode); n != g.NumNodes()*res.K() {
+			t.Fatalf("k = %d: %d parent links; numNodes × k is %d", res.K(), n, g.NumNodes()*res.K())
+		}
+		journeys := 0
+		for s := 0; s < ns; s++ {
+			for i := 0; i < res.K(); i++ {
+				if st := timetable.StationID(s); st != busiest && !res.StationArrival(st, i).IsInf() {
+					if err := validateJourney(g, res, st, i); err != nil {
+						t.Fatalf("journey to %d via connection %d: %v", s, i, err)
+					}
+					journeys++
+				}
+			}
+		}
+		if journeys == 0 {
+			t.Fatal("no journey to replay")
+		}
+	})
 }
 
 // A station-to-station search keeps one label row per worker as well, with

@@ -400,9 +400,11 @@ func (n *Network) planProfile(req Request, done <-chan struct{}, res *Result) er
 
 // planOneToAll runs the one-to-all profile search, windowed when requested,
 // on a pooled workspace. The result keeps only what AllProfiles can be asked
-// for — the arrivals at station nodes, plus parent links when journeys were
-// requested — so the O(numNodes·k) search arrays go back to the free list
-// instead of being allocated, zeroed and garbage-collected per query.
+// for — a copy of the numStations × k station arrivals, plus parent links
+// when journeys were requested — so the workspace's search arrays (label
+// rows and ride cursors per worker, numNodes × k parent links) go back to
+// the free list instead of being allocated, zeroed and garbage-collected per
+// query.
 func (n *Network) planOneToAll(req Request, done <-chan struct{}, res *Result) error {
 	from, to := Ticks(0), Infinity
 	if req.Window != nil {

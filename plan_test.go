@@ -499,8 +499,9 @@ func TestPlanJourneySteadyStateAllocs(t *testing.T) {
 }
 
 // TestPlanOneToAllSteadyStateBytes guards the compact one-to-all result: a
-// query keeps the numStations × k station arrivals (4 B each) plus the seed
-// list, and returns the numNodes × k search arrays to the free list.
+// query keeps a copy of the numStations × k station arrivals (4 B each) plus
+// the seed list, and returns the workspace — its own arrival store, the
+// label rows and the ride cursors — to the free list.
 func TestPlanOneToAllSteadyStateBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -530,7 +531,7 @@ func TestPlanOneToAllSteadyStateBytes(t *testing.T) {
 	// allocator's size-class rounding of the three slices.
 	got := after.TotalAlloc - before.TotalAlloc
 	limit := uint64(4*ns*sumK + 8*sumK + 2048*ns)
-	t.Logf("%d one-to-all queries: %d B in %d allocs, limit %d B, search arrays %d B", ns, got, after.Mallocs-before.Mallocs, limit, 16*n.g.NumNodes()*sumK)
+	t.Logf("%d one-to-all queries: %d B in %d allocs, limit %d B", ns, got, after.Mallocs-before.Mallocs, limit)
 	if got > limit {
 		t.Fatalf("Plan one-to-all allocated %d B over %d queries, want ≤ %d (4·numStations·k + 8·k + 2 KiB each)", got, ns, limit)
 	}

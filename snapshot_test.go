@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"transit/internal/core"
 	"transit/internal/dtable"
 	"transit/internal/snapshot"
 )
@@ -196,10 +197,13 @@ func TestSnapshotRoundTripPatched(t *testing.T) {
 	}
 }
 
-// TestSnapshotBootFasterThanPreprocessing measures the tentpole's point:
-// booting from a snapshot must beat rebuilding with preprocessing by a wide
-// margin. The CI-safe assertion is 3x; the README reports the (much larger)
-// ratio on the benchmark network.
+// TestSnapshotBootFasterThanPreprocessing checks what makes booting from a
+// snapshot cheaper than preprocessing: LoadSnapshot runs no search — every
+// table row's search checks a workspace out of the core pool, and the load
+// checks out none — and still yields the table Preprocess built, row for
+// row. The wall-clock ratio is logged; only load < preprocess is asserted,
+// because any fixed ratio shrinks with every speed-up of a table row (a 3x
+// bar read 2.2x under parallel package load).
 func TestSnapshotBootFasterThanPreprocessing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -208,36 +212,52 @@ func TestSnapshotBootFasterThanPreprocessing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fifth of the stations: each speed-up of a table row shrinks the
-	// margin at a fixed selection. The radix-queue search took 5 % from 6x
-	// to 3.7x, and the latest-departure-first search took 10 % from 3.2–5.3x
-	// to 2.7–4.6x (3 of 5 runs under the bar), both against an unchanged
-	// load. At 20 % it reads 3.6–6.3x.
 	sel := TransferSelection{Fraction: 0.20}
 
+	built, _ := core.PoolStats()
 	rebuildStart := time.Now()
 	pre, _, err := n.Preprocess(sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rebuild := time.Since(rebuildStart)
+	if gets, _ := core.PoolStats(); gets == built {
+		t.Fatal("Preprocess checked out no search workspace: the pool cannot tell a search ran")
+	}
 
 	var buf bytes.Buffer
 	if err := pre.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	gets, _ := core.PoolStats()
 	loadStart := time.Now()
 	loaded, _, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	load := time.Since(loadStart)
+	if after, _ := core.PoolStats(); after != gets {
+		t.Errorf("LoadSnapshot checked out %d search workspaces; booting must run no search", after-gets)
+	}
 	if !loaded.Preprocessed() {
 		t.Fatal("snapshot lost the table")
 	}
+	stations := loaded.table.Stations()
+	if !slices.Equal(stations, pre.table.Stations()) {
+		t.Fatalf("transfer set %v, Preprocess built %v", stations, pre.table.Stations())
+	}
+	for _, from := range stations {
+		for _, to := range stations {
+			got, _ := loaded.table.Profile(from, to)
+			want, _ := pre.table.Profile(from, to)
+			if !slices.Equal(got.Points(), want.Points()) {
+				t.Fatalf("row %d→%d: %v, Preprocess built %v", from, to, got.Points(), want.Points())
+			}
+		}
+	}
 	t.Logf("preprocess: %v, snapshot load: %v (%.1fx)", rebuild, load, float64(rebuild)/float64(load))
-	if load*3 > rebuild {
-		t.Errorf("snapshot load %v not at least 3x faster than preprocessing %v", load, rebuild)
+	if load >= rebuild {
+		t.Errorf("snapshot load %v not faster than preprocessing %v", load, rebuild)
 	}
 }
 
