@@ -44,8 +44,9 @@ func BuildDistanceTable(g *graph.Graph, isTransfer []bool, opts Options, sourceP
 // each Build worker owns one, so the label row, the ride cursors and the
 // numStations × k arrival store are reused across all rows the worker
 // processes, and Close returns the workspace to the package pool. A row's
-// profiles are reduced straight from the arrival store
-// (ProfileResult.StationProfile), with no copy per target.
+// profiles are reduced straight from the arrival store into the worker's
+// row buffer (ProfileResult.AppendStationProfile), with no copy or
+// allocation per target.
 type rowSearcher struct {
 	ws   *Workspace
 	g    *graph.Graph

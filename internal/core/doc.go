@@ -82,7 +82,11 @@
 // numNodes × k. Of the keys a connection settles, one-to-all copies out only
 // those of station nodes, into arr(T, i): Section 3.1 reads a station's
 // profile off its station node's labels, and a route node's key is read by
-// self-pruning alone, through the row.
+// self-pruning alone, through the row. A distance-table row reduces every
+// target's arr(T, ·), read in place, into its build worker's reused point
+// buffer (ProfileResult.AppendStationProfile) and keeps one exact-size copy:
+// the table is one point arena per row with CSR offsets, so a look-up
+// D(S, T, τ) is a binary search over a sub-slice (internal/dtable).
 //
 // Station-to-station adds Section 4's prunings on the same schedule.
 // Theorems 2–4 compare connection i with connections that leave later, and

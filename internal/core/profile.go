@@ -209,6 +209,13 @@ func (r *ProfileResult) StationProfile(t timetable.StationID) (*ttf.Function, er
 	return ttf.FromArrivals(r.g.TT.Period, r.Deps, r.stationRow(t))
 }
 
+// AppendStationProfile appends the reduced points of StationProfile(t) to
+// dst (ttf.AppendReduced): the distance table reduces a whole row into one
+// reused buffer this way, with no allocation per target.
+func (r *ProfileResult) AppendStationProfile(dst []ttf.Point, t timetable.StationID) ([]ttf.Point, error) {
+	return ttf.AppendReduced(dst, r.g.TT.Period, r.Deps, r.stationRow(t))
+}
+
 // WalkOnly returns the pure walking time from the source to t over
 // footpaths (0 for the source itself, Infinity when not walkable).
 func (r *ProfileResult) WalkOnly(t timetable.StationID) timeutil.Ticks {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
@@ -16,59 +17,67 @@ import (
 //	period  int32
 //	numStations int32            (of the network the table was built for)
 //	numTransfer int32
-//	stations    [numTransfer]int32
+//	stations    [numTransfer]int32   (strictly increasing)
 //	for each ordered pair (i, j), row-major:
 //	  numPoints int32
-//	  points    [numPoints]{dep int32, w int32}
+//	  points    [numPoints]{dep int32, w int32}   (reduced, ttf.CheckCanonical)
+//
+// A row's pairs are back to back, exactly the layout of the row's arena
+// behind a count per target, so rows are written and read whole.
 
 // WriteSection serializes the table body without magic framing — the form
 // the snapshot container embeds (and checksums) as its distance-table
 // section. numStations must be the station count of the network the table
 // belongs to; ReadSection validates it on load.
 func WriteSection(w io.Writer, t *Table, numStations int) error {
-	put := func(v int32) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := put(int32(t.period.Len())); err != nil {
-		return err
-	}
-	if err := put(int32(numStations)); err != nil {
-		return err
-	}
-	if err := put(int32(len(t.stations))); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	n := len(t.stations)
+	buf := make([]byte, 0, 4*(3+n))
+	buf = le.AppendUint32(buf, uint32(t.period.Len()))
+	buf = le.AppendUint32(buf, uint32(numStations))
+	buf = le.AppendUint32(buf, uint32(n))
 	for _, s := range t.stations {
-		if err := put(int32(s)); err != nil {
-			return err
-		}
+		buf = le.AppendUint32(buf, uint32(s))
 	}
-	for _, row := range t.prof {
-		for _, f := range row {
-			pts := f.Points()
-			if err := put(int32(len(pts))); err != nil {
-				return err
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	for i, row := range t.rows {
+		off := t.rowOff(i)
+		buf = buf[:0]
+		for j := 0; j < n; j++ {
+			buf = le.AppendUint32(buf, uint32(off[j+1]-off[j]))
+			for _, p := range row[off[j]:off[j+1]] {
+				buf = le.AppendUint32(buf, uint32(p.Dep))
+				buf = le.AppendUint32(buf, uint32(p.W))
 			}
-			for _, p := range pts {
-				if err := put(int32(p.Dep)); err != nil {
-					return err
-				}
-				if err := put(int32(p.W)); err != nil {
-					return err
-				}
-			}
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // ReadSection parses a table section body, validating it against the
-// expected station count of the network it will be attached to.
-func ReadSection(r io.Reader, wantStations int) (*Table, error) {
-	get := func() (int32, error) {
-		var v int32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
+// expected station count of the network it will be attached to. Every count
+// is bounded by the bytes left before anything is allocated for it, so a
+// hostile section costs at most a few times its own size. Each profile must
+// be canonical (ttf.CheckCanonical): the loader verifies the reduced form
+// rather than re-deriving it, so an accepted section re-encodes to the same
+// bytes.
+func ReadSection(p []byte, wantStations int) (*Table, error) {
+	le := binary.LittleEndian
+	pos := 0
+	get := func(what string) (int32, error) {
+		if len(p)-pos < 4 {
+			return 0, fmt.Errorf("dtable: reading %s: %w", what, io.ErrUnexpectedEOF)
+		}
+		v := int32(le.Uint32(p[pos:]))
+		pos += 4
+		return v, nil
 	}
-	pi, err := get()
+	pi, err := get("period")
 	if err != nil {
 		return nil, err
 	}
@@ -76,70 +85,75 @@ func ReadSection(r io.Reader, wantStations int) (*Table, error) {
 		return nil, fmt.Errorf("dtable: non-positive period %d", pi)
 	}
 	period := timeutil.NewPeriod(timeutil.Ticks(pi))
-	numStations, err := get()
+	numStations, err := get("station count")
 	if err != nil {
 		return nil, err
 	}
 	if int(numStations) != wantStations {
 		return nil, fmt.Errorf("dtable: table built for %d stations, network has %d", numStations, wantStations)
 	}
-	numTransfer, err := get()
+	nt, err := get("transfer count")
 	if err != nil {
 		return nil, err
 	}
-	if numTransfer < 0 || numTransfer > numStations {
-		return nil, fmt.Errorf("dtable: invalid transfer count %d", numTransfer)
+	// Each transfer station takes 4 bytes and each of its nt pairs at
+	// least a 4-byte point count.
+	if nt < 0 || nt > numStations || int64(nt)*(int64(nt)+1)*4 > int64(len(p)-pos) {
+		return nil, fmt.Errorf("dtable: transfer count %d does not fit %d stations and %d bytes", nt, numStations, len(p)-pos)
 	}
-	t := &Table{period: period, index: make([]int32, numStations)}
-	for i := range t.index {
-		t.index[i] = -1
-	}
-	t.stations = make([]timetable.StationID, numTransfer)
-	for i := range t.stations {
-		v, err := get()
-		if err != nil {
-			return nil, err
-		}
+	n := int(nt)
+	stations := make([]timetable.StationID, n)
+	for i := range stations {
+		v, _ := get("transfer station") // the count check left room for it
 		if v < 0 || v >= numStations {
 			return nil, fmt.Errorf("dtable: transfer station %d out of range", v)
 		}
-		if t.index[v] >= 0 {
-			return nil, fmt.Errorf("dtable: duplicate transfer station %d", v)
+		if i > 0 && timetable.StationID(v) <= stations[i-1] {
+			return nil, fmt.Errorf("dtable: transfer station %d not after %d", v, stations[i-1])
 		}
-		t.stations[i] = timetable.StationID(v)
-		t.index[v] = int32(i)
+		stations[i] = timetable.StationID(v)
 	}
-	t.prof = make([][]*ttf.Function, numTransfer)
-	for i := range t.prof {
-		row := make([]*ttf.Function, numTransfer)
-		for j := range row {
-			n, err := get()
-			if err != nil {
-				return nil, err
+	t := newTable(period, int(numStations), stations)
+	for i := range t.rows {
+		// First pass: the row's point counts, each bounded by the bytes
+		// left, give its offsets and its arena's exact size.
+		off := t.rowOff(i)
+		q, total := pos, 0
+		for j := 0; j < n; j++ {
+			if len(p)-q < 4 {
+				return nil, fmt.Errorf("dtable: profile (%d,%d): %w", i, j, io.ErrUnexpectedEOF)
 			}
-			if n < 0 || n > 1<<24 {
-				return nil, fmt.Errorf("dtable: implausible point count %d", n)
+			c := int32(le.Uint32(p[q:]))
+			q += 4
+			if c < 0 || int64(c)*8 > int64(len(p)-q) {
+				return nil, fmt.Errorf("dtable: profile (%d,%d): %d points with %d bytes left", i, j, c, len(p)-q)
 			}
-			pts := make([]ttf.Point, n)
-			for p := range pts {
-				dep, err := get()
-				if err != nil {
-					return nil, err
-				}
-				w, err := get()
-				if err != nil {
-					return nil, err
-				}
-				pts[p] = ttf.Point{Dep: timeutil.Ticks(dep), W: timeutil.Ticks(w)}
+			off[j] = int32(total)
+			total += int(c)
+			q += 8 * int(c)
+			if total > math.MaxInt32 {
+				return nil, fmt.Errorf("dtable: row %d holds more than %d points", i, math.MaxInt32)
 			}
-			f, err := ttf.New(period, pts)
-			if err != nil {
+		}
+		off[n] = int32(total)
+		// Second pass: decode the points into the arena and check each
+		// profile is the reduced form.
+		row := make([]ttf.Point, total)
+		for j := 0; j < n; j++ {
+			pos += 4
+			pts := row[off[j]:off[j+1]]
+			for k := range pts {
+				pts[k] = ttf.Point{Dep: timeutil.Ticks(int32(le.Uint32(p[pos:]))), W: timeutil.Ticks(int32(le.Uint32(p[pos+4:])))}
+				pos += 8
+			}
+			if err := ttf.CheckCanonical(period, pts); err != nil {
 				return nil, fmt.Errorf("dtable: profile (%d,%d): %w", i, j, err)
 			}
-			f.Reduce() // stored reduced; re-reducing is a cheap no-op pass
-			row[j] = f
 		}
-		t.prof[i] = row
+		t.rows[i] = row
+	}
+	if pos != len(p) {
+		return nil, fmt.Errorf("dtable: %d trailing bytes after the last profile", len(p)-pos)
 	}
 	return t, nil
 }

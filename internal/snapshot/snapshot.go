@@ -262,7 +262,7 @@ func Read(r io.Reader) (*Data, error) {
 		d.SG = stationgraph.Build(tt)
 	}
 	if p, ok := payloads[SecDistanceTable]; ok {
-		t, err := dtable.ReadSection(bytes.NewReader(p), tt.NumStations())
+		t, err := dtable.ReadSection(p, tt.NumStations())
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: distance-table section: %w", err)
 		}

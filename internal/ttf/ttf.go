@@ -16,8 +16,10 @@
 package ttf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"transit/internal/timeutil"
 )
@@ -59,21 +61,29 @@ func New(period timeutil.Period, pts []Point) (*Function, error) {
 		}
 		cp = append(cp, Point{Dep: period.Wrap(p.Dep), W: p.W})
 	}
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Dep != cp[j].Dep {
-			return cp[i].Dep < cp[j].Dep
-		}
-		return cp[i].W < cp[j].W
-	})
-	// Collapse duplicate departures, keeping the fastest.
-	out := cp[:0]
-	for _, p := range cp {
+	slices.SortFunc(cp, cmpPoint)
+	return &Function{period: period, points: dedupe(cp)}, nil
+}
+
+// cmpPoint orders points by departure, then by duration.
+func cmpPoint(a, b Point) int {
+	if c := cmp.Compare(a.Dep, b.Dep); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.W, b.W)
+}
+
+// dedupe collapses equal departures of points sorted by cmpPoint in place,
+// keeping the first (fastest) of each.
+func dedupe(pts []Point) []Point {
+	out := pts[:0]
+	for _, p := range pts {
 		if len(out) > 0 && out[len(out)-1].Dep == p.Dep {
-			continue // sorted by W within equal Dep, first is fastest
+			continue
 		}
 		out = append(out, p)
 	}
-	return &Function{period: period, points: out}, nil
+	return out
 }
 
 // MustNew is New panicking on error; for tests and literals.
@@ -89,12 +99,28 @@ func MustNew(period timeutil.Period, pts []Point) *Function {
 // connection labels of a profile search: deps[i] is the departure time point
 // τ_dep(c_i) at the source and arrs[i] the absolute arrival time arr(v, i)
 // (timeutil.Infinity when connection i was pruned or does not reach v). The
-// result is reduced.
+// result is reduced; see AppendReduced.
 func FromArrivals(period timeutil.Period, deps, arrs []timeutil.Ticks) (*Function, error) {
-	if len(deps) != len(arrs) {
-		return nil, fmt.Errorf("ttf: %d departures but %d arrivals", len(deps), len(arrs))
+	pts, err := AppendReduced(make([]Point, 0, len(deps)), period, deps, arrs)
+	if err != nil {
+		return nil, err
 	}
-	pts := make([]Point, 0, len(deps))
+	// The function keeps an exact-size copy, not room for every connection:
+	// cached results hold it.
+	return &Function{period: period, points: append([]Point(nil), pts...), reduced: true}, nil
+}
+
+// AppendReduced appends to dst the reduced connection points of the profile
+// that FromArrivals builds from deps and arrs, and returns the extended
+// slice. It allocates only when dst must grow, so a caller that reduces many
+// profiles into one reused buffer pays no allocation per profile. On error
+// dst comes back with its original length.
+func AppendReduced(dst []Point, period timeutil.Period, deps, arrs []timeutil.Ticks) ([]Point, error) {
+	if len(deps) != len(arrs) {
+		return dst, fmt.Errorf("ttf: %d departures but %d arrivals", len(deps), len(arrs))
+	}
+	start := len(dst)
+	ordered := true
 	for i, d := range deps {
 		a := arrs[i]
 		if a.IsInf() {
@@ -102,16 +128,20 @@ func FromArrivals(period timeutil.Period, deps, arrs []timeutil.Ticks) (*Functio
 		}
 		w := a - d
 		if w < 0 {
-			return nil, fmt.Errorf("ttf: connection %d arrives at %d before departing at %d", i, a, d)
+			return dst[:start], fmt.Errorf("ttf: connection %d arrives at %d before departing at %d", i, a, d)
 		}
-		pts = append(pts, Point{Dep: d, W: w})
+		p := Point{Dep: period.Wrap(d), W: w}
+		if len(dst) > start && cmpPoint(dst[len(dst)-1], p) > 0 {
+			ordered = false
+		}
+		dst = append(dst, p)
 	}
-	f, err := New(period, pts)
-	if err != nil {
-		return nil, err
+	pts := dst[start:]
+	if !ordered {
+		slices.SortFunc(pts, cmpPoint)
 	}
-	f.Reduce()
-	return f, nil
+	pts = reduce(dedupe(pts), period.Len())
+	return dst[:start+len(pts)], nil
 }
 
 // Period returns the period the function is defined over.
@@ -138,43 +168,67 @@ func (f *Function) Reduced() bool { return f.reduced }
 // value. It returns the number of points deleted.
 func (f *Function) Reduce() int {
 	n := len(f.points)
-	if n <= 1 {
-		f.reduced = true
-		return 0
-	}
-	pi := f.period.Len()
-	keep := make([]bool, n)
-	// Backward scan over the points followed by their next-period copies.
-	// minArr tracks the minimum lifted absolute arrival among all points
-	// scanned so far (i.e. all circularly later departures within one
-	// period). A point is deleted when its arrival is not strictly earlier.
-	minArr := timeutil.Infinity
-	for k := 2*n - 1; k >= 0; k-- {
-		i := k % n
-		lift := timeutil.Ticks(0)
-		if k >= n {
-			lift = pi
-		}
-		arr := f.points[i].Arr() + lift
-		if k < n {
-			if arr < minArr {
-				keep[i] = true
-			}
-		}
-		if arr < minArr {
-			minArr = arr
-		}
-	}
-	out := f.points[:0]
-	for i, p := range f.points {
-		if keep[i] {
-			out = append(out, p)
-		}
-	}
-	deleted := n - len(out)
-	f.points = out
+	f.points = reduce(f.points, f.period.Len())
 	f.reduced = true
-	return deleted
+	return n - len(f.points)
+}
+
+// reduce deletes the dominated points of pts, sorted by strictly increasing
+// departure, in place and returns the kept ones in order. It scans the
+// points backward after their next-period copies: minArr is the earliest
+// lifted arrival of every circularly later departure within one period, and
+// a point survives only when it arrives strictly earlier.
+func reduce(pts []Point, pi timeutil.Ticks) []Point {
+	n := len(pts)
+	if n <= 1 {
+		return pts
+	}
+	minArr := timeutil.Infinity
+	for _, p := range pts {
+		minArr = min(minArr, p.Arr()+pi)
+	}
+	// Kept points are written from the back; w never passes the scan index.
+	w := n
+	for i := n - 1; i >= 0; i-- {
+		if a := pts[i].Arr(); a < minArr {
+			w--
+			pts[w] = pts[i]
+			minArr = a
+		}
+	}
+	return pts[:copy(pts, pts[w:])]
+}
+
+// CheckCanonical reports why pts is not the reduced point set of a function
+// over period, or nil when it is: departures strictly increasing in [0, π),
+// durations non-negative with a finite arrival, and no point dominated by a
+// circularly later one. Reduce leaves exactly such sets, so a loader of
+// stored profiles can verify them instead of re-reducing. The check computes
+// in 64 bits, so no period or duration can overflow it.
+func CheckCanonical(period timeutil.Period, pts []Point) error {
+	pi := int64(period.Len())
+	arr := func(p Point) int64 { return int64(p.Dep) + int64(p.W) }
+	minArr := int64(math.MaxInt64)
+	for i, p := range pts {
+		if p.Dep < 0 || int64(p.Dep) >= pi {
+			return fmt.Errorf("ttf: point %d departs at %d, outside [0,%d)", i, p.Dep, pi)
+		}
+		if i > 0 && p.Dep <= pts[i-1].Dep {
+			return fmt.Errorf("ttf: point %d departs at %d, not after %d", i, p.Dep, pts[i-1].Dep)
+		}
+		if p.W < 0 || arr(p) >= int64(timeutil.Infinity) {
+			return fmt.Errorf("ttf: point %d has duration %d", i, p.W)
+		}
+		minArr = min(minArr, arr(p)+pi)
+	}
+	for i := len(pts) - 1; i >= 0; i-- {
+		a := arr(pts[i])
+		if a >= minArr {
+			return fmt.Errorf("ttf: point %d (%d,%d) is dominated by a later departure", i, pts[i].Dep, pts[i].W)
+		}
+		minArr = a
+	}
+	return nil
 }
 
 // EvalExact returns f(τ) by scanning all connection points. It works on
@@ -195,24 +249,46 @@ func (f *Function) EvalExact(tau timeutil.Ticks) timeutil.Ticks {
 
 // Eval returns the travel time f(τ) when departing at time τ (arbitrary
 // absolute times are wrapped into Π). On reduced functions this is a binary
-// search for the next departure; on unreduced functions it falls back to the
-// exact scan.
+// search for the next departure (NextPoint); on unreduced functions it falls
+// back to the exact scan.
 func (f *Function) Eval(tau timeutil.Ticks) timeutil.Ticks {
-	if len(f.points) == 0 {
-		return timeutil.Infinity
-	}
 	if !f.reduced {
 		return f.EvalExact(tau)
 	}
-	tau = f.period.Wrap(tau)
-	// First point with Dep >= tau, wrapping to points[0] on overflow.
-	i := sort.Search(len(f.points), func(i int) bool { return f.points[i].Dep >= tau })
-	if i == len(f.points) {
-		p := f.points[0]
-		return f.period.Len() - tau + p.Dep + p.W
+	p, wait := NextPoint(f.period, f.points, tau)
+	return wait + p.W
+}
+
+// NextPoint returns the point of a reduced point set, sorted by departure,
+// that a traveller present at the absolute time τ takes: the first departing
+// at or after τ wrapped into Π, else the first of the next period. It also
+// returns the wait until that departure. An empty set gives the zero Point
+// and Infinity, so wait + W stays Infinity. Function.Eval,
+// Function.NextDeparture and the distance table's look-up all evaluate
+// through it.
+func NextPoint(period timeutil.Period, pts []Point, tau timeutil.Ticks) (Point, timeutil.Ticks) {
+	if len(pts) == 0 {
+		return Point{}, timeutil.Infinity
 	}
-	p := f.points[i]
-	return p.Dep - tau + p.W
+	pi := period.Len()
+	if tau < 0 || tau >= pi { // Period.Wrap, with its in-range case inline
+		tau = period.Wrap(tau)
+	}
+	// Lower bound: the first departure at or after tau. Written out rather
+	// than through sort.Search so a look-up pays no closure call per probe.
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pts[m].Dep < tau {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(pts) { // past the last departure: first one of the next period
+		return pts[0], pi - tau + pts[0].Dep
+	}
+	return pts[lo], pts[lo].Dep - tau
 }
 
 // EvalArrival returns the absolute arrival time when departing at the
@@ -233,15 +309,7 @@ func (f *Function) NextDeparture(tau timeutil.Ticks) (Point, timeutil.Ticks) {
 	if !f.reduced {
 		panic("ttf: NextDeparture on unreduced function")
 	}
-	if len(f.points) == 0 {
-		return Point{}, timeutil.Infinity
-	}
-	tau = f.period.Wrap(tau)
-	i := sort.Search(len(f.points), func(i int) bool { return f.points[i].Dep >= tau })
-	if i == len(f.points) {
-		return f.points[0], f.period.Len() - tau + f.points[0].Dep
-	}
-	return f.points[i], f.points[i].Dep - tau
+	return NextPoint(f.period, f.points, tau)
 }
 
 // IsDominanceFree reports whether no point is dominated by a circularly

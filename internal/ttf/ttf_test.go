@@ -2,6 +2,7 @@ package ttf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -159,9 +160,17 @@ func TestReduceIdempotentAndDominanceFree(t *testing.T) {
 			pts[i] = Point{Dep: timeutil.Ticks(rng.Intn(1440)), W: timeutil.Ticks(rng.Intn(900))}
 		}
 		f := MustNew(day, pts)
+		// On sorted, deduplicated points the linear check agrees with the
+		// quadratic reference.
+		if err := CheckCanonical(day, f.Points()); (err == nil) != f.IsDominanceFree() {
+			t.Fatalf("trial %d: CheckCanonical says %v, IsDominanceFree %v on %v", trial, err, f.IsDominanceFree(), f)
+		}
 		f.Reduce()
 		if !f.IsDominanceFree() {
 			t.Fatalf("trial %d: reduced function not dominance-free: %v", trial, f)
+		}
+		if err := CheckCanonical(day, f.Points()); err != nil {
+			t.Fatalf("trial %d: reduced function not canonical: %v", trial, err)
 		}
 		before := len(f.Points())
 		if again := f.Reduce(); again != 0 || len(f.Points()) != before {
@@ -386,6 +395,72 @@ func TestEvalPeriodicity(t *testing.T) {
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 77 {
 		if f.Eval(tau) != f.Eval(tau+1440) || f.Eval(tau) != f.Eval(tau+4320) {
 			t.Fatalf("Eval not periodic at %d", tau)
+		}
+	}
+}
+
+// AppendReduced gives exactly what New and Reduce give for the same labels,
+// in any order and with departures outside Π, leaves dst's prefix alone and
+// allocates nothing when dst has room.
+func TestAppendReducedMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	prefix := []Point{{1, 2}, {3, 4}}
+	for trial := 0; trial < 300; trial++ {
+		k := rng.Intn(30)
+		deps := make([]timeutil.Ticks, k)
+		arrs := make([]timeutil.Ticks, k)
+		var pts []Point
+		for i := range deps {
+			deps[i] = timeutil.Ticks(rng.Intn(1440))
+			if trial%2 == 0 {
+				deps[i] = timeutil.Ticks(i * 1440 / max(k, 1)) // sorted, as a search gives them
+			}
+			if rng.Intn(10) == 0 {
+				deps[i] += 1440
+			}
+			arrs[i] = deps[i] + timeutil.Ticks(rng.Intn(600))
+			if rng.Intn(5) == 0 {
+				arrs[i] = timeutil.Infinity
+				continue
+			}
+			pts = append(pts, Point{Dep: deps[i], W: arrs[i] - deps[i]})
+		}
+		want := MustNew(day, pts)
+		want.Reduce()
+		dst := append(make([]Point, 0, len(prefix)+k), prefix...)
+		got, err := AppendReduced(dst, day, deps, arrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want.Points()) {
+			t.Fatalf("trial %d: got %v, want %v after %v", trial, got, want.Points(), prefix)
+		}
+		if a := testing.AllocsPerRun(5, func() { _, _ = AppendReduced(dst[:len(prefix)], day, deps, arrs) }); a != 0 {
+			t.Fatalf("trial %d: %v allocations with room in dst", trial, a)
+		}
+	}
+	dst := []Point{{1, 2}}
+	if got, err := AppendReduced(dst, day, []timeutil.Ticks{500}, []timeutil.Ticks{400}); err == nil || len(got) != 1 {
+		t.Fatalf("arrival before departure: %v, %v", got, err)
+	}
+}
+
+// NextPoint is the lower bound Eval and NextDeparture share: on every
+// reduced function and time it names the point of least wait + duration.
+func TestNextPointMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 100; trial++ {
+		pts := make([]Point, rng.Intn(12))
+		for i := range pts {
+			pts[i] = Point{Dep: timeutil.Ticks(rng.Intn(1440)), W: timeutil.Ticks(rng.Intn(700))}
+		}
+		f := MustNew(day, pts)
+		f.Reduce()
+		for tau := timeutil.Ticks(-1440); tau < 3*1440; tau += 13 {
+			p, wait := NextPoint(day, f.Points(), tau)
+			if got, want := wait+p.W, f.EvalExact(tau); got != want {
+				t.Fatalf("trial %d: NextPoint(%d) = %v wait %d, exact %d on %v", trial, tau, p, wait, want, f)
+			}
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"slices"
 	"testing"
@@ -358,5 +360,57 @@ func TestLoadSnapshotWithRetiredProvenanceSection(t *testing.T) {
 		if !bytes.Equal(cur[id], old[id]) {
 			t.Errorf("section %d changed on rewrite", id)
 		}
+	}
+}
+
+// TestSectionBytesUnchanged pins the distance-table section's bytes: the
+// committed fixture's section 3 decodes and re-encodes byte for byte, and on
+// the oracle networks build → write → read → write is the identity.
+func TestSectionBytesUnchanged(t *testing.T) {
+	img, err := os.ReadFile("testdata/table-provenance.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payloads := snapshotSections(t, img)
+	fixture := payloads[snapshot.SecDistanceTable]
+	roundTrip := func(label string, data []byte, numStations int) {
+		t.Helper()
+		table, err := dtable.ReadSection(data, numStations)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var again bytes.Buffer
+		if err := dtable.WriteSection(&again, table, numStations); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("%s: section changes on read and rewrite (%d → %d bytes)", label, len(data), again.Len())
+		}
+	}
+	roundTrip("fixture", fixture, int(binary.LittleEndian.Uint32(fixture[4:])))
+
+	built := func(label string, n *Network, sel TransferSelection) {
+		t.Helper()
+		pre, _, err := n.Preprocess(sel, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sec bytes.Buffer
+		if err := dtable.WriteSection(&sec, pre.table, n.NumStations()); err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(label, sec.Bytes(), n.NumStations())
+	}
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 8; trial++ {
+		built(fmt.Sprintf("random %d", trial), oracleRandomNetwork(t, rng, trial%2 == 1), TransferSelection{Fraction: 0.3})
+	}
+	built("footpaths", oracleFootpathFixture(t), TransferSelection{MinDegree: 1})
+	for _, family := range GenerateFamilies() {
+		n, err := Generate(family, 0.03, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built(family, n, TransferSelection{Fraction: 0.1})
 	}
 }
