@@ -15,9 +15,10 @@ import (
 // elementary connections in departure order — the Connection Scan Algorithm
 // (Dibbelt et al., 2013), included as an algorithmically independent
 // reference: it shares no code with the graph-based searches (no graph, no
-// priority queue), which makes it a strong cross-validation oracle for
-// TimeQuery and the profile searches, and a modern baseline for the
-// benchmark harness.
+// priority queue, no settle loop), which makes it the cross-validation
+// oracle of all of them — the profile searches, the point query and
+// TimeQuery, their k = 1 forms — and a modern baseline for the benchmark
+// harness.
 //
 // Semantics match TimeQuery: departing src at time dep, the first boarding
 // is free, every train change at station S costs T(S), staying aboard a

@@ -10,6 +10,11 @@ import (
 	"transit/internal/timeutil"
 )
 
+// oracleDays is the connection scan's horizon, in periods, where it serves
+// as the reference of the graph searches: longer than any journey of the
+// test networks.
+const oracleDays = 8
+
 func TestCSAMatchesTimeQueryDiamond(t *testing.T) {
 	g := diamond(t)
 	sched := NewConnectionScan(g.TT)

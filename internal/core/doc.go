@@ -1,21 +1,26 @@
-// Package core implements the paper's algorithms: the time-query
-// (time-dependent Dijkstra), the label-correcting profile-search baseline,
-// the self-pruning connection-setting (SPCS) one-to-all profile search of
-// Section 3, its parallelization, and the station-to-station query of
-// Section 4 with stopping criterion, distance-table pruning and target
-// pruning.
+// Package core implements the paper's algorithms: the self-pruning
+// connection-setting (SPCS) one-to-all profile search of Section 3 and its
+// parallelization, the time-query of Section 2 as its one-connection case,
+// the station-to-station query of Section 4 with stopping criterion,
+// distance-table pruning and target pruning, and the label-correcting
+// profile-search baseline.
 //
-// A query that names a target and a departure is served by the same two
-// searches, not by loops of its own. Workspace.EarliestArrival is the k = 1
-// case of the station-to-station search: one virtual connection leaving at
-// the requested time, seeded like a time-query, pruned by the table like a
+// A query that names a departure is served by the same two searches, not by
+// loops of its own. Workspace.TimeQuery is the k = 1 case of the one-to-all
+// search: one virtual connection leaving S at τ, seeded at the station node
+// and every route node of S, whose arrivals land in the numStations × 1
+// store; TimeQueryTo returns when the last of a target set settles, which
+// is a matrix row. Workspace.EarliestArrival is the k = 1 case of the
+// station-to-station search: one virtual connection leaving at the
+// requested time, seeded like a time-query, pruned by the table like a
 // profile query, returning when the target settles. Workspace.JourneySearch
 // puts a windowed one-to-all search with parents behind that point query —
 // only the connections that leave between the request and the earliest
 // arrival, and no label later than it — and returns a result that contains
 // the itinerary a whole-period search would show first (journey.go has the
-// argument). Workspace.TimeQuery remains the one-to-all point search: matrix
-// rows (TimeQueryTo stops at the last of a target set), oracles, baselines.
+// argument). The tests check the arrivals of every search against the
+// connection scan (CSASchedule, Dibbelt et al.), which shares no code with
+// the graph searches.
 //
 // # Workspaces and generation-stamped labels
 //
@@ -24,18 +29,19 @@
 // queries, once per thread. This package reproduces that discipline with
 // the Workspace type: a bundle owning the label arrays (the station
 // arrivals and parents of one-to-all results, the profile loops' label row
-// and ride cursors, the time-query's labels), the station-to-station
-// pruning state (µ per via station, one ancestor flag per node), the seed
-// scratch (conn(S) and walk distances) and the priority queues of
-// internal/pq, with one workerSpace per search thread.
+// and ride cursors), the station-to-station pruning state (µ per via
+// station, one ancestor flag per node), the seed scratch (conn(S) and walk
+// distances) and the priority queues of internal/pq, with one workerSpace
+// per search thread.
 //
 // Resetting a workspace between queries is O(1), not O(numNodes·k): each
 // resettable slot carries a uint32 stamp, and a query begins by moving a
 // counter on. A slot stamped by an earlier query reads as "Infinity" or
 // "untouched", so the previous query's data simply becomes invisible
 // instead of being swept. The workspace generation stamps the one-to-all
-// parent links and the time-query's labels; it wraps around once every 2^31
-// queries, at which point (and only then) one real sweep runs.
+// parent links, the time-query's target marks and the connection scan's
+// arrivals and trips aboard; it wraps around once every 2^31 queries, at
+// which point (and only then) one real sweep runs.
 //
 // The one-to-all arrivals carry no stamp. They are kept at station nodes
 // only, numStations × k in the layout a detached result uses, and a search
@@ -60,13 +66,14 @@
 // the last link written belongs to the final key.
 //
 // Both profile loops — one-to-all (spcsWorker.run: one-to-all profiles,
-// journeys' window search and distance-table rows) and station-to-station
-// (s2sWorker.run: profiles and earliest arrivals) — search a worker's
-// connections one at a time, latest departure first, each with its own
-// queue over one numNodes-sized row of records. Before connection i starts,
-// the row holds, at every node v the worker has reached, best(v) = min over
-// j > i of the key connection j left at v: the search of connection j
-// leaves its keys in the row, and a later search only ever lowers them.
+// journeys' window search, distance-table rows and time-queries) and
+// station-to-station (s2sWorker.run: profiles and earliest arrivals) —
+// search a worker's connections one at a time, latest departure first, each
+// with its own queue over one numNodes-sized row of records. Before
+// connection i starts, the row holds, at every node v the worker has
+// reached, best(v) = min over j > i of the key connection j left at v: the
+// search of connection j leaves its keys in the row, and a later search only
+// ever lowers them.
 // Connection i refuses a seed or a push whose key is at least best(head) —
 // Theorem 1's self-pruning, with the later connection's label complete
 // before the earlier one asks, so a dominated label never enters the queue.
@@ -98,10 +105,12 @@
 // being searched, beside one ancestor flag per node (Theorems 3–4). A
 // connection cut short leaves tentative keys in the row; each is an arrival
 // it achieves, so as bounds they refuse only dominated labels
-// (docs/PREPROCESSING.md has that argument and the one for γ). The
-// time-query is the one-connection form, with one record per node stamped
-// from the workspace generation: gen<<1 while tentative, gen<<1|1 once
-// settled.
+// (docs/PREPROCESSING.md has that argument and the one for γ).
+//
+// The time-query and the point query are the one-connection forms of the
+// two loops. With no later connection to prune against, the row record is
+// the node's label: tentative while its key is queued, final once the entry
+// that carries it surfaces, so each node settles at most once.
 //
 // A connection settles node v only below every key a later connection left
 // at v, so within one query each worker settles every node at strictly

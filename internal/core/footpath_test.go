@@ -68,24 +68,24 @@ func TestFootpathAllAlgorithmsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 93 {
-		tq, err := NewWorkspace().TimeQuery(g, 0, tau, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		cs, err := sched.Query(0, tau, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tq, err := NewWorkspace().TimeQuery(g, 0, tau, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for s := timetable.StationID(1); s < 4; s++ {
-			want := tq.StationArrival(s)
+			want := cs.StationArrival(s)
 			if got := prof.EarliestArrival(s, tau); got != want && !(got.IsInf() && want.IsInf()) {
 				t.Fatalf("SPCS τ=%d station %d: %d vs %d", tau, s, got, want)
 			}
 			if got := par.EarliestArrival(s, tau); got != want && !(got.IsInf() && want.IsInf()) {
 				t.Fatalf("parallel τ=%d station %d: %d vs %d", tau, s, got, want)
 			}
-			if got := cs.StationArrival(s); got != want && !(got.IsInf() && want.IsInf()) {
-				t.Fatalf("CSA τ=%d station %d: %d vs %d", tau, s, got, want)
+			if got := tq.StationArrival(s); got != want && !(got.IsInf() && want.IsInf()) {
+				t.Fatalf("time-query τ=%d station %d: %d vs %d", tau, s, got, want)
 			}
 			pf, err := pareto.StationProfile(s, 6)
 			if err != nil {
@@ -219,24 +219,25 @@ func TestFootpathInitialWalk(t *testing.T) {
 	if got := prof.EarliestArrival(d, 470); got != 500 {
 		t.Fatalf("profile arrival = %d, want 500 (walk first)", got)
 	}
-	// Full agreement with the time-query and CSA at every departure.
+	// Full agreement with CSA, for the profile and the time-query, at every
+	// departure.
 	sched := NewConnectionScan(tt)
 	for tau := timeutil.Ticks(0); tau < 1440; tau += 41 {
-		tq, err := NewWorkspace().TimeQuery(g, s, tau, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		cs, err := sched.Query(s, tau, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tq, err := NewWorkspace().TimeQuery(g, s, tau, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, dst := range []timetable.StationID{w, d} {
-			want := tq.StationArrival(dst)
+			want := cs.StationArrival(dst)
 			if got := prof.EarliestArrival(dst, tau); got != want {
-				t.Fatalf("SPCS τ=%d dst %d: %d vs time-query %d", tau, dst, got, want)
+				t.Fatalf("SPCS τ=%d dst %d: %d vs CSA %d", tau, dst, got, want)
 			}
-			if got := cs.StationArrival(dst); got != want && !(got.IsInf() && want.IsInf()) {
-				t.Fatalf("CSA τ=%d dst %d: %d vs time-query %d", tau, dst, got, want)
+			if got := tq.StationArrival(dst); got != want && !(got.IsInf() && want.IsInf()) {
+				t.Fatalf("time-query τ=%d dst %d: %d vs CSA %d", tau, dst, got, want)
 			}
 		}
 	}
@@ -271,7 +272,7 @@ func TestFootpathInitialWalk(t *testing.T) {
 	}
 }
 
-// Random footpath networks: every algorithm agrees with the time-query,
+// Random footpath networks: every algorithm agrees with the connection scan,
 // now including initial walks from the source.
 func TestFootpathRandomCrossValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
@@ -285,24 +286,24 @@ func TestFootpathRandomCrossValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tau := range []timeutil.Ticks{0, timeutil.Ticks(rng.Intn(1440)), 1439} {
-			tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
+			cs, err := sched.Query(src, tau, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := sched.Query(src, tau, 6)
+			tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for s := 0; s < tt.NumStations(); s++ {
 				dst := timetable.StationID(s)
-				want := tq.StationArrival(dst)
+				want := cs.StationArrival(dst)
 				got := prof.EarliestArrival(dst, tau)
 				if got != want && !(got.IsInf() && want.IsInf()) {
 					t.Fatalf("trial %d: SPCS src %d dst %d τ=%d: %d vs %d", trial, src, s, tau, got, want)
 				}
-				gotCS := cs.StationArrival(dst)
-				if gotCS != want && !(gotCS.IsInf() && want.IsInf()) {
-					t.Fatalf("trial %d: CSA src %d dst %d τ=%d: %d vs %d", trial, src, s, tau, gotCS, want)
+				gotTQ := tq.StationArrival(dst)
+				if gotTQ != want && !(gotTQ.IsInf() && want.IsInf()) {
+					t.Fatalf("trial %d: time-query src %d dst %d τ=%d: %d vs %d", trial, src, s, tau, gotTQ, want)
 				}
 			}
 		}

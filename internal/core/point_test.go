@@ -13,9 +13,9 @@ import (
 
 // The point query is the k = 1 station-to-station search; on chaotic
 // networks with random footpaths and random transfer-station selections it
-// must answer exactly what the one-to-all time-query answers — without a
-// table, with one (via pruning, target pruning, table hits, local queries),
-// for S = T, unreachable targets and departures in later periods.
+// must answer exactly what the connection scan answers — without a table,
+// with one (via pruning, target pruning, table hits, local queries), for
+// S = T, unreachable targets and departures in later periods.
 func TestEarliestArrivalExactAgainstTimeQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1609))
 	hits, pruned, local := 0, 0, 0
@@ -39,22 +39,23 @@ func TestEarliestArrivalExactAgainstTimeQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		envs := []QueryEnv{{Graph: g}, {Graph: g, StationGraph: sg, Table: pre.Table}}
+		sched := NewConnectionScan(tt)
 		for _, tau := range []timeutil.Ticks{0, 1, timeutil.Ticks(rng.Intn(1440)), 1439, 1440, 1920, 2897} {
 			src := timetable.StationID(rng.Intn(tt.NumStations()))
-			tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
+			cs, err := sched.Query(src, tau, oracleDays)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for s := 0; s < tt.NumStations(); s++ {
 				dst := timetable.StationID(s)
-				want := tq.StationArrival(dst)
+				want := cs.StationArrival(dst)
 				for e, env := range envs {
 					res, err := ws.EarliestArrival(env, src, dst, tau, QueryOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := res.ArrT[0]; got != want {
-						t.Fatalf("trial %d env %d: %d→%d @%d = %d, time-query %d (local=%v hit=%v)",
+						t.Fatalf("trial %d env %d: %d→%d @%d = %d, connection scan %d (local=%v hit=%v)",
 							trial, e, src, s, tau, got, want, res.Local, res.TableHit)
 					}
 					if e == 1 {
@@ -233,7 +234,7 @@ func TestJourneySearchKeepsLabelStoreSmall(t *testing.T) {
 			cap(ws.arr), cap(ws.parentNode), minBusyK, arrs, parents)
 	}
 	// The searches themselves keep one label row.
-	if n := cap(ws.worker(0).row) + cap(ws.worker(0).labels); n > g.NumNodes() {
+	if n := cap(ws.worker(0).row); n > g.NumNodes() {
 		t.Fatalf("%d search labels after a stream of journeys; one row is %d", n, g.NumNodes())
 	}
 }

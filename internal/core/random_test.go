@@ -57,6 +57,7 @@ func TestRandomNetworksCrossValidate(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		tt := randomTimetable(t, rng)
 		g := graph.Build(tt)
+		sched := NewConnectionScan(tt)
 		src := timetable.StationID(rng.Intn(tt.NumStations()))
 
 		spcs, err := NewWorkspace().OneToAll(g, src, Options{})
@@ -97,13 +98,14 @@ func TestRandomNetworksCrossValidate(t *testing.T) {
 			}
 			for _, tau := range []timeutil.Ticks{0, timeutil.Ticks(rng.Intn(1440)), 719, 1439} {
 				want := spcs.EarliestArrival(st, tau)
-				// Reference: independent time-query.
-				tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
+				// Reference: the connection scan, which shares no code
+				// with the graph searches.
+				cs, err := sched.Query(src, tau, oracleDays)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := tq.StationArrival(st); got != want {
-					t.Fatalf("trial %d: time-query %d vs profile %d (src %d, dst %d, τ=%d)",
+				if got := cs.StationArrival(st); got != want {
+					t.Fatalf("trial %d: connection scan %d vs profile %d (src %d, dst %d, τ=%d)",
 						trial, got, want, src, s, tau)
 				}
 				if got := parProf.EvalArrival(tau); got != want && !(got.IsInf() && want.IsInf()) {

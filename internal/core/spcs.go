@@ -32,6 +32,11 @@ type spcsWorker struct {
 	// limit is one past the largest key the search keeps: Infinity, or lower
 	// when the caller needs nothing that arrives later (oneToAll).
 	limit timeutil.Ticks
+	// open counts the time-query's target stations, marked res.gen in
+	// targets, that have not settled yet; the search returns when the last
+	// one settles. 0 from the start never stops it.
+	open    int
+	targets []uint32
 
 	counters stats.Counters
 	// cancelled is set when the worker abandoned its range because
@@ -55,6 +60,11 @@ type spcsWorker struct {
 //
 // A node's ride edge is evaluated through the worker's ride cursor of that
 // node (rideCursor), valid from the query's first stamp on.
+//
+// The time-query is the k = 1 case, a result with no Conns: its one
+// virtual connection starts like EarliestArrival's, at the station node of
+// S (walking off needs no train) and, without the boarding transfer, on
+// every route node of S, all at res.Deps[0].
 func (w *spcsWorker) run() {
 	g, res := w.g, w.res
 	if w.hi == w.lo {
@@ -67,11 +77,12 @@ func (w *spcsWorker) run() {
 	row, rides := ws.row, ws.rides
 	period := g.TT.Period
 	heap := &ws.radix
-	k := len(res.Conns)
+	k := len(res.Deps)
 	arr, numStations := res.arr, graph.NodeID(g.NumStations())
 	done := w.opts.Done
 	hasParents := res.hasParents
 	limit := w.limit
+	point := res.Conns == nil
 
 	for i := w.hi - 1; i >= w.lo; i-- {
 		ws.rowGen++
@@ -79,24 +90,41 @@ func (w *spcsWorker) run() {
 		if w.opts.DisableSelfPruning {
 			floor = cur // later connections bound nothing
 		}
-		// Seed (r, i) with key τ_dep(c_i) at the route node r where c_i
-		// departs. Keys are the *real* departure time points; res.Deps holds
-		// the effective departures from the source, which differ for
-		// walk-seeded connections.
-		id := res.Conns[i]
-		r := g.ConnDepartureNode(id)
-		dep := g.TT.Connections[id].Dep
-		if dep >= limit {
-			continue // a walk-seeded connection that leaves after the bound
+		if point {
+			// The seeds are distinct nodes, so plain inserts.
+			dep := res.Deps[i]
+			sn := g.StationNode(res.Source)
+			row[sn] = label{key: dep, stamp: cur}
+			heap.Reset()
+			heap.Push(int32(sn), dep)
+			w.counters.QueuePushes++
+			for _, e := range g.OutEdges(sn) {
+				if e.Kind == graph.Board {
+					row[e.Head] = label{key: dep, stamp: cur}
+					heap.Push(int32(e.Head), dep)
+					w.counters.QueuePushes++
+				}
+			}
+		} else {
+			// Seed (r, i) with key τ_dep(c_i) at the route node r where c_i
+			// departs. Keys are the *real* departure time points; res.Deps
+			// holds the effective departures from the source, which differ
+			// for walk-seeded connections.
+			id := res.Conns[i]
+			r := g.ConnDepartureNode(id)
+			dep := g.TT.Connections[id].Dep
+			if dep >= limit {
+				continue // a walk-seeded connection that leaves after the bound
+			}
+			if l := row[r]; l.stamp >= floor && dep >= l.key {
+				w.counters.PrunedConns++
+				continue // a later connection is at r by then: c_i pays off nowhere
+			}
+			row[r] = label{key: dep, stamp: cur}
+			heap.Reset()
+			heap.Push(int32(r), dep)
+			w.counters.QueuePushes++
 		}
-		if l := row[r]; l.stamp >= floor && dep >= l.key {
-			w.counters.PrunedConns++
-			continue // a later connection is at r by then: c_i pays off nowhere
-		}
-		row[r] = label{key: dep, stamp: cur}
-		heap.Reset()
-		heap.Push(int32(r), dep)
-		w.counters.QueuePushes++
 
 		for !heap.Empty() {
 			it, key := heap.PopMin()
@@ -112,10 +140,15 @@ func (w *spcsWorker) run() {
 				}
 			}
 			v := graph.NodeID(it)
+			w.counters.SettledConns++
 			if v < numStations {
 				arr[int(v)*k+i] = key
+				if w.open > 0 && w.targets[v] == res.gen {
+					if w.open--; w.open == 0 {
+						return
+					}
+				}
 			}
-			w.counters.SettledConns++
 
 			// Relax all outgoing edges of (v, i) at arrival time key.
 			edges := g.OutEdges(v)

@@ -99,7 +99,8 @@ func TestSelfPruningReducesWork(t *testing.T) {
 }
 
 // The cornerstone equivalence: for every departure time, evaluating the
-// profile must give exactly the time-query answer.
+// profile must give exactly the earliest arrival, as the connection scan
+// finds it.
 func TestProfileMatchesTimeQuery(t *testing.T) {
 	for _, fam := range []gen.Family{gen.Oahu, gen.Germany} {
 		cfg, err := gen.FamilyConfig(fam, 0.05, 11)
@@ -111,6 +112,7 @@ func TestProfileMatchesTimeQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := graph.Build(tt)
+		sched := NewConnectionScan(tt)
 		sources := []timetable.StationID{0, timetable.StationID(tt.NumStations() / 2)}
 		for _, src := range sources {
 			res, err := NewWorkspace().OneToAll(g, src, Options{})
@@ -118,16 +120,16 @@ func TestProfileMatchesTimeQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			for tau := timeutil.Ticks(0); tau < 1440; tau += 177 {
-				tq, err := NewWorkspace().TimeQuery(g, src, tau, Options{})
+				cs, err := sched.Query(src, tau, oracleDays)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for s := 0; s < tt.NumStations(); s += 7 {
 					st := timetable.StationID(s)
-					want := tq.StationArrival(st)
+					want := cs.StationArrival(st)
 					got := res.EarliestArrival(st, tau)
 					if got != want {
-						t.Fatalf("%s: src %d → %d at τ=%d: profile says %d, time-query says %d",
+						t.Fatalf("%s: src %d → %d at τ=%d: profile says %d, connection scan says %d",
 							fam, src, st, tau, got, want)
 					}
 				}

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
+	"transit/internal/gen"
 	"transit/internal/graph"
-
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
@@ -97,6 +97,61 @@ func TestTimeQueryFIFO(t *testing.T) {
 					s, tau, arr, p)
 			}
 			prev[s] = arr
+		}
+	}
+}
+
+// The time-query's work is pinned: settled nodes, queue pushes and pops and
+// relaxed edges of TimeQuery and TimeQueryTo. The counts are a plain
+// time-dependent Dijkstra's over one label per node — each node settled
+// once, one push per improvement — which the one-to-all search must match
+// at k = 1. A target set stops the search at its last station; duplicates
+// and the source itself count once.
+func TestTimeQueryWork(t *testing.T) {
+	cfg, err := gen.FamilyConfig(gen.Germany, 0.05, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*graph.Graph{"oahu": workspaceNet(t), "germany": graph.Build(tt)}
+	type work struct{ settled, pushes, pops, relaxed int64 }
+	for _, c := range []struct {
+		net     string
+		src     timetable.StationID
+		depart  timeutil.Ticks
+		targets []timetable.StationID
+		want    work
+	}{
+		{"oahu", 0, 480, nil, work{56, 56, 56, 112}},
+		{"oahu", 8, 1000, nil, work{56, 56, 56, 112}},
+		{"oahu", 15, 1439, nil, work{56, 57, 56, 112}},
+		{"oahu", 0, 480, []timetable.StationID{5, 4}, work{13, 15, 13, 24}},
+		{"oahu", 8, 1000, []timetable.StationID{1, 2, 3, 2}, work{44, 45, 44, 85}},
+		{"oahu", 15, 1439, []timetable.StationID{15}, work{3, 5, 3, 4}},
+		{"germany", 0, 480, nil, work{171, 210, 171, 418}},
+		{"germany", 12, 1000, nil, work{171, 210, 171, 418}},
+		{"germany", 24, 1439, nil, work{171, 208, 171, 418}},
+		{"germany", 0, 480, []timetable.StationID{8, 6}, work{43, 53, 43, 98}},
+		{"germany", 12, 1000, []timetable.StationID{1, 2, 3, 2}, work{142, 177, 142, 346}},
+		{"germany", 24, 1439, []timetable.StationID{24}, work{9, 14, 9, 13}},
+	} {
+		ws := NewWorkspace()
+		var res *TimeQueryResult
+		if c.targets == nil {
+			res, err = ws.TimeQuery(nets[c.net], c.src, c.depart, Options{})
+		} else {
+			res, err = ws.TimeQueryTo(nets[c.net], c.src, c.depart, c.targets, Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := res.Run.Total
+		if got := (work{x.SettledConns, x.QueuePushes, x.QueuePops, x.Relaxed}); got != c.want {
+			t.Errorf("%s from %d at %d to %v: {settled, pushes, pops, relaxed} = %v, want %v",
+				c.net, c.src, c.depart, c.targets, got, c.want)
 		}
 	}
 }

@@ -18,11 +18,13 @@ import (
 // steady state allocates nothing: the paper's C++ implementation keeps its
 // search data structures alive across queries per thread, and Workspace is
 // the Go equivalent. A search checks the workspace out, bumps its
-// generation, and runs; label, settled and parent slots are valid only when
-// their stamp equals the current generation, so "reset to Infinity /
-// unsettled" is a single counter increment instead of an O(numNodes·k)
-// sweep. The one-to-all station arrivals are the exception: numStations × k
-// unstamped values, filled with Infinity when a search starts.
+// generation, and runs; parent links and marks are valid only when their
+// stamp equals the current generation, and label records and ride
+// cursors only when theirs is at least the query's first row stamp, so
+// "reset to Infinity / untouched" is a single counter increment instead of
+// an O(numNodes·k) sweep. The one-to-all station arrivals (the time-query's
+// too) are the exception: numStations × k unstamped values, filled with
+// Infinity when a search starts.
 //
 // A Workspace is NOT safe for concurrent use: one query at a time. Use the
 // package free list (GetWorkspace / PutWorkspace) or one workspace per
@@ -32,8 +34,9 @@ import (
 // copy out what must survive (ProfileResult.Detach), or run the query on a
 // workspace of its own (NewWorkspace), which lives as long as the result.
 type Workspace struct {
-	// gen stays below maxGen so that the fused label stamps (gen<<1 | settled
-	// bit) fit a uint32.
+	// gen is the query generation: it stamps the one-to-all parent links,
+	// the time-query's target marks and the connection scan's arrivals and
+	// trips aboard.
 	gen uint32
 
 	// One-to-all arrival store arr(T, i) at station nodes, numStations × k
@@ -53,7 +56,7 @@ type Workspace struct {
 	wseen map[timetable.StationID]bool
 
 	// Station-indexed scratch: the CSA baseline's arrivals, and the
-	// time-query's target marks.
+	// time-query's target marks (spcsWorker.targets).
 	nodeArr    []timeutil.Ticks
 	nodeArrGen []uint32
 	nodeSetGen []uint32
@@ -95,29 +98,29 @@ type connSeed struct {
 	dep timeutil.Ticks
 }
 
-// label is the fused search state of one node: the best key pushed for it so
-// far and a stamp that says what that key means. In the time-query, stamp ==
-// gen<<1 is "tentative, queued with this key", gen<<1|1 is "settled"; in the
-// profile loops' row it is the connection that set the key (package
-// comment, "Queue and label layout"). Any other value belongs to an earlier
-// query and reads as "untouched". One 8-byte load therefore answers
-// "settled?", "queued?" and "is this key better?", which the addressable
-// heap needed three arrays (settled stamps, heap positions, position
-// stamps) for.
+// label is one record of the profile loops' row: the best key pushed for a
+// node so far and the stamp of the connection that set it (package comment,
+// "Queue and label layout"; the time-query is the loop's one-connection
+// form). A stamp below the query's floor belongs to an earlier query and
+// reads as "untouched". One 8-byte load therefore answers "queued?" and "is
+// this key better?", which the addressable heap needed three arrays
+// (settled stamps, heap positions, position stamps) for.
 type label struct {
 	key   timeutil.Ticks
 	stamp uint32
 }
 
-// maxGen bounds Workspace.gen so gen<<1|1 cannot overflow a label stamp.
+// maxGen is where the stamp counters wrap: Workspace.gen, and the row
+// counter workerSpace.rowGen, which a query advances once per connection.
 const maxGen = 1 << 31
 
 // workerSpace is the per-thread portion of a workspace: the priority queues
 // and the label arrays a single search worker owns exclusively.
 type workerSpace struct {
-	// radix is the monotone queue of the two profile loops (spcsWorker,
-	// s2sWorker) and of the time-query; binary serves the searches that need
-	// decrease-key or non-monotone pushes (Pareto layers, label-correcting).
+	// radix is the monotone queue of the two profile loops (spcsWorker, whose
+	// k = 1 form is the time-query, and s2sWorker); binary serves the
+	// searches that need decrease-key or non-monotone pushes (Pareto layers,
+	// label-correcting).
 	radix  pq.RadixHeap
 	binary *pq.Heap
 
@@ -129,8 +132,6 @@ type workerSpace struct {
 	row    []label
 	rides  []rideCursor
 	rowGen uint32
-
-	labels []label // the time-query's one label per node, stamped from the workspace generation
 
 	// Station-to-station pruning state of the connection being searched:
 	// µ per via station (refilled per connection), and one ancestor flag per
@@ -230,9 +231,6 @@ func (ws *Workspace) begin() uint32 {
 		wipe(ws.nodeArrGen)
 		wipe(ws.nodeSetGen)
 		wipe(ws.aboardGen)
-		for _, w := range ws.workers {
-			clear(w.labels[:cap(w.labels)])
-		}
 		ws.gen = 1
 	}
 	return ws.gen

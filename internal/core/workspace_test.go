@@ -155,13 +155,20 @@ func TestStationQuerySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state station query allocates %.1f objects/op, want ≤ 2", allocs)
 	}
 
-	// The time-query path must be allocation-free too.
+	// The time-query path must be allocation-free too, whole-graph and
+	// stopped at a target set.
 	i = 0
+	targets := make([]timetable.StationID, 3)
 	allocs = testing.AllocsPerRun(64, func() {
 		src, dst := pair(i)
 		i++
 		res, err := ws.TimeQuery(g, src, 480, Options{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		_ = res.StationArrival(dst)
+		targets[0], targets[1], targets[2] = dst, src, timetable.StationID(i%ns)
+		if res, err = ws.TimeQueryTo(g, src, 480, targets, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		_ = res.StationArrival(dst)
@@ -383,10 +390,10 @@ func stationArrivals(res *ProfileResult) []timeutil.Ticks {
 
 // Both stamp counters wrap, and each wrap must wipe what it stamps.
 //
-// The workspace generation stamps the time-query's labels (gen<<1|1 once
-// settled). When it reaches the limit, begin wipes them: generation 1 comes
-// round again, and a label left over from the first generation 1 would read
-// as settled.
+// The workspace generation stamps, among others, the time-query's target
+// marks. When it reaches the limit, begin wipes them: generation 1 comes
+// round again, and a station marked by the first generation 1 would read as
+// a target, whose settling stops the search before the real target settles.
 //
 // The row counter stamps the label row and the ride cursors of both profile
 // loops, once per connection, so it reaches the same limit k times sooner. A
@@ -404,41 +411,48 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 
 	t.Run("generation", func(t *testing.T) {
 		const depart = 600
-		want, err := NewWorkspace().TimeQuery(g, src, depart, Options{})
+		targets := []timetable.StationID{dst}
+		want, err := NewWorkspace().TimeQueryTo(g, src, depart, targets, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want.StationArrival(dst).IsInf() {
+			t.Fatalf("%d does not reach %d", src, dst)
+		}
 		ws := NewWorkspace()
-		// Generation 1 settles labels at the arrivals of an earlier departure.
-		if _, err := ws.TimeQuery(g, src, depart-120, Options{}); err != nil {
+		// Generation 1 marks every other station as a target.
+		var others []timetable.StationID
+		for s := 0; s < g.NumStations(); s++ {
+			if st := timetable.StationID(s); st != dst {
+				others = append(others, st)
+			}
+		}
+		if _, err := ws.TimeQueryTo(g, src, depart, others, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if ws.gen != 1 {
 			t.Fatalf("first query ran under generation %d", ws.gen)
 		}
 		stale := 0
-		for _, l := range ws.workers[0].labels {
-			if l.stamp == 1<<1|1 {
+		for _, m := range ws.nodeSetGen {
+			if m == 1 {
 				stale++
 			}
 		}
-		if stale == 0 {
-			t.Fatal("generation 1 left no settled labels")
+		if stale != len(others) {
+			t.Fatalf("generation 1 marked %d targets, want %d", stale, len(others))
 		}
 
 		ws.gen = maxGen - 1 // the next begin() wraps
-		got, err := ws.TimeQuery(g, src, depart, Options{})
+		got, err := ws.TimeQueryTo(g, src, depart, targets, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ws.gen != 1 {
 			t.Fatalf("generation after the wrap is %d, want 1", ws.gen)
 		}
-		for s := 0; s < g.NumStations(); s++ {
-			st := timetable.StationID(s)
-			if a, b := got.StationArrival(st), want.StationArrival(st); a != b {
-				t.Fatalf("after the wrap arr(%d) = %d, fresh workspace says %d", s, a, b)
-			}
+		if a, b := got.StationArrival(dst), want.StationArrival(dst); a != b {
+			t.Fatalf("after the wrap arr(%d) = %d, fresh workspace says %d", dst, a, b)
 		}
 	})
 
@@ -561,7 +575,7 @@ func TestOneToAllLabelStoreIsOneRow(t *testing.T) {
 			t.Fatal("the search settled nothing")
 		}
 		for w, wsw := range ws.workers {
-			if n := cap(wsw.row) + cap(wsw.labels); n > g.NumNodes() {
+			if n := cap(wsw.row); n > g.NumNodes() {
 				t.Fatalf("threads=%d worker %d: %d label records after a one-to-all with k = %d; one row is %d",
 					threads, w, n, k, g.NumNodes())
 			}
@@ -679,7 +693,7 @@ func TestStationQueryLabelStoreIsOneRow(t *testing.T) {
 				t.Fatal("the search settled nothing")
 			}
 			for w, wsw := range ws.workers {
-				if n := cap(wsw.row) + cap(wsw.labels); n > g.NumNodes() {
+				if n := cap(wsw.row); n > g.NumNodes() {
 					t.Fatalf("table=%v threads=%d worker %d: %d label records after a station query with k = %d; one row is %d",
 						env.Table != nil, threads, w, n, k, g.NumNodes())
 				}

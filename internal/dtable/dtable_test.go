@@ -47,11 +47,14 @@ func TestTableMatchesTimeQueries(t *testing.T) {
 	if len(ts) != 8 {
 		t.Fatalf("transfer stations = %d, want 8", len(ts))
 	}
-	// D(A, B, τ) must equal a time-query from A at τ, for all pairs and
-	// sampled times (both share the "no transfer at endpoints" convention).
+	// D(A, B, τ) must equal the earliest arrival from A at τ, for all pairs
+	// and sampled times (both share the "no transfer at endpoints"
+	// convention). The reference is the connection scan, which shares no
+	// code with the search that built the table.
+	sched := core.NewConnectionScan(g.TT)
 	for _, a := range ts {
 		for tau := timeutil.Ticks(0); tau < 1440; tau += 360 {
-			tq, err := core.NewWorkspace().TimeQuery(g, a, tau, core.Options{})
+			cs, err := sched.Query(a, tau, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,8 +62,8 @@ func TestTableMatchesTimeQueries(t *testing.T) {
 				if a == b {
 					continue
 				}
-				if got, want := table.D(a, b, tau), tq.StationArrival(b); got != want {
-					t.Fatalf("D(%d,%d,%d) = %d, time-query says %d", a, b, tau, got, want)
+				if got, want := table.D(a, b, tau), cs.StationArrival(b); got != want {
+					t.Fatalf("D(%d,%d,%d) = %d, connection scan says %d", a, b, tau, got, want)
 				}
 			}
 		}

@@ -256,11 +256,14 @@ func replayJourney(n *Network, j *Journey, src, dst StationID, dep Ticks) (Ticks
 type oracleTally struct {
 	arrivals, journeys, unreachable, sameStation int
 	tableHits, local, pruned, walkWins           int
+	matrixCells                                  int
 }
 
-// checkPointKinds compares Plan's earliest-arrival and journey answers on
-// every variant with their whole-graph references, for the given sources,
-// all targets and the given departure times, at Threads 1, 2 and 4.
+// checkPointKinds compares Plan's earliest-arrival, matrix and journey
+// answers on every variant with their references, for the given sources,
+// all targets and the given departure times, at Threads 1, 2 and 4. Arrivals
+// and matrix cells are checked against the connection scan, which shares no
+// code with the graph searches; journeys against the whole-period search.
 func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sources []StationID, targets []StationID, deps []Ticks, tally *oracleTally) {
 	t.Helper()
 	ctx := context.Background()
@@ -275,22 +278,29 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 	for _, v := range variants {
 		n := v.n
 		sched := core.NewConnectionScan(n.tt)
-		for _, src := range sources {
+		// scan[d][s][t] is the connection scan's arrival from sources[s] at
+		// deps[d] at targets[t].
+		scan := make([][][]Ticks, len(deps))
+		for d := range scan {
+			scan[d] = make([][]Ticks, len(sources))
+		}
+		for si, src := range sources {
 			whole, err := core.NewWorkspace().OneToAll(n.g, src, core.Options{TrackParents: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref := &AllProfiles{n: n, res: whole}
-			for _, dep := range deps {
-				tq, err := core.NewWorkspace().TimeQuery(n.g, src, dep, core.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+			for di, dep := range deps {
 				cs, err := sched.Query(src, dep, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, dst := range targets {
+				scan[di][si] = make([]Ticks, len(targets))
+				for ti, dst := range targets {
+					scan[di][si][ti] = cs.StationArrival(dst)
+				}
+				for ti, dst := range targets {
+					want := scan[di][si][ti]
 					wantJ, wantErr := ref.Journey(dst, dep)
 					// With Threads > 1 the window search and the whole-period
 					// search partition conn(S) differently, and of two
@@ -303,12 +313,8 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 						if err != nil {
 							t.Fatalf("%s: %v", where, err)
 						}
-						got, want := res.arrival, tq.StationArrival(dst)
-						if got != want {
-							t.Fatalf("%s: Plan arrival %d, time-query %d (stats %+v)", where, got, want, res.stats)
-						}
-						if scan := cs.StationArrival(dst); scan != want && !(scan.IsInf() && want.IsInf()) {
-							t.Fatalf("%s: Plan arrival %d, connection scan %d", where, got, scan)
+						if got := res.arrival; got != want {
+							t.Fatalf("%s: Plan arrival %d, connection scan %d (stats %+v)", where, got, want, res.stats)
 						}
 						if threads == 1 {
 							tally.arrivals++
@@ -398,6 +404,31 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 				}
 			}
 		}
+
+		// One matrix request per departure over sources × targets.
+		for di, dep := range deps {
+			for _, threads := range []int{1, 2, 4} {
+				where := fmt.Sprintf("%s/%s/p%d: matrix @%d", label, v.name, threads, dep)
+				res, err := n.Plan(ctx, Request{Kind: KindMatrix, Sources: sources, Targets: targets, Depart: dep, Options: Options{Threads: threads}})
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				m, err := res.Matrix()
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				for si, src := range sources {
+					for ti, dst := range targets {
+						if got, want := m[si][ti], scan[di][si][ti]; got != want {
+							t.Fatalf("%s: cell %d→%d = %d, connection scan %d", where, src, dst, got, want)
+						}
+					}
+				}
+				if threads == 1 {
+					tally.matrixCells += len(sources) * len(targets)
+				}
+			}
+		}
 	}
 }
 
@@ -461,7 +492,7 @@ func TestPlanPointKindsOracle(t *testing.T) {
 
 	t.Logf("%+v", tally)
 	if tally.journeys == 0 || tally.unreachable == 0 || tally.sameStation == 0 ||
-		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 {
+		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 || tally.matrixCells == 0 {
 		t.Fatalf("vacuous run: %+v", tally)
 	}
 }

@@ -47,9 +47,10 @@ func plan(t testing.TB, n *Network, req Request) *Result {
 }
 
 // TestPlanEarliestArrivalEquivalence pins Plan's earliest-arrival path to
-// the direct core time-query it replaced.
+// the connection scan, which shares no code with the graph searches.
 func TestPlanEarliestArrivalEquivalence(t *testing.T) {
 	n := testNetwork(t)
+	sched := core.NewConnectionScan(n.tt)
 	for _, pair := range planPairs(n, 24) {
 		for _, dep := range []Ticks{0, 445, 480, 1100} {
 			res, err := n.Plan(context.Background(), Request{
@@ -62,12 +63,12 @@ func TestPlanEarliestArrivalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tq, err := core.NewWorkspace().TimeQuery(n.g, pair[0], dep, core.Options{})
+			cs, err := sched.Query(pair[0], dep, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := tq.StationArrival(pair[1]); got != want {
-				t.Fatalf("%d→%d@%d: Plan %d, core time-query %d", pair[0], pair[1], dep, got, want)
+			if want := cs.StationArrival(pair[1]); got != want {
+				t.Fatalf("%d→%d@%d: Plan %d, connection scan %d", pair[0], pair[1], dep, got, want)
 			}
 		}
 	}
