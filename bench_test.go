@@ -558,3 +558,33 @@ func BenchmarkPlanPoint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanPareto is the row of the multi-criteria kind through Plan:
+// one-to-all Pareto profiles under transfer budgets 2 and 5 from a fixed
+// seeded list of 40 sources, on losangeles and europe at scale 0.1.
+func BenchmarkPlanPareto(b *testing.B) {
+	for _, family := range []string{"losangeles", "europe"} {
+		n, err := Generate(family, 0.1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs := pointPairs(n, 40)
+		for _, budget := range []int{2, 5} {
+			b.Run(fmt.Sprintf("%s-0.1/u%d", family, budget), func(b *testing.B) {
+				ctx := context.Background()
+				var reuse Result
+				var settled int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					src := StationID(pairs[i%len(pairs)][0])
+					res, err := n.Plan(ctx, Request{Kind: KindPareto, From: src, MaxTransfers: budget, Reuse: &reuse})
+					if err != nil {
+						b.Fatal(err)
+					}
+					settled += res.Stats().SettledConnections
+				}
+				b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+			})
+		}
+	}
+}

@@ -2,8 +2,10 @@
 // connection-setting (SPCS) one-to-all profile search of Section 3 and its
 // parallelization, the time-query of Section 2 as its one-connection case,
 // the station-to-station query of Section 4 with stopping criterion,
-// distance-table pruning and target pruning, and the label-correcting
-// profile-search baseline.
+// distance-table pruning and target pruning, the multi-criteria search of
+// its Section 6 (arrival time and transfers) as layered connection-setting
+// on the one-to-all schedule, and the label-correcting profile-search
+// baseline.
 //
 // A query that names a departure is served by the same two searches, not by
 // loops of its own. Workspace.TimeQuery is the k = 1 case of the one-to-all
@@ -19,8 +21,10 @@
 // arrival, and no label later than it — and returns a result that contains
 // the itinerary a whole-period search would show first (journey.go has the
 // argument). The tests check the arrivals of every search against the
-// connection scan (CSASchedule, Dibbelt et al.), which shares no code with
-// the graph searches.
+// connection scan (CSASchedule, Dibbelt et al.), and the package transit
+// tests check the Pareto profiles against a round-based scan (RAPTOR,
+// Delling, Pajor, Werneck), round r for r transfers; neither shares code
+// with the graph searches.
 //
 // # Workspaces and generation-stamped labels
 //
@@ -28,11 +32,11 @@
 // C++ implementation keeps every search data structure alive between
 // queries, once per thread. This package reproduces that discipline with
 // the Workspace type: a bundle owning the label arrays (the station
-// arrivals and parents of one-to-all results, the profile loops' label row
-// and ride cursors), the station-to-station pruning state (µ per via
-// station, one ancestor flag per node), the seed scratch (conn(S) and walk
-// distances) and the priority queues of internal/pq, with one workerSpace
-// per search thread.
+// arrivals and parents of one-to-all results, the label row and ride
+// cursors of the profile loops and the Pareto search), the
+// station-to-station pruning state (µ per via station, one ancestor flag
+// per node), the seed scratch (conn(S) and walk distances) and the
+// priority queue of internal/pq, with one workerSpace per search thread.
 //
 // Resetting a workspace between queries is O(1), not O(numNodes·k): each
 // resettable slot carries a uint32 stamp, and a query begins by moving a
@@ -48,17 +52,18 @@
 // fills them with Infinity before it starts, a sweep the size of the copy
 // Detach makes.
 //
-// The label row and the ride cursors of the two profile loops (see below)
-// are stamped per connection, not per query, from a counter of its own in
-// each workerSpace. It advances k times per query, so it reaches the same
-// 2^31 limit after 2^31/k queries (about 3.2 M at k = 672); a query that
-// would cross it sweeps the row and the cursors first and starts the counter
+// The label row and the ride cursors of the two profile loops and of the
+// Pareto search (see below) are stamped per connection, not per query, from
+// a counter of its own in each workerSpace. It advances k times per query,
+// so it reaches the same 2^31 limit after 2^31/k queries (about 3.2 M at
+// k = 672); a query that would cross it sweeps the whole row and all the
+// cursors first, as long as any search made them, and starts the counter
 // over, before it draws its first stamp.
 //
 // # Queue and label layout
 //
-// All searches run on pq.RadixHeap, a monotone bucket queue without a
-// position index or decrease-key, over 8-byte label records {best key
+// Every search a Plan runs uses pq.RadixHeap, a monotone bucket queue
+// without a position index or decrease-key, over 8-byte label records {best key
 // pushed, stamp}. Relaxing an edge compares against the head's record; an
 // improvement overwrites it and pushes a second queue entry, and the
 // superseded entry stays queued until it surfaces and is dropped (lazy
@@ -140,10 +145,22 @@
 // fewer connections (JourneySearch) settles the labels it shares with the
 // whole-period search in the same order and records the same parents.
 //
-// The Pareto search and the label-correcting baseline keep the addressable
-// binary pq.Heap (the last one re-inserts nodes below the last popped key).
-// Label-correcting keeps every node's function in a numNodes × k array of
-// its own and returns the station rows of it.
+// The Pareto search (paretoWorker.run) is the one-to-all loop over a row of
+// numNodes × (maxTransfers+1) records, one per (node, layer) pair, each
+// with a ride cursor of its own; a Board edge moves a label one layer up,
+// and none leaves the last. Its self-pruning is one rule, applied at push:
+// (v, u) at key a is refused when a record (v, u′ ≤ u) stamped by this
+// query holds a key ≤ a — the connection's own label with no more
+// transfers, or a later connection's, which also leaves no earlier
+// (Theorem 1, per layer). A record therefore settles at strictly falling
+// keys across the connections of a query, as a node does in the one-to-all
+// loop, and the station keys leave the row into numStations × k × layers
+// arrivals the result owns.
+//
+// Only the label-correcting baseline keeps the addressable binary pq.Heap:
+// it re-inserts nodes below the last popped key. It keeps every node's
+// function in a numNodes × k array of its own and returns the station rows
+// of it.
 //
 // # Lifecycle
 //
@@ -158,6 +175,10 @@
 // up to GOMAXPROCS grown workspaces and, unlike a runtime-managed pool,
 // keeps them across garbage collections; ProfileResult.Detach copies the
 // station rows out of a one-to-all result before the workspace goes back.
+// OneToAllPareto does both itself: it checks a workspace out, runs the
+// search on it, and returns a result that owns its arrivals and its copies
+// of the seed list and the walk distances. LabelCorrecting, the baseline,
+// allocates its arrays per call.
 //
 // The stopping criterion's cross-thread state (stopState) packs a
 // connection index and an arrival into one atomic word; the arrival half

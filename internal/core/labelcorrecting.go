@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"transit/internal/graph"
+	"transit/internal/pq"
 	"transit/internal/stats"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
@@ -40,7 +41,7 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 	numNodes := g.NumNodes()
 	var c stats.Counters
 
-	heap := ws.worker(0).heap(numNodes)
+	heap := pq.New(numNodes)
 	arr := make([]timeutil.Ticks, numNodes*k) // arr(v, i) at res.label(v, i)
 	for li := range arr {
 		arr[li] = timeutil.Infinity

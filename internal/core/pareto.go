@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
 	"time"
 
 	"transit/internal/graph"
@@ -21,20 +22,31 @@ import (
 // Labels are arr(v, i, u): the earliest arrival at node v starting with
 // outgoing connection i having used exactly u transfers so far (u grows by
 // one per Board edge after the first). Keys remain arrival times, and u
-// only increases along edges, so the (v, i, u) product space keeps the
-// label-setting property — each triple settles at most once.
+// only increases along edges, so the (v, u) product space keeps the
+// label-setting property — each pair settles at most once per connection.
 //
-// Self-pruning generalizes per layer prefix: connection j may prune
-// connection i at (v, u) iff j > i and j was settled at v in some layer
-// u' ≤ u (then arr(v,j,u') ≤ arr(v,i,u) by settle order, and (j, u')
-// dominates (i, u) in both criteria). The worker maintains
-// maxconn(v, u) = max settled connection index over layers ≤ u, updated in
-// O(maxTransfers) per settle — cheap because transfer budgets are small.
+// The search runs on the one-to-all schedule (spcsWorker.run): each worker
+// searches its connections latest first, one radix-queue search per
+// connection over a row of numNodes × (maxTransfers+1) records (v, u).
+// Self-pruning generalizes per layer prefix and is decided when a label is
+// pushed: connection i refuses (v, u) at key a when a record (v, u′ ≤ u)
+// stamped by this query already holds a key ≤ a. Such a record is i's own
+// (it reaches v no later with no more transfers) or a later connection's
+// (it also leaves no earlier), so it dominates (v, i, u) in both criteria:
+// Theorem 1, per layer.
 //
 // The result is, per station and connection, a Pareto vector of arrivals
 // by transfer budget; ParetoSet evaluates the Pareto frontier (arrival vs.
-// transfers) for any departure time.
+// transfers) for any departure time. The search runs on a workspace of the
+// package free list, and the result owns all of its memory.
 func OneToAllPareto(g *graph.Graph, source timetable.StationID, maxTransfers int, opts Options) (*ParetoResult, error) {
+	ws := GetWorkspace()
+	defer PutWorkspace(ws)
+	return ws.pareto(g, source, maxTransfers, opts)
+}
+
+// pareto is OneToAllPareto on this workspace.
+func (ws *Workspace) pareto(g *graph.Graph, source timetable.StationID, maxTransfers int, opts Options) (*ParetoResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -53,57 +65,30 @@ func OneToAllPareto(g *graph.Graph, source timetable.StationID, maxTransfers int
 	start := time.Now()
 
 	tt := g.TT
-	// A private workspace builds the seed list and lends each worker its
-	// queue; the result keeps its memory (walk map and seed slices) alive, so
-	// no pooling here.
-	ws := NewWorkspace()
 	walk := ws.walkDistances(tt, source)
-	connIDs, deps := ws.extendedConns(tt, source, walk)
+	conns, deps := ws.extendedConns(tt, source, walk)
 	res := &ParetoResult{
 		Source:       source,
 		MaxTransfers: maxTransfers,
-		Conns:        connIDs,
-		Deps:         deps,
-		walk:         walk,
+		Conns:        slices.Clone(conns),
+		Deps:         slices.Clone(deps),
+		walk:         maps.Clone(walk),
 		g:            g,
 	}
-	k := len(res.Conns)
-	layers := maxTransfers + 1
-	res.arr = make([]timeutil.Ticks, g.NumNodes()*k*layers)
+	res.arr = make([]timeutil.Ticks, g.NumStations()*len(conns)*res.layers())
 	for i := range res.arr {
 		res.arr[i] = timeutil.Infinity
 	}
 
-	p := opts.threads()
-	bounds := partition(res.Deps, tt.Period, p, opts.Partition)
-	nw := len(bounds) - 1
-	workers := make([]*paretoWorker, nw)
-	for t := 0; t < nw; t++ {
-		workers[t] = &paretoWorker{q: res, opts: opts, lo: bounds[t], hi: bounds[t+1], ws: ws.worker(t)}
+	ws.bounds = partitionInto(ws.bounds, res.Deps, tt.Period, opts.threads(), opts.Partition)
+	workers := make([]paretoWorker, len(ws.bounds)-1)
+	for t := range workers {
+		workers[t] = paretoWorker{res: res, opts: opts, lo: ws.bounds[t], hi: ws.bounds[t+1], ws: ws.worker(t)}
 	}
-	if nw == 1 {
-		workers[0].run()
-	} else {
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *paretoWorker) {
-				defer wg.Done()
-				w.run()
-			}(w)
-		}
-		wg.Wait()
+	if err := runWorkers(ws, workers, &res.Run); err != nil {
+		return nil, err
 	}
-	for _, w := range workers {
-		if w.cancelled {
-			return nil, ErrCancelled
-		}
-	}
-	res.Run.PerThread = make([]stats.Counters, nw)
-	for t, w := range workers {
-		res.Run.PerThread[t] = w.counters
-		res.Run.Total.Add(w.counters)
-	}
+	res.Run.PerThread = slices.Clone(res.Run.PerThread)
 	res.Run.Elapsed = time.Since(start)
 	opts.Effort.Observe(&res.Run)
 	return res, nil
@@ -119,35 +104,26 @@ type ParetoResult struct {
 	Run          stats.Run
 
 	g    *graph.Graph
-	arr  []timeutil.Ticks // node-major, then connection, then layer
+	arr  []timeutil.Ticks // station-major, then connection, then layer
 	walk map[timetable.StationID]timeutil.Ticks
 }
 
 func (r *ParetoResult) layers() int { return r.MaxTransfers + 1 }
 
 // MemBytes approximates the heap memory the result keeps alive: the
-// layered label array dominates at numNodes × k × (maxTransfers+1) entries
-// of 4 bytes each.
+// layered station arrivals dominate at numStations × k × (maxTransfers+1)
+// entries of 4 bytes each.
 func (r *ParetoResult) MemBytes() int {
 	return 4*(len(r.Conns)+len(r.Deps)+len(r.arr)) + 24*len(r.walk)
-}
-
-func (r *ParetoResult) label(v graph.NodeID, i, u int) int {
-	return (int(v)*len(r.Conns)+i)*r.layers() + u
 }
 
 // Arrival returns the earliest arrival at station t starting with
 // connection i using at most u transfers (Infinity if impossible).
 func (r *ParetoResult) Arrival(t timetable.StationID, i, u int) timeutil.Ticks {
-	v := graph.NodeID(t)
+	base := (int(t)*len(r.Conns) + i) * r.layers()
 	best := timeutil.Infinity
-	if u > r.MaxTransfers {
-		u = r.MaxTransfers
-	}
-	for l := 0; l <= u; l++ {
-		if a := r.arr[r.label(v, i, l)]; a < best {
-			best = a
-		}
+	for l := 0; l <= min(u, r.MaxTransfers); l++ {
+		best = min(best, r.arr[base+l])
 	}
 	return best
 }
@@ -194,111 +170,115 @@ func (r *ParetoResult) ParetoSet(t timetable.StationID, dep timeutil.Ticks) ([]P
 	return out, nil
 }
 
-// paretoWorker runs the layered connection-setting search for a contiguous
-// connection range.
-type paretoWorker struct {
-	q        *ParetoResult
-	opts     Options
-	lo, hi   int
-	ws       *workerSpace
-	counters stats.Counters
-	// cancelled is set when the worker abandoned its range because
-	// Options.Done closed; OneToAllPareto turns it into ErrCancelled.
-	cancelled bool
-}
-
-func (w *paretoWorker) run() {
-	res := w.q
-	g := res.g
-	kLocal := w.hi - w.lo
-	if kLocal == 0 {
-		return
-	}
-	layers := res.layers()
-	numNodes := g.NumNodes()
-	stride := kLocal * layers
-	heap := w.ws.heap(numNodes * stride)
-	settled := make([]bool, numNodes*stride)
-	// maxconn(v, u): highest global connection index settled at v in any
-	// layer ≤ u; -1 when none.
-	maxconn := make([]int32, numNodes*layers)
-	for i := range maxconn {
-		maxconn[i] = -1
-	}
-
-	item := func(v graph.NodeID, iLocal, u int) int32 {
-		return int32(int(v)*stride + iLocal*layers + u)
-	}
-
-	for i := w.lo; i < w.hi; i++ {
-		id := res.Conns[i]
-		r := g.ConnDepartureNode(id)
-		if heap.Push(item(r, i-w.lo, 0), g.TT.Connections[id].Dep) {
-			w.counters.QueuePushes++
-		}
-	}
-
-	done := w.opts.Done
-	for !heap.Empty() {
-		it, key := heap.PopMin()
-		w.counters.QueuePops++
-		if done != nil && w.counters.QueuePops&cancelMask == 0 {
-			w.counters.CancelPolls++
-			if cancelled(done) {
-				w.cancelled = true
-				return
-			}
-		}
-		v := graph.NodeID(int(it) / stride)
-		rem := int(it) % stride
-		iLocal, u := rem/layers, rem%layers
-		i := w.lo + iLocal
-		settled[it] = true
-
-		if !w.opts.DisableSelfPruning && int32(i) <= maxconn[int(v)*layers+u] {
-			w.counters.PrunedConns++
-			continue
-		}
-		// Raise maxconn for this and all higher layers.
-		for l := u; l < layers; l++ {
-			mi := int(v)*layers + l
-			if int32(i) > maxconn[mi] {
-				maxconn[mi] = int32(i)
-			} else {
-				break // higher layers already cover index i
-			}
-		}
-		res.arr[res.label(v, i, u)] = key
-		w.counters.SettledConns++
-
-		edges := g.OutEdges(v)
-		for e := range edges {
-			edge := &edges[e]
-			nu := u
-			if edge.Kind == graph.Board {
-				nu = u + 1
-				if nu >= layers {
-					continue // transfer budget exhausted
-				}
-			}
-			arrTent, _ := g.EvalEdge(edge, key)
-			w.counters.Relaxed++
-			if arrTent.IsInf() {
-				continue
-			}
-			hi := item(edge.Head, iLocal, nu)
-			if settled[hi] {
-				continue
-			}
-			if heap.Push(hi, arrTent) {
-				w.counters.QueuePushes++
-			}
-		}
-	}
-}
-
 // WalkOnly returns the pure walking time from the source to t over
 // footpaths (Infinity when not walkable).
 func (r *ParetoResult) WalkOnly(t timetable.StationID) timeutil.Ticks {
 	return distOrInf(r.walk, t)
+}
+
+// paretoWorker runs the layered connection-setting search for the
+// contiguous connection range [lo, hi), on spcsWorker's schedule: one
+// radix-queue search per connection, latest departure first, over the
+// worker's label row, here numNodes × layers records, record (v, u) at
+// index v·layers + u, each with a ride cursor of its own.
+type paretoWorker struct {
+	res    *ParetoResult
+	opts   Options
+	lo, hi int
+	ws     *workerSpace
+	outcome
+}
+
+// run executes the worker. Stamps count up from floor, one per connection,
+// as in spcsWorker.run; push decides the layered self-pruning. A record
+// (v, u) settles at strictly falling keys across the connections of a
+// query, so its ride cursor only walks back, as a node's does in the
+// one-to-all search. Only a station node's final keys leave the row, into
+// arr(T, i, u).
+func (w *paretoWorker) run() {
+	res := w.res
+	g := res.g
+	if w.hi == w.lo {
+		return
+	}
+	ws := w.ws
+	layers := res.layers()
+	floor := ws.beginRow(g.NumNodes()*layers, w.hi-w.lo)
+	qfloor := floor
+	row, rides := ws.row, ws.rides
+	period := g.TT.Period
+	heap := &ws.radix
+	k := len(res.Conns)
+	arr, numStations := res.arr, graph.NodeID(g.NumStations())
+	done := w.opts.Done
+
+	for i := w.hi - 1; i >= w.lo; i-- {
+		ws.rowGen++
+		cur := ws.rowGen
+		if w.opts.DisableSelfPruning {
+			floor = cur // later connections bound nothing
+		}
+		// Seed (r, 0) with the real departure of c_i, as spcsWorker does.
+		id := res.Conns[i]
+		heap.Reset()
+		w.push(int(g.ConnDepartureNode(id))*layers, 0, g.TT.Connections[id].Dep, floor, cur)
+
+		for !heap.Empty() {
+			it, key := heap.PopMin()
+			if row[it].key != key {
+				continue // superseded by a better push of the same record
+			}
+			w.counters.QueuePops++
+			if done != nil && w.counters.QueuePops&cancelMask == 0 {
+				w.counters.CancelPolls++
+				if cancelled(done) {
+					w.cancelled = true
+					return
+				}
+			}
+			v, u := graph.NodeID(int(it)/layers), int(it)%layers
+			w.counters.SettledConns++
+			if v < numStations {
+				arr[(int(v)*k+i)*layers+u] = key
+			}
+
+			edges := g.OutEdges(v)
+			for e := range edges {
+				edge := &edges[e]
+				nu, arrTent := u, key+edge.W // EvalEdge by hand, as in spcsWorker.run
+				switch edge.Kind {
+				case graph.Board:
+					if nu++; nu == layers {
+						continue // transfer budget exhausted
+					}
+				case graph.Ride:
+					arrTent, _ = rides[it].eval(g.RideConns(edge), period, key, qfloor, cur)
+				}
+				w.counters.Relaxed++
+				if arrTent.IsInf() {
+					continue
+				}
+				w.push(int(edge.Head)*layers+nu, nu, arrTent, floor, cur)
+			}
+		}
+	}
+}
+
+// push queues record it, (v, u), at key for the connection stamped cur,
+// unless a record of v in a layer ≤ u stamped since floor holds a key ≤ key:
+// the layered self-pruning rule, which also keeps each record of the
+// connection label-setting (a settled record refuses every later push).
+func (w *paretoWorker) push(it, u int, key timeutil.Ticks, floor, cur uint32) {
+	row := w.ws.row
+	for _, l := range row[it-u : it+1] {
+		if l.stamp >= floor && l.key <= key {
+			if l.stamp != cur {
+				w.counters.PrunedConns++ // self-pruning (Theorem 1, per layer)
+			}
+			return
+		}
+	}
+	row[it] = label{key: key, stamp: cur}
+	w.ws.radix.Push(int32(it), key)
+	w.counters.QueuePushes++
 }

@@ -1,19 +1,18 @@
 package core
 
 import (
+	"sync"
+
+	"transit/internal/stats"
 	"transit/internal/timeutil"
 )
 
-// partition splits the index range [0, k) of conn(S) — already sorted by
-// departure time — into at most p contiguous chunks, returning p+1 boundary
-// indexes b with chunk t = [b[t], b[t+1]). Chunks may be empty (e.g. a
-// time slot containing no departures).
-func partition(deps []timeutil.Ticks, period timeutil.Period, p int, strategy PartitionStrategy) []int {
-	return partitionInto(nil, deps, period, p, strategy)
-}
-
-// partitionInto is partition with a reusable boundary buffer, so the hot
-// query paths avoid the per-query boundary allocation.
+// partitionInto splits the index range [0, k) of conn(S) — already sorted
+// by departure time — into at most p contiguous chunks, returning p+1
+// boundary indexes b with chunk t = [b[t], b[t+1]). Chunks may be empty
+// (e.g. a time slot containing no departures). The boundaries reuse buf
+// when it is large enough (nil allocates), so the hot query paths avoid a
+// per-query allocation.
 func partitionInto(buf []int, deps []timeutil.Ticks, period timeutil.Period, p int, strategy PartitionStrategy) []int {
 	k := len(deps)
 	if p < 1 {
@@ -27,6 +26,56 @@ func partitionInto(buf []int, deps []timeutil.Ticks, period timeutil.Period, p i
 	default:
 		return partitionEqualConns(buf, k, p)
 	}
+}
+
+// outcome is what every search worker (spcsWorker, s2sWorker, paretoWorker)
+// embeds and runWorkers reads back: the worker's work counters, and whether
+// it abandoned its range because Options.Done closed.
+type outcome struct {
+	counters  stats.Counters
+	cancelled bool
+}
+
+func (o *outcome) result() *outcome { return o }
+
+// searchWorker is the method set runWorkers needs of a worker type W.
+type searchWorker[W any] interface {
+	*W
+	run()
+	result() *outcome
+}
+
+// runWorkers is the fan-out of every partitioned search: it runs the
+// workers, the only one inline and several on goroutines of their own, and
+// folds their counters into run (PerThread is workspace memory). It returns
+// ErrCancelled when any worker abandoned its range. Generic over the worker
+// type, with no closure, so a one-worker search allocates nothing here.
+func runWorkers[W any, P searchWorker[W]](ws *Workspace, workers []W, run *stats.Run) error {
+	if len(workers) == 1 {
+		P(&workers[0]).run()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(workers))
+		for t := range workers {
+			go runWorker[W, P](&wg, &workers[t])
+		}
+		wg.Wait()
+	}
+	run.PerThread = ws.counters(len(workers))
+	for t := range workers {
+		o := P(&workers[t]).result()
+		if o.cancelled {
+			return ErrCancelled
+		}
+		run.PerThread[t] = o.counters
+		run.Total.Add(o.counters)
+	}
+	return nil
+}
+
+func runWorker[W any, P searchWorker[W]](wg *sync.WaitGroup, w P) {
+	defer wg.Done()
+	w.run()
 }
 
 // boundsBuf returns a boundary slice of length p+1 backed by buf when it is

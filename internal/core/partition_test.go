@@ -41,7 +41,7 @@ func sortedDeps(rng *rand.Rand, k int, skew bool) []timeutil.Ticks {
 func TestEqualConnsBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	deps := sortedDeps(rng, 103, true)
-	b := partition(deps, day, 4, EqualConnections)
+	b := partitionInto(nil, deps, day, 4, EqualConnections)
 	checkBoundaries(t, b, 103)
 	sizes := chunkSizes(b)
 	for _, s := range sizes {
@@ -55,7 +55,7 @@ func TestTimeSlotsRespectSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	deps := sortedDeps(rng, 200, false)
 	p := 4
-	b := partition(deps, day, p, EqualTimeSlots)
+	b := partitionInto(nil, deps, day, p, EqualTimeSlots)
 	checkBoundaries(t, b, 200)
 	for t2 := 0; t2 < p; t2++ {
 		lo, hi := timeutil.Ticks(t2*1440/p), timeutil.Ticks((t2+1)*1440/p)
@@ -72,8 +72,8 @@ func TestTimeSlotsRespectSlots(t *testing.T) {
 func TestTimeSlotsUnbalancedUnderSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	deps := sortedDeps(rng, 400, true)
-	slots := chunkSizes(partition(deps, day, 4, EqualTimeSlots))
-	conns := chunkSizes(partition(deps, day, 4, EqualConnections))
+	slots := chunkSizes(partitionInto(nil, deps, day, 4, EqualTimeSlots))
+	conns := chunkSizes(partitionInto(nil, deps, day, 4, EqualConnections))
 	spread := func(s []int) int {
 		mn, mx := s[0], s[0]
 		for _, v := range s {
@@ -97,7 +97,7 @@ func TestKMeansValid(t *testing.T) {
 		k := 1 + rng.Intn(150)
 		p := 1 + rng.Intn(8)
 		deps := sortedDeps(rng, k, trial%2 == 0)
-		b := partition(deps, day, p, KMeans)
+		b := partitionInto(nil, deps, day, p, KMeans)
 		checkBoundaries(t, b, k)
 		if len(b)-1 > p {
 			t.Fatalf("k-means produced %d chunks, asked for %d", len(b)-1, p)
@@ -108,7 +108,7 @@ func TestKMeansValid(t *testing.T) {
 func TestKMeansFindsClusters(t *testing.T) {
 	// Two tight clusters; k-means with p=2 should split exactly between.
 	deps := []timeutil.Ticks{100, 101, 102, 103, 900, 901, 902}
-	b := partition(deps, day, 2, KMeans)
+	b := partitionInto(nil, deps, day, 2, KMeans)
 	checkBoundaries(t, b, 7)
 	if b[1] != 4 {
 		t.Fatalf("k-means split at %d, want 4: %v", b[1], b)
@@ -118,20 +118,20 @@ func TestKMeansFindsClusters(t *testing.T) {
 func TestPartitionEdgeCases(t *testing.T) {
 	// Empty conn(S).
 	for _, strat := range []PartitionStrategy{EqualConnections, EqualTimeSlots, KMeans} {
-		b := partition(nil, day, 4, strat)
+		b := partitionInto(nil, nil, day, 4, strat)
 		checkBoundaries(t, b, 0)
 	}
 	// p = 1.
 	deps := []timeutil.Ticks{5, 10, 15}
-	b := partition(deps, day, 1, EqualConnections)
+	b := partitionInto(nil, deps, day, 1, EqualConnections)
 	if len(b) != 2 || b[1] != 3 {
 		t.Fatalf("p=1 wrong: %v", b)
 	}
 	// p < 1 coerced to 1.
-	b = partition(deps, day, 0, EqualConnections)
+	b = partitionInto(nil, deps, day, 0, EqualConnections)
 	checkBoundaries(t, b, 3)
 	// More threads than connections.
-	b = partition(deps, day, 10, EqualConnections)
+	b = partitionInto(nil, deps, day, 10, EqualConnections)
 	checkBoundaries(t, b, 3)
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -300,28 +299,8 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 	for t := 0; t < nw; t++ {
 		workers[t] = s2sWorker{q: q, lo: bounds[t], hi: bounds[t+1], ws: ws.worker(t)}
 	}
-	if nw == 1 {
-		workers[0].run()
-	} else {
-		var wg sync.WaitGroup
-		for t := range workers {
-			wg.Add(1)
-			go func(w *s2sWorker) {
-				defer wg.Done()
-				w.run()
-			}(&workers[t])
-		}
-		wg.Wait()
-	}
-	for t := range workers {
-		if workers[t].cancelled {
-			return nil, ErrCancelled
-		}
-	}
-	res.Run.PerThread = ws.counters(nw)
-	for t := range workers {
-		res.Run.PerThread[t] = workers[t].counters
-		res.Run.Total.Add(workers[t].counters)
+	if err := runWorkers(ws, workers, &res.Run); err != nil {
+		return nil, err
 	}
 	res.Run.Elapsed = time.Since(start)
 	opts.Effort.Observe(&res.Run)
@@ -361,13 +340,10 @@ type s2sQuery struct {
 // the count of tentative labels without a transfer-station ancestor, plus
 // one ancestor flag per node (package comment, "Queue and label layout").
 type s2sWorker struct {
-	q        *s2sQuery
-	lo, hi   int
-	ws       *workerSpace
-	counters stats.Counters
-	// cancelled is set when the worker abandoned its range because
-	// Options.Done closed; StationToStation turns it into ErrCancelled.
-	cancelled bool
+	q      *s2sQuery
+	lo, hi int
+	ws     *workerSpace
+	outcome
 	// bestT is the earliest arrival at T of the connections this worker has
 	// answered, all of which leave no earlier than the one it searches next
 	// (Infinity with the stopping criterion off).

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"transit/internal/graph"
-	"transit/internal/stats"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
@@ -38,10 +36,7 @@ type spcsWorker struct {
 	open    int
 	targets []uint32
 
-	counters stats.Counters
-	// cancelled is set when the worker abandoned its range because
-	// Options.Done closed; the orchestrator turns it into ErrCancelled.
-	cancelled bool
+	outcome
 }
 
 // run executes the worker: for i = hi-1 down to lo, one radix-queue search
@@ -242,29 +237,8 @@ func (ws *Workspace) oneToAll(g *graph.Graph, source timetable.StationID, from, 
 			limit: timeutil.Min(until, timeutil.Infinity-1) + 1,
 		}
 	}
-	if nw == 1 {
-		workers[0].run()
-	} else {
-		var wg sync.WaitGroup
-		for t := range workers {
-			wg.Add(1)
-			go func(w *spcsWorker) {
-				defer wg.Done()
-				w.run()
-			}(&workers[t])
-		}
-		wg.Wait()
-	}
-
-	for t := range workers {
-		if workers[t].cancelled {
-			return nil, ErrCancelled
-		}
-	}
-	res.Run.PerThread = ws.counters(nw)
-	for t := range workers {
-		res.Run.PerThread[t] = workers[t].counters
-		res.Run.Total.Add(workers[t].counters)
+	if err := runWorkers(ws, workers, &res.Run); err != nil {
+		return nil, err
 	}
 	res.Run.Elapsed = time.Since(start)
 	opts.Effort.Observe(&res.Run)

@@ -69,7 +69,8 @@ func (ws *Workspace) TimeQueryTo(g *graph.Graph, source timetable.StationID, dep
 	ws.deps = append(ws.deps[:0], depart)
 	pres := &ws.pres
 	*pres = ProfileResult{Source: source, Deps: ws.deps, g: g, arr: ws.arr, gen: gen}
-	w := spcsWorker{g: g, res: pres, opts: opts, hi: 1, ws: ws.worker(0), limit: timeutil.Infinity}
+	ws.spcsBuf = append(ws.spcsBuf[:0], spcsWorker{g: g, res: pres, opts: opts, hi: 1, ws: ws.worker(0), limit: timeutil.Infinity})
+	w := &ws.spcsBuf[0]
 	if len(targets) > 0 {
 		ws.nodeSetGen = growU32(ws.nodeSetGen, g.NumStations())
 		for _, t := range targets {
@@ -80,16 +81,11 @@ func (ws *Workspace) TimeQueryTo(g *graph.Graph, source timetable.StationID, dep
 		}
 		w.targets = ws.nodeSetGen
 	}
-	w.run()
-	if w.cancelled {
-		return nil, ErrCancelled
-	}
-
 	res := &ws.tres
 	*res = TimeQueryResult{Source: source, Depart: depart, arr: ws.arr}
-	res.Run.PerThread = ws.counters(1)
-	res.Run.PerThread[0] = w.counters
-	res.Run.Total = w.counters
+	if err := runWorkers(ws, ws.spcsBuf[:1], &res.Run); err != nil {
+		return nil, err
+	}
 	res.Run.Elapsed = time.Since(start)
 	opts.Effort.Observe(&res.Run)
 	return res, nil

@@ -114,21 +114,23 @@ type label struct {
 // counter workerSpace.rowGen, which a query advances once per connection.
 const maxGen = 1 << 31
 
-// workerSpace is the per-thread portion of a workspace: the priority queues
+// workerSpace is the per-thread portion of a workspace: the priority queue
 // and the label arrays a single search worker owns exclusively.
 type workerSpace struct {
-	// radix is the monotone queue of the two profile loops (spcsWorker, whose
-	// k = 1 form is the time-query, and s2sWorker); binary serves the
-	// searches that need decrease-key or non-monotone pushes (Pareto layers,
-	// label-correcting).
-	radix  pq.RadixHeap
-	binary *pq.Heap
+	// radix is the monotone queue of every search a Plan runs: the two
+	// profile loops (spcsWorker, whose k = 1 form is the time-query, and
+	// s2sWorker) and the Pareto search (paretoWorker).
+	radix pq.RadixHeap
 
-	// row is the one numNodes-sized label row of both profile loops
-	// (spcsWorker, s2sWorker), and rides holds one ride cursor per node;
-	// both are stamped per connection from rowGen, a counter of its own: it
-	// advances k times per query, so it wraps 2^31/k times sooner than the
-	// workspace generation.
+	// row is the label row of those searches, one record per node
+	// (spcsWorker, s2sWorker) or per (node, layer) pair, numNodes × layers
+	// (paretoWorker), and rides holds one ride cursor per record. A pooled
+	// workspace keeps the largest size it was grown to: after a Pareto query
+	// that is about numNodes × (maxTransfers+1) × 24 B (an 8-byte record
+	// and a 16-byte cursor each). Both are stamped per connection from
+	// rowGen, a counter of its own: it advances k times per query, so it
+	// wraps 2^31/k times sooner than the workspace generation. A search over
+	// fewer records reads the longer row's stamps as an earlier query's.
 	row    []label
 	rides  []rideCursor
 	rowGen uint32
@@ -332,16 +334,4 @@ func (ws *Workspace) transferMarks(table *dtable.Table, ns int) []bool {
 	}
 	ws.lastTable = table
 	return ws.isTransfer
-}
-
-// heap returns the worker's addressable binary heap, reset for maxItems
-// items. The pos index reuse inside pq.Heap.Reset is what makes this O(1)
-// instead of O(maxItems).
-func (w *workerSpace) heap(maxItems int) *pq.Heap {
-	if w.binary == nil {
-		w.binary = pq.New(maxItems)
-	} else {
-		w.binary.Reset(maxItems)
-	}
-	return w.binary
 }

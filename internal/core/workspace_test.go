@@ -500,6 +500,13 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 			}
 			return append([]timeutil.Ticks(nil), res.ArrT...)
 		}},
+		{"row/pareto", func(t *testing.T, ws *Workspace, threads int) []timeutil.Ticks {
+			res, err := ws.pareto(g, src, 3, Options{Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.arr
+		}},
 	}
 	for _, kind := range kinds {
 		for _, threads := range []int{1, 2} {
@@ -520,6 +527,24 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 				wrapped(t, ws, bounds)
 			})
 		}
+	}
+
+	// The row is numNodes records wide for one-to-all and numNodes × layers
+	// for Pareto: a one-to-all that wraps after a Pareto query stamped the
+	// long row up to the limit, and a Pareto query after that, must still
+	// answer as on fresh workspaces.
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("row/pareto-then-one-to-all/threads=%d", threads), func(t *testing.T) {
+			pareto, oneToAll := kinds[2].run, kinds[0].run
+			wantPareto := pareto(t, NewWorkspace(), threads)
+			wantRow := oneToAll(t, NewWorkspace(), threads)
+			ws := NewWorkspace()
+			toLimit(t, ws, threads, 0, func() []timeutil.Ticks { return pareto(t, ws, threads) })
+			sameTicks(t, "pareto up to the limit", pareto(t, ws, threads), wantPareto)
+			sameTicks(t, "one-to-all after it", oneToAll(t, ws, threads), wantRow)
+			wrapped(t, ws, ws.bounds)
+			sameTicks(t, "pareto after the wrap", pareto(t, ws, threads), wantPareto)
+		})
 	}
 
 	thinned := thinnedCopy(t, g)

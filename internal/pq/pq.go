@@ -1,15 +1,15 @@
 // Package pq implements the two priority queues of this repository.
 //
 // Heap is an addressable binary min-heap (the paper's queue): items are
-// dense non-negative integers supplied by the caller (node IDs, or (node,
-// connection, layer) indexes), each item is queued at most once, and Push
-// doubles as decrease-key. The multi-criteria search and the
-// label-correcting baseline use it; the latter re-inserts nodes with
-// smaller keys than it has already popped, so it needs a general heap.
+// dense non-negative integers supplied by the caller (node IDs), each item
+// is queued at most once, and Push doubles as decrease-key. Of the
+// searches only the label-correcting baseline uses it: it re-inserts nodes with smaller keys
+// than it has already popped, so it needs a general heap.
 //
 // RadixHeap is a monotone queue for the connection-setting searches —
-// profiles, point queries and the time-query — whose keys are int32
-// arrival times that never fall below the last popped key. It needs no position index and no sift: see radix.go.
+// profiles, point queries, the time-query and the multi-criteria search —
+// whose keys are int32 arrival times that never fall below the last popped
+// key. It needs no position index and no sift: see radix.go.
 //
 // Both are built to be reused across queries: Reset is O(1) and keeps the
 // backing arrays, so a pooled queue costs nothing to hand to the next query

@@ -5,7 +5,9 @@ package transit
 // window search behind it; both must be indistinguishable from the
 // whole-graph, whole-period computations they replaced — on chaotic random
 // networks, on footpath fixtures and on the generator families, with and
-// without a distance table, before and after delay batches.
+// without a distance table, before and after delay batches. The same runs
+// check one Pareto request per departure against the round scan
+// (pareto_oracle_test.go).
 
 import (
 	"context"
@@ -123,23 +125,28 @@ func oracleVariants(t *testing.T, rng *rand.Rand, plain *Network, sel TransferSe
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := []oracleVariant{{"no-table", plain}, {"table", built}}
+	dropped := delayed(t, rng, built)
+	if dropped.Preprocessed() {
+		t.Fatal("ApplyUpdates kept the distance table")
+	}
+	rebuilt, _, err := dropped.Preprocess(sel, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []oracleVariant{{"no-table", plain}, {"table", built}, {"dropped", dropped}, {"rebuilt", rebuilt}}
+}
+
+// delayed returns n after a random delay batch that changed it.
+func delayed(t *testing.T, rng *rand.Rand, n *Network) *Network {
+	t.Helper()
 	for try := 0; try < 8; try++ {
-		dropped, _, err := built.ApplyUpdates(randomOps(rng, built))
+		d, _, err := n.ApplyUpdates(randomOps(rng, n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dropped == built {
-			continue // the batch matched no train
+		if d != n { // else the batch matched no train
+			return d
 		}
-		if dropped.Preprocessed() {
-			t.Fatal("ApplyUpdates kept the distance table")
-		}
-		rebuilt, _, err := dropped.Preprocess(sel, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out, oracleVariant{"dropped", dropped}, oracleVariant{"rebuilt", rebuilt})
 	}
 	t.Fatal("no delay batch changed the network")
 	return nil
@@ -256,7 +263,7 @@ func replayJourney(n *Network, j *Journey, src, dst StationID, dep Ticks) (Ticks
 type oracleTally struct {
 	arrivals, journeys, unreachable, sameStation int
 	tableHits, local, pruned, walkWins           int
-	matrixCells                                  int
+	matrixCells, paretoPairs                     int
 }
 
 // checkPointKinds compares Plan's earliest-arrival, matrix and journey
@@ -264,6 +271,8 @@ type oracleTally struct {
 // all targets and the given departure times, at Threads 1, 2 and 4. Arrivals
 // and matrix cells are checked against the connection scan, which shares no
 // code with the graph searches; journeys against the whole-period search.
+// One Pareto request per departure, from one of the sources in turn, is
+// checked against the round scan (checkPareto).
 func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sources []StationID, targets []StationID, deps []Ticks, tally *oracleTally) {
 	t.Helper()
 	ctx := context.Background()
@@ -428,6 +437,10 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 					tally.matrixCells += len(sources) * len(targets)
 				}
 			}
+
+			src, budget, threads := sources[di%len(sources)], di%4, []int{1, 2, 4}[di%3]
+			where := fmt.Sprintf("%s/%s/p%d: pareto u%d from %d", label, v.name, threads, budget, src)
+			tally.paretoPairs += checkPareto(t, where, n, planPareto(t, n, src, budget, threads), src, []Ticks{dep}, targets)
 		}
 	}
 }
@@ -492,7 +505,7 @@ func TestPlanPointKindsOracle(t *testing.T) {
 
 	t.Logf("%+v", tally)
 	if tally.journeys == 0 || tally.unreachable == 0 || tally.sameStation == 0 ||
-		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 || tally.matrixCells == 0 {
+		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 || tally.matrixCells == 0 || tally.paretoPairs == 0 {
 		t.Fatalf("vacuous run: %+v", tally)
 	}
 }

@@ -541,6 +541,40 @@ func TestPlanOneToAllSteadyStateBytes(t *testing.T) {
 	}
 }
 
+// TestPlanParetoAllocs bounds the objects a Pareto query allocates by a
+// constant, on two networks four times apart in size: the search runs on a
+// free-list workspace, so what is left is the result's own memory (the
+// layered station arrivals, its copies of the seed list, the walk map and
+// the counters) and its shells.
+func TestPlanParetoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	for _, scale := range []float64{0.01, 0.1} {
+		n, err := Generate("losangeles", scale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := planPairs(n, 8)
+		var reuse Result
+		query := func(i int) {
+			if _, err := n.Plan(ctx, Request{Kind: KindPareto, From: pairs[i%len(pairs)][0], MaxTransfers: 3, Reuse: &reuse}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range pairs { // grow the pooled workspace
+			query(i)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(16, func() { query(i); i++ })
+		t.Logf("losangeles %g (%d stations): %.1f allocs per Pareto query", scale, n.NumStations(), allocs)
+		if allocs > 10 {
+			t.Fatalf("losangeles %g: a Pareto query allocates %.1f objects, want ≤ 10", scale, allocs)
+		}
+	}
+}
+
 // TestPlanReuseAcrossKinds makes sure a reused Result carries nothing over
 // from its previous life.
 func TestPlanReuseAcrossKinds(t *testing.T) {
