@@ -13,8 +13,10 @@ package transit
 // critical-path work that determines achievable speed-up.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,6 +24,7 @@ import (
 
 	"transit/internal/bench"
 	"transit/internal/core"
+	"transit/internal/gen"
 	"transit/internal/timetable"
 )
 
@@ -586,5 +589,86 @@ func BenchmarkPlanPareto(b *testing.B) {
 				b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 			})
 		}
+	}
+}
+
+// bootNets are the networks of the two workloads whose set-up a snapshot
+// boot dominates: serve_hot's (losangeles 0.1, 10 % table) and s2s_table's
+// (europe 0.5, deg > 2 table), from the benchmark module's dataset seed.
+var bootNets = []struct {
+	family string
+	scale  float64
+	sel    TransferSelection
+}{
+	{"losangeles", 0.1, TransferSelection{Fraction: 0.10}},
+	{"europe", 0.5, TransferSelection{MinDegree: 2}},
+}
+
+// BenchmarkBoot times the construction path every ready server runs, one
+// stage per row: Generate (the synthetic timetable, validated and indexed),
+// NewNetwork (time-dependent graph and station graph), Preprocess (the
+// distance table, on one worker as in benchmark/), WriteSnapshot and
+// LoadSnapshot of the preprocessed network (LoadSnapshot rebuilds the
+// time-dependent graph, so its row contains one graph build). A server
+// booting with -snapshot pays the last row instead of the first three.
+func BenchmarkBoot(b *testing.B) {
+	for _, bn := range bootNets {
+		cfg, err := gen.FamilyConfig(gen.Family(bn.family), bn.scale, 2010)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tt, err := gen.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pre, _, err := NewNetwork(tt).Preprocess(bn.sel, Options{PreprocessWorkers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := pre.WriteSnapshot(&img); err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%s-%g", bn.family, bn.scale)
+		b.Run(name+"/Generate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gen.Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/NewNetwork", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewNetwork(tt)
+			}
+		})
+		b.Run(name+"/Preprocess", func(b *testing.B) {
+			b.ReportAllocs()
+			n := NewNetwork(tt)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := n.Preprocess(bn.sel, Options{PreprocessWorkers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/WriteSnapshot", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := pre.WriteSnapshot(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/LoadSnapshot", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(img.Len()))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := LoadSnapshot(bytes.NewReader(img.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -16,9 +16,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"transit/internal/csr"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
@@ -109,166 +111,150 @@ type Graph struct {
 // are sorted by departure and dominated departures (a later vehicle on the
 // same edge that arrives no later) are dropped; this never changes any
 // travel-time function value and makes next-departure evaluation exact.
+//
+// Every per-node array is indexed by dense IDs: a hop is keyed by its
+// departure route node, and each index is one counting pass.
 func Build(tt *timetable.Timetable) *Graph {
-	g := &Graph{TT: tt, numStations: tt.NumStations()}
+	nS := tt.NumStations()
+	g := &Graph{TT: tt, numStations: nS}
 	routes := tt.Routes()
 
-	numNodes := tt.NumStations()
+	// Edges: a Board and an Alight edge per route node, a Ride edge per hop
+	// of a route, and the footpaths.
+	numNodes, numEdges := nS, len(tt.Footpaths)
 	g.routeOffset = make([]NodeID, len(routes)+1)
 	for i, r := range routes {
 		g.routeOffset[i] = NodeID(numNodes)
 		numNodes += len(r.Stations)
+		numEdges += 2*len(r.Stations) + max(len(r.Stations)-1, 0)
 	}
 	g.routeOffset[len(routes)] = NodeID(numNodes)
 
+	// Each route node's station, and per station its route nodes in node
+	// order (the Board edges).
 	g.nodeStation = make([]timetable.StationID, numNodes)
-	for s := 0; s < tt.NumStations(); s++ {
+	routeNodes := make([]NodeID, 0, numNodes-nS)
+	for s := range nS {
 		g.nodeStation[s] = timetable.StationID(s)
 	}
 	for i, r := range routes {
 		for p, s := range r.Stations {
 			g.nodeStation[g.routeOffset[i]+NodeID(p)] = s
+			routeNodes = append(routeNodes, g.routeOffset[i]+NodeID(p))
 		}
 	}
+	routeNodesAt := csr.Group(nS, routeNodes, func(u NodeID) int32 { return int32(g.nodeStation[u]) })
 
-	// Assign each connection to its (route, hop) ride edge. A train's hops
-	// are its connections in ID order (see timetable.trainHops); hop h runs
-	// from route.Stations[h] to route.Stations[h+1].
-	type hopKey struct {
-		route timetable.RouteID
-		hop   int32
-	}
-	hopConns := make(map[hopKey][]RideConn)
-	hopIDs := make(map[hopKey][]timetable.ConnID)
-	hopIndex := make(map[timetable.TrainID]int32, tt.NumTrains())
-	g.connDepNode = make([]NodeID, tt.NumConnections())
-	g.connArrNode = make([]NodeID, tt.NumConnections())
-	g.connRideEdge = make([]int32, tt.NumConnections())
-	for i := range g.connRideEdge {
-		g.connRideEdge[i] = -1
-	}
-	for _, c := range tt.Connections {
-		r := tt.RouteOf(c.Train)
-		h := hopIndex[c.Train]
-		hopIndex[c.Train] = h + 1
-		g.connDepNode[c.ID] = g.routeOffset[r] + NodeID(h)
-		g.connArrNode[c.ID] = g.routeOffset[r] + NodeID(h) + 1
-		if c.Arr.IsInf() {
-			// Cancelled connection: keeps its hop slot (so later hops stay
-			// aligned with the route's station sequence) but never appears
-			// on a ride edge.
-			continue
-		}
-		hopConns[hopKey{r, h}] = append(hopConns[hopKey{r, h}], RideConn{
-			Dep: c.Dep, Dur: c.Duration(), Conn: c.ID,
-		})
-		hopIDs[hopKey{r, h}] = append(hopIDs[hopKey{r, h}], c.ID)
-	}
-
-	// Emit CSR. Station node s: one Board edge per route node at s.
-	// Route node (r, p): Alight edge, plus Ride edge to (r, p+1) if p is not
-	// the last position.
-	routeNodesAt := make([][]NodeID, tt.NumStations())
-	for i, r := range routes {
-		for p, s := range r.Stations {
-			routeNodesAt[s] = append(routeNodesAt[s], g.routeOffset[i]+NodeID(p))
+	// Assign each connection to its ride edge. A train's hops are its
+	// connections in ID order (Timetable.TrainConnections); hop h of a train
+	// on route r departs route node routeOffset[r]+h. hops is a CSR over
+	// route nodes (numbered from 0) of the live connections departing there,
+	// in ID order: a cancelled connection keeps its hop slot (so later hops
+	// stay aligned with the route's station sequence) but never appears on
+	// a ride edge.
+	nC := tt.NumConnections()
+	g.connDepNode = make([]NodeID, nC)
+	g.connArrNode = make([]NodeID, nC)
+	g.connRideEdge = make([]int32, nC)
+	ids := make([]timetable.ConnID, nC)
+	for z := range tt.Trains {
+		first := g.routeOffset[tt.RouteOf(timetable.TrainID(z))]
+		for h, id := range tt.TrainConnections(timetable.TrainID(z)) {
+			g.connDepNode[id], g.connArrNode[id] = first+NodeID(h), first+NodeID(h)+1
 		}
 	}
+	for id := range ids {
+		ids[id], g.connRideEdge[id] = timetable.ConnID(id), -1
+	}
+	hops := csr.Group(numNodes-nS, ids, func(id timetable.ConnID) int32 {
+		if tt.Cancelled(id) {
+			return -1
+		}
+		return int32(g.connDepNode[id]) - int32(nS)
+	})
 
+	// Emit CSR. Station node s: one Board edge per route node at s, then its
+	// footpaths. Route node (r, p): Alight edge, plus Ride edge to (r, p+1)
+	// if p is not the last position.
 	g.firstOut = make([]int32, numNodes+1)
-	for n := NodeID(0); int(n) < numNodes; n++ {
-		g.firstOut[n] = int32(len(g.edges))
-		if int(n) < tt.NumStations() {
-			st := tt.Stations[n]
-			for _, rn := range routeNodesAt[n] {
-				g.edges = append(g.edges, Edge{Head: rn, Kind: Board, W: st.Transfer})
-			}
-			for _, f := range tt.FootpathsFrom(timetable.StationID(n)) {
-				g.edges = append(g.edges, Edge{Head: NodeID(f.To), Kind: Walk, W: f.Walk})
-			}
-			continue
+	g.edges = make([]Edge, 0, numEdges)
+	g.rideAllConns = make([][]timetable.ConnID, numEdges)
+	g.rideConns = make([]RideConn, 0, nC)
+	for s := range nS {
+		g.firstOut[s] = int32(len(g.edges))
+		for _, rn := range routeNodesAt[s] {
+			g.edges = append(g.edges, Edge{Head: rn, Kind: Board, W: tt.Stations[s].Transfer})
 		}
-		// Route node: find its route and position.
-		ri := sort.Search(len(routes), func(i int) bool { return g.routeOffset[i+1] > n }) // route containing n
-		pos := int32(n - g.routeOffset[ri])
-		s := routes[ri].Stations[pos]
-		g.edges = append(g.edges, Edge{Head: NodeID(s), Kind: Alight, W: 0})
-		if int(pos) < len(routes[ri].Stations)-1 {
-			hk := hopKey{timetable.RouteID(ri), pos}
-			conns := hopConns[hk]
-			conns = reduceRideConns(tt.Period, conns)
-			first := int32(len(g.rideConns))
-			g.rideConns = append(g.rideConns, conns...)
-			eIdx := int32(len(g.edges))
-			ids := hopIDs[hk]
-			for _, id := range ids {
-				g.connRideEdge[id] = eIdx
+		for _, f := range tt.FootpathsFrom(timetable.StationID(s)) {
+			g.edges = append(g.edges, Edge{Head: NodeID(f.To), Kind: Walk, W: f.Walk})
+		}
+	}
+	for ri, r := range routes {
+		for pos, s := range r.Stations {
+			u := g.routeOffset[ri] + NodeID(pos)
+			g.firstOut[u] = int32(len(g.edges))
+			g.edges = append(g.edges, Edge{Head: NodeID(s), Kind: Alight})
+			if pos == len(r.Stations)-1 {
+				continue
 			}
-			for int32(len(g.rideAllConns)) < eIdx {
-				g.rideAllConns = append(g.rideAllConns, nil)
+			members := hops[int(u)-nS]
+			first := len(g.rideConns)
+			for _, id := range members {
+				c := &tt.Connections[id]
+				g.rideConns = append(g.rideConns, RideConn{Dep: c.Dep, Dur: c.Duration(), Conn: id})
 			}
-			g.rideAllConns = append(g.rideAllConns, ids)
+			g.rideConns = g.rideConns[:first+len(reduceRideConns(tt.Period, g.rideConns[first:]))]
+			e := int32(len(g.edges))
+			for _, id := range members {
+				g.connRideEdge[id] = e
+			}
+			g.rideAllConns[e] = members
 			g.edges = append(g.edges, Edge{
-				Head:  n + 1,
+				Head:  u + 1,
 				Kind:  Ride,
-				First: first,
-				Num:   int32(len(conns)),
+				First: int32(first),
+				Num:   int32(len(g.rideConns) - first),
 			})
 		}
 	}
 	g.firstOut[numNodes] = int32(len(g.edges))
-	for len(g.rideAllConns) < len(g.edges) {
-		g.rideAllConns = append(g.rideAllConns, nil)
-	}
 	return g
 }
 
-// reduceRideConns sorts by departure, collapses duplicate departures to the
-// fastest vehicle, and removes circularly dominated departures (cf.
-// ttf.Function.Reduce; the same backward scan, retaining connection IDs).
+// reduceRideConns sorts by (Dep, Dur, Conn), collapses duplicate departures
+// to the fastest vehicle (the lowest connection ID among equals), and
+// removes circularly dominated departures (cf. ttf.Function.Reduce; the
+// same backward scan, retaining connection IDs). It works in place and
+// returns a prefix of conns.
 func reduceRideConns(period timeutil.Period, conns []RideConn) []RideConn {
 	if len(conns) <= 1 {
 		return conns
 	}
-	sort.Slice(conns, func(i, j int) bool {
-		if conns[i].Dep != conns[j].Dep {
-			return conns[i].Dep < conns[j].Dep
-		}
-		return conns[i].Dur < conns[j].Dur
+	slices.SortFunc(conns, func(a, b RideConn) int {
+		return cmp.Or(cmp.Compare(a.Dep, b.Dep), cmp.Compare(a.Dur, b.Dur), cmp.Compare(a.Conn, b.Conn))
 	})
-	dedup := conns[:0]
-	for _, c := range conns {
-		if len(dedup) > 0 && dedup[len(dedup)-1].Dep == c.Dep {
-			continue
+	dedup := conns[:1]
+	for _, c := range conns[1:] {
+		if dedup[len(dedup)-1].Dep != c.Dep {
+			dedup = append(dedup, c)
 		}
-		dedup = append(dedup, c)
 	}
-	conns = dedup
-	n := len(conns)
-	pi := period.Len()
-	keep := make([]bool, n)
+	// A departure survives if it arrives before every later one, those of
+	// the next period included: scan backwards from the end of the next
+	// period, packing the survivors at the tail.
 	minArr := timeutil.Infinity
-	for k := 2*n - 1; k >= 0; k-- {
-		i := k % n
-		lift := timeutil.Ticks(0)
-		if k >= n {
-			lift = pi
-		}
-		arr := conns[i].Dep + conns[i].Dur + lift
-		if k < n && arr < minArr {
-			keep[i] = true
-		}
-		if arr < minArr {
+	for _, c := range dedup {
+		minArr = min(minArr, c.Dep+c.Dur+period.Len())
+	}
+	w := len(dedup)
+	for i := len(dedup) - 1; i >= 0; i-- {
+		if arr := dedup[i].Dep + dedup[i].Dur; arr < minArr {
 			minArr = arr
+			w--
+			dedup[w] = dedup[i]
 		}
 	}
-	out := conns[:0]
-	for i, c := range conns {
-		if keep[i] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return conns[:copy(conns, dedup[w:])]
 }
 
 // NumNodes returns the total node count (stations + route nodes).

@@ -29,6 +29,13 @@
 //     internal/live registry the snapshot was persisted from and its
 //     creation time — so a restarted server resumes with delays intact.
 //
+// Each payload goes to its parser as bytes (timetable.ParseBinary,
+// stationgraph.ReadSection, dtable.ReadSection), which decode fixed-width
+// little-endian fields and check every count against the bytes left before
+// allocating anything for it, so a hostile header fails with an error, not
+// an out-of-memory abort. Writers encode with binary.LittleEndian appends
+// into one buffer per section.
+//
 // Readers skip unknown section IDs (forward compatibility within a major
 // format version) and reject unknown format versions outright. ID 5 is
 // retired: builds before PR 25 wrote the table's repair provenance there,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"transit/internal/dtable"
@@ -85,158 +86,145 @@ func sectionName(id uint32) string {
 	}
 }
 
+// section is one entry of a container: its id and its payload.
+type section struct {
+	id      uint32
+	payload []byte
+}
+
 // Write serializes d as a snapshot container: header, section table, then
-// the section payloads in table order. Sections are buffered to compute
+// the section payloads in table order. Sections are encoded first to compute
 // lengths and checksums up front, so w receives one sequential stream.
 func Write(w io.Writer, d *Data) error {
 	if d.TT == nil {
 		return fmt.Errorf("snapshot: no timetable to write")
 	}
-	type section struct {
-		id      uint32
-		payload []byte
-	}
-	var secs []section
-	add := func(id uint32, enc func(io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := enc(&buf); err != nil {
-			return fmt.Errorf("snapshot: encoding %s section: %w", sectionName(id), err)
-		}
-		if buf.Len() > maxSectionBytes {
-			return fmt.Errorf("snapshot: %s section exceeds %d bytes", sectionName(id), maxSectionBytes)
-		}
-		secs = append(secs, section{id: id, payload: buf.Bytes()})
-		return nil
-	}
-	if err := add(SecTimetable, func(w io.Writer) error {
-		return timetable.WriteBinary(w, d.TT)
-	}); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	secs := []section{{SecTimetable, timetable.AppendBinary(nil, d.TT)}}
 	if d.SG != nil {
-		if err := add(SecStationGraph, func(w io.Writer) error {
-			return stationgraph.WriteSection(w, d.SG)
-		}); err != nil {
-			return err
-		}
+		secs = append(secs, section{SecStationGraph, stationgraph.AppendSection(nil, d.SG)})
 	}
 	if d.Table != nil {
-		if err := add(SecDistanceTable, func(w io.Writer) error {
-			return dtable.WriteSection(w, d.Table, d.TT.NumStations())
-		}); err != nil {
-			return err
+		var buf bytes.Buffer
+		n := d.Table.NumTransfer() // header, stations, a count per profile, points
+		buf.Grow(int(d.Table.SizeBytes()) + 4*(n+1)*(n+3))
+		if err := dtable.WriteSection(&buf, d.Table, d.TT.NumStations()); err != nil {
+			return fmt.Errorf("snapshot: encoding %s section: %w", sectionName(SecDistanceTable), err)
 		}
+		secs = append(secs, section{SecDistanceTable, buf.Bytes()})
 	}
 	created := d.Created
 	if created.IsZero() {
 		created = time.Now()
 	}
-	if err := add(SecLiveState, func(w io.Writer) error {
-		if err := binary.Write(w, binary.LittleEndian, d.Epoch); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, created.UnixNano()); err != nil {
-			return err
-		}
-		var flags uint64
-		if d.Patched || d.Epoch > 0 {
-			flags |= flagPatched
-		}
-		return binary.Write(w, binary.LittleEndian, flags)
-	}); err != nil {
-		return err
+	var flags uint64
+	if d.Patched || d.Epoch > 0 {
+		flags |= flagPatched
 	}
+	live := le.AppendUint64(make([]byte, 0, 24), d.Epoch)
+	live = le.AppendUint64(live, uint64(created.UnixNano()))
+	secs = append(secs, section{SecLiveState, le.AppendUint64(live, flags)})
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return err
+	head := make([]byte, 0, len(Magic)+8+16*len(secs))
+	head = append(head, Magic[:]...)
+	head = le.AppendUint32(head, Version)
+	head = le.AppendUint32(head, uint32(len(secs)))
+	for _, s := range secs {
+		if len(s.payload) > maxSectionBytes {
+			return fmt.Errorf("snapshot: %s section exceeds %d bytes", sectionName(s.id), maxSectionBytes)
+		}
+		head = le.AppendUint32(head, s.id)
+		head = le.AppendUint32(head, crc32.Checksum(s.payload, crcTable))
+		head = le.AppendUint64(head, uint64(len(s.payload)))
 	}
-	if err := binary.Write(bw, binary.LittleEndian, Version); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(secs))); err != nil {
+	if _, err := w.Write(head); err != nil {
 		return err
 	}
 	for _, s := range secs {
-		if err := binary.Write(bw, binary.LittleEndian, s.id); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, crc32.Checksum(s.payload, crcTable)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(s.payload))); err != nil {
+		if _, err := w.Write(s.payload); err != nil {
 			return err
 		}
 	}
-	for _, s := range secs {
-		if _, err := bw.Write(s.payload); err != nil {
-			return err
+	return nil
+}
+
+// payloadChunk is the most readPayload allocates ahead of the bytes that
+// have arrived.
+const payloadChunk = 16 << 20
+
+// readPayload reads a section payload of n bytes. Past its first
+// payloadChunk bytes the buffer grows with the bytes that arrive, at most
+// doubling, so a section table that claims more than the stream holds fails
+// before it allocates the claim.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	p := make([]byte, 0, min(n, payloadChunk))
+	for uint64(len(p)) < n {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, int(min(n-uint64(len(p)), uint64(len(p)))))
 		}
+		m := min(uint64(cap(p)), n)
+		if _, err := io.ReadFull(r, p[len(p):m]); err != nil {
+			return nil, err
+		}
+		p = p[:m]
 	}
-	return bw.Flush()
+	return p, nil
 }
 
 // Read parses and validates a snapshot container. Every known section's CRC
 // is verified before its payload is decoded; unknown section IDs are
 // skipped for forward compatibility. The timetable section is required.
+// The payloads go to their parsers as bytes, and every count decoded from
+// them is checked against the bytes left before anything is allocated.
 func Read(r io.Reader) (*Data, error) {
+	le := binary.LittleEndian
 	br := bufio.NewReaderSize(r, 1<<16)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	var head [16]byte
+	if _, err := io.ReadFull(br, head[:len(Magic)]); err != nil {
 		return nil, fmt.Errorf("snapshot: reading magic: %w", err)
 	}
-	if m != Magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file?)", m)
+	if [8]byte(head[:8]) != Magic {
+		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file?)", head[:8])
 	}
-	var version, nSections uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	if _, err := io.ReadFull(br, head[8:12]); err != nil {
 		return nil, fmt.Errorf("snapshot: reading version: %w", err)
 	}
-	if version != Version {
+	if version := le.Uint32(head[8:]); version != Version {
 		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", version, Version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &nSections); err != nil {
+	if _, err := io.ReadFull(br, head[12:]); err != nil {
 		return nil, fmt.Errorf("snapshot: reading section count: %w", err)
 	}
+	nSections := le.Uint32(head[12:])
 	if nSections == 0 || nSections > maxSections {
 		return nil, fmt.Errorf("snapshot: implausible section count %d", nSections)
 	}
-	type entry struct {
-		id     uint32
-		crc    uint32
-		length uint64
-	}
-	entries := make([]entry, nSections)
-	seen := make(map[uint32]bool, nSections)
-	for i := range entries {
-		e := &entries[i]
-		if err := binary.Read(br, binary.LittleEndian, &e.id); err != nil {
-			return nil, fmt.Errorf("snapshot: reading section table: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &e.crc); err != nil {
-			return nil, fmt.Errorf("snapshot: reading section table: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &e.length); err != nil {
-			return nil, fmt.Errorf("snapshot: reading section table: %w", err)
-		}
-		if e.length > maxSectionBytes {
-			return nil, fmt.Errorf("snapshot: %s section claims %d bytes (max %d)", sectionName(e.id), e.length, maxSectionBytes)
-		}
-		if seen[e.id] {
-			return nil, fmt.Errorf("snapshot: duplicate %s section", sectionName(e.id))
-		}
-		seen[e.id] = true
+	table := make([]byte, 16*nSections)
+	if _, err := io.ReadFull(br, table); err != nil {
+		return nil, fmt.Errorf("snapshot: reading section table: %w", err)
 	}
 	payloads := make(map[uint32][]byte, nSections)
-	for _, e := range entries {
-		p := make([]byte, e.length)
-		if _, err := io.ReadFull(br, p); err != nil {
-			return nil, fmt.Errorf("snapshot: %s section truncated (want %d bytes): %w", sectionName(e.id), e.length, err)
+	for i := range nSections {
+		id, length := le.Uint32(table[16*i:]), le.Uint64(table[16*i+8:])
+		if length > maxSectionBytes {
+			return nil, fmt.Errorf("snapshot: %s section claims %d bytes (max %d)", sectionName(id), length, maxSectionBytes)
 		}
-		if got := crc32.Checksum(p, crcTable); got != e.crc {
-			return nil, fmt.Errorf("snapshot: %s section CRC mismatch (stored %08x, computed %08x): file corrupted", sectionName(e.id), e.crc, got)
+		if _, dup := payloads[id]; dup {
+			return nil, fmt.Errorf("snapshot: duplicate %s section", sectionName(id))
 		}
-		payloads[e.id] = p
+		payloads[id] = nil
+	}
+	for i := range nSections {
+		e := table[16*i:]
+		id, crc, length := le.Uint32(e), le.Uint32(e[4:]), le.Uint64(e[8:])
+		p, err := readPayload(br, length)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: %s section truncated (want %d bytes): %w", sectionName(id), length, err)
+		}
+		if got := crc32.Checksum(p, crcTable); got != crc {
+			return nil, fmt.Errorf("snapshot: %s section CRC mismatch (stored %08x, computed %08x): file corrupted", sectionName(id), crc, got)
+		}
+		payloads[id] = p
 	}
 
 	d := &Data{}
@@ -244,13 +232,13 @@ func Read(r io.Reader) (*Data, error) {
 	if !ok {
 		return nil, fmt.Errorf("snapshot: missing required timetable section")
 	}
-	tt, err := timetable.ReadBinary(bytes.NewReader(ttBytes))
+	tt, err := timetable.ParseBinary(ttBytes)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: timetable section: %w", err)
 	}
 	d.TT = tt
 	if p, ok := payloads[SecStationGraph]; ok {
-		sg, err := stationgraph.ReadSection(bytes.NewReader(p))
+		sg, err := stationgraph.ReadSection(p)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: station-graph section: %w", err)
 		}
@@ -269,20 +257,15 @@ func Read(r io.Reader) (*Data, error) {
 		d.Table = t
 	}
 	if p, ok := payloads[SecLiveState]; ok {
-		lr := bytes.NewReader(p)
-		var nano int64
-		if err := binary.Read(lr, binary.LittleEndian, &d.Epoch); err != nil {
-			return nil, fmt.Errorf("snapshot: live-state section: %w", err)
+		if len(p) < 16 {
+			return nil, fmt.Errorf("snapshot: live-state section: %d bytes, want epoch and creation time: %w", len(p), io.ErrUnexpectedEOF)
 		}
-		if err := binary.Read(lr, binary.LittleEndian, &nano); err != nil {
-			return nil, fmt.Errorf("snapshot: live-state section: %w", err)
-		}
-		d.Created = time.Unix(0, nano)
+		d.Epoch = le.Uint64(p)
+		d.Created = time.Unix(0, int64(le.Uint64(p[8:])))
 		// Flags were appended within version 1; a 16-byte payload simply
 		// has none set.
-		var flags uint64
-		if err := binary.Read(lr, binary.LittleEndian, &flags); err == nil {
-			d.Patched = flags&flagPatched != 0
+		if len(p) >= 24 {
+			d.Patched = le.Uint64(p[16:])&flagPatched != 0
 		}
 		d.Patched = d.Patched || d.Epoch > 0
 	}

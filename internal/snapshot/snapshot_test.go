@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -192,16 +193,8 @@ func TestReadCorruptSectionTable(t *testing.T) {
 
 func TestReadMissingTimetable(t *testing.T) {
 	// Hand-roll a snapshot with only a live-state section.
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	binary.Write(&buf, binary.LittleEndian, Version)
-	binary.Write(&buf, binary.LittleEndian, uint32(1))
-	payload := make([]byte, 16)
-	binary.Write(&buf, binary.LittleEndian, SecLiveState)
-	binary.Write(&buf, binary.LittleEndian, crcOf(payload))
-	binary.Write(&buf, binary.LittleEndian, uint64(len(payload)))
-	buf.Write(payload)
-	_, err := Read(bytes.NewReader(buf.Bytes()))
+	raw := container(section{SecLiveState, make([]byte, 16)})
+	_, err := Read(bytes.NewReader(raw))
 	if err == nil || !strings.Contains(err.Error(), "missing required timetable") {
 		t.Fatalf("missing timetable: got %v", err)
 	}
@@ -211,24 +204,11 @@ func TestReadMissingTimetable(t *testing.T) {
 // build does not know; they must be skipped, not rejected.
 func TestReadSkipsUnknownSections(t *testing.T) {
 	d := testData(t)
-	var tt bytes.Buffer
-	if err := timetable.WriteBinary(&tt, d.TT); err != nil {
-		t.Fatal(err)
-	}
-	future := []byte("payload from the future")
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	binary.Write(&buf, binary.LittleEndian, Version)
-	binary.Write(&buf, binary.LittleEndian, uint32(2))
-	binary.Write(&buf, binary.LittleEndian, uint32(999))
-	binary.Write(&buf, binary.LittleEndian, crcOf(future))
-	binary.Write(&buf, binary.LittleEndian, uint64(len(future)))
-	binary.Write(&buf, binary.LittleEndian, SecTimetable)
-	binary.Write(&buf, binary.LittleEndian, crcOf(tt.Bytes()))
-	binary.Write(&buf, binary.LittleEndian, uint64(tt.Len()))
-	buf.Write(future)
-	buf.Write(tt.Bytes())
-	got, err := Read(bytes.NewReader(buf.Bytes()))
+	raw := container(
+		section{999, []byte("payload from the future")},
+		section{SecTimetable, timetable.AppendBinary(nil, d.TT)},
+	)
+	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +218,24 @@ func TestReadSkipsUnknownSections(t *testing.T) {
 	if got.SG == nil {
 		t.Error("station graph not rebuilt for a snapshot without its section")
 	}
+}
+
+// container frames the payloads as a snapshot with correct CRCs, in the
+// order given.
+func container(secs ...section) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), Magic[:]...)
+	b = le.AppendUint32(b, Version)
+	b = le.AppendUint32(b, uint32(len(secs)))
+	for _, s := range secs {
+		b = le.AppendUint32(b, s.id)
+		b = le.AppendUint32(b, crcOf(s.payload))
+		b = le.AppendUint64(b, uint64(len(s.payload)))
+	}
+	for _, s := range secs {
+		b = append(b, s.payload...)
+	}
+	return b
 }
 
 func crcOf(p []byte) uint32 {
@@ -328,4 +326,53 @@ func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = Read(bytes.NewReader(data))
 	})
+}
+
+// TestReadHostileSectionCounts wraps section payloads whose headers claim
+// far more records than they hold in a snapshot with correct CRCs. Read must
+// return an error for each; allocating the claims first would abort the
+// process with an out-of-memory fatal error, which no caller can recover.
+func TestReadHostileSectionCounts(t *testing.T) {
+	le := binary.LittleEndian
+	words := func(b []byte, vs ...uint32) []byte {
+		for _, v := range vs {
+			b = le.AppendUint32(b, v)
+		}
+		return b
+	}
+	tt := timetable.AppendBinary(nil, testTimetable(t))
+	for _, c := range []struct {
+		name    string
+		hostile section // 24 and 16 bytes
+		secs    []section
+	}{
+		// magic, period 1440, 2^28 stations, no trains, no connections
+		{"timetable claims 2^28 stations", section{SecTimetable, words([]byte("TTBLBIN1"), 1440, 1<<28, 0, 0)}, nil},
+		// one station whose arc offsets run to 2^30, and half an arc
+		{"station graph claims 2^30 arcs", section{SecStationGraph, words(nil, 1, 0, 1<<30, 0)}, []section{{SecTimetable, tt}}},
+	} {
+		if _, err := Read(bytes.NewReader(container(append(c.secs, c.hostile)...))); err == nil {
+			t.Errorf("%s (%d bytes): accepted", c.name, len(c.hostile.payload))
+		} else {
+			t.Logf("%s (%d bytes): %v", c.name, len(c.hostile.payload), err)
+		}
+	}
+}
+
+// TestReadPayloadGrowsWithTheStream: a section table that claims a 1 GiB
+// section over a stream holding a few bytes fails without allocating the
+// claim.
+func TestReadPayloadGrowsWithTheStream(t *testing.T) {
+	raw := container(section{SecTimetable, timetable.AppendBinary(nil, testTimetable(t))})
+	binary.LittleEndian.PutUint64(raw[16+8:], maxSectionBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("got %v, want a truncated-section error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*payloadChunk {
+		t.Errorf("reading a %d-byte stream allocated %d bytes", len(raw), got)
+	}
 }

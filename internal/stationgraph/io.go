@@ -3,8 +3,7 @@ package stationgraph
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
@@ -20,75 +19,59 @@ import (
 // Only the forward adjacency is stored; the reverse adjacency and the degree
 // array are derived on load, so the section stays flat and mmap-friendly.
 
-// WriteSection serializes the station graph as a snapshot section body (no
-// magic, no checksum — the snapshot container frames and checksums it).
-func WriteSection(w io.Writer, g *Graph) error {
-	put := func(v int32) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := put(int32(g.n)); err != nil {
-		return err
+// AppendSection appends the station graph's section body to dst (no magic,
+// no checksum — the snapshot container frames and checksums it).
+func AppendSection(dst []byte, g *Graph) []byte {
+	m := 0
+	for _, row := range g.out {
+		m += len(row)
 	}
-	off := int32(0)
-	for s := 0; s < g.n; s++ {
-		if err := put(off); err != nil {
-			return err
-		}
-		off += int32(len(g.out[s]))
+	le := binary.LittleEndian
+	b := slices.Grow(dst, 4*(g.n+2)+8*m)
+	b = le.AppendUint32(b, uint32(g.n))
+	off := 0
+	for _, row := range g.out {
+		b = le.AppendUint32(b, uint32(off))
+		off += len(row)
 	}
-	if err := put(off); err != nil {
-		return err
-	}
-	for s := 0; s < g.n; s++ {
-		for _, a := range g.out[s] {
-			if err := put(int32(a.To)); err != nil {
-				return err
-			}
-			if err := put(int32(a.W)); err != nil {
-				return err
-			}
+	b = le.AppendUint32(b, uint32(off))
+	for _, row := range g.out {
+		for _, a := range row {
+			b = le.AppendUint32(b, uint32(a.To))
+			b = le.AppendUint32(b, uint32(a.W))
 		}
 	}
-	return nil
+	return b
 }
 
 // ReadSection parses a station-graph section body, rebuilding the reverse
-// adjacency and the degree array from the stored forward CSR.
-func ReadSection(r io.Reader) (*Graph, error) {
-	get := func() (int32, error) {
-		var v int32
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
+// adjacency and the degree array from the stored forward CSR. The station
+// and arc counts are checked against the bytes left before anything is
+// allocated for them, and the section must end with its last arc.
+func ReadSection(data []byte) (*Graph, error) {
+	le := binary.LittleEndian
+	if len(data) < 4 {
+		return nil, fmt.Errorf("stationgraph: station count truncated")
 	}
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("stationgraph: reading station count: %w", err)
-	}
-	if n < 0 || n > 1<<28 {
-		return nil, fmt.Errorf("stationgraph: implausible station count %d", n)
+	n := int32(le.Uint32(data))
+	p := data[4:]
+	if n < 0 || 4*(int64(n)+1) > int64(len(p)) {
+		return nil, fmt.Errorf("stationgraph: %d stations' offsets do not fit in %d bytes", n, len(p))
 	}
 	offsets := make([]int32, n+1)
 	for i := range offsets {
-		if offsets[i], err = get(); err != nil {
-			return nil, fmt.Errorf("stationgraph: reading offsets: %w", err)
-		}
-		if offsets[i] < 0 || (i > 0 && offsets[i] < offsets[i-1]) {
-			return nil, fmt.Errorf("stationgraph: offsets not non-decreasing at %d", i)
+		offsets[i] = int32(le.Uint32(p[4*i:]))
+		if (i == 0 && offsets[0] != 0) || (i > 0 && offsets[i] < offsets[i-1]) {
+			return nil, fmt.Errorf("stationgraph: offsets[%d] = %d: offsets must start at 0 and never decrease", i, offsets[i])
 		}
 	}
-	m := offsets[n]
-	if m > 1<<30 {
-		return nil, fmt.Errorf("stationgraph: implausible arc count %d", m)
+	p = p[4*(n+1):]
+	if m := offsets[n]; 8*int64(m) != int64(len(p)) {
+		return nil, fmt.Errorf("stationgraph: %d arcs do not match the %d bytes left", m, len(p))
 	}
-	g := &Graph{n: int(n), out: make([][]Arc, n), in: make([][]Arc, n)}
-	arcs := make([]Arc, m)
+	arcs := make([]Arc, offsets[n])
 	for i := range arcs {
-		to, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("stationgraph: reading arc %d: %w", i, err)
-		}
-		w, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("stationgraph: reading arc %d: %w", i, err)
-		}
+		to, w := int32(le.Uint32(p[8*i:])), int32(le.Uint32(p[8*i+4:]))
 		if to < 0 || to >= n {
 			return nil, fmt.Errorf("stationgraph: arc %d targets station %d of %d", i, to, n)
 		}
@@ -97,33 +80,13 @@ func ReadSection(r io.Reader) (*Graph, error) {
 		}
 		arcs[i] = Arc{To: timetable.StationID(to), W: timeutil.Ticks(w)}
 	}
-	for s := 0; s < int(n); s++ {
-		g.out[s] = arcs[offsets[s]:offsets[s+1]:offsets[s+1]]
-		for i := 1; i < len(g.out[s]); i++ {
-			if g.out[s][i].To <= g.out[s][i-1].To {
+	for s := int32(0); s < n; s++ {
+		row := arcs[offsets[s]:offsets[s+1]]
+		for i := 1; i < len(row); i++ {
+			if row[i].To <= row[i-1].To {
 				return nil, fmt.Errorf("stationgraph: station %d arcs not strictly sorted", s)
 			}
 		}
 	}
-	for s := 0; s < int(n); s++ {
-		for _, a := range g.out[s] {
-			g.in[a.To] = append(g.in[a.To], Arc{To: timetable.StationID(s), W: a.W})
-		}
-	}
-	for s := 0; s < int(n); s++ {
-		sort.Slice(g.in[s], func(i, j int) bool { return g.in[s][i].To < g.in[s][j].To })
-	}
-	g.deg = make([]int, n)
-	nb := make(map[timetable.StationID]struct{})
-	for s := 0; s < int(n); s++ {
-		clear(nb)
-		for _, a := range g.out[s] {
-			nb[a.To] = struct{}{}
-		}
-		for _, a := range g.in[s] {
-			nb[a.To] = struct{}{}
-		}
-		g.deg[s] = len(nb)
-	}
-	return g, nil
+	return newGraph(offsets, arcs), nil
 }

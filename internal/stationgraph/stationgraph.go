@@ -29,7 +29,8 @@ type Arc struct {
 }
 
 // Graph is the station graph G_S with forward and reverse adjacency.
-// Immutable after Build; safe for concurrent readers.
+// Immutable after Build; safe for concurrent readers. Each adjacency is a
+// CSR: the rows are windows of one arc array, sorted by neighbour.
 type Graph struct {
 	n   int
 	out [][]Arc
@@ -37,42 +38,89 @@ type Graph struct {
 	deg []int // undirected degree: number of distinct neighbours
 }
 
-// Build condenses the timetable into its station graph.
+// Build condenses the timetable into its station graph: one arc per ordered
+// station pair joined by a connection (cancelled ones included) or a
+// footpath, weighted with the least duration among them.
 func Build(tt *timetable.Timetable) *Graph {
 	n := tt.NumStations()
-	type key struct{ from, to timetable.StationID }
-	minW := make(map[key]timeutil.Ticks)
+	start := make([]int32, n+1)
 	for _, c := range tt.Connections {
-		k := key{c.From, c.To}
-		if w, ok := minW[k]; !ok || c.Duration() < w {
-			minW[k] = c.Duration()
-		}
+		start[c.From+1]++
 	}
 	for _, f := range tt.Footpaths {
-		k := key{f.From, f.To}
-		if w, ok := minW[k]; !ok || f.Walk < w {
-			minW[k] = f.Walk
+		start[f.From+1]++
+	}
+	for s := 0; s < n; s++ {
+		start[s+1] += start[s]
+	}
+	// Every candidate arc as a to<<32 | weight key in its tail's row; sorted,
+	// a row's first key per head carries the least weight.
+	keys := make([]uint64, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	put := func(from, to timetable.StationID, w timeutil.Ticks) {
+		keys[fill[from]] = uint64(to)<<32 | uint64(uint32(w))
+		fill[from]++
+	}
+	for _, c := range tt.Connections {
+		put(c.From, c.To, c.Duration())
+	}
+	for _, f := range tt.Footpaths {
+		put(f.From, f.To, f.Walk)
+	}
+	offsets := make([]int32, n+1)
+	arcs := make([]Arc, 0, len(keys))
+	for s := 0; s < n; s++ {
+		row := keys[start[s]:start[s+1]]
+		slices.Sort(row)
+		for i, k := range row {
+			if to := timetable.StationID(k >> 32); i == 0 || to != arcs[len(arcs)-1].To {
+				arcs = append(arcs, Arc{To: to, W: timeutil.Ticks(uint32(k))})
+			}
 		}
+		offsets[s+1] = int32(len(arcs))
 	}
-	g := &Graph{n: n, out: make([][]Arc, n), in: make([][]Arc, n)}
-	for k, w := range minW {
-		g.out[k.from] = append(g.out[k.from], Arc{To: k.to, W: w})
-		g.in[k.to] = append(g.in[k.to], Arc{To: k.from, W: w})
+	return newGraph(offsets, arcs)
+}
+
+// newGraph completes a graph from its forward CSR (rows sorted by head, no
+// duplicates): the reverse rows come out of one counting pass already
+// sorted by tail, and a station's degree is a merge of its two rows.
+func newGraph(offsets []int32, arcs []Arc) *Graph {
+	n := len(offsets) - 1
+	g := &Graph{n: n, out: make([][]Arc, n), in: make([][]Arc, n), deg: make([]int, n)}
+	start := make([]int32, n+1)
+	for _, a := range arcs {
+		start[a.To+1]++
 	}
 	for s := 0; s < n; s++ {
-		sort.Slice(g.out[s], func(i, j int) bool { return g.out[s][i].To < g.out[s][j].To })
-		sort.Slice(g.in[s], func(i, j int) bool { return g.in[s][i].To < g.in[s][j].To })
+		start[s+1] += start[s]
 	}
-	g.deg = make([]int, n)
+	rev := make([]Arc, len(arcs))
 	for s := 0; s < n; s++ {
-		nb := make(map[timetable.StationID]struct{}, len(g.out[s])+len(g.in[s]))
+		g.out[s] = arcs[offsets[s]:offsets[s+1]:offsets[s+1]]
+		g.in[s] = rev[start[s]:start[s]:start[s+1]]
+	}
+	for s := 0; s < n; s++ {
 		for _, a := range g.out[s] {
-			nb[a.To] = struct{}{}
+			g.in[a.To] = append(g.in[a.To], Arc{To: timetable.StationID(s), W: a.W})
 		}
-		for _, a := range g.in[s] {
-			nb[a.To] = struct{}{}
+	}
+	for s := 0; s < n; s++ {
+		out, in := g.out[s], g.in[s]
+		d := len(out) + len(in)
+		for i, j := 0, 0; i < len(out) && j < len(in); {
+			switch {
+			case out[i].To < in[j].To:
+				i++
+			case out[i].To > in[j].To:
+				j++
+			default:
+				d--
+				i++
+				j++
+			}
 		}
-		g.deg[s] = len(nb)
+		g.deg[s] = d
 	}
 	return g
 }

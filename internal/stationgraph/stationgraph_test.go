@@ -12,7 +12,7 @@ var day = timeutil.NewPeriod(1440)
 
 // starNetwork: hub H connected to leaves L0..L3 in both directions, and a
 // chain L3→L4→L5 hanging off one leaf.
-func starNetwork(t *testing.T) *timetable.Timetable {
+func starNetwork(t testing.TB) *timetable.Timetable {
 	t.Helper()
 	b := timetable.NewBuilder(day)
 	h := b.AddStation("H", 5)

@@ -2,7 +2,6 @@ package timetable
 
 import (
 	"fmt"
-	"sort"
 
 	"transit/internal/timeutil"
 )
@@ -95,16 +94,6 @@ func patchIndexRow(old []ConnID, conns []Connection, byArr bool) []ConnID {
 		}
 		row = append(row, id)
 	}
-	sort.Slice(row, func(i, j int) bool {
-		a, b := conns[row[i]], conns[row[j]]
-		ka, kb := a.Dep, b.Dep
-		if byArr {
-			ka, kb = a.Arr, b.Arr
-		}
-		if ka != kb {
-			return ka < kb
-		}
-		return row[i] < row[j]
-	})
+	sortRow(row, conns, byArr)
 	return row
 }

@@ -8,9 +8,11 @@
 package timetable
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
+	"transit/internal/csr"
 	"transit/internal/timeutil"
 )
 
@@ -85,6 +87,9 @@ type Route struct {
 // Timetable is a validated periodic timetable with derived route partition
 // and outgoing-connection indexes. Construct with New; the struct is
 // immutable afterwards and safe for concurrent readers.
+//
+// Every per-station and per-train index is a CSR: its rows are windows of
+// one backing array, filled by one counting pass over the dense IDs.
 type Timetable struct {
 	Period      timeutil.Period
 	Stations    []Station
@@ -94,8 +99,8 @@ type Timetable struct {
 
 	routes       []Route
 	trainRoute   []RouteID
-	outgoing     [][]ConnID // conn(S) per station, non-decreasing by Dep
-	incoming     [][]ConnID // reverse: connections arriving at S
+	outgoing     [][]ConnID // conn(S) per station, by (Dep, ID)
+	incoming     [][]ConnID // reverse: connections arriving at S, by (Arr, ID)
 	footpathsOut [][]Footpath
 	trainConns   [][]ConnID           // per train: its connections in ID (temporal) order
 	trainsByName map[string][]TrainID // exact-name train lookup for dynamic updates
@@ -106,10 +111,11 @@ type Timetable struct {
 // retained (not copied); callers must not modify them afterwards.
 //
 // Validation enforces: dense IDs matching slice positions, non-negative
-// transfer times, departures within Π, arrivals no earlier than departures,
-// per-train temporal consistency (a train departs a station no earlier than
-// it arrived there), and per-train path consistency (each hop starts where
-// the previous ended).
+// transfer and walking times, stations that exist, departures within Π,
+// arrivals no earlier than departures, and per-train path consistency (each
+// hop starts where the previous ended). A train's hops are its connections
+// in ID order; their times are not compared, since a departure time point
+// of Π can always be lifted past the previous hop's arrival.
 func New(period timeutil.Period, stations []Station, trains []Train, conns []Connection) (*Timetable, error) {
 	return NewWithFootpaths(period, stations, trains, conns, nil)
 }
@@ -127,11 +133,27 @@ func NewWithFootpaths(period timeutil.Period, stations []Station, trains []Train
 	if err := tt.validate(); err != nil {
 		return nil, err
 	}
+	ids := make([]ConnID, len(conns))
+	for i := range ids {
+		ids[i] = ConnID(i)
+	}
+	tt.trainConns = csr.Group(len(trains), ids, func(id ConnID) int32 { return int32(conns[id].Train) })
+	for z, hops := range tt.trainConns {
+		for h := 1; h < len(hops); h++ {
+			prev, cur := &conns[hops[h-1]], &conns[hops[h]]
+			if cur.From != prev.To {
+				return nil, fmt.Errorf("timetable: train %d jumps from station %d to %d between connections %d and %d",
+					z, prev.To, cur.From, prev.ID, cur.ID)
+			}
+		}
+	}
 	tt.deriveRoutes()
 	tt.buildConnIndexes()
 	return tt, nil
 }
 
+// validate checks every record on its own; the per-train path check runs on
+// the train rows once they are built.
 func (tt *Timetable) validate() error {
 	for i, s := range tt.Stations {
 		if int(s.ID) != i {
@@ -167,9 +189,8 @@ func (tt *Timetable) validate() error {
 			return fmt.Errorf("timetable: connection %d arrives at %d before departing at %d", i, c.Arr, c.Dep)
 		}
 	}
-	nS2 := StationID(len(tt.Stations))
 	for i, f := range tt.Footpaths {
-		if f.From < 0 || f.From >= nS2 || f.To < 0 || f.To >= nS2 {
+		if f.From < 0 || f.From >= nS || f.To < 0 || f.To >= nS {
 			return fmt.Errorf("timetable: footpath %d references unknown station (%d→%d)", i, f.From, f.To)
 		}
 		if f.From == f.To {
@@ -179,134 +200,126 @@ func (tt *Timetable) validate() error {
 			return fmt.Errorf("timetable: footpath %d has negative walking time %d", i, f.Walk)
 		}
 	}
-	// Per-train consistency.
-	for z, hops := range tt.trainHops() {
-		for h := 1; h < len(hops); h++ {
-			prev, cur := tt.Connections[hops[h-1]], tt.Connections[hops[h]]
-			if cur.From != prev.To {
-				return fmt.Errorf("timetable: train %d jumps from station %d to %d between connections %d and %d",
-					z, prev.To, cur.From, prev.ID, cur.ID)
-			}
-			// The train must not depart before it arrived; absolute times of
-			// later hops are the lifted departure time points.
-			depAbs := prev.Arr + tt.Period.Delta(prev.Arr, cur.Dep)
-			_ = depAbs // lifting always succeeds; nothing further to check here
-		}
-	}
 	return nil
 }
 
-// trainHops returns, per train, its connection IDs sorted temporally.
-func (tt *Timetable) trainHops() map[TrainID][]ConnID {
-	hops := make(map[TrainID][]ConnID, len(tt.Trains))
-	for _, c := range tt.Connections {
-		hops[c.Train] = append(hops[c.Train], c.ID)
+// byTime returns the IDs of the live (not cancelled) connections ordered
+// by (indexTime, ID): a stable LSD radix sort on 11-bit digits of the time
+// that stops at the largest time's top digit, so a minute-of-day timetable
+// sorts in one or two counting passes.
+func byTime(conns []Connection, byArr bool) []ConnID {
+	const bits = 11
+	ids := make([]ConnID, 0, len(conns))
+	var top timeutil.Ticks
+	for i := range conns {
+		if c := &conns[i]; !c.Arr.IsInf() {
+			ids = append(ids, ConnID(i))
+			top = max(top, indexTime(c, byArr))
+		}
 	}
-	// Hops are kept in connection-ID order: data sources (builders, GTFS
-	// trips) list a train's hops temporally, and departure time points are
-	// useless as a sort key for overnight trains whose wrapped departures
-	// jump back to small values.
-	for z, ids := range hops {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		hops[z] = ids
+	tmp := make([]ConnID, len(ids))
+	var count [1 << bits]int32
+	for shift := 0; shift == 0 || top>>shift > 0; shift += bits {
+		clear(count[:])
+		for _, id := range ids {
+			count[indexTime(&conns[id], byArr)>>shift&(1<<bits-1)]++
+		}
+		sum := int32(0)
+		for d, n := range count {
+			count[d], sum = sum, sum+n
+		}
+		for _, id := range ids {
+			d := indexTime(&conns[id], byArr) >> shift & (1<<bits - 1)
+			tmp[count[d]] = id
+			count[d]++
+		}
+		ids, tmp = tmp, ids
 	}
-	return hops
+	return ids
+}
+
+// indexTime is the time an index row is ordered by: the departure in
+// conn(S), the arrival in the incoming rows. Both are non-negative int32s
+// for a live connection.
+func indexTime(c *Connection, byArr bool) timeutil.Ticks {
+	if byArr {
+		return c.Arr
+	}
+	return c.Dep
 }
 
 // deriveRoutes partitions the trains into routes: two trains are equivalent
-// if they run through the same sequence of stations.
+// if they run through the same sequence of stations. Routes are numbered in
+// order of their first train; their station sequences are windows of one
+// array and their trains one CSR.
 func (tt *Timetable) deriveRoutes() {
-	hops := tt.trainHops()
-	type key string
-	seq := func(ids []ConnID) key {
-		// Station sequence encoded compactly; 4 bytes per station.
-		b := make([]byte, 0, 4*(len(ids)+1))
-		put := func(s StationID) {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		if len(ids) > 0 {
-			put(tt.Connections[ids[0]].From)
-			for _, id := range ids {
-				put(tt.Connections[id].To)
-			}
-		}
-		return key(b)
-	}
-	index := make(map[key]RouteID)
+	index := make(map[string]RouteID)
 	tt.trainRoute = make([]RouteID, len(tt.Trains))
-	// Deterministic route numbering: iterate trains in ID order.
-	for z := range tt.Trains {
-		ids := hops[TrainID(z)]
-		k := seq(ids)
-		r, ok := index[k]
-		if !ok {
-			r = RouteID(len(tt.routes))
-			index[k] = r
-			stations := make([]StationID, 0, len(ids)+1)
-			if len(ids) > 0 {
-				stations = append(stations, tt.Connections[ids[0]].From)
-				for _, id := range ids {
-					stations = append(stations, tt.Connections[id].To)
-				}
+	var key []byte // the station sequence, 4 bytes per station
+	var seqs []StationID
+	seqStart := []int32{0}
+	for z, ids := range tt.trainConns {
+		key = key[:0]
+		if len(ids) > 0 {
+			key = binary.LittleEndian.AppendUint32(key, uint32(tt.Connections[ids[0]].From))
+			for _, id := range ids {
+				key = binary.LittleEndian.AppendUint32(key, uint32(tt.Connections[id].To))
 			}
-			tt.routes = append(tt.routes, Route{ID: r, Stations: stations})
+		}
+		r, ok := index[string(key)]
+		if !ok {
+			r = RouteID(len(seqStart) - 1)
+			index[string(key)] = r
+			for i := 0; i < len(key); i += 4 {
+				seqs = append(seqs, StationID(binary.LittleEndian.Uint32(key[i:])))
+			}
+			seqStart = append(seqStart, int32(len(seqs)))
 		}
 		tt.trainRoute[z] = r
-		tt.routes[r].Trains = append(tt.routes[r].Trains, TrainID(z))
+	}
+	zs := make([]TrainID, len(tt.Trains))
+	for z := range zs {
+		zs[z] = TrainID(z)
+	}
+	trains := csr.Group(len(seqStart)-1, zs, func(z TrainID) int32 { return int32(tt.trainRoute[z]) })
+	tt.routes = make([]Route, len(trains))
+	for r := range tt.routes {
+		tt.routes[r] = Route{ID: RouteID(r), Stations: seqs[seqStart[r]:seqStart[r+1]:seqStart[r+1]], Trains: trains[r]}
 	}
 }
 
+// buildConnIndexes derives conn(S), the incoming rows, the footpath rows
+// and the name lookup. Cancelled connections (see Patch) keep their dense
+// ID slot but are left out of the query indexes, so searches never board
+// them. Grouping the connections in (time, ID) order leaves every row
+// sorted.
 func (tt *Timetable) buildConnIndexes() {
-	tt.outgoing = make([][]ConnID, len(tt.Stations))
-	tt.incoming = make([][]ConnID, len(tt.Stations))
-	tt.trainConns = make([][]ConnID, len(tt.Trains))
-	for _, c := range tt.Connections {
-		tt.trainConns[c.Train] = append(tt.trainConns[c.Train], c.ID)
-		if c.Arr.IsInf() {
-			// Cancelled connection (see Patch): keeps its dense ID slot but
-			// is excluded from every query index, so searches never board it.
-			continue
-		}
-		tt.outgoing[c.From] = append(tt.outgoing[c.From], c.ID)
-		tt.incoming[c.To] = append(tt.incoming[c.To], c.ID)
-	}
+	conns := tt.Connections
+	nS := len(tt.Stations)
+	tt.outgoing = csr.Group(nS, byTime(conns, false), func(id ConnID) int32 { return int32(conns[id].From) })
+	tt.incoming = csr.Group(nS, byTime(conns, true), func(id ConnID) int32 { return int32(conns[id].To) })
+	tt.footpathsOut = csr.Group(nS, tt.Footpaths, func(f Footpath) int32 { return int32(f.From) })
 	tt.trainsByName = make(map[string][]TrainID, len(tt.Trains))
 	for _, z := range tt.Trains {
 		tt.trainsByName[z.Name] = append(tt.trainsByName[z.Name], z.ID)
 	}
-	for s := range tt.outgoing {
-		ids := tt.outgoing[s]
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := tt.Connections[ids[i]], tt.Connections[ids[j]]
-			if a.Dep != b.Dep {
-				return a.Dep < b.Dep
-			}
-			return a.ID < b.ID
-		})
+}
+
+// sortRow orders one index row by indexTime, ties on ID, through packed
+// time<<32 | id keys.
+func sortRow(row []ConnID, conns []Connection, byArr bool) {
+	keys := make([]uint64, len(row))
+	for i, id := range row {
+		keys[i] = uint64(indexTime(&conns[id], byArr))<<32 | uint64(id)
 	}
-	for s := range tt.incoming {
-		ids := tt.incoming[s]
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := tt.Connections[ids[i]], tt.Connections[ids[j]]
-			if a.Arr != b.Arr {
-				return a.Arr < b.Arr
-			}
-			return a.ID < b.ID
-		})
-	}
-	tt.footpathsOut = make([][]Footpath, len(tt.Stations))
-	for _, f := range tt.Footpaths {
-		tt.footpathsOut[f.From] = append(tt.footpathsOut[f.From], f)
+	slices.Sort(keys)
+	for i, k := range keys {
+		row[i] = ConnID(uint32(k))
 	}
 }
 
 // FootpathsFrom returns the walking links departing from s (shared slice).
-func (tt *Timetable) FootpathsFrom(s StationID) []Footpath {
-	if tt.footpathsOut == nil {
-		return nil
-	}
-	return tt.footpathsOut[s]
-}
+func (tt *Timetable) FootpathsFrom(s StationID) []Footpath { return tt.footpathsOut[s] }
 
 // Routes returns the route partition.
 func (tt *Timetable) Routes() []Route { return tt.routes }

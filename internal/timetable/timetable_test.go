@@ -12,7 +12,7 @@ var day = timeutil.NewPeriod(1440)
 
 // tinyNetwork builds a 4-station line A-B-C-D with two routes:
 // route 1: A→B→C (two trains), route 2: B→C→D (one train).
-func tinyNetwork(t *testing.T) *Timetable {
+func tinyNetwork(t testing.TB) *Timetable {
 	t.Helper()
 	b := NewBuilder(day)
 	a := b.AddStation("A", 2)
@@ -262,11 +262,8 @@ func TestAddTrainRunPanicsOnBadLengths(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	tt := tinyNetwork(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tt); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	buf := bytes.NewBuffer(AppendBinary(nil, tt))
+	back, err := ParseBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +285,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 func TestReadBinaryRejectsCorrupt(t *testing.T) {
 	tt := tinyNetwork(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tt); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(AppendBinary(nil, tt))
 	good := buf.Bytes()
 	cases := map[string][]byte{
 		"bad magic": append([]byte("XXXXXXXX"), good[8:]...),
@@ -299,7 +293,7 @@ func TestReadBinaryRejectsCorrupt(t *testing.T) {
 		"short":     good[:3],
 	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, err := ParseBinary(data); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -406,11 +400,8 @@ func TestBinaryFootpathRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tt); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	buf := bytes.NewBuffer(AppendBinary(nil, tt))
+	back, err := ParseBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +410,7 @@ func TestBinaryFootpathRoundTrip(t *testing.T) {
 	}
 	// Binary with footpath count but truncated entries must fail.
 	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := ParseBinary(trunc); err == nil {
 		t.Error("truncated footpath section accepted")
 	}
 }
@@ -434,11 +425,8 @@ func TestBinaryLongNameTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tt); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	buf := bytes.NewBuffer(AppendBinary(nil, tt))
+	back, err := ParseBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

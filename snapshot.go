@@ -22,7 +22,7 @@ type SnapshotState struct {
 // station graph, and the distance table if the network is preprocessed —
 // into the versioned snapshot container (docs/SNAPSHOT_FORMAT.md). A server
 // booting from the result (LoadSnapshot, tpserver -snapshot) skips
-// generation, validation and preprocessing entirely.
+// generation and preprocessing; every section is still validated on load.
 func (n *Network) WriteSnapshot(w io.Writer) error {
 	return n.WriteSnapshotState(w, SnapshotState{})
 }
@@ -46,8 +46,9 @@ func (n *Network) WriteSnapshotState(w io.Writer, st SnapshotState) error {
 
 // LoadSnapshot reconstructs a query-ready Network from a snapshot written by
 // WriteSnapshot. The timetable, station graph and distance table are decoded
-// from their checksummed sections; only the (cheap) time-dependent graph is
-// rebuilt. The returned state reports the snapshot's epoch and creation
+// and validated from their checksummed sections, every count bounded by the
+// bytes left before anything is allocated for it; only the (cheap)
+// time-dependent graph is rebuilt. The returned state reports the snapshot's epoch and creation
 // time. A network restored from a patched snapshot (epoch > 0, or written
 // from a patched network) stays patched; its embedded table, built after
 // the patches, is attached as-is.

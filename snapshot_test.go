@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"slices"
@@ -15,6 +14,8 @@ import (
 	"transit/internal/core"
 	"transit/internal/dtable"
 	"transit/internal/snapshot"
+	"transit/internal/stationgraph"
+	"transit/internal/timetable"
 )
 
 // sampleQueries compares earliest-arrival and profile answers of two
@@ -267,32 +268,18 @@ func TestSnapshotBootFasterThanPreprocessing(t *testing.T) {
 // in section-table order.
 func snapshotSections(t *testing.T, img []byte) (ids []uint32, payloads map[uint32][]byte) {
 	t.Helper()
-	r := bytes.NewReader(img[len(snapshot.Magic)+4:]) // magic, version
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		t.Fatal(err)
-	}
-	lens := make([]uint64, n)
-	for i := range lens {
-		var id, crc uint32
-		if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-			t.Fatal(err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
-			t.Fatal(err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &lens[i]); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
+	le := binary.LittleEndian
+	p := img[len(snapshot.Magic)+4:] // magic, version
+	n := int(le.Uint32(p))
+	table, body := p[4:4+16*n], p[4+16*n:]
 	payloads = make(map[uint32][]byte, n)
-	for i, id := range ids {
-		p := make([]byte, lens[i])
-		if _, err := io.ReadFull(r, p); err != nil {
-			t.Fatal(err)
-		}
-		payloads[id] = p
+	for i := 0; i < n; i++ {
+		id, length := le.Uint32(table[16*i:]), le.Uint64(table[16*i+8:])
+		ids = append(ids, id)
+		payloads[id], body = body[:length], body[length:]
+	}
+	if len(body) != 0 {
+		t.Fatalf("%d bytes after the last section", len(body))
 	}
 	return ids, payloads
 }
@@ -363,15 +350,31 @@ func TestLoadSnapshotWithRetiredProvenanceSection(t *testing.T) {
 	}
 }
 
-// TestSectionBytesUnchanged pins the distance-table section's bytes: the
-// committed fixture's section 3 decodes and re-encodes byte for byte, and on
-// the oracle networks build → write → read → write is the identity.
+// TestSectionBytesUnchanged pins the snapshot's section bytes: the
+// committed fixture's timetable, station-graph and distance-table sections
+// decode and re-encode byte for byte, and on the oracle networks, plain and
+// at a patched epoch with cancelled connections, build → write → read →
+// write is the identity.
 func TestSectionBytesUnchanged(t *testing.T) {
 	img, err := os.ReadFile("testdata/table-provenance.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, payloads := snapshotSections(t, img)
+	tt, err := timetable.ParseBinary(payloads[snapshot.SecTimetable])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(timetable.AppendBinary(nil, tt), payloads[snapshot.SecTimetable]) {
+		t.Fatal("fixture: timetable section changes on read and rewrite")
+	}
+	sg, err := stationgraph.ReadSection(payloads[snapshot.SecStationGraph])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stationgraph.AppendSection(nil, sg), payloads[snapshot.SecStationGraph]) {
+		t.Fatal("fixture: station-graph section changes on read and rewrite")
+	}
 	fixture := payloads[snapshot.SecDistanceTable]
 	roundTrip := func(label string, data []byte, numStations int) {
 		t.Helper()
@@ -389,6 +392,15 @@ func TestSectionBytesUnchanged(t *testing.T) {
 	}
 	roundTrip("fixture", fixture, int(binary.LittleEndian.Uint32(fixture[4:])))
 
+	state := SnapshotState{Created: time.Unix(0, 36)}
+	write := func(n *Network) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := n.WriteSnapshotState(&buf, state); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	built := func(label string, n *Network, sel TransferSelection) {
 		t.Helper()
 		pre, _, err := n.Preprocess(sel, Options{})
@@ -400,10 +412,40 @@ func TestSectionBytesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		roundTrip(label, sec.Bytes(), n.NumStations())
+		first := write(pre)
+		loaded, _, err := LoadSnapshot(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !bytes.Equal(write(loaded), first) {
+			t.Fatalf("%s: snapshot changes on read and rewrite", label)
+		}
+	}
+	// patched cancels a few trains and delays others, and checks that the
+	// batch left cancelled connections behind.
+	patched := func(rng *rand.Rand, n *Network) *Network {
+		t.Helper()
+		tt := n.Timetable()
+		ops := randomOps(rng, n)
+		for i := 0; i < 3; i++ {
+			ops = append(ops, DelayOp{Train: tt.Trains[rng.Intn(tt.NumTrains())].Name, Cancel: true})
+		}
+		p, _, err := n.ApplyUpdates(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(p.Timetable().Connections, func(c timetable.Connection) bool { return c.Arr.IsInf() }) {
+			t.Fatal("delay batch cancelled nothing")
+		}
+		return p
 	}
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 8; trial++ {
-		built(fmt.Sprintf("random %d", trial), oracleRandomNetwork(t, rng, trial%2 == 1), TransferSelection{Fraction: 0.3})
+		n := oracleRandomNetwork(t, rng, trial%2 == 1)
+		built(fmt.Sprintf("random %d", trial), n, TransferSelection{Fraction: 0.3})
+		state.Epoch = 1
+		built(fmt.Sprintf("random %d patched", trial), patched(rng, n), TransferSelection{Fraction: 0.3})
+		state.Epoch = 0
 	}
 	built("footpaths", oracleFootpathFixture(t), TransferSelection{MinDegree: 1})
 	for _, family := range GenerateFamilies() {
@@ -412,5 +454,51 @@ func TestSectionBytesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		built(family, n, TransferSelection{Fraction: 0.1})
+		state.Epoch = 4
+		built(family+" patched", patched(rng, n), TransferSelection{Fraction: 0.1})
+		state.Epoch = 0
+	}
+}
+
+// TestLoadSnapshotAllocs bounds the allocations of one snapshot load by the
+// stations and trains alone: at most 8 per station and train plus 256, so
+// the count cannot grow with the connections, the graph's edges or the
+// table's points.
+func TestLoadSnapshotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, c := range []struct {
+		family string
+		scale  float64
+		sel    TransferSelection
+	}{
+		{"losangeles", 0.1, TransferSelection{Fraction: 0.1}},
+		{"europe", 0.25, TransferSelection{MinDegree: 2}},
+	} {
+		n, err := Generate(c.family, c.scale, 2010)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, _, err := n.Preprocess(c.sel, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := pre.WriteSnapshot(&img); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := LoadSnapshot(bytes.NewReader(img.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		tt := n.Timetable()
+		limit := 8*(tt.NumStations()+tt.NumTrains()) + 256
+		t.Logf("%s %g: %.0f allocations per load (limit %d; %d stations, %d trains, %d connections, %d table rows)",
+			c.family, c.scale, allocs, limit, tt.NumStations(), tt.NumTrains(), tt.NumConnections(), pre.table.NumTransfer())
+		if allocs > float64(limit) {
+			t.Errorf("%s %g: %.0f allocations per load, limit %d", c.family, c.scale, allocs, limit)
+		}
 	}
 }
