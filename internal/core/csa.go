@@ -121,8 +121,8 @@ func (c *CSASchedule) QueryWS(ws *Workspace, source timetable.StationID, dep tim
 	start := time.Now()
 	gen := ws.begin()
 	ns := tt.NumStations()
-	ws.nodeArr = growTicks(ws.nodeArr, ns)
-	ws.nodeArrGen = growU32(ws.nodeArrGen, ns)
+	ws.nodeArr = grow(ws.nodeArr, ns)
+	ws.nodeArrGen = grow(ws.nodeArrGen, ns)
 	res := &ws.cres
 	*res = ConnectionScanResult{
 		Source: source, Depart: dep,
@@ -170,11 +170,11 @@ func (c *CSASchedule) QueryWS(ws *Workspace, source timetable.StationID, dep tim
 	nDays := days + 1
 	// aboard is per trip instance: train z starting on horizon day d; a
 	// trip is aboard iff its stamp matches this query's generation.
-	ws.aboardGen = growU32(ws.aboardGen, tt.NumTrains()*nDays)
+	ws.aboardGen = grow(ws.aboardGen, tt.NumTrains()*nDays)
 	aboardGen := ws.aboardGen
 
 	// Merged scan over the nDays shifted copies of the sorted event list.
-	ws.dayIdx = growInt(ws.dayIdx, nDays)
+	ws.dayIdx = grow(ws.dayIdx, nDays)
 	idx := ws.dayIdx
 	clear(idx)
 	for {

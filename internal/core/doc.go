@@ -7,24 +7,24 @@
 // on the one-to-all schedule, and the label-correcting profile-search
 // baseline.
 //
-// A query that names a departure is served by the same two searches, not by
-// loops of its own. Workspace.TimeQuery is the k = 1 case of the one-to-all
-// search: one virtual connection leaving S at τ, seeded at the station node
-// and every route node of S, whose arrivals land in the numStations × 1
-// store; TimeQueryTo returns when the last of a target set settles, which
-// is a matrix row. Workspace.EarliestArrival is the k = 1 case of the
-// station-to-station search: one virtual connection leaving at the
-// requested time, seeded like a time-query, pruned by the table like a
-// profile query, returning when the target settles. Workspace.JourneySearch
-// puts a windowed one-to-all search with parents behind that point query —
-// only the connections that leave between the request and the earliest
-// arrival, and no label later than it — and returns a result that contains
-// the itinerary a whole-period search would show first (journey.go has the
-// argument). The tests check the arrivals of every search against the
-// connection scan (CSASchedule, Dibbelt et al.), and the package transit
-// tests check the Pareto profiles against a round-based scan (RAPTOR,
-// Delling, Pajor, Werneck), round r for r transfers; neither shares code
-// with the graph searches.
+// Every one of them but the multi-criteria search and the baseline runs one
+// settle loop, spcsWorker.run; station-to-station is that loop with Section
+// 4's prunings switched on. A query that names a departure is its k = 1
+// case, not a loop of its own. Workspace.TimeQuery is one virtual
+// connection leaving S at τ, seeded at the station node and every route
+// node of S, whose arrivals land in the numStations × 1 store; TimeQueryTo
+// returns when the last of a target set settles, which is a matrix row.
+// Workspace.EarliestArrival is the same virtual connection, seeded the same
+// way, pruned by the table like a profile query, returning when the target
+// settles. Workspace.JourneySearch puts a windowed one-to-all search with
+// parents behind that point query — only the connections that leave
+// between the request and the earliest arrival, and no label later than it
+// — and returns a result that contains the itinerary a whole-period search
+// would show first (journey.go has the argument). The tests check the
+// arrivals of every search against the connection scan (CSASchedule,
+// Dibbelt et al.), and the package transit tests check the Pareto profiles
+// against a round-based scan (RAPTOR, Delling, Pajor, Werneck), round r for
+// r transfers; neither shares code with the graph searches.
 //
 // # Workspaces and generation-stamped labels
 //
@@ -33,7 +33,7 @@
 // queries, once per thread. This package reproduces that discipline with
 // the Workspace type: a bundle owning the label arrays (the station
 // arrivals and parents of one-to-all results, the label row and ride
-// cursors of the profile loops and the Pareto search), the
+// cursors of the settle loop and the Pareto search), the
 // station-to-station pruning state (µ per via station, one ancestor flag
 // per node), the seed scratch (conn(S) and walk distances) and the
 // priority queue of internal/pq, with one workerSpace per search thread.
@@ -52,8 +52,8 @@
 // fills them with Infinity before it starts, a sweep the size of the copy
 // Detach makes.
 //
-// The label row and the ride cursors of the two profile loops and of the
-// Pareto search (see below) are stamped per connection, not per query, from
+// The label row and the ride cursors of the settle loop and of the Pareto
+// search (see below) are stamped per connection, not per query, from
 // a counter of its own in each workerSpace. It advances k times per query,
 // so it reaches the same 2^31 limit after 2^31/k queries (about 3.2 M at
 // k = 672); a query that would cross it sweeps the whole row and all the
@@ -70,16 +70,12 @@
 // deletion). Parent links are written exactly when a record improves, so
 // the last link written belongs to the final key.
 //
-// Both profile loops — one-to-all (spcsWorker.run: one-to-all profiles,
-// journeys' window search, distance-table rows and time-queries) and
-// station-to-station (s2sWorker.run: profiles and earliest arrivals) —
-// search a worker's connections one at a time, latest departure first, each
-// with its own queue over one numNodes-sized row of records. Before
-// connection i starts, the row holds, at every node v the worker has
-// reached, best(v) = min over j > i of the key connection j left at v: the
-// search of connection j leaves its keys in the row, and a later search only
-// ever lowers them.
-// Connection i refuses a seed or a push whose key is at least best(head) —
+// The settle loop (spcsWorker.run) searches a worker's connections one at a
+// time, latest departure first, each with its own queue over one
+// numNodes-sized row of records. Before connection i starts, the row holds, at every node
+// v the worker has reached, best(v) = min over j > i of the key connection
+// j left at v: the search of connection j leaves its keys in the row, and a
+// later search only ever lowers them. Connection i refuses a seed or a push whose key is at least best(head) —
 // Theorem 1's self-pruning, with the later connection's label complete
 // before the earlier one asks, so a dominated label never enters the queue.
 // What the global-queue formulation of Section 3 prunes when a pair
@@ -100,22 +96,26 @@
 // the table is one point arena per row with CSR offsets, so a look-up
 // D(S, T, τ) is a binary search over a sub-slice (internal/dtable).
 //
-// Station-to-station adds Section 4's prunings on the same schedule.
-// Theorems 2–4 compare connection i with connections that leave later, and
-// on this schedule the worker's later connections are finished before i
-// starts. The earliest arrival at T among them bounds every key i keeps
-// (Theorem 2; the bound another worker published through stopState is read
-// at each pop), and i ends when T settles. µ, γ and the count of tentative
-// labels without a transfer-station ancestor belong to the one connection
-// being searched, beside one ancestor flag per node (Theorems 3–4). A
-// connection cut short leaves tentative keys in the row; each is an arrival
-// it achieves, so as bounds they refuse only dominated labels
-// (docs/PREPROCESSING.md has that argument and the one for γ).
+// Station-to-station (spcsWorker.q set) adds Section 4's prunings to the
+// same loop behind one branch per pop that no iteration changes (no policy
+// interface or type parameter: Go would call either indirectly), with the
+// table prunings in spcsWorker.prune, out of the loop body. Theorems 2–4
+// compare connection i with connections that leave later, and those of the
+// worker are finished before i starts. Their earliest arrival at T bounds
+// every key i keeps (Theorem 2; what other workers publish through
+// stopState is read at each pop when there are any), and i ends when T
+// settles. µ, γ and the count of tentative labels without a
+// transfer-station ancestor belong to the one connection being searched,
+// beside one ancestor flag per node (Theorems 3–4). A connection cut short
+// leaves tentative keys in the row; each is an arrival it achieves, so as
+// bounds they refuse only dominated labels (docs/PREPROCESSING.md has that
+// argument and the one for γ).
 //
-// The time-query and the point query are the one-connection forms of the
-// two loops. With no later connection to prune against, the row record is
-// the node's label: tentative while its key is queued, final once the entry
-// that carries it surfaces, so each node settles at most once.
+// The time-query and the point query are the loop's one-connection form,
+// with one seed helper (spcsWorker.seed) for both. With no later connection
+// to prune against, the row record is the node's label: tentative while its
+// key is queued, final once the entry that carries it surfaces, so each
+// node settles at most once.
 //
 // A connection settles node v only below every key a later connection left
 // at v, so within one query each worker settles every node at strictly
@@ -155,7 +155,10 @@
 // (Theorem 1, per layer). A record therefore settles at strictly falling
 // keys across the connections of a query, as a node does in the one-to-all
 // loop, and the station keys leave the row into numStations × k × layers
-// arrivals the result owns.
+// arrivals the result owns. It keeps a loop of its own: at layers = 1 it
+// takes no Board edge (a board would leave the last layer), which one-to-all
+// takes, so a fold would branch per edge on the caller and add a division by
+// the layer count to every one-to-all settle.
 //
 // Only the label-correcting baseline keeps the addressable binary pq.Heap:
 // it re-inserts nodes below the last popped key. It keeps every node's

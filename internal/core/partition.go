@@ -28,9 +28,9 @@ func partitionInto(buf []int, deps []timeutil.Ticks, period timeutil.Period, p i
 	}
 }
 
-// outcome is what every search worker (spcsWorker, s2sWorker, paretoWorker)
-// embeds and runWorkers reads back: the worker's work counters, and whether
-// it abandoned its range because Options.Done closed.
+// outcome is what every search worker (spcsWorker, paretoWorker) embeds and
+// runWorkers reads back: the worker's work counters, and whether it
+// abandoned its range because Options.Done closed.
 type outcome struct {
 	counters  stats.Counters
 	cancelled bool
@@ -78,19 +78,10 @@ func runWorker[W any, P searchWorker[W]](wg *sync.WaitGroup, w P) {
 	w.run()
 }
 
-// boundsBuf returns a boundary slice of length p+1 backed by buf when it is
-// large enough.
-func boundsBuf(buf []int, p int) []int {
-	if cap(buf) < p+1 {
-		return make([]int, p+1)
-	}
-	return buf[:p+1]
-}
-
 // partitionEqualConns makes p chunks whose sizes differ by at most one —
 // the paper's "equal number of connections" method.
 func partitionEqualConns(buf []int, k, p int) []int {
-	b := boundsBuf(buf, p)
+	b := grow(buf, p+1)
 	for t := 0; t <= p; t++ {
 		b[t] = t * k / p
 	}
@@ -102,7 +93,7 @@ func partitionEqualConns(buf []int, k, p int) []int {
 // time-slots" method, unbalanced under rush hours.
 func partitionTimeSlots(buf []int, deps []timeutil.Ticks, period timeutil.Period, p int) []int {
 	k := len(deps)
-	b := boundsBuf(buf, p)
+	b := grow(buf, p+1)
 	pi := int(period.Len())
 	idx := 0
 	for t := 0; t < p; t++ {

@@ -110,19 +110,11 @@ type stopState struct {
 	v atomic.Uint64
 }
 
-// reset clears the state for a new query.
-func (s *stopState) reset() { s.v.Store(0) }
-
 func (s *stopState) observeTargetSettle(i int, arr timeutil.Ticks) {
 	// Saturate out-of-range arrivals (nothing meaningful ever exceeds
 	// Infinity; negative arrivals cannot occur) so the packed word always
 	// round-trips exactly.
-	if arr > timeutil.Infinity {
-		arr = timeutil.Infinity
-	}
-	if arr < 0 {
-		arr = 0
-	}
+	arr = max(0, min(arr, timeutil.Infinity))
 	for {
 		cur := s.v.Load()
 		curIdx := int64(cur>>32) - 1
@@ -162,10 +154,8 @@ func (ws *Workspace) StationToStation(env QueryEnv, source, target timetable.Sta
 // EarliestArrival answers the S–T query for the single departure time
 // depart: dist(S, T, τ), what TimeQuery(S, τ).StationArrival(T) returns,
 // computed as the k = 1 case of the station-to-station search. Instead of
-// conn(S) there is one virtual connection leaving at τ, seeded the way the
-// time-query seeds (the station node of S and every route node of S at key
-// τ, so the first boarding pays no transfer time and walking away from S
-// is an ordinary Walk edge); it runs through the same worker, queue and
+// conn(S) there is one virtual connection leaving at τ, seeded like the
+// time-query's (spcsWorker.seed); it runs through the same loop and
 // prunings as the profile query and returns the moment the target settles
 // or target pruning closes the connection. Both endpoints transfer
 // stations is one table look-up, as in the profile query.
@@ -211,12 +201,9 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 
 	walk := ws.walkDistances(g.TT, source)
 	var connIDs []timetable.ConnID
-	var deps []timeutil.Ticks
-	if point {
-		ws.deps = growTicks(ws.deps, 1)
-		ws.deps[0] = depart
-		deps = ws.deps
-	} else {
+	ws.deps = append(ws.deps[:0], depart)
+	deps := ws.deps
+	if !point {
 		connIDs, deps = ws.extendedConns(g.TT, source, walk)
 	}
 	res := &ws.sres
@@ -227,7 +214,7 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 		Deps:     deps,
 		WalkOnly: distOrInf(walk, target),
 		period:   g.TT.Period,
-		ArrT:     growTicks(ws.sres.ArrT, len(deps)),
+		ArrT:     grow(ws.sres.ArrT, len(deps)),
 	}
 	for i := range res.ArrT {
 		res.ArrT[i] = timeutil.Infinity
@@ -266,39 +253,29 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 		res.Local = vias.IsLocalSource(source)
 	}
 
-	// Field-wise reset (the struct embeds an atomic and must not be copied).
+	if point {
+		ws.bounds = append(ws.bounds[:0], 0, 1) // one connection, one worker
+	} else {
+		ws.bounds = partitionInto(ws.bounds, res.Deps, g.TT.Period, opts.threads(), opts.Partition)
+	}
 	q := &ws.s2q
-	q.g = g
-	q.res = res
-	q.opts = opts
-	q.target = target
-	q.targetNode = g.StationNode(target)
-	q.depart = depart
-	q.footpaths = len(g.TT.Footpaths) > 0
-	q.table = nil
-	q.vias = nil
-	q.targetIsTransfer = false
-	q.stop.reset()
+	*q = s2sQuery{ // a fresh value: the previous query's workers are done
+		res:        res,
+		target:     target,
+		targetNode: g.StationNode(target),
+		footpaths:  len(g.TT.Footpaths) > 0,
+		stopping:   !opts.DisableStoppingCriterion,
+		crossStop:  !opts.DisableStoppingCriterion && len(ws.bounds) > 2, // > 1 worker
+	}
 	if useTable && !res.Local && len(vias.Via) > 0 {
 		q.table = env.Table
 		q.vias = vias.Via
 		q.targetIsTransfer = env.Table.IsTransfer(target) && !opts.DisableTargetPruning
 	}
 
-	if point {
-		ws.bounds = append(ws.bounds[:0], 0, 1) // one connection, one worker
-	} else {
-		ws.bounds = partitionInto(ws.bounds, res.Deps, g.TT.Period, opts.threads(), opts.Partition)
-	}
-	bounds := ws.bounds
-	nw := len(bounds) - 1
-	if cap(ws.s2sBuf) < nw {
-		ws.s2sBuf = make([]s2sWorker, nw)
-	}
-	workers := ws.s2sBuf[:nw]
-	for t := 0; t < nw; t++ {
-		workers[t] = s2sWorker{q: q, lo: bounds[t], hi: bounds[t+1], ws: ws.worker(t)}
-	}
+	// The workers read conn(S) from a result shell with no arrival store.
+	ws.pres = ProfileResult{Source: source, Conns: connIDs, Deps: deps, g: g}
+	workers := ws.spcsWorkers(spcsWorker{g: g, res: &ws.pres, opts: opts.Options, limit: timeutil.Infinity, q: q})
 	if err := runWorkers(ws, workers, &res.Run); err != nil {
 		return nil, err
 	}
@@ -307,22 +284,20 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 	return res, nil
 }
 
-// s2sQuery is the per-query shared state of all workers.
+// s2sQuery is the per-query state a station-to-station search shares among
+// its workers (spcsWorker.run).
 type s2sQuery struct {
-	g          *graph.Graph
 	res        *StationQueryResult
-	opts       QueryOptions
 	target     timetable.StationID
 	targetNode graph.NodeID
-	// depart ≥ 0 makes this a point query: one virtual connection leaving
-	// the source at that time instead of conn(S) (wholePeriod otherwise).
-	depart timeutil.Ticks
 	// footpaths says the timetable has walking links at all; only then do
-	// the table prunings look at a station's footpaths (see run).
+	// the table prunings look at a station's footpaths (spcsWorker.run).
 	footpaths bool
 
-	// stop is the shared stopping-criterion state.
-	stop stopState
+	// stopping says the stopping criterion (Theorem 2) is on; crossStop,
+	// that it also runs across workers, through stop.
+	stopping, crossStop bool
+	stop                stopState
 
 	// Distance-table pruning state (nil/false when inactive).
 	table            *dtable.Table
@@ -330,264 +305,17 @@ type s2sQuery struct {
 	targetIsTransfer bool
 }
 
-// s2sWorker runs the pruned connection-setting search on the connection
-// range [lo, hi) the way spcsWorker does: one radix-queue search per
-// connection, latest departure first, over the worker's one label row, with
-// Theorem 1's self-pruning decided when a label is pushed. Theorems 2–4
-// compare connection i with the connections of the worker that leave later,
-// and those are finished before i starts, so what the prunings keep is per
-// connection and restarted for each: µ (one entry per via station), γ and
-// the count of tentative labels without a transfer-station ancestor, plus
-// one ancestor flag per node (package comment, "Queue and label layout").
-type s2sWorker struct {
-	q      *s2sQuery
-	lo, hi int
-	ws     *workerSpace
-	outcome
-	// bestT is the earliest arrival at T of the connections this worker has
-	// answered, all of which leave no earlier than the one it searches next
-	// (Infinity with the stopping criterion off).
-	bestT timeutil.Ticks
-	// anc[v] says whether the path behind v's row record passed a transfer
-	// station; nil unless target pruning (Theorem 4) is on.
-	anc []bool
-}
-
-// answer records a as connection i's arrival at T, where every later
-// connection's search on any worker can see it (Theorem 2).
-func (w *s2sWorker) answer(i int, a timeutil.Ticks) {
-	w.q.res.ArrT[i] = a
-	if !w.q.opts.DisableStoppingCriterion {
-		w.q.stop.observeTargetSettle(i, a)
-		w.bestT = timeutil.Min(w.bestT, a)
+// answer records a as connection i's arrival at T and returns the bound of
+// the worker's next connection, given the current one: every later
+// connection's search, on any worker, keeps no key at or beyond a
+// (Theorem 2).
+func (q *s2sQuery) answer(i int, a, limit timeutil.Ticks) timeutil.Ticks {
+	q.res.ArrT[i] = a
+	if !q.stopping {
+		return limit
 	}
-}
-
-// seed starts the current connection (stamp cur) at node v with key, unless
-// key reaches the connection's limit or a later connection is at v by then.
-// It reports whether v was queued.
-func (w *s2sWorker) seed(v graph.NodeID, key, limit timeutil.Ticks, floor, cur uint32) bool {
-	if key >= limit {
-		w.counters.PrunedConns++ // stopping criterion (Theorem 2)
-		return false
+	if q.crossStop {
+		q.stop.observeTargetSettle(i, a)
 	}
-	l := &w.ws.row[v]
-	if l.stamp >= floor && key >= l.key {
-		if l.stamp != cur {
-			w.counters.PrunedConns++ // a later connection is at v by then
-		}
-		return false
-	}
-	*l = label{key: key, stamp: cur}
-	w.ws.radix.Push(int32(v), key)
-	w.counters.QueuePushes++
-	if w.anc != nil {
-		w.anc[v] = false
-	}
-	return true
-}
-
-// run executes the worker: for i = hi-1 down to lo, one search from
-// connection c_i's departure node (from the source itself, like a
-// time-query, for the one virtual connection of a point query). The row is
-// spcsWorker's: stamps count up from floor, one per connection, and a seed or
-// push whose key is at least the record of a later connection is refused
-// (Theorem 1). On top of that:
-//
-//   - Theorem 2: connection i keeps no key at or beyond the earliest arrival
-//     at T of a later connection of this worker (bestT, its limit), and ends
-//     at the first pop at or beyond the arrival another worker published for
-//     a later connection (stopState). It also ends when T settles: nothing
-//     it settles afterwards can reach T earlier.
-//   - Theorem 3: a settled transfer station that cannot improve µ at any via
-//     station is not expanded.
-//   - Theorem 4: once every tentative label of i has a transfer-station
-//     ancestor, γ answers i and ends it.
-//
-// A connection ended early leaves tentative keys in the row; each is an
-// arrival the connection achieves, so as bounds for earlier connections they
-// refuse only dominated labels (docs/PREPROCESSING.md).
-func (w *s2sWorker) run() {
-	q := w.q
-	g := q.g
-	res := q.res
-	if w.hi == w.lo {
-		return
-	}
-	ws := w.ws
-	numNodes := g.NumNodes()
-	floor := ws.beginRow(numNodes, w.hi-w.lo)
-	qfloor := floor
-	row, rides := ws.row, ws.rides
-	period := g.TT.Period
-	heap := &ws.radix
-	stations := g.TT.Stations
-	done := q.opts.Done
-	useStop := !q.opts.DisableStoppingCriterion
-	var mu []timeutil.Ticks
-	if q.table != nil {
-		ws.mu = growTicks(ws.mu, len(q.vias))
-		mu = ws.mu
-	}
-	if q.targetIsTransfer {
-		ws.anc = growBool(ws.anc, numNodes)
-		w.anc = ws.anc
-	}
-	anc := w.anc
-	point := q.depart >= 0
-	w.bestT = timeutil.Infinity
-
-	for i := w.hi - 1; i >= w.lo; i-- {
-		ws.rowGen++
-		cur := ws.rowGen
-		if q.opts.DisableSelfPruning {
-			floor = cur // later connections bound nothing
-		}
-		limit := w.bestT
-		heap.Reset()
-		for j := range mu {
-			mu[j] = timeutil.Infinity
-		}
-		gamma := timeutil.Infinity
-		noAnc := 0 // tentative labels of i whose path passed no transfer station
-
-		// Seeds. Keys are the *real* departure time points; res.Deps holds
-		// the effective departures from the source, which differ for
-		// walk-seeded connections.
-		if point {
-			// The virtual connection of a point query starts like a
-			// time-query: at the station node (walking off needs no train)
-			// and, without the boarding transfer, on every route of the
-			// source.
-			sn := g.StationNode(res.Source)
-			if w.seed(sn, q.depart, limit, floor, cur) {
-				noAnc++
-			}
-			for _, e := range g.OutEdges(sn) {
-				if e.Kind == graph.Board && w.seed(e.Head, q.depart, limit, floor, cur) {
-					noAnc++
-				}
-			}
-		} else {
-			id := res.Conns[i]
-			if w.seed(g.ConnDepartureNode(id), g.TT.Connections[id].Dep, limit, floor, cur) {
-				noAnc++
-			}
-		}
-
-		for !heap.Empty() {
-			it, key := heap.PopMin()
-			if row[it].key != key {
-				continue // superseded by a better push of the same node
-			}
-			w.counters.QueuePops++
-			if done != nil && w.counters.QueuePops&cancelMask == 0 {
-				w.counters.CancelPolls++
-				if cancelled(done) {
-					w.cancelled = true
-					return
-				}
-			}
-			// Stopping criterion (Theorem 2) across workers.
-			if useStop && q.stop.shouldPrune(i, key) {
-				w.counters.PrunedConns++
-				break
-			}
-			v := graph.NodeID(it)
-			hasAnc := false
-			if anc != nil {
-				if hasAnc = anc[v]; !hasAnc {
-					noAnc--
-				}
-			}
-			w.counters.SettledConns++
-
-			if v == q.targetNode {
-				w.answer(i, key)
-				break
-			}
-
-			// The table prunings read D(st, ·, key) as the earliest arrival of
-			// anything that continues from here. A table profile holds the
-			// connections leaving st, not the walk that starts at st itself,
-			// so that only holds where no footpath leaves: elsewhere st is
-			// neither pruned at nor counted as a transfer-station ancestor.
-			st := g.Station(v)
-			atTransfer := q.table != nil && q.table.IsTransfer(st) &&
-				!(q.footpaths && len(g.TT.FootpathsFrom(st)) > 0)
-			if atTransfer {
-				arrWithTransfer := key + stations[st].Transfer
-				// Target pruning (Theorem 4).
-				if anc != nil {
-					if d := q.table.D(st, q.target, key); d < gamma {
-						gamma = d
-					}
-					// γ is a feasible lower bound only once every tentative
-					// label of i has a transfer-station ancestor: then the
-					// optimal path's frontier passed a settled transfer
-					// station, which has already contributed to γ.
-					if noAnc == 0 {
-						if d := q.table.D(st, q.target, arrWithTransfer); d == gamma {
-							w.answer(i, d)
-							break
-						}
-					}
-				}
-				// Distance-table pruning (Theorem 3): refresh µ_j, then prune
-				// v if it provably cannot improve any via station.
-				prune := true
-				for j, vj := range q.vias {
-					if m := q.table.D(st, vj, arrWithTransfer) + stations[vj].Transfer; m < mu[j] {
-						mu[j] = m
-					}
-					if q.table.D(st, vj, key) <= mu[j] {
-						prune = false
-					}
-				}
-				if prune {
-					w.counters.PrunedConns++
-					w.counters.SettledConns-- // settled but not expanded
-					continue
-				}
-			}
-
-			childAnc := hasAnc || atTransfer
-			edges := g.OutEdges(v)
-			for e := range edges {
-				edge := &edges[e]
-				arrTent := key + edge.W // EvalEdge by hand, as in spcsWorker.run
-				if edge.Kind == graph.Ride {
-					arrTent, _ = rides[v].eval(g.RideConns(edge), period, key, qfloor, cur)
-				}
-				w.counters.Relaxed++
-				if arrTent >= limit {
-					if !arrTent.IsInf() {
-						w.counters.PrunedConns++ // stopping criterion (Theorem 2)
-					}
-					continue
-				}
-				l := &row[edge.Head]
-				if l.stamp >= floor && arrTent >= l.key {
-					if l.stamp != cur {
-						w.counters.PrunedConns++ // self-pruning (Theorem 1)
-					}
-					continue // connection-setting: (head, i) no better
-				}
-				if anc != nil {
-					// A label of i replaced by a better one leaves the count
-					// first (a settled one is never replaced: see above).
-					if l.stamp == cur && !anc[edge.Head] {
-						noAnc--
-					}
-					if !childAnc {
-						noAnc++
-					}
-					anc[edge.Head] = childAnc
-				}
-				*l = label{key: arrTent, stamp: cur}
-				heap.Push(int32(edge.Head), arrTent)
-				w.counters.QueuePushes++
-			}
-		}
-	}
+	return timeutil.Min(limit, a)
 }

@@ -12,8 +12,9 @@ import (
 // (len(conns) when the key is past the last departure of the day). stamp is
 // the row stamp of the connection search that wrote it (workerSpace.rowGen).
 //
-// Both profile loops settle a node at strictly falling keys within a query
-// (package comment, "Queue and label layout"), so the next evaluation is
+// The settle loop settles a node, and the Pareto search a (node, layer)
+// record, at strictly falling keys within a query (package comment, "Queue
+// and label layout"), so the next evaluation is
 // almost always earlier on the same day, and its departure is found by
 // walking back from idx. Over a query that walk visits each departure of
 // the edge at most once per day the keys pass through; a bisection is only

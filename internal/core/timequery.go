@@ -69,10 +69,11 @@ func (ws *Workspace) TimeQueryTo(g *graph.Graph, source timetable.StationID, dep
 	ws.deps = append(ws.deps[:0], depart)
 	pres := &ws.pres
 	*pres = ProfileResult{Source: source, Deps: ws.deps, g: g, arr: ws.arr, gen: gen}
-	ws.spcsBuf = append(ws.spcsBuf[:0], spcsWorker{g: g, res: pres, opts: opts, hi: 1, ws: ws.worker(0), limit: timeutil.Infinity})
-	w := &ws.spcsBuf[0]
+	ws.bounds = append(ws.bounds[:0], 0, 1) // one connection, one worker
+	workers := ws.spcsWorkers(spcsWorker{g: g, res: pres, opts: opts, limit: timeutil.Infinity})
+	w := &workers[0]
 	if len(targets) > 0 {
-		ws.nodeSetGen = growU32(ws.nodeSetGen, g.NumStations())
+		ws.nodeSetGen = grow(ws.nodeSetGen, g.NumStations())
 		for _, t := range targets {
 			if ws.nodeSetGen[t] != gen {
 				ws.nodeSetGen[t] = gen
@@ -83,7 +84,7 @@ func (ws *Workspace) TimeQueryTo(g *graph.Graph, source timetable.StationID, dep
 	}
 	res := &ws.tres
 	*res = TimeQueryResult{Source: source, Depart: depart, arr: ws.arr}
-	if err := runWorkers(ws, ws.spcsBuf[:1], &res.Run); err != nil {
+	if err := runWorkers(ws, workers, &res.Run); err != nil {
 		return nil, err
 	}
 	res.Run.Elapsed = time.Since(start)

@@ -73,7 +73,7 @@ func (ws *Workspace) extendedConns(tt *timetable.Timetable, source timetable.Sta
 	if len(walk) == 1 {
 		// No footpaths from the source: exactly the paper's conn(S).
 		ids := tt.Outgoing(source)
-		ws.deps = growTicks(ws.deps, len(ids))
+		ws.deps = grow(ws.deps, len(ids))
 		for i, id := range ids {
 			ws.deps[i] = tt.Connections[id].Dep
 		}

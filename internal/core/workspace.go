@@ -80,7 +80,6 @@ type Workspace struct {
 	// Per-thread search scratch, one entry per worker.
 	workers   []*workerSpace
 	spcsBuf   []spcsWorker
-	s2sBuf    []s2sWorker
 	perThread []stats.Counters
 	s2q       s2sQuery
 
@@ -98,10 +97,10 @@ type connSeed struct {
 	dep timeutil.Ticks
 }
 
-// label is one record of the profile loops' row: the best key pushed for a
+// label is one record of the settle loop's row: the best key pushed for a
 // node so far and the stamp of the connection that set it (package comment,
-// "Queue and label layout"; the time-query is the loop's one-connection
-// form). A stamp below the query's floor belongs to an earlier query and
+// "Queue and label layout"; the time-query and the point query are the
+// loop's one-connection form). A stamp below the query's floor belongs to an earlier query and
 // reads as "untouched". One 8-byte load therefore answers "queued?" and "is
 // this key better?", which the addressable heap needed three arrays
 // (settled stamps, heap positions, position stamps) for.
@@ -117,28 +116,28 @@ const maxGen = 1 << 31
 // workerSpace is the per-thread portion of a workspace: the priority queue
 // and the label arrays a single search worker owns exclusively.
 type workerSpace struct {
-	// radix is the monotone queue of every search a Plan runs: the two
-	// profile loops (spcsWorker, whose k = 1 form is the time-query, and
-	// s2sWorker) and the Pareto search (paretoWorker).
+	// radix is the monotone queue of every search a Plan runs: the settle
+	// loop (spcsWorker: one-to-all, station-to-station and their k = 1
+	// forms) and the Pareto search (paretoWorker).
 	radix pq.RadixHeap
 
 	// row is the label row of those searches, one record per node
-	// (spcsWorker, s2sWorker) or per (node, layer) pair, numNodes × layers
-	// (paretoWorker), and rides holds one ride cursor per record. A pooled
-	// workspace keeps the largest size it was grown to: after a Pareto query
-	// that is about numNodes × (maxTransfers+1) × 24 B (an 8-byte record
-	// and a 16-byte cursor each). Both are stamped per connection from
-	// rowGen, a counter of its own: it advances k times per query, so it
-	// wraps 2^31/k times sooner than the workspace generation. A search over
-	// fewer records reads the longer row's stamps as an earlier query's.
+	// (spcsWorker) or per (node, layer) pair (paretoWorker), and rides holds
+	// one ride cursor per record. A pooled workspace keeps the largest size
+	// it was grown to: after a Pareto query that is about numNodes ×
+	// (maxTransfers+1) × 24 B (an 8-byte record and a 16-byte cursor each).
+	// Both are stamped per connection from rowGen, a counter of its own: it
+	// advances k times per query, so it wraps 2^31/k times sooner than the
+	// workspace generation. A search over fewer records reads the longer
+	// row's stamps as an earlier query's.
 	row    []label
 	rides  []rideCursor
 	rowGen uint32
 
-	// Station-to-station pruning state of the connection being searched:
-	// µ per via station (refilled per connection), and one ancestor flag per
-	// node, written with every row record the connection sets before it can
-	// be read (s2sWorker.run).
+	// Station-to-station pruning state of the connection being searched
+	// (spcsWorker.run with q set): µ per via station, refilled per
+	// connection, and one ancestor flag per node, written with every row
+	// record the connection sets before it can be read.
 	mu  []timeutil.Ticks
 	anc []bool
 }
@@ -151,11 +150,8 @@ type workerSpace struct {
 // the row and the cursors and starts the counter over, so no record or
 // cursor stamped just below the limit can read as this query's.
 func (w *workerSpace) beginRow(n, k int) uint32 {
-	w.row = growLabels(w.row, n)
-	if cap(w.rides) < n {
-		w.rides = make([]rideCursor, n)
-	}
-	w.rides = w.rides[:n]
+	w.row = grow(w.row, n)
+	w.rides = grow(w.rides, n)
 	if w.rowGen > maxGen-uint32(k) {
 		clear(w.row[:cap(w.row)])
 		clear(w.rides[:cap(w.rides)])
@@ -241,45 +237,14 @@ func (ws *Workspace) begin() uint32 {
 // wipe zeroes the full capacity of a stamp slice.
 func wipe(s []uint32) { clear(s[:cap(s)]) }
 
-// growTicks returns s with length n, reusing the backing array when it is
-// large enough. Contents are unspecified — callers gate reads with stamps
-// or overwrite eagerly.
-func growTicks(s []timeutil.Ticks, n int) []timeutil.Ticks {
+// grow returns s with length n, reusing the backing array when it is large
+// enough. Contents are unspecified: callers overwrite eagerly or gate reads
+// with stamps. A stamp slice re-exposes zeros (a fresh array) or stamps of
+// past generations, and both read as "unset" because generations only grow
+// between wipes.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]timeutil.Ticks, n)
-	}
-	return s[:n]
-}
-
-// growU32 returns a stamp slice of length n. Newly exposed entries are
-// either zero (fresh array) or stamps of past generations; both read as
-// "unset" because generations only grow between wipes.
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}
-
-// growLabels returns a label slice of length n; like growU32, entries from
-// earlier generations read as untouched.
-func growLabels(s []label, n int) []label {
-	if cap(s) < n {
-		return make([]label, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -287,19 +252,14 @@ func growInt(s []int, n int) []int {
 // ensureLabels dimensions the arrival store for ns station labels, all
 // Infinity, and, when parents are tracked, the parent links for n labels.
 func (ws *Workspace) ensureLabels(ns, n int, parents bool) {
-	ws.arr = growTicks(ws.arr, ns)
+	ws.arr = grow(ws.arr, ns)
 	for li := range ws.arr {
 		ws.arr[li] = timeutil.Infinity
 	}
 	if parents {
-		if cap(ws.parentNode) < n {
-			ws.parentNode = make([]graph.NodeID, n)
-			ws.parentConn = make([]timetable.ConnID, n)
-		} else {
-			ws.parentNode = ws.parentNode[:n]
-			ws.parentConn = ws.parentConn[:n]
-		}
-		ws.parentGen = growU32(ws.parentGen, n)
+		ws.parentNode = grow(ws.parentNode, n)
+		ws.parentConn = grow(ws.parentConn, n)
+		ws.parentGen = grow(ws.parentGen, n)
 	}
 }
 
@@ -313,10 +273,7 @@ func (ws *Workspace) worker(t int) *workerSpace {
 
 // counters returns a zeroed per-thread counter slice of length nw.
 func (ws *Workspace) counters(nw int) []stats.Counters {
-	if cap(ws.perThread) < nw {
-		ws.perThread = make([]stats.Counters, nw)
-	}
-	ws.perThread = ws.perThread[:nw]
+	ws.perThread = grow(ws.perThread, nw)
 	clear(ws.perThread)
 	return ws.perThread
 }
@@ -327,7 +284,7 @@ func (ws *Workspace) transferMarks(table *dtable.Table, ns int) []bool {
 	if ws.lastTable == table && len(ws.isTransfer) == ns {
 		return ws.isTransfer
 	}
-	ws.isTransfer = growBool(ws.isTransfer, ns)
+	ws.isTransfer = grow(ws.isTransfer, ns)
 	clear(ws.isTransfer)
 	for _, s := range table.Stations() {
 		ws.isTransfer[s] = true

@@ -395,8 +395,8 @@ func stationArrivals(res *ProfileResult) []timeutil.Ticks {
 // round again, and a station marked by the first generation 1 would read as
 // a target, whose settling stops the search before the real target settles.
 //
-// The row counter stamps the label row and the ride cursors of both profile
-// loops, once per connection, so it reaches the same limit k times sooner. A
+// The row counter stamps the label row and the ride cursors of the settle
+// loop, once per connection, so it reaches the same limit k times sooner. A
 // query that would cross it wipes both and starts over at 1, before it draws
 // its first stamp. The query just before ran right up to the limit: without
 // the row sweep its records would read as bounds of later connections and
@@ -740,7 +740,7 @@ func TestStopStatePackingBoundaries(t *testing.T) {
 	var s stopState
 	cases := []timeutil.Ticks{0, 1, timeutil.Infinity - 1, timeutil.Infinity}
 	for i, arr := range cases {
-		s.reset()
+		s = stopState{}
 		s.observeTargetSettle(i, arr)
 		if arr < timeutil.Infinity {
 			if !s.shouldPrune(i, arr) {
@@ -752,7 +752,7 @@ func TestStopStatePackingBoundaries(t *testing.T) {
 		}
 	}
 	// Values beyond Infinity saturate rather than truncate.
-	s.reset()
+	s = stopState{}
 	s.observeTargetSettle(0, timeutil.Infinity+12345)
 	if s.shouldPrune(0, timeutil.Infinity-1) {
 		t.Error("saturated arrival must not prune finite keys below Infinity")

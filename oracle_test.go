@@ -264,13 +264,29 @@ type oracleTally struct {
 	arrivals, journeys, unreachable, sameStation int
 	tableHits, local, pruned, walkWins           int
 	matrixCells, paretoPairs                     int
+	profiles, oneToAll, windowDeps               int
 }
 
-// checkPointKinds compares Plan's earliest-arrival, matrix and journey
-// answers on every variant with their references, for the given sources,
-// all targets and the given departure times, at Threads 1, 2 and 4. Arrivals
-// and matrix cells are checked against the connection scan, which shares no
-// code with the graph searches; journeys against the whole-period search.
+// planAll runs a one-to-all request and returns its profiles.
+func planAll(t *testing.T, n *Network, req Request) *AllProfiles {
+	t.Helper()
+	res, err := n.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatalf("one-to-all from %d: %v", req.From, err)
+	}
+	all, err := res.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
+// checkPointKinds compares Plan's earliest-arrival, profile, one-to-all,
+// matrix and journey answers on every variant with their references, for
+// the given sources, all targets and the given departure times, at Threads
+// 1, 2 and 4. Arrivals, profiles, one-to-all searches and matrix cells are
+// checked against the connection scan, which shares no code with the graph
+// searches; journeys and window searches against the whole-period search.
 // One Pareto request per departure, from one of the sources in turn, is
 // checked against the round scan (checkPareto).
 func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sources []StationID, targets []StationID, deps []Ticks, tally *oracleTally) {
@@ -414,6 +430,74 @@ func checkPointKinds(t *testing.T, label string, variants []oracleVariant, sourc
 			}
 		}
 
+		// Profiles and one-to-all searches at every departure against the
+		// connection scan; a window search against the whole-period one
+		// wherever the whole-period answer leaves inside the window. Its
+		// profile keeps every whole-period point in the window, and no
+		// connection it has arrives earlier than the whole-period answer.
+		pi := n.Period()
+		from, to := pi/3, 2*pi/3
+		var windowDeps []Ticks
+		for tp := from; tp <= to; tp += 7 {
+			windowDeps = append(windowDeps, tp)
+		}
+		for _, dep := range deps {
+			if tp := dep % pi; tp >= from && tp <= to {
+				windowDeps = append(windowDeps, dep)
+			}
+		}
+		for si, src := range sources {
+			for _, threads := range []int{1, 2, 4} {
+				where := fmt.Sprintf("%s/%s/p%d: from %d", label, v.name, threads, src)
+				all := planAll(t, n, Request{Kind: KindOneToAll, From: src, Options: Options{Threads: threads}})
+				win := planAll(t, n, Request{Kind: KindOneToAll, From: src, Window: &Window{From: from, To: to}, Options: Options{Threads: threads}})
+				for ti, dst := range targets {
+					res, err := n.Plan(ctx, Request{Kind: KindProfile, From: src, To: dst, Options: Options{Threads: threads}})
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					p, err := res.Profile()
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					for di, dep := range deps {
+						want := scan[di][si][ti]
+						if got := p.EarliestArrival(dep); got != want {
+							t.Fatalf("%s: profile to %d at %d: %d, connection scan %d", where, dst, dep, got, want)
+						}
+						if got := all.EarliestArrival(dst, dep); got != want {
+							t.Fatalf("%s: one-to-all to %d at %d: %d, connection scan %d", where, dst, dep, got, want)
+						}
+					}
+					whole, err := all.To(dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					part, err := win.To(dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, dep := range windowDeps {
+						if _, wait, err := whole.NextDeparture(dep); err == nil && dep%pi+wait > to {
+							continue // the whole-period answer leaves after the window
+						}
+						if got, want := part.EarliestArrival(dep), whole.EarliestArrival(dep); got != want {
+							t.Fatalf("%s: window [%d, %d] to %d at %d: %d, whole period %d", where, from, to, dst, dep, got, want)
+						}
+						if threads == 1 {
+							tally.windowDeps++
+						}
+					}
+					if threads == 1 {
+						tally.profiles++
+					}
+				}
+				if threads == 1 {
+					tally.oneToAll++
+				}
+			}
+		}
+
 		// One matrix request per departure over sources × targets.
 		for di, dep := range deps {
 			for _, threads := range []int{1, 2, 4} {
@@ -505,7 +589,8 @@ func TestPlanPointKindsOracle(t *testing.T) {
 
 	t.Logf("%+v", tally)
 	if tally.journeys == 0 || tally.unreachable == 0 || tally.sameStation == 0 ||
-		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 || tally.matrixCells == 0 || tally.paretoPairs == 0 {
+		tally.tableHits == 0 || tally.local == 0 || tally.pruned == 0 || tally.matrixCells == 0 || tally.paretoPairs == 0 ||
+		tally.profiles == 0 || tally.oneToAll == 0 || tally.windowDeps == 0 {
 		t.Fatalf("vacuous run: %+v", tally)
 	}
 }
