@@ -65,9 +65,9 @@
 // Every search a Plan runs uses pq.RadixHeap, a monotone bucket queue
 // without a position index or decrease-key, over 8-byte label records {best key
 // pushed, stamp}. Relaxing an edge compares against the head's record; an
-// improvement overwrites it and pushes a second queue entry, and the
-// superseded entry stays queued until it surfaces and is dropped (lazy
-// deletion). Parent links are written exactly when a record improves, so
+// improvement overwrites it and, for a queued node, pushes a second queue
+// entry, and the superseded entry stays queued until it surfaces and is
+// dropped (lazy deletion). Parent links are written exactly when a record improves, so
 // the last link written belongs to the final key.
 //
 // The settle loop (spcsWorker.run) searches a worker's connections one at a
@@ -96,6 +96,35 @@
 // the table is one point arena per row with CSR offsets, so a look-up
 // D(S, T, τ) is a binary search over a sub-slice (internal/dtable).
 //
+// Stations are queued, trips are scanned. A route node has two out-edges,
+// its Alight edge of weight 0 and at most one Ride edge to the next route
+// node, so every key it hands on is at least its own, and it can be
+// expanded the moment its record is written. Without a distance table the
+// loop queues no route node but the seeds: when a station settles at key,
+// each of its Board edges hands key + T(S) to spcsWorker.scan, which rides
+// the trip forward at once. At each route node the scan writes the record,
+// queues the node's station at the alight key unless that station's record
+// refuses it, and evaluates the ride edge; it moves on while the next
+// node's record admits the arrival, and stops at limit, at the end of the
+// route, or at a record that refuses the key, either because a later
+// connection is there no later (Theorem 1) or because this connection
+// already reached the node no later and scanned on from there. A record the
+// connection later rewrites lower is scanned again from that node. Every
+// key a scan writes is at least the key of the pop that started it, so no
+// push undercuts a pop and stations stay label-setting: a station pops at
+// its final key. Route records only fall, within a connection (a write
+// needs a lower key) and across the connections of a query (self-pruning).
+// A boarded node's own alight leads back to the station that just settled
+// and is refused, so it is not relaxed. This is RAPTOR's route scan
+// (Delling, Pajor, Werneck, ALENEX 2012) on the paper's schedule, with the
+// trip-following step of CSA's trip bits (Dibbelt, Pajor, Strasser,
+// Wagner, SEA 2013). The counters keep Table 1's meaning: SettledConns is
+// station settles plus route-record writes, and the queue counters count
+// stations, seeds and, under a table, route records. A table query queues
+// every route record as before, because Theorems 3 and 4 and the ancestor
+// count read route nodes at pops: one predicate at the two hand-over sites,
+// the board and the ride head, chooses the scan or the queue.
+//
 // Station-to-station (spcsWorker.q set) adds Section 4's prunings to the
 // same loop behind one branch per pop that no iteration changes (no policy
 // interface or type parameter: Go would call either indirectly), with the
@@ -113,23 +142,38 @@
 //
 // The time-query and the point query are the loop's one-connection form,
 // with one seed helper (spcsWorker.seed) for both. With no later connection
-// to prune against, the row record is the node's label: tentative while its
-// key is queued, final once the entry that carries it surfaces, so each
-// node settles at most once.
+// to prune against, the row record is the node's label: a station's is
+// tentative while its key is queued and final once the entry that carries
+// it surfaces, so each station settles at most once, and a route record
+// falls until the last scan that lowers it.
 //
-// A connection settles node v only below every key a later connection left
-// at v, so within one query each worker settles every node at strictly
-// falling keys, and evaluates the node's ride edge at falling keys too. The
-// next departure then only ever moves back through the edge's sorted
+// A connection settles or writes node v only below every key a later
+// connection left at v, and rewrites it only lower, so within one query each
+// worker evaluates the node's ride edge at strictly falling keys. The next
+// departure then only ever moves back through the edge's sorted
 // departures: the worker keeps one ride cursor per node (rideCursor: the
-// day base, time point and departure index of the last evaluation, and a
-// row stamp) and walks back from it instead of bisecting, which visits each
-// departure at most once per day the keys pass through. It bisects when the
-// cursor is from an earlier query, the key lies on another day, or the key
-// rose, which only DisableSelfPruning allows. A node has at most one ride
-// edge (a graph invariant the graph tests check), which is what lets the
-// cursor be indexed by node; every evaluation returns what graph.EvalRide
-// returns, so the cursor changes no label.
+// departure index of the last evaluation, the window (lo, hi] of keys that
+// catch that departure on the same day, and a row stamp) and walks back
+// from it instead of bisecting, which visits each departure at most once
+// per day the keys pass through. It bisects when the cursor is from an
+// earlier query, the key lies on another day, or the key rose, which only
+// DisableSelfPruning allows. A node has at most one ride edge (a graph
+// invariant the graph tests check), which is what lets the cursor be
+// indexed by node; every evaluation returns what graph.EvalRide returns, so
+// the cursor changes no label.
+//
+// Same ride: a key in (lo, hi] catches the departure the cursor's last
+// evaluation caught, and arrives when it arrived. If that evaluation ran
+// with a stamp at or after the row's floor, the head's record then took
+// that arrival or held a better one; an arrival at or beyond limit recorded
+// nothing and disarms the window instead. Records only fall within a query
+// and limit never rises, so the record check would refuse the key now. The
+// loop refuses it unevaluated (rideCursor.same) wherever it evaluates a
+// ride, without loading the edge's departures or moving the cursor, and
+// counts it in PrunedConns as the record check would have; answers and
+// parents cannot change. Once trips are scanned, most ride evaluations are
+// of freshly boarded nodes whose ride an earlier board of the same trip
+// already took, and those are what the refusal saves.
 //
 // The monotonicity invariant that makes this exact: keys are arrival times,
 // every edge weight is ≥ 0 (board T(S) ≥ 0, alight 0, walk ≥ 0, ride = wait
@@ -143,7 +187,8 @@
 // entries with equal keys surface in the reverse of the order they were
 // pushed in, whatever else the queue holds — which is why a search over
 // fewer connections (JourneySearch) settles the labels it shares with the
-// whole-period search in the same order and records the same parents.
+// whole-period search in the same order, starts its scans from them in
+// that order, and records the same parents (journey.go).
 //
 // The Pareto search (paretoWorker.run) is the one-to-all loop over a row of
 // numNodes × (maxTransfers+1) records, one per (node, layer) pair, each

@@ -48,10 +48,17 @@ var ErrUnreachable = errors.New("core: target unreachable")
 // such departure (or a* not the earliest arrival). A label beyond the bound
 // refuses nothing at or below it. The labels on c's best itineraries and
 // their equally good parents are therefore created in both searches with
-// the same keys; which parent a label keeps depends on the order its
-// predecessors settled in c's own queue, and equal keys surface in the
-// reverse of their push order whatever else is queued (pq.RadixHeap), so
-// that is the same as well. (With Threads > 1 the two searches partition
+// the same keys. Which parent a label keeps depends on which equally good
+// predecessor wrote it first, since a tie is refused. Every write of c's
+// search but its seeds happens at a pop of c's own queue: a station is
+// pushed by a scan or a walk, and a route record is written by the scan
+// that boards it from its settled station or rides into it from the stop
+// before, started at a pop and run to its end, in edge order, before the
+// next pop. Equal keys surface in the reverse of their push order whatever
+// else is queued (pq.RadixHeap), so the nodes on c's best itineraries pop
+// in the same order in both searches, their scans write c's route records
+// in the same order, and every parent is the same as well. (With
+// Threads > 1 the two searches partition
 // conn(S) differently, and of two connections that leave and arrive together
 // either may be kept.)
 //

@@ -40,6 +40,9 @@ type spcsWorker struct {
 	open    int
 	targets []uint32
 	q       *s2sQuery // nil for one-to-all
+	// routePops counts the route nodes popped: the seeds, and under a table
+	// every route record (TestScanQueuesStationsOnly reads it).
+	routePops int64
 
 	outcome
 }
@@ -58,8 +61,13 @@ type spcsWorker struct {
 // Only a station node's final key leaves the row: it is arr(T, i). A route
 // node's keys are read by self-pruning alone, through the row.
 //
+// Without a distance table the queue holds stations and seeds only: a board
+// or a ride hands its head route node to scan, which writes the records of
+// the trip it rides at once (package comment, "Queue and label layout").
 // A node's ride edge is evaluated through the worker's ride cursor of that
-// node (rideCursor), valid from the query's first stamp on.
+// node (rideCursor), valid from the query's first stamp on; a key that
+// catches the departure the cursor last caught in this query is refused
+// without evaluating it (rideCursor.same, refuse).
 //
 // A station-to-station query (q set) keeps no arrivals but T's, in ArrT,
 // and adds Section 4's prunings behind one branch on q per pop, which no
@@ -99,6 +107,10 @@ func (w *spcsWorker) run() {
 	done := w.opts.Done
 	hasParents := res.hasParents
 	limit := w.limit
+	// Without a table, a board or a ride hands its head to scan instead of
+	// the queue; table queries queue route nodes (Theorems 3 and 4 and the
+	// ancestor count read them at pops).
+	scan := q == nil || q.table == nil
 
 	// Station-to-station state, none for one-to-all: µ, ancestors and c.
 	var anc []bool
@@ -140,6 +152,9 @@ func (w *spcsWorker) run() {
 				}
 			}
 			v := graph.NodeID(it)
+			if v >= numStations {
+				w.routePops++
+			}
 			if q == nil {
 				w.counters.SettledConns++
 				if v < numStations {
@@ -185,13 +200,20 @@ func (w *spcsWorker) run() {
 			edges := g.OutEdges(v)
 			for e := range edges {
 				edge := &edges[e]
+				w.counters.Relaxed++
 				// EvalEdge by hand: the call is too big to inline and most
 				// edges are constant-weight.
 				arrTent, ride := key+edge.W, timetable.ConnID(-1)
 				if edge.Kind == graph.Ride {
-					arrTent, ride = rides[v].eval(g.RideConns(edge), period, key, qfloor, cur)
+					c := &rides[v]
+					if c.same(key, floor) {
+						w.refuse(c, v, limit, cur)
+						continue
+					}
+					if arrTent, ride = c.eval(g.RideConns(edge), period, key, qfloor, cur); arrTent >= limit {
+						c.disarm()
+					}
 				}
-				w.counters.Relaxed++
 				if arrTent >= limit {
 					if q != nil && !arrTent.IsInf() {
 						w.counters.PrunedConns++ // stopping criterion (Theorem 2)
@@ -204,6 +226,10 @@ func (w *spcsWorker) run() {
 						w.counters.PrunedConns++ // self-pruning (Theorem 1)
 					}
 					continue // connection-setting: (head, i) no better
+				}
+				if scan && edge.Head >= numStations { // a board or a ride
+					w.scan(edge.Head, arrTent, v, ride, i, limit, floor, qfloor, cur)
+					continue
 				}
 				if anc != nil {
 					// A label of i replaced by a better one leaves the count
@@ -224,6 +250,84 @@ func (w *spcsWorker) run() {
 				}
 			}
 		}
+	}
+}
+
+// scan rides a trip forward from route node u, which connection i (stamp
+// cur) reaches at key, a key the bound and u's record have admitted. At each
+// route node it writes the record (parent: the node it came from and the
+// connection ridden), queues the node's station at the alight key unless
+// that station's record refuses it, and evaluates the ride edge through the
+// node's cursor; it moves on to the next route node while that node's record
+// admits the arrival. Every key it writes is at least the key of the pop
+// that started it, so stations stay label-setting, and a record this
+// connection rewrites lower later is scanned again from there.
+func (w *spcsWorker) scan(u graph.NodeID, key timeutil.Ticks, from graph.NodeID, conn timetable.ConnID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) {
+	g, res, ws := w.g, w.res, w.ws
+	row, rides := ws.row, ws.rides
+	k := len(res.Deps)
+	// A boarded node's alight leads back to the station it was boarded
+	// from, settled at or below key: refused, so not relaxed.
+	alight := !g.IsStationNode(from)
+	for {
+		row[u] = label{key: key, stamp: cur}
+		w.counters.SettledConns++
+		if res.hasParents {
+			res.setParent(int(u)*k+i, from, conn)
+		}
+		if alight {
+			w.counters.Relaxed++
+			st := g.StationNode(g.Station(u))
+			if l := &row[st]; l.stamp < floor || key < l.key {
+				*l = label{key: key, stamp: cur}
+				ws.radix.Push(int32(st), key)
+				w.counters.QueuePushes++
+				if res.hasParents {
+					res.setParent(int(st)*k+i, u, -1)
+				}
+			} else if l.stamp != cur {
+				w.counters.PrunedConns++ // self-pruning (Theorem 1)
+			}
+		}
+		alight = true
+		c := &rides[u]
+		if c.same(key, floor) {
+			w.counters.Relaxed++
+			w.refuse(c, u, limit, cur)
+			return
+		}
+		edge := g.RideEdge(u)
+		if edge == nil {
+			return // the route ends
+		}
+		w.counters.Relaxed++
+		arr, ride := c.eval(g.RideConns(edge), g.TT.Period, key, qfloor, cur)
+		if arr >= limit {
+			c.disarm()
+			if w.q != nil && !arr.IsInf() {
+				w.counters.PrunedConns++ // stopping criterion (Theorem 2)
+			}
+			return
+		}
+		if l := &row[u+1]; l.stamp >= floor && arr >= l.key {
+			if l.stamp != cur {
+				w.counters.PrunedConns++ // self-pruning (Theorem 1)
+			}
+			return
+		}
+		from, u, key, conn = u, u+1, arr, ride
+	}
+}
+
+// refuse counts a ride out of route node u that u's cursor c refused
+// unevaluated (rideCursor.same) the way the bound and the record check would
+// have: the record of u+1, the ride's head, holds the arrival or better, so
+// the record check counts it unless that record is this connection's own,
+// and the bound, which may have fallen since, counts it in a
+// station-to-station query.
+func (w *spcsWorker) refuse(c *rideCursor, u graph.NodeID, limit timeutil.Ticks, cur uint32) {
+	if w.ws.row[u+1].stamp != cur || w.q != nil && c.arrival(w.g.RideConns(w.g.RideEdge(u)), w.g.TT.Period) >= limit {
+		w.counters.PrunedConns++
 	}
 }
 

@@ -103,12 +103,13 @@ func TestTimeQueryFIFO(t *testing.T) {
 	}
 }
 
-// The time-query's work is pinned: settled nodes, queue pushes and pops and
-// relaxed edges of TimeQuery and TimeQueryTo. The counts are a plain
-// time-dependent Dijkstra's over one label per node — each node settled
-// once, one push per improvement — which the one-to-all search must match
-// at k = 1. A target set stops the search at its last station; duplicates
-// and the source itself count once.
+// The time-query's work is pinned: settled labels, queue pushes and pops and
+// relaxed edges of TimeQuery and TimeQueryTo. The counts are the settle
+// loop's at k = 1: each station queued per improvement and settled once,
+// each route record written by a trip scan and counted as settled per
+// write (a record lowered later counts again), the seeds queued. A target
+// set stops the search at its last station; duplicates and the source
+// itself count once.
 func TestTimeQueryWork(t *testing.T) {
 	nets := workNets(t)
 	type work struct{ settled, pushes, pops, relaxed int64 }
@@ -119,18 +120,18 @@ func TestTimeQueryWork(t *testing.T) {
 		targets []timetable.StationID
 		want    work
 	}{
-		{"oahu", 0, 480, nil, work{56, 56, 56, 112}},
-		{"oahu", 8, 1000, nil, work{56, 56, 56, 112}},
-		{"oahu", 15, 1439, nil, work{56, 57, 56, 112}},
-		{"oahu", 0, 480, []timetable.StationID{5, 4}, work{13, 15, 13, 24}},
-		{"oahu", 8, 1000, []timetable.StationID{1, 2, 3, 2}, work{44, 45, 44, 85}},
-		{"oahu", 15, 1439, []timetable.StationID{15}, work{3, 5, 3, 4}},
-		{"germany", 0, 480, nil, work{171, 210, 171, 418}},
-		{"germany", 12, 1000, nil, work{171, 210, 171, 418}},
-		{"germany", 24, 1439, nil, work{171, 208, 171, 418}},
-		{"germany", 0, 480, []timetable.StationID{8, 6}, work{43, 53, 43, 98}},
-		{"germany", 12, 1000, []timetable.StationID{1, 2, 3, 2}, work{142, 177, 142, 346}},
-		{"germany", 24, 1439, []timetable.StationID{24}, work{9, 14, 9, 13}},
+		{"oahu", 0, 480, nil, work{58, 20, 20, 94}},
+		{"oahu", 8, 1000, nil, work{59, 20, 18, 95}},
+		{"oahu", 15, 1439, nil, work{59, 19, 18, 94}},
+		{"oahu", 0, 480, []timetable.StationID{5, 4}, work{18, 13, 8, 30}},
+		{"oahu", 8, 1000, []timetable.StationID{1, 2, 3, 2}, work{48, 18, 15, 75}},
+		{"oahu", 15, 1439, []timetable.StationID{15}, work{7, 7, 3, 10}},
+		{"germany", 0, 480, nil, work{230, 45, 31, 411}},
+		{"germany", 12, 1000, nil, work{229, 39, 27, 401}},
+		{"germany", 24, 1439, nil, work{228, 49, 33, 411}},
+		{"germany", 0, 480, []timetable.StationID{8, 6}, work{80, 32, 14, 146}},
+		{"germany", 12, 1000, []timetable.StationID{1, 2, 3, 2}, work{199, 39, 23, 349}},
+		{"germany", 24, 1439, []timetable.StationID{24}, work{29, 20, 9, 48}},
 	} {
 		ws := NewWorkspace()
 		var res *TimeQueryResult
@@ -175,7 +176,10 @@ func workNets(t *testing.T) map[string]*graph.Graph {
 // under each Disable* switch; germany has a local pair (0 → 5), a table hit
 // (9 → 1), a pair that target pruning answers (12 → 9) and one whose via
 // pruning refreshes µ past the first via station that keeps a label
-// (0 → 24). Pruned is pinned
+// (0 → 24). A search without a table to prune with (no table, a local
+// pair, a table without via stations, DisableTablePruning) scans trips; the
+// ones pruned by the table queue route nodes and keep the counts they had
+// before trips were scanned. Pruned is pinned
 // for one-to-all too: its arrival bound refuses labels without counting
 // them, where the station-to-station stopping criterion counts every finite
 // key it refuses.
@@ -210,34 +214,34 @@ func TestStationQueryWork(t *testing.T) {
 		opts     QueryOptions
 		want     work
 	}{
-		{kind: s2s, env: "oahu", src: 0, dst: 9, want: work{1557, 1601, 1557, 3034, 290}},
-		{kind: s2s, env: "oahu", src: 0, dst: 9, opts: stop, want: work{2490, 2534, 2490, 4925, 203}},
-		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, want: work{2144, 2145, 2144, 4123, 227}},
-		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, opts: noTable, want: work{2144, 2145, 2144, 4123, 227}},
-		{kind: s2s, env: "germany", src: 24, dst: 9, want: work{3074, 3163, 3074, 7773, 1327}},
-		{kind: s2s, env: "germany", src: 24, dst: 9, opts: stop, want: work{3080, 3174, 3080, 7785, 1179}},
-		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{590, 596, 590, 1358, 267}},
+		{kind: s2s, env: "oahu", src: 0, dst: 9, want: work{1604, 586, 539, 2431, 290}},
+		{kind: s2s, env: "oahu", src: 0, dst: 9, opts: stop, want: work{2413, 811, 764, 3687, 141}},
+		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, want: work{2148, 745, 741, 3299, 227}},
+		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, opts: noTable, want: work{2148, 745, 741, 3299, 227}},
+		{kind: s2s, env: "germany", src: 24, dst: 9, want: work{3209, 462, 416, 5629, 1382}},
+		{kind: s2s, env: "germany", src: 24, dst: 9, opts: stop, want: work{3231, 465, 418, 5669, 1237}},
+		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{629, 141, 130, 1044, 279}},
 		{kind: s2s, env: "germany+deg2", src: 9, dst: 1, want: work{}},
 		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, want: work{115, 128, 115, 242, 20}},
 		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{830, 977, 863, 2059, 130}},
 		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{2967, 3192, 3101, 7574, 1300}},
-		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{3468, 3610, 3468, 8721, 1246}},
+		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{3738, 596, 479, 6565, 1318}},
 		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1393, 1639, 1455, 3402, 311}},
-		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, want: work{18, 21, 18, 34, 0}},
-		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, opts: stop, want: work{18, 21, 18, 34, 0}},
-		{kind: point, env: "oahu+deg2", src: 8, dst: 3, depart: 1000, want: work{44, 45, 44, 85, 0}},
-		{kind: point, env: "germany", src: 24, dst: 9, depart: 480, want: work{83, 106, 83, 207, 0}},
-		{kind: point, env: "germany+deg2", src: 0, dst: 5, depart: 700, want: work{14, 18, 14, 30, 0}},
+		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, want: work{24, 13, 11, 39, 0}},
+		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, opts: stop, want: work{24, 13, 11, 39, 0}},
+		{kind: point, env: "oahu+deg2", src: 8, dst: 3, depart: 1000, want: work{48, 18, 15, 75, 0}},
+		{kind: point, env: "germany", src: 24, dst: 9, depart: 480, want: work{131, 34, 18, 239, 0}},
+		{kind: point, env: "germany+deg2", src: 0, dst: 5, depart: 700, want: work{30, 20, 9, 57, 0}},
 		{kind: point, env: "germany+deg2", src: 9, dst: 1, depart: 700, want: work{}},
 		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, want: work{11, 20, 11, 28, 0}},
 		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, opts: noTarget, want: work{83, 112, 94, 209, 11}},
 		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, want: work{95, 119, 99, 236, 4}},
-		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, opts: noTable, want: work{132, 160, 132, 322, 0}},
+		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, opts: noTable, want: work{199, 52, 27, 360, 0}},
 		{kind: point, env: "germany+deg2", src: 0, dst: 24, depart: 1000, want: work{118, 161, 127, 293, 9}},
-		{kind: oneToAll, env: "oahu", src: 0, want: work{2883, 2884, 2883, 5768, 190}},
-		{kind: oneToAll, env: "germany", src: 12, want: work{1420, 1627, 1420, 3478, 104}},
-		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{235, 235, 235, 472, 12}},
-		{kind: window, env: "germany", src: 12, depart: 480, until: 720, want: work{111, 114, 111, 275, 4}},
+		{kind: oneToAll, env: "oahu", src: 0, want: work{2887, 895, 892, 4508, 190}},
+		{kind: oneToAll, env: "germany", src: 12, want: work{1734, 311, 216, 3047, 122}},
+		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{235, 74, 74, 366, 12}},
+		{kind: window, env: "germany", src: 12, depart: 480, until: 720, want: work{115, 19, 18, 201, 4}},
 	} {
 		env := envs[c.env]
 		ws := NewWorkspace()
@@ -272,5 +276,76 @@ func TestStationQueryWork(t *testing.T) {
 				[...]string{"StationToStation", "EarliestArrival", "OneToAll", "OneToAllWindow"}[c.kind],
 				c.env, c.src, c.dst, c.depart, c.opts, got, c.want)
 		}
+	}
+}
+
+// TestScanQueuesStationsOnly checks the settle loop's schedule. Without a
+// distance table a board or a ride hands its head to scan, so the only route
+// nodes that pass through the queue are seeds: at most one per connection of
+// a profile search, and the route nodes of S for a point search, at any
+// thread count. A table query still queues the route records it reaches,
+// since Theorems 3 and 4 read them at pops.
+func TestScanQueuesStationsOnly(t *testing.T) {
+	nets := workNets(t)
+	routePops := func(ws *Workspace) (n int64) {
+		for _, w := range ws.spcsBuf {
+			n += w.routePops
+		}
+		return n
+	}
+	for name, g := range nets {
+		boards := func(s timetable.StationID) (n int64) {
+			for _, e := range g.OutEdges(g.StationNode(s)) {
+				if e.Kind == graph.Board {
+					n++
+				}
+			}
+			return n
+		}
+		check := func(what string, src timetable.StationID, run stats.Run, routes, seeds int64) {
+			t.Helper()
+			if routes > seeds || run.Total.QueuePops <= routes {
+				t.Errorf("%s %s from %d at %d threads: %d route-node pops of %d, at most %d seeds",
+					name, what, src, len(run.PerThread), routes, run.Total.QueuePops, seeds)
+			}
+		}
+		for _, threads := range []int{1, 2} {
+			opts := Options{Threads: threads}
+			ws := NewWorkspace()
+			for _, src := range []timetable.StationID{0, timetable.StationID(g.NumStations() / 2)} {
+				all, err := ws.OneToAll(g, src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("one-to-all", src, all.Run, routePops(ws), int64(len(all.Conns)))
+				tq, err := ws.TimeQuery(g, src, 480, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("time-query", src, tq.Run, routePops(ws), boards(src))
+				pt, err := ws.EarliestArrival(QueryEnv{Graph: g}, src, 1, 480, QueryOptions{Options: opts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("earliest arrival", src, pt.Run, routePops(ws), boards(src))
+			}
+		}
+	}
+
+	// Germany 24 → 13 prunes by the deg > 2 table (TestStationQueryWork):
+	// its route records go through the queue.
+	g := nets["germany"]
+	sg := stationgraph.Build(g.TT)
+	pre, err := BuildDistanceTable(g, sg.SelectByDegree(2), Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	res, err := ws.StationToStation(QueryEnv{Graph: g, StationGraph: sg, Table: pre.Table}, 24, 13, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routes := routePops(ws); routes <= int64(len(res.Conns)) {
+		t.Errorf("table query germany 24 → 13: %d route-node pops, want more than its %d seeds", routes, len(res.Conns))
 	}
 }

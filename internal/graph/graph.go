@@ -286,6 +286,17 @@ func (g *Graph) RideConns(e *Edge) []RideConn {
 	return g.rideConns[e.First : e.First+e.Num]
 }
 
+// RideEdge returns the Ride edge of route node u, which leads to u+1, or nil
+// when u is the last stop of its route: a route node's out-edges are its
+// Alight edge and then its Ride edge.
+func (g *Graph) RideEdge(u NodeID) *Edge {
+	lo, hi := g.firstOut[u], g.firstOut[u+1]
+	if hi-lo < 2 {
+		return nil
+	}
+	return &g.edges[hi-1]
+}
+
 // ConnDepartureNode returns the route node where connection c departs; this
 // is where the profile search seeds queue items (r, i).
 func (g *Graph) ConnDepartureNode(c timetable.ConnID) NodeID { return g.connDepNode[c] }

@@ -186,6 +186,26 @@ func TestGraphInvariantsAcrossFamilies(t *testing.T) {
 
 			assertOneRideEdgePerNode(t, g)
 
+			// A route node's out-edges are its Alight edge, then its Ride
+			// edge to the next route node, which RideEdge returns (nil at
+			// the last stop): the settle loop's trip scan reads them so.
+			for u := NodeID(g.NumStations()); int(u) < g.NumNodes(); u++ {
+				edges := g.OutEdges(u)
+				if len(edges) == 0 || len(edges) > 2 || edges[0].Kind != Alight {
+					t.Fatalf("route node %d: out-edges %v, want Alight then at most one Ride", u, edges)
+				}
+				ride := g.RideEdge(u)
+				if len(edges) == 1 {
+					if ride != nil {
+						t.Fatalf("route node %d: RideEdge %v at the last stop", u, ride)
+					}
+					continue
+				}
+				if ride != &edges[1] || ride.Kind != Ride || ride.Head != u+1 {
+					t.Fatalf("route node %d: RideEdge %v, out-edges %v, want a Ride edge to %d", u, ride, edges, u+1)
+				}
+			}
+
 			// Station nodes have exactly one board edge per route node at
 			// that station.
 			routeNodesAt := make(map[timetable.StationID]int)

@@ -14,11 +14,12 @@ import "sync/atomic"
 type Effort struct {
 	// ConnsScanned counts edge relaxations (connections looked at).
 	ConnsScanned atomic.Int64
-	// LabelsSettled counts queue extractions that survived pruning and
-	// relaxed their edges — the paper's "settled connections".
+	// LabelsSettled is Counters.SettledConns — the paper's "settled
+	// connections": queue extractions that survived pruning and relaxed
+	// their edges, plus the route records trip scans write.
 	LabelsSettled atomic.Int64
-	// PrunedConns counts extractions discarded by self-pruning, stopping
-	// criterion, distance-table or target pruning.
+	// PrunedConns is Counters.PrunedConns: labels refused or discarded by
+	// self-pruning, stopping criterion, distance-table or target pruning.
 	PrunedConns atomic.Int64
 	// PQPushes / PQPops count priority-queue operations.
 	PQPushes atomic.Int64

@@ -14,15 +14,22 @@ import (
 // Counters accumulates the work of one search (or one thread of a parallel
 // search).
 type Counters struct {
-	// SettledConns counts queue extractions that passed self-pruning and
-	// relaxed their edges; this is the paper's "settled connections".
+	// SettledConns counts the paper's "settled connections": queue
+	// extractions that passed the prunings and relaxed their edges, plus,
+	// in the settle loop's searches without a distance table, every route
+	// record a trip scan writes (those route nodes are never queued).
 	SettledConns int64
-	// PrunedConns counts extractions discarded by self-pruning, stopping
-	// criterion, distance-table or target pruning.
+	// PrunedConns counts labels refused or discarded by self-pruning,
+	// stopping criterion, distance-table or target pruning. A ride the
+	// settle loop refuses unevaluated because it repeats a departure already
+	// taken counts as the record check would have counted it.
 	PrunedConns int64
-	// QueuePushes counts insert + decrease-key operations.
+	// QueuePushes counts insert + decrease-key operations. The settle loop
+	// queues stations and seeds, and route nodes only in a search a distance
+	// table prunes.
 	QueuePushes int64
-	// QueuePops counts extract-min operations.
+	// QueuePops counts live extract-min operations, of what QueuePushes
+	// queued.
 	QueuePops int64
 	// Relaxed counts edge relaxations.
 	Relaxed int64

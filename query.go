@@ -125,7 +125,9 @@ func (p *Profile) Empty() bool { return p.fn.Empty() && p.walkOnly.IsInf() }
 // QueryStats reports the work of one query, mirroring the paper's metrics.
 type QueryStats struct {
 	// SettledConnections is the number of (node, connection) labels settled
-	// (summed over threads).
+	// (summed over threads): station labels popped from the queue, plus the
+	// route-node records the trip scans write, or, under a distance table,
+	// the route-node labels popped.
 	SettledConnections int64
 	// MaxThreadSettled is the critical-path work of the slowest thread.
 	MaxThreadSettled int64
