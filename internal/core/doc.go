@@ -99,10 +99,10 @@
 // Stations are queued, trips are scanned. A route node has two out-edges,
 // its Alight edge of weight 0 and at most one Ride edge to the next route
 // node, so every key it hands on is at least its own, and it can be
-// expanded the moment its record is written. Without a distance table the
-// loop queues no route node but the seeds: when a station settles at key,
-// each of its Board edges hands key + T(S) to spcsWorker.scan, which rides
-// the trip forward at once. At each route node the scan writes the record,
+// expanded the moment its record is written. The loop queues no route node
+// but the seeds: when a station settles at key, each of its Board edges
+// hands key + T(S) to spcsWorker.scan, which rides the trip forward at once
+// (spcsWorker.scanTable in a query the distance table prunes, below). At each route node the scan writes the record,
 // queues the node's station at the alight key unless that station's record
 // refuses it, and evaluates the ride edge; it moves on while the next
 // node's record admits the arrival, and stops at limit, at the end of the
@@ -120,10 +120,13 @@
 // trip-following step of CSA's trip bits (Dibbelt, Pajor, Strasser,
 // Wagner, SEA 2013). The counters keep Table 1's meaning: SettledConns is
 // station settles plus route-record writes, and the queue counters count
-// stations, seeds and, under a table, route records. A table query queues
-// every route record as before, because Theorems 3 and 4 and the ancestor
-// count read route nodes at pops: one predicate at the two hand-over sites,
-// the board and the ride head, chooses the scan or the queue.
+// stations and seeds. A query the distance table prunes scans through
+// scanTable, which runs Theorems 3 and 4 at each record it writes, as a pop
+// of that record would: a pruned record ends the trip, an answer ends the
+// connection, and a transfer-station ancestor found on the trip holds for
+// the rest of it. One branch at the hand-over of a board or a ride head
+// chooses scan or scanTable, so the no-table scan is the same code as
+// without Section 4.
 //
 // Station-to-station (spcsWorker.q set) adds Section 4's prunings to the
 // same loop behind one branch per pop that no iteration changes (no policy
@@ -135,10 +138,17 @@
 // stopState is read at each pop when there are any), and i ends when T
 // settles. µ, γ and the count of tentative labels without a
 // transfer-station ancestor belong to the one connection being searched,
-// beside one ancestor flag per node (Theorems 3–4). A connection cut short
-// leaves tentative keys in the row; each is an arrival it achieves, so as
-// bounds they refuse only dominated labels (docs/PREPROCESSING.md has that
-// argument and the one for γ).
+// beside one ancestor flag per node (Theorems 3–4); a popped node without
+// such an ancestor stays in that count until its edge loop is done, since a
+// scan may check records before the node's other edges are relaxed. Each
+// check of a transfer station reads D at key and key + T(st) from one
+// search of the profile (dtable.Table.D2), and a per-worker memo of the
+// connection's last check per transfer station skips the look-ups where
+// FIFO and a falling µ decide the check already (spcsWorker.prune). A
+// connection cut short leaves tentative keys in the row; each is an arrival
+// it achieves, so as bounds they refuse only dominated labels
+// (docs/PREPROCESSING.md has that argument, the ones for γ, for pruning at
+// scanned records and for the open count, and the memo's).
 //
 // The time-query and the point query are the loop's one-connection form,
 // with one seed helper (spcsWorker.seed) for both. With no later connection

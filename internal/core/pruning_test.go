@@ -198,3 +198,55 @@ func TestLocalQueryUsesStoppingOnly(t *testing.T) {
 	}
 	t.Skip("no local pair found")
 }
+
+// TestPruneMemoExact checks that the prune memo only saves look-ups: on a
+// rail and a bus network with contraction-selected tables, every sampled
+// profile and point query answers the same and counts the same work with
+// the memo as without it, one workspace reused across the queries each.
+func TestPruneMemoExact(t *testing.T) {
+	rail, _, _ := railEnv(t, 0.25, 0.15)
+	cfg, err := gen.FamilyConfig(gen.LosAngeles, 0.08, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, bsg := graph.Build(tt), stationgraph.Build(tt)
+	pre, err := BuildDistanceTable(bg, bsg.SelectByContraction(tt.NumStations()/10), Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := QueryEnv{Graph: bg, StationGraph: bsg, Table: pre.Table}
+	for name, env := range map[string]QueryEnv{"rail": rail, "bus": bus} {
+		ws, noMemo := NewWorkspace(), NewWorkspace()
+		noMemo.noMemo = true
+		ns := env.Graph.NumStations()
+		pruned := 0
+		for q := 0; q < 40; q++ {
+			src, dst := timetable.StationID(q*7%ns), timetable.StationID((q*13+5)%ns)
+			for _, depart := range []timeutil.Ticks{wholePeriod, timeutil.Ticks(q * 37 % 1440)} {
+				a, err := ws.stationQuery(env, src, dst, depart, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ws.s2q.table != nil {
+					pruned++
+				}
+				arr, run := append([]timeutil.Ticks(nil), a.ArrT...), a.Run.Total
+				b, err := noMemo.stationQuery(env, src, dst, depart, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTicks(t, name+" ArrT", arr, b.ArrT)
+				if run != b.Run.Total {
+					t.Fatalf("%s %d → %d at %d: %v with the memo, %v without", name, src, dst, depart, run, b.Run.Total)
+				}
+			}
+		}
+		if pruned < 20 {
+			t.Fatalf("%s: only %d of 80 queries pruned by the table", name, pruned)
+		}
+	}
+}

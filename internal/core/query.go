@@ -269,8 +269,14 @@ func (ws *Workspace) stationQuery(env QueryEnv, source, target timetable.Station
 	}
 	if useTable && !res.Local && len(vias.Via) > 0 {
 		q.table = env.Table
-		q.vias = vias.Via
-		q.targetIsTransfer = env.Table.IsTransfer(target) && !opts.DisableTargetPruning
+		ws.viaRefs = ws.viaRefs[:0]
+		for _, v := range vias.Via {
+			ws.viaRefs = append(ws.viaRefs, viaRef{idx: env.Table.Index(v), transfer: g.TT.Stations[v].Transfer})
+		}
+		q.vias = ws.viaRefs
+		q.targetIdx = env.Table.Index(target)
+		q.targetIsTransfer = q.targetIdx >= 0 && !opts.DisableTargetPruning
+		q.noMemo = ws.noMemo
 	}
 
 	// The workers read conn(S) from a result shell with no arrival store.
@@ -299,10 +305,21 @@ type s2sQuery struct {
 	stopping, crossStop bool
 	stop                stopState
 
-	// Distance-table pruning state (nil/false when inactive).
+	// Distance-table pruning state (nil/false when inactive): the via
+	// stations and the target by transfer index (dtable.Table.Index), each
+	// via with its transfer time, resolved once per query.
 	table            *dtable.Table
-	vias             []timetable.StationID
+	vias             []viaRef
+	targetIdx        int
 	targetIsTransfer bool
+	noMemo           bool // Workspace.noMemo
+}
+
+// viaRef is a via station of a station-to-station query as the table
+// prunings read it: its transfer index and its transfer time.
+type viaRef struct {
+	idx      int
+	transfer timeutil.Ticks
 }
 
 // answer records a as connection i's arrival at T and returns the bound of

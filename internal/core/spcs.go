@@ -40,8 +40,8 @@ type spcsWorker struct {
 	open    int
 	targets []uint32
 	q       *s2sQuery // nil for one-to-all
-	// routePops counts the route nodes popped: the seeds, and under a table
-	// every route record (TestScanQueuesStationsOnly reads it).
+	// routePops counts the route nodes popped, which are seeds only
+	// (TestScanQueuesStationsOnly reads it).
 	routePops int64
 
 	outcome
@@ -61,13 +61,13 @@ type spcsWorker struct {
 // Only a station node's final key leaves the row: it is arr(T, i). A route
 // node's keys are read by self-pruning alone, through the row.
 //
-// Without a distance table the queue holds stations and seeds only: a board
-// or a ride hands its head route node to scan, which writes the records of
-// the trip it rides at once (package comment, "Queue and label layout").
-// A node's ride edge is evaluated through the worker's ride cursor of that
-// node (rideCursor), valid from the query's first stamp on; a key that
-// catches the departure the cursor last caught in this query is refused
-// without evaluating it (rideCursor.same, refuse).
+// The queue holds stations and seeds only: a board or a ride hands its head
+// route node to scan, or to scanTable in a query the distance table prunes,
+// which writes the records of the trip it rides at once (package comment,
+// "Queue and label layout"). A node's ride edge is evaluated through the
+// worker's ride cursor of that node (rideCursor), valid from the query's
+// first stamp on; a key that catches the departure the cursor last caught in
+// this query is refused without evaluating it (rideCursor.same, refuse).
 //
 // A station-to-station query (q set) keeps no arrivals but T's, in ArrT,
 // and adds Section 4's prunings behind one branch on q per pop, which no
@@ -81,7 +81,10 @@ type spcsWorker struct {
 //   - Theorem 3: a settled transfer station that cannot improve µ at any via
 //     station is not expanded.
 //   - Theorem 4: once every tentative label of i has a transfer-station
-//     ancestor, γ answers i and ends it.
+//     ancestor, γ answers i and ends it. A popped node without one stays
+//     open, counted in c.noAnc, until its edge loop is done: a trip scanned
+//     from its first board may pass a transfer station while its other
+//     boards are unrelaxed.
 //
 // The later connections of the worker are finished before i starts, so
 // what the prunings keep belongs to connection i and restarts with the next
@@ -107,12 +110,12 @@ func (w *spcsWorker) run() {
 	done := w.opts.Done
 	hasParents := res.hasParents
 	limit := w.limit
-	// Without a table, a board or a ride hands its head to scan instead of
-	// the queue; table queries queue route nodes (Theorems 3 and 4 and the
-	// ancestor count read them at pops).
-	scan := q == nil || q.table == nil
+	// A board or a ride hands its head to scan, or to scanTable when the
+	// table prunes (Theorems 3 and 4 then run at each record it writes).
+	table := q != nil && q.table != nil
 
-	// Station-to-station state, none for one-to-all: µ, ancestors and c.
+	// Station-to-station state, none for one-to-all: µ, ancestors, the
+	// prune memo and c.
 	var anc []bool
 	var c s2sConn
 	if q != nil {
@@ -120,6 +123,9 @@ func (w *spcsWorker) run() {
 		if q.targetIsTransfer {
 			ws.anc = grow(ws.anc, numNodes)
 			anc = ws.anc
+		}
+		if table {
+			ws.memo = grow(ws.memo, q.table.NumTransfer())
 		}
 	}
 
@@ -138,6 +144,7 @@ func (w *spcsWorker) run() {
 		}
 		c.noAnc = w.seed(i, limit, floor, cur)
 
+	search:
 		for !heap.Empty() {
 			it, key := heap.PopMin()
 			if row[it].key != key {
@@ -177,6 +184,10 @@ func (w *spcsWorker) run() {
 					break
 				}
 				if anc != nil {
+					if c.open { // the node popped before has relaxed its edges
+						c.noAnc--
+						c.open = false
+					}
 					if c.childAnc = anc[v]; !c.childAnc {
 						c.noAnc--
 					}
@@ -186,13 +197,19 @@ func (w *spcsWorker) run() {
 					limit = q.answer(i, key, limit)
 					break
 				}
-				if q.table != nil {
+				if table {
 					var act int
-					if act, limit = w.prune(&c, i, v, key, limit); act == endConn {
+					if act, limit = w.prune(&c, i, v, key, limit, cur); act == endConn {
 						break
 					} else if act == skipNode {
 						continue
 					}
+				}
+				// A node without a transfer-station ancestor stays open until
+				// its edges are relaxed, that is, until the next pop.
+				if anc != nil && !c.childAnc {
+					c.noAnc++
+					c.open = true
 				}
 			}
 
@@ -227,20 +244,19 @@ func (w *spcsWorker) run() {
 					}
 					continue // connection-setting: (head, i) no better
 				}
-				if scan && edge.Head >= numStations { // a board or a ride
-					w.scan(edge.Head, arrTent, v, ride, i, limit, floor, qfloor, cur)
+				if edge.Head >= numStations { // a board or a ride
+					if !table {
+						w.scan(edge.Head, arrTent, v, ride, i, limit, floor, qfloor, cur)
+						continue
+					}
+					var ended bool
+					if ended, limit = w.scanTable(&c, edge.Head, arrTent, v, i, limit, floor, qfloor, cur); ended {
+						break search
+					}
 					continue
 				}
 				if anc != nil {
-					// A label of i replaced by a better one leaves the count
-					// first (a settled one is never replaced: see above).
-					if l.stamp == cur && !anc[edge.Head] {
-						c.noAnc--
-					}
-					if !c.childAnc {
-						c.noAnc++
-					}
-					anc[edge.Head] = c.childAnc
+					w.pushAnc(&c, edge.Head, cur)
 				}
 				*l = label{key: arrTent, stamp: cur}
 				heap.Push(int32(edge.Head), arrTent)
@@ -251,6 +267,22 @@ func (w *spcsWorker) run() {
 			}
 		}
 	}
+}
+
+// pushAnc does the ancestor bookkeeping of queueing station node v for the
+// connection of stamp cur, before v's record is written: a label of the
+// connection that the push replaces leaves the count of labels without a
+// transfer-station ancestor first (a settled one is never replaced: see
+// run), and the new label inherits the flag of the node it comes from.
+func (w *spcsWorker) pushAnc(c *s2sConn, v graph.NodeID, cur uint32) {
+	anc := w.ws.anc
+	if w.ws.row[v].stamp == cur && !anc[v] {
+		c.noAnc--
+	}
+	if !c.childAnc {
+		c.noAnc++
+	}
+	anc[v] = c.childAnc
 }
 
 // scan rides a trip forward from route node u, which connection i (stamp
@@ -319,6 +351,77 @@ func (w *spcsWorker) scan(u graph.NodeID, key timeutil.Ticks, from graph.NodeID,
 	}
 }
 
+// scanTable is scan for a query the distance table prunes (q.table set). At
+// each record it writes it runs the table prunings (prune) as a pop of that
+// record would: a record pruned by Theorem 3 ends the trip there, and an
+// answer by Theorem 4 ends the connection, which scanTable reports with the
+// bound of the worker's next connection. A transfer-station ancestor that
+// prune finds holds for the rest of the trip, and c.childAnc is restored
+// for the caller's other edges on return. A station the scan queues gets
+// the ancestor bookkeeping of run's pushes (pushAnc); its key, like every
+// key the scan writes, is below limit, which only an answer that ends the
+// connection lowers. A station-to-station query keeps no parents.
+func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from graph.NodeID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) (bool, timeutil.Ticks) {
+	g, ws := w.g, w.ws
+	row, rides := ws.row, ws.rides
+	anc, childAnc := w.q.targetIsTransfer, c.childAnc
+	alight := !g.IsStationNode(from)
+	for {
+		row[u] = label{key: key, stamp: cur}
+		w.counters.SettledConns++
+		act, bound := w.prune(c, i, u, key, limit, cur)
+		if act == endConn {
+			return true, bound
+		}
+		if act == skipNode {
+			break
+		}
+		if alight {
+			w.counters.Relaxed++
+			st := g.StationNode(g.Station(u))
+			if l := &row[st]; l.stamp < floor || key < l.key {
+				if anc {
+					w.pushAnc(c, st, cur)
+				}
+				*l = label{key: key, stamp: cur}
+				ws.radix.Push(int32(st), key)
+				w.counters.QueuePushes++
+			} else if l.stamp != cur {
+				w.counters.PrunedConns++ // self-pruning (Theorem 1)
+			}
+		}
+		alight = true
+		rc := &rides[u]
+		if rc.same(key, floor) {
+			w.counters.Relaxed++
+			w.refuse(rc, u, limit, cur)
+			break
+		}
+		edge := g.RideEdge(u)
+		if edge == nil {
+			break // the route ends
+		}
+		w.counters.Relaxed++
+		arr, _ := rc.eval(g.RideConns(edge), g.TT.Period, key, qfloor, cur)
+		if arr >= limit {
+			rc.disarm()
+			if !arr.IsInf() {
+				w.counters.PrunedConns++ // stopping criterion (Theorem 2)
+			}
+			break
+		}
+		if l := &row[u+1]; l.stamp >= floor && arr >= l.key {
+			if l.stamp != cur {
+				w.counters.PrunedConns++ // self-pruning (Theorem 1)
+			}
+			break
+		}
+		from, u, key = u, u+1, arr
+	}
+	c.childAnc = childAnc
+	return false, limit
+}
+
 // refuse counts a ride out of route node u that u's cursor c refused
 // unevaluated (rideCursor.same) the way the bound and the record check would
 // have: the record of u+1, the ride's head, holds the arrival or better, so
@@ -333,12 +436,16 @@ func (w *spcsWorker) refuse(c *rideCursor, u graph.NodeID, limit timeutil.Ticks,
 
 // s2sConn is the station-to-station state of the connection being searched,
 // restarted with each connection: γ, the count of its tentative labels whose
-// path passed no transfer station, and whether the node it settled last
-// hands a transfer-station ancestor to the labels it pushes.
+// path passed no transfer station, whether the node it settled last hands a
+// transfer-station ancestor to the labels it pushes, whether that node still
+// counts as open in noAnc (run), and how often µ fell (the prune memo's µ
+// version).
 type s2sConn struct {
 	gamma    timeutil.Ticks
 	noAnc    int
 	childAnc bool
+	open     bool
+	muVer    uint32
 }
 
 // What the loop does with a node prune has seen.
@@ -348,11 +455,32 @@ const (
 	endConn    // γ answered the connection (Theorem 4)
 )
 
+// pruneMemo is the last check prune made at one transfer station for the
+// connection of stamp stamp: the key, the µ version after it, whether it
+// pruned, and dT = D(st, T, key + T(st)), the value γ's answer test reads.
+type pruneMemo struct {
+	stamp uint32
+	key   timeutil.Ticks
+	muVer uint32
+	dT    timeutil.Ticks
+	skip  bool
+}
+
 // prune applies the table prunings (Theorems 3 and 4) to node v, which
-// connection i of a station-to-station query has just settled at key, and
-// returns what the loop does with v and the bound of the worker's next
-// connection.
-func (w *spcsWorker) prune(c *s2sConn, i int, v graph.NodeID, key, limit timeutil.Ticks) (int, timeutil.Ticks) {
+// connection i (stamp cur) of a station-to-station query has just settled
+// or scanned at key, and returns what the loop does with v and the bound of
+// the worker's next connection.
+//
+// Each check costs one look-up per via station and one for the target, each
+// returning D at key and at key + T(st) from one search (dtable.Table.D2).
+// The station's memo entry skips the look-ups where they cannot change a
+// thing: the connection's last check at st, at the same key with µ
+// unchanged since, repeats its decision, and one that pruned at a key k′ ≤
+// key prunes again. D is FIFO and µ only falls, so D(st, v_j, key) ≥
+// D(st, v_j, k′) > µ_j then ≥ µ_j now, and neither µ nor γ can fall from a
+// check at key (docs/PREPROCESSING.md). γ's answer test still runs, from the
+// memo's dT at the same key.
+func (w *spcsWorker) prune(c *s2sConn, i int, v graph.NodeID, key, limit timeutil.Ticks, cur uint32) (int, timeutil.Ticks) {
 	q := w.q
 	// The table prunings read D(st, ·, key) as the earliest arrival of
 	// anything that continues from here. A table profile holds the
@@ -361,37 +489,56 @@ func (w *spcsWorker) prune(c *s2sConn, i int, v graph.NodeID, key, limit timeuti
 	// nor counted as a transfer-station ancestor.
 	g, table := w.g, q.table
 	st := g.Station(v)
-	if !table.IsTransfer(st) || q.footpaths && len(g.TT.FootpathsFrom(st)) > 0 {
+	si := table.Index(st)
+	if si < 0 || q.footpaths && len(g.TT.FootpathsFrom(st)) > 0 {
 		return expandNode, limit
 	}
 	c.childAnc = true
-	stations := g.TT.Stations
-	arrWithTransfer := key + stations[st].Transfer
-	// Target pruning (Theorem 4).
-	if q.targetIsTransfer {
-		if d := table.D(st, q.target, key); d < c.gamma {
-			c.gamma = d
-		}
-		// γ is a feasible lower bound only once every tentative label of i
-		// has a transfer-station ancestor: then the optimal path's frontier
-		// passed a settled transfer station, which has already contributed
-		// to γ.
-		if c.noAnc == 0 {
-			if d := table.D(st, q.target, arrWithTransfer); d == c.gamma {
-				return endConn, q.answer(i, d, limit)
+	m := &w.ws.memo[si]
+	var prune bool
+	if m.stamp == cur && !q.noMemo && (m.skip && m.key <= key || m.key == key && m.muVer == c.muVer) {
+		if q.targetIsTransfer && c.noAnc == 0 && m.dT == c.gamma {
+			dT := m.dT
+			if key != m.key {
+				_, dT = table.D2(si, q.targetIdx, key, g.TT.Stations[st].Transfer)
+			}
+			if dT == c.gamma {
+				return endConn, q.answer(i, dT, limit)
 			}
 		}
-	}
-	// Distance-table pruning (Theorem 3): refresh µ_j, then prune v if it
-	// provably cannot improve any via station.
-	prune, mu := true, w.ws.mu
-	for j, vj := range q.vias {
-		if m := table.D(st, vj, arrWithTransfer) + stations[vj].Transfer; m < mu[j] {
-			mu[j] = m
+		prune = m.skip
+	} else {
+		// Target pruning (Theorem 4).
+		transfer := g.TT.Stations[st].Transfer
+		var dT timeutil.Ticks
+		if q.targetIsTransfer {
+			var d timeutil.Ticks
+			if d, dT = table.D2(si, q.targetIdx, key, transfer); d < c.gamma {
+				c.gamma = d
+			}
+			// γ is a feasible lower bound only once every tentative label
+			// of i has a transfer-station ancestor: then the optimal path's
+			// frontier passed a settled transfer station, which has already
+			// contributed to γ.
+			if c.noAnc == 0 && dT == c.gamma {
+				return endConn, q.answer(i, dT, limit)
+			}
 		}
-		if table.D(st, vj, key) <= mu[j] {
-			prune = false
+		// Distance-table pruning (Theorem 3): refresh µ_j, then prune v if
+		// it provably cannot improve any via station.
+		prune = true
+		mu := w.ws.mu
+		for j, vj := range q.vias {
+			d, dj := table.D2(si, vj.idx, key, transfer)
+			if dj += vj.transfer; dj < mu[j] {
+				mu[j] = dj
+				c.muVer++
+			}
+			if d <= mu[j] {
+				prune = false
+			}
 		}
+		*m = pruneMemo{stamp: cur, key: key, muVer: c.muVer, dT: dT, skip: prune}
 	}
 	if !prune {
 		return expandNode, limit

@@ -176,13 +176,12 @@ func workNets(t *testing.T) map[string]*graph.Graph {
 // under each Disable* switch; germany has a local pair (0 → 5), a table hit
 // (9 → 1), a pair that target pruning answers (12 → 9) and one whose via
 // pruning refreshes µ past the first via station that keeps a label
-// (0 → 24). A search without a table to prune with (no table, a local
-// pair, a table without via stations, DisableTablePruning) scans trips; the
-// ones pruned by the table queue route nodes and keep the counts they had
-// before trips were scanned. Pruned is pinned
-// for one-to-all too: its arrival bound refuses labels without counting
-// them, where the station-to-station stopping criterion counts every finite
-// key it refuses.
+// (0 → 24). Every search scans trips; one the table prunes runs Theorems 3
+// and 4 at each record a scan writes (scanTable), and each of its cases
+// runs a second time with the prune memo off, which must change no count.
+// Pruned is pinned for one-to-all too: its arrival bound refuses labels
+// without counting them, where the station-to-station stopping criterion
+// counts every finite key it refuses.
 func TestStationQueryWork(t *testing.T) {
 	nets := workNets(t)
 	envs := map[string]QueryEnv{}
@@ -222,22 +221,22 @@ func TestStationQueryWork(t *testing.T) {
 		{kind: s2s, env: "germany", src: 24, dst: 9, opts: stop, want: work{3231, 465, 418, 5669, 1237}},
 		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{629, 141, 130, 1044, 279}},
 		{kind: s2s, env: "germany+deg2", src: 9, dst: 1, want: work{}},
-		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, want: work{115, 128, 115, 242, 20}},
-		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{830, 977, 863, 2059, 130}},
-		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{2967, 3192, 3101, 7574, 1300}},
+		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, want: work{136, 61, 46, 224, 31}},
+		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{923, 181, 131, 1651, 202}},
+		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{2987, 479, 409, 5395, 1391}},
 		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{3738, 596, 479, 6565, 1318}},
-		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1393, 1639, 1455, 3402, 311}},
+		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1533, 289, 243, 2718, 439}},
 		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, want: work{24, 13, 11, 39, 0}},
 		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, opts: stop, want: work{24, 13, 11, 39, 0}},
 		{kind: point, env: "oahu+deg2", src: 8, dst: 3, depart: 1000, want: work{48, 18, 15, 75, 0}},
 		{kind: point, env: "germany", src: 24, dst: 9, depart: 480, want: work{131, 34, 18, 239, 0}},
 		{kind: point, env: "germany+deg2", src: 0, dst: 5, depart: 700, want: work{30, 20, 9, 57, 0}},
 		{kind: point, env: "germany+deg2", src: 9, dst: 1, depart: 700, want: work{}},
-		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, want: work{11, 20, 11, 28, 0}},
-		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, opts: noTarget, want: work{83, 112, 94, 209, 11}},
-		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, want: work{95, 119, 99, 236, 4}},
+		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, want: work{15, 10, 5, 26, 1}},
+		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, opts: noTarget, want: work{95, 22, 15, 176, 24}},
+		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, want: work{119, 30, 20, 220, 16}},
 		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, opts: noTable, want: work{199, 52, 27, 360, 0}},
-		{kind: point, env: "germany+deg2", src: 0, dst: 24, depart: 1000, want: work{118, 161, 127, 293, 9}},
+		{kind: point, env: "germany+deg2", src: 0, dst: 24, depart: 1000, want: work{150, 35, 25, 275, 23}},
 		{kind: oneToAll, env: "oahu", src: 0, want: work{2887, 895, 892, 4508, 190}},
 		{kind: oneToAll, env: "germany", src: 12, want: work{1734, 311, 216, 3047, 122}},
 		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{235, 74, 74, 366, 12}},
@@ -248,17 +247,28 @@ func TestStationQueryWork(t *testing.T) {
 		var run stats.Run
 		switch c.kind {
 		case s2s, point:
-			var res *StationQueryResult
-			var err error
-			if c.kind == s2s {
-				res, err = ws.StationToStation(env, c.src, c.dst, c.opts)
-			} else {
-				res, err = ws.EarliestArrival(env, c.src, c.dst, c.depart, c.opts)
+			query := func(ws *Workspace) stats.Run {
+				var res *StationQueryResult
+				var err error
+				if c.kind == s2s {
+					res, err = ws.StationToStation(env, c.src, c.dst, c.opts)
+				} else {
+					res, err = ws.EarliestArrival(env, c.src, c.dst, c.depart, c.opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Run
 			}
-			if err != nil {
-				t.Fatal(err)
+			run = query(ws)
+			if env.Table != nil {
+				noMemo := NewWorkspace()
+				noMemo.noMemo = true
+				if x, y := run.Total, query(noMemo).Total; x != y {
+					t.Errorf("%s %d → %d at %d %+v: the prune memo changes the counts: %v, without it %v",
+						c.env, c.src, c.dst, c.depart, c.opts, x, y)
+				}
 			}
-			run = res.Run
 		case oneToAll, window:
 			from, to, until := timeutil.Ticks(0), timeutil.Infinity, timeutil.Infinity
 			if c.kind == window {
@@ -279,12 +289,11 @@ func TestStationQueryWork(t *testing.T) {
 	}
 }
 
-// TestScanQueuesStationsOnly checks the settle loop's schedule. Without a
-// distance table a board or a ride hands its head to scan, so the only route
-// nodes that pass through the queue are seeds: at most one per connection of
-// a profile search, and the route nodes of S for a point search, at any
-// thread count. A table query still queues the route records it reaches,
-// since Theorems 3 and 4 read them at pops.
+// TestScanQueuesStationsOnly checks the settle loop's schedule. A board or a
+// ride hands its head to scan, or to scanTable when a distance table prunes,
+// so the only route nodes that pass through the queue are seeds: at most one
+// per connection of a profile search, and the route nodes of S for a point
+// search, at any thread count, with or without a table.
 func TestScanQueuesStationsOnly(t *testing.T) {
 	nets := workNets(t)
 	routePops := func(ws *Workspace) (n int64) {
@@ -294,14 +303,6 @@ func TestScanQueuesStationsOnly(t *testing.T) {
 		return n
 	}
 	for name, g := range nets {
-		boards := func(s timetable.StationID) (n int64) {
-			for _, e := range g.OutEdges(g.StationNode(s)) {
-				if e.Kind == graph.Board {
-					n++
-				}
-			}
-			return n
-		}
 		check := func(what string, src timetable.StationID, run stats.Run, routes, seeds int64) {
 			t.Helper()
 			if routes > seeds || run.Total.QueuePops <= routes {
@@ -322,30 +323,57 @@ func TestScanQueuesStationsOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("time-query", src, tq.Run, routePops(ws), boards(src))
+				check("time-query", src, tq.Run, routePops(ws), boardsOf(g, src))
 				pt, err := ws.EarliestArrival(QueryEnv{Graph: g}, src, 1, 480, QueryOptions{Options: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("earliest arrival", src, pt.Run, routePops(ws), boards(src))
+				check("earliest arrival", src, pt.Run, routePops(ws), boardsOf(g, src))
 			}
 		}
 	}
 
-	// Germany 24 → 13 prunes by the deg > 2 table (TestStationQueryWork):
-	// its route records go through the queue.
+	// Germany 24 → 13 and 0 → 24 prune by the deg > 2 table
+	// (TestStationQueryWork): Theorems 3 and 4 run at the records the scans
+	// write, and no route record passes through the queue.
 	g := nets["germany"]
 	sg := stationgraph.Build(g.TT)
 	pre, err := BuildDistanceTable(g, sg.SelectByDegree(2), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWorkspace()
-	res, err := ws.StationToStation(QueryEnv{Graph: g, StationGraph: sg, Table: pre.Table}, 24, 13, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
+	env := QueryEnv{Graph: g, StationGraph: sg, Table: pre.Table}
+	for _, threads := range []int{1, 2} {
+		opts := QueryOptions{Options: Options{Threads: threads}}
+		ws := NewWorkspace()
+		for _, pair := range [][2]timetable.StationID{{24, 13}, {0, 24}} {
+			res, err := ws.StationToStation(env, pair[0], pair[1], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ws.s2q.table == nil {
+				t.Fatalf("%d → %d is not pruned by the table", pair[0], pair[1])
+			}
+			if routes, seeds := routePops(ws), int64(len(res.Conns)); routes > seeds {
+				t.Errorf("table query germany %d → %d at %d threads: %d route-node pops, at most %d seeds", pair[0], pair[1], threads, routes, seeds)
+			}
+			if _, err := ws.EarliestArrival(env, pair[0], pair[1], 1000, opts); err != nil {
+				t.Fatal(err)
+			}
+			if routes, seeds := routePops(ws), boardsOf(g, pair[0]); routes > seeds {
+				t.Errorf("table point query germany %d → %d at %d threads: %d route-node pops, at most %d seeds", pair[0], pair[1], threads, routes, seeds)
+			}
+		}
 	}
-	if routes := routePops(ws); routes <= int64(len(res.Conns)) {
-		t.Errorf("table query germany 24 → 13: %d route-node pops, want more than its %d seeds", routes, len(res.Conns))
+}
+
+// boardsOf counts the Board edges of station s: the route nodes a point
+// search seeds besides the station node.
+func boardsOf(g *graph.Graph, s timetable.StationID) (n int64) {
+	for _, e := range g.OutEdges(g.StationNode(s)) {
+		if e.Kind == graph.Board {
+			n++
+		}
 	}
+	return n
 }

@@ -73,9 +73,14 @@ type Workspace struct {
 	isTransfer []bool
 	lastTable  *dtable.Table
 	vias       stationgraph.Vias
+	viaRefs    []viaRef
 
 	// Partition boundary buffer.
 	bounds []int
+
+	// noMemo makes every table check of a station-to-station query look its
+	// values up (spcsWorker.prune), which the tests compare the memo with.
+	noMemo bool
 
 	// Per-thread search scratch, one entry per worker.
 	workers   []*workerSpace
@@ -140,6 +145,10 @@ type workerSpace struct {
 	// record the connection sets before it can be read.
 	mu  []timeutil.Ticks
 	anc []bool
+	// memo holds, per transfer station of the table, the last Section 4
+	// check of a connection (spcsWorker.prune), stamped from rowGen like
+	// the row.
+	memo []pruneMemo
 }
 
 // beginRow readies the row and the ride cursors for one query of k
@@ -147,14 +156,17 @@ type workerSpace struct {
 // stamps of one query are that floor, floor+1, …, one per connection;
 // anything below it is an earlier query's. Room for the whole query is made
 // before the first stamp is drawn: a query that would cross the limit sweeps
-// the row and the cursors and starts the counter over, so no record or
-// cursor stamped just below the limit can read as this query's.
+// the row, the cursors and the prune memo and starts the counter over, so no
+// record or cursor stamped just below the limit can read as this query's,
+// and no memo entry of a query before the wrap can match a stamp drawn
+// after it.
 func (w *workerSpace) beginRow(n, k int) uint32 {
 	w.row = grow(w.row, n)
 	w.rides = grow(w.rides, n)
 	if w.rowGen > maxGen-uint32(k) {
 		clear(w.row[:cap(w.row)])
 		clear(w.rides[:cap(w.rides)])
+		clear(w.memo[:cap(w.memo)])
 		w.rowGen = 0
 	}
 	return w.rowGen + 1

@@ -10,6 +10,7 @@ import (
 	"transit/internal/gen"
 	"transit/internal/graph"
 	"transit/internal/stationgraph"
+	"transit/internal/stats"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
@@ -565,6 +566,71 @@ func TestGenerationWrapWipesLabels(t *testing.T) {
 			sameTicks(t, "after the wrap from the thinned network", window(ws, g, early), want)
 		})
 	}
+
+	// The prune memo is stamped like the row, but matched by equality, so a
+	// stale entry misleads only a query that draws its stamp again after a
+	// wrap: the first query of a workspace stamps entries 1, 2, …, and the
+	// query that wraps draws those stamps once more. Query a is the first,
+	// b the one that wraps; b must answer and count as on a fresh
+	// workspace, and the wrap must leave no memo stamp set.
+	t.Run("row/memo", func(t *testing.T) {
+		sg := stationgraph.Build(g.TT)
+		pre, err := BuildDistanceTable(g, sg.SelectByContraction(g.NumStations()/5), Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := QueryEnv{Graph: g, StationGraph: sg, Table: pre.Table}
+		type pair struct{ src, dst timetable.StationID }
+		var pairs []pair
+		probe := NewWorkspace()
+		for s := 0; s < g.NumStations() && len(pairs) < 2; s++ {
+			p := pair{timetable.StationID(s), timetable.StationID((s*7 + 3) % g.NumStations())}
+			res, err := probe.StationToStation(env, p.src, p.dst, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.s2q.table != nil && len(res.Conns) > 1 {
+				pairs = append(pairs, p)
+			}
+		}
+		if len(pairs) < 2 {
+			t.Fatal("fewer than two station pairs the table prunes")
+		}
+		a, b := pairs[0], pairs[1]
+		query := func(ws *Workspace, p pair) ([]timeutil.Ticks, stats.Counters) {
+			res, err := ws.StationToStation(env, p.src, p.dst, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append([]timeutil.Ticks(nil), res.ArrT...), res.Run.Total
+		}
+		want, wantRun := query(NewWorkspace(), b)
+		ws := NewWorkspace()
+		query(ws, a)
+		w := ws.workers[0]
+		stamped := 0
+		for _, m := range w.memo {
+			if m.stamp != 0 {
+				stamped++
+			}
+		}
+		if stamped == 0 {
+			t.Fatal("the first query left no memo entry")
+		}
+		w.rowGen = maxGen - 1 // b has more than one connection: it wraps
+		got, run := query(ws, b)
+		sameTicks(t, "after the wrap", got, want)
+		if run != wantRun {
+			t.Fatalf("after the wrap: %v, a fresh workspace counts %v", run, wantRun)
+		}
+		w.rowGen = maxGen
+		w.beginRow(g.NumNodes(), 1)
+		for si, m := range w.memo[:cap(w.memo)] {
+			if m.stamp != 0 {
+				t.Fatalf("memo entry %d keeps stamp %d across the wrap", si, m.stamp)
+			}
+		}
+	})
 }
 
 // busiestSource returns the station with the most outgoing connections and

@@ -205,9 +205,7 @@ func (t *Table) Stations() []timetable.StationID { return t.stations }
 
 // IsTransfer reports whether s is a transfer station. Unknown station IDs
 // are simply not transfer stations.
-func (t *Table) IsTransfer(s timetable.StationID) bool {
-	return int(s) >= 0 && int(s) < len(t.index) && t.index[s] >= 0
-}
+func (t *Table) IsTransfer(s timetable.StationID) bool { return t.Index(s) >= 0 }
 
 // Profile returns the reduced profile function from one transfer station to
 // another; both must be transfer stations. The function is built on demand
@@ -244,6 +242,78 @@ func (t *Table) D(from, to timetable.StationID, at timeutil.Ticks) timeutil.Tick
 		return timeutil.Infinity
 	}
 	return at + wait + p.W
+}
+
+// Index returns the transfer index of s, its row and column in the table
+// (the position of s in Stations), or -1 when s is not a transfer station.
+func (t *Table) Index(s timetable.StationID) int {
+	if int(s) < 0 || int(s) >= len(t.index) {
+		return -1
+	}
+	return int(t.index[s])
+}
+
+// D2 returns D(from, to, at) and D(from, to, at+dt) for the stations of
+// transfer indexes fi and ti (Index) and dt ≥ 0, with one search of the
+// profile: the point for at+dt is found by walking forward from the point
+// for at, and searched for again only when at+dt falls on a later day than
+// at. Both values equal what D returns.
+func (t *Table) D2(fi, ti int, at, dt timeutil.Ticks) (timeutil.Ticks, timeutil.Ticks) {
+	at2 := at + dt
+	if at.IsInf() {
+		return timeutil.Infinity, timeutil.Infinity
+	}
+	if fi == ti {
+		return at, timeutil.Min(at2, timeutil.Infinity)
+	}
+	pts := t.points(fi, ti)
+	if len(pts) == 0 {
+		return timeutil.Infinity, timeutil.Infinity
+	}
+	pi, tau := t.period.Len(), at
+	if tau < 0 || tau >= pi {
+		tau = t.period.Wrap(at)
+	}
+	i := lowerBound(pts, tau)
+	d := arrival(pts, i, pi, at-tau)
+	if at2.IsInf() {
+		return d, timeutil.Infinity
+	}
+	tau2 := tau + dt
+	if tau2 >= pi { // a later day: search again
+		tau2 = t.period.Wrap(at2)
+		i = lowerBound(pts, tau2)
+	} else {
+		for i < len(pts) && pts[i].Dep < tau2 {
+			i++
+		}
+	}
+	return d, arrival(pts, i, pi, at2-tau2)
+}
+
+// lowerBound returns the index of the first point of pts departing at or
+// after tau, len(pts) when none does.
+func lowerBound(pts []ttf.Point, tau timeutil.Ticks) int {
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pts[m].Dep < tau {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// arrival is the arrival of point i of the non-empty pts, taken on the day
+// that starts at base, or of the first point on the next day when i is
+// len(pts).
+func arrival(pts []ttf.Point, i int, pi, base timeutil.Ticks) timeutil.Ticks {
+	if i == len(pts) {
+		return base + pi + pts[0].Dep + pts[0].W
+	}
+	return base + pts[i].Dep + pts[i].W
 }
 
 // SizeBytes estimates the memory footprint of the stored profiles: eight

@@ -369,3 +369,89 @@ func FuzzReadSection(f *testing.F) {
 		}
 	})
 }
+
+// checkD2 compares the two-key look-up with two D calls for every ordered
+// pair of the table's stations at key at and offset dt.
+func checkD2(t *testing.T, table *dtable.Table, at, dt timeutil.Ticks) {
+	t.Helper()
+	for _, a := range table.Stations() {
+		for _, b := range table.Stations() {
+			d, dt2 := table.D2(table.Index(a), table.Index(b), at, dt)
+			if wd, wdt := table.D(a, b, at), table.D(a, b, at+dt); d != wd || dt2 != wdt {
+				t.Fatalf("D2(%d,%d,%d,+%d) = (%d,%d), D says (%d,%d)", a, b, at, dt, d, dt2, wd, wdt)
+			}
+		}
+	}
+}
+
+// TestTableD2 checks the two-key look-up against D on a built table, over
+// keys across two days and offsets up to a period (the look-up walks for
+// offsets that stay on the key's day and searches again for the rest), and
+// on a hand-written section with an empty profile, a profile of one point
+// and keys whose offset crosses the end of the period.
+func TestTableD2(t *testing.T) {
+	_, table, _ := fixture(t)
+	for at := timeutil.Ticks(0); at < 2*1440; at += 37 {
+		for _, dt := range []timeutil.Ticks{0, 1, 3, 10, 240, 1439, 1440} {
+			checkD2(t, table, at, dt)
+		}
+	}
+	small, err := dtable.ReadSection(smallSection(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Index(0) != -1 || small.Index(1) != 0 || small.Index(3) != 1 || small.Index(-1) != -1 || small.Index(4) != -1 {
+		t.Fatalf("Index: %d %d %d", small.Index(0), small.Index(1), small.Index(3))
+	}
+	for _, at := range []timeutil.Ticks{0, 59, 60, 61, 599, 600, 601, 1400, 1439, 1440, 2000, timeutil.Infinity - 5, timeutil.Infinity} {
+		for _, dt := range []timeutil.Ticks{0, 1, 5, 39, 40, 41, 540, 1440, 2000} {
+			checkD2(t, small, at, dt)
+		}
+	}
+}
+
+// FuzzTableD2 checks the two-key look-up against two D calls on random
+// canonical profiles: the fuzz input gives a period, the points of the
+// profiles from station 1 to 3 and from 3 to 1 (reduced, so possibly
+// empty), then keys and offsets, which often cross the end of the small
+// period. The profiles of a station to itself stay empty, since D answers
+// the key there.
+func FuzzTableD2(f *testing.F) {
+	f.Add([]byte{10, 3, 2, 5, 7, 1, 9, 0, 1, 4, 20, 3, 9, 12})
+	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Add([]byte{200, 8, 0, 10, 50, 3, 100, 90, 150, 20, 199, 1, 1, 250, 7, 199, 255, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		pi := timeutil.Ticks(1 + next())
+		period := timeutil.NewPeriod(pi)
+		profile := func() []ttf.Point {
+			pts := make([]ttf.Point, next()%16)
+			for k := range pts {
+				pts[k] = ttf.Point{Dep: timeutil.Ticks(next()) % pi, W: timeutil.Ticks(next())}
+			}
+			fn, err := ttf.New(period, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn.Reduce()
+			return fn.Points()
+		}
+		p13, p31 := profile(), profile()
+		table, err := dtable.ReadSection(section(int32(pi), 4, []int32{1, 3}, [][][]ttf.Point{{nil, p13}, {p31, nil}}), 4)
+		if err != nil {
+			t.Fatalf("canonical profiles rejected: %v", err)
+		}
+		for len(data) >= 2 {
+			at := timeutil.Ticks(next()) * timeutil.Ticks(1+next()%8)
+			dt := timeutil.Ticks(next())
+			checkD2(t, table, at, dt)
+		}
+	})
+}

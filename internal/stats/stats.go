@@ -15,9 +15,9 @@ import (
 // search).
 type Counters struct {
 	// SettledConns counts the paper's "settled connections": queue
-	// extractions that passed the prunings and relaxed their edges, plus,
-	// in the settle loop's searches without a distance table, every route
-	// record a trip scan writes (those route nodes are never queued).
+	// extractions that passed the prunings and relaxed their edges, plus
+	// every route record a trip scan of the settle loop writes (those route
+	// nodes are never queued) and that the table prunings do not stop.
 	SettledConns int64
 	// PrunedConns counts labels refused or discarded by self-pruning,
 	// stopping criterion, distance-table or target pruning. A ride the
@@ -25,8 +25,7 @@ type Counters struct {
 	// taken counts as the record check would have counted it.
 	PrunedConns int64
 	// QueuePushes counts insert + decrease-key operations. The settle loop
-	// queues stations and seeds, and route nodes only in a search a distance
-	// table prunes.
+	// queues stations and seeds only, with or without a distance table.
 	QueuePushes int64
 	// QueuePops counts live extract-min operations, of what QueuePushes
 	// queued.

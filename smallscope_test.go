@@ -8,14 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"transit/internal/core"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
 
 // The small-scope checker enumerates every timetable of a small scope and
 // compares, at every departure tick, the one-to-all arrivals, the matrix
-// rows, the earliest arrivals and the journeys Plan returns with a
-// brute-force search over the time-expanded graph. Tiny periods, zero-length
+// rows, the earliest arrivals and the journeys Plan returns, and the
+// earliest arrivals and profiles it returns under a distance table over
+// every set of one or two transfer stations, with a brute-force search over
+// the time-expanded graph. Tiny periods, zero-length
 // hops, zero transfer times and departures on the period boundary make equal
 // keys, zero-weight edges and midnight wraps the common case, where random
 // networks over a 1 440-tick day almost never produce them.
@@ -360,8 +363,12 @@ func sequences(n int) [][]StationID {
 }
 
 // ssTally counts what a scope covered, so that a vacuous run fails.
+// tableArrivals counts the answers checked under a distance table, and
+// tableSearches the queries among them that searched under it (neither a
+// local pair nor a table hit).
 type ssTally struct {
 	nets, arrivals, journeys, walkWins, unreachable int
+	tableArrivals, tableSearches                    int
 }
 
 // checkSmallNet compares Plan with the brute force on one timetable, at
@@ -452,6 +459,61 @@ func checkSmallNet(t *testing.T, m *ssNet, threads []int, tally *ssTally) {
 					}
 					tally.arrivals++
 					checkSmallJourney(t, m, n, whole[s], s, dst, tau, th, want, walk, eaAt, tally)
+				}
+			}
+		}
+		checkSmallTables(t, m, n, th, eaAt, tally)
+	}
+}
+
+// checkSmallTables builds a distance table for every set of one or two
+// transfer stations and compares the earliest arrivals and the
+// station-to-station profiles Plan answers under it with the brute force.
+// Under a table the search scans trips and prunes at the records it writes,
+// and ties arise in another order than without one.
+func checkSmallTables(t *testing.T, m *ssNet, n *Network, threads int, eaAt func(s, dst StationID, dep Ticks) Ticks, tally *ssTally) {
+	ctx := context.Background()
+	opts := Options{Threads: threads}
+	for _, set := range [][]StationID{{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}} {
+		marked := make([]bool, 3)
+		for _, s := range set {
+			marked[s] = true
+		}
+		pre, err := core.BuildDistanceTable(n.g, marked, core.Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nt := *n
+		nt.table = pre.Table
+		for s := range StationID(3) {
+			for dst := range StationID(3) {
+				if dst == s {
+					continue
+				}
+				res, err := nt.Plan(ctx, Request{Kind: KindProfile, From: s, To: dst, Options: opts})
+				if err != nil {
+					t.Fatalf("%s, table %v: profile %d→%d: %v", m, set, s, dst, err)
+				}
+				prof, err := res.Profile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := res.Stats(); !st.Local && !st.TableHit {
+					tally.tableSearches++
+				}
+				for tau := range m.period {
+					want := eaAt(s, dst, tau)
+					if got := prof.EarliestArrival(tau); got != want {
+						t.Fatalf("%s, table %v, threads %d: profile %d→%d at %d: %d, brute force %d", m, set, threads, s, dst, tau, got, want)
+					}
+					res, err := nt.Plan(ctx, Request{Kind: KindEarliestArrival, From: s, To: dst, Depart: tau, Options: opts})
+					if err != nil {
+						t.Fatalf("%s, table %v: earliest arrival %d→%d at %d: %v", m, set, s, dst, tau, err)
+					}
+					if got, _ := res.Arrival(); got != want {
+						t.Fatalf("%s, table %v, threads %d: earliest arrival %d→%d at %d: %d, brute force %d", m, set, threads, s, dst, tau, got, want)
+					}
+					tally.tableArrivals += 2
 				}
 			}
 		}
@@ -626,9 +688,10 @@ func TestSmallScope(t *testing.T) {
 			sc.each(func(m *ssNet) {
 				checkSmallNet(t, m, threads, &tally)
 			})
-			t.Logf("%d timetables: %d arrivals, %d journeys checked, %d where walking ties or wins, %d unreachable",
-				tally.nets, tally.arrivals, tally.journeys, tally.walkWins, tally.unreachable)
-			if tally.journeys == 0 || tally.unreachable == 0 {
+			t.Logf("%d timetables: %d arrivals, %d journeys checked, %d where walking ties or wins, %d unreachable; "+
+				"under tables %d answers, from %d searches that were neither local nor table hits",
+				tally.nets, tally.arrivals, tally.journeys, tally.walkWins, tally.unreachable, tally.tableArrivals, tally.tableSearches)
+			if tally.journeys == 0 || tally.unreachable == 0 || tally.tableSearches == 0 {
 				t.Fatalf("vacuous scope: %+v", tally)
 			}
 		})
