@@ -144,10 +144,11 @@ type UpdateStats struct {
 
 // ApplyUpdates returns a new Network with the delay/cancellation batch
 // applied incrementally, sharing every untouched structure with the
-// receiver — the route partition, the time-dependent graph's node set and
-// CSR skeleton, the station graph, and the per-station connection indexes
-// of unaffected stations. An update touching k connections costs
-// O(k log k) recompute plus flat copies of the connection and edge arrays,
+// receiver — the route partition, the time-dependent graph's node set,
+// boards and member lists, the station graph, and the per-station
+// connection indexes of unaffected stations. An update touching k
+// connections costs O(k log k) recompute plus flat copies of the connection
+// and ride arrays,
 // instead of a full rebuild with re-validation; BenchmarkApplyUpdates
 // measures the gap.
 //

@@ -96,16 +96,19 @@
 // the table is one point arena per row with CSR offsets, so a look-up
 // D(S, T, τ) is a binary search over a sub-slice (internal/dtable).
 //
-// Stations are queued, trips are scanned. A route node has two out-edges,
-// its Alight edge of weight 0 and at most one Ride edge to the next route
-// node, so every key it hands on is at least its own, and it can be
-// expanded the moment its record is written. The loop queues no route node
-// but the seeds: when a station settles at key, each of its Board edges
-// hands key + T(S) to spcsWorker.scan, which rides the trip forward at once
-// (spcsWorker.scanTable in a query the distance table prunes, below). At each route node the scan writes the record,
-// queues the node's station at the alight key unless that station's record
-// refuses it, and evaluates the ride edge; it moves on while the next
-// node's record admits the arrival, and stops at limit, at the end of the
+// Stations are queued, trips are scanned. The graph is rows, not an edge
+// list: a settled station relaxes its boards (graph.Graph.Boards), then its
+// footpaths; a route node hands on its alight of weight 0 to its station
+// and at most one ride to the next route node (graph.Graph.Ride), so every
+// key it hands on is at least its own, and it can be expanded the moment
+// its record is written. The loop queues no route node but the seeds: when
+// a station settles at key, each board hands key + T(S) to spcsWorker.scan,
+// which rides the trip forward at once (spcsWorker.scanTable in a query the
+// distance table prunes, below), and a popped seed enters the same scan at
+// its alight. At each route node the scan writes the record, queues the
+// node's station at the alight key unless that station's record refuses
+// it, and evaluates the ride; it moves on while the next node's record
+// admits the arrival, and stops at limit, at the end of the
 // route, or at a record that refuses the key, either because a later
 // connection is there no later (Theorem 1) or because this connection
 // already reached the node no later and scanned on from there. A record the
@@ -159,17 +162,16 @@
 //
 // A connection settles or writes node v only below every key a later
 // connection left at v, and rewrites it only lower, so within one query each
-// worker evaluates the node's ride edge at strictly falling keys. The next
-// departure then only ever moves back through the edge's sorted
+// worker evaluates the node's ride at strictly falling keys. The next
+// departure then only ever moves back through the ride's sorted
 // departures: the worker keeps one ride cursor per node (rideCursor: the
 // departure index of the last evaluation, the window (lo, hi] of keys that
 // catch that departure on the same day, and a row stamp) and walks back
 // from it instead of bisecting, which visits each departure at most once
 // per day the keys pass through. It bisects when the cursor is from an
 // earlier query, the key lies on another day, or the key rose, which only
-// DisableSelfPruning allows. A node has at most one ride edge (a graph
-// invariant the graph tests check), which is what lets the cursor be
-// indexed by node; every evaluation returns what graph.EvalRide returns, so
+// DisableSelfPruning allows. A node has at most one ride, one row of the
+// graph, which is what lets the cursor be indexed by node; every evaluation returns what graph.EvalRide returns, so
 // the cursor changes no label.
 //
 // Same ride: a key in (lo, hi] catches the departure the cursor's last
@@ -179,7 +181,7 @@
 // nothing and disarms the window instead. Records only fall within a query
 // and limit never rises, so the record check would refuse the key now. The
 // loop refuses it unevaluated (rideCursor.same) wherever it evaluates a
-// ride, without loading the edge's departures or moving the cursor, and
+// ride, without searching the ride's departures or moving the cursor, and
 // counts it in PrunedConns as the record check would have; answers and
 // parents cannot change. Once trips are scanned, most ride evaluations are
 // of freshly boarded nodes whose ride an earlier board of the same trip
@@ -202,8 +204,9 @@
 //
 // The Pareto search (paretoWorker.run) is the one-to-all loop over a row of
 // numNodes × (maxTransfers+1) records, one per (node, layer) pair, each
-// with a ride cursor of its own; a Board edge moves a label one layer up,
-// and none leaves the last. Its self-pruning is one rule, applied at push:
+// with a ride cursor of its own; it relaxes a station's boards and
+// footpaths and a route node's alight and ride as the one-to-all loop does,
+// except that a board moves a label one layer up, and none leaves the last. Its self-pruning is one rule, applied at push:
 // (v, u) at key a is refused when a record (v, u′ ≤ u) stamped by this
 // query holds a key ≤ a — the connection's own label with no more
 // transfers, or a later connection's, which also leaves no earlier
@@ -211,9 +214,9 @@
 // keys across the connections of a query, as a node does in the one-to-all
 // loop, and the station keys leave the row into numStations × k × layers
 // arrivals the result owns. It keeps a loop of its own: at layers = 1 it
-// takes no Board edge (a board would leave the last layer), which one-to-all
-// takes, so a fold would branch per edge on the caller and add a division by
-// the layer count to every one-to-all settle.
+// takes no board (a board would leave the last layer), which one-to-all
+// takes, so a fold would branch per board on the caller and add a division
+// by the layer count to every one-to-all settle.
 //
 // Only the label-correcting baseline keeps the addressable binary pq.Heap:
 // it re-inserts nodes below the last popped key. It keeps every node's

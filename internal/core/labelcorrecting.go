@@ -71,33 +71,45 @@ func LabelCorrecting(g *graph.Graph, source timetable.StationID, opts Options) (
 		}
 	}
 
+	// relax offers connection i's label of head the arrival arrTent.
+	// Labels start at Infinity, so an unreachable arrival improves none.
+	relax := func(head graph.NodeID, i int, arrTent timeutil.Ticks) {
+		c.Relaxed++
+		if hl := res.label(head, i); arrTent < arr[hl] {
+			arr[hl] = arrTent
+			if heap.Push(int32(head), arrTent) {
+				c.QueuePushes++
+			}
+		}
+	}
 	for !heap.Empty() {
 		it, _ := heap.PopMin()
 		c.QueuePops++
 		v := graph.NodeID(it)
 		base := res.label(v, 0)
-		// The popped label carries all its finite points; each is relaxed.
-		edges := g.OutEdges(v)
+		// The popped label carries all its finite points; each is relaxed
+		// along a station's boards and footpaths, or a route node's alight
+		// and ride.
 		for i := 0; i < k; i++ {
 			av := arr[base+i]
 			if av.IsInf() {
 				continue
 			}
 			c.SettledConns++ // size of the connection label taken from Q
-			for e := range edges {
-				arrTent, _ := g.EvalEdge(&edges[e], av)
-				c.Relaxed++
-				if arrTent.IsInf() {
-					continue
+			if !g.IsStationNode(v) {
+				relax(g.StationNode(g.Station(v)), i, av)
+				if _, ok := g.Ride(v); ok {
+					arrTent, _ := g.EvalRide(v, av)
+					relax(v+1, i, arrTent)
 				}
-				head := edges[e].Head
-				hl := res.label(head, i)
-				if arrTent < arr[hl] {
-					arr[hl] = arrTent
-					if heap.Push(int32(head), arrTent) {
-						c.QueuePushes++
-					}
-				}
+				continue
+			}
+			s := g.Station(v)
+			for _, u := range g.Boards(s) {
+				relax(u, i, av+g.TT.Stations[s].Transfer)
+			}
+			for _, f := range g.TT.FootpathsFrom(s) {
+				relax(g.StationNode(f.To), i, av+f.Walk)
 			}
 		}
 	}

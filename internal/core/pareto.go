@@ -21,9 +21,11 @@ import (
 //
 // Labels are arr(v, i, u): the earliest arrival at node v starting with
 // outgoing connection i having used exactly u transfers so far (u grows by
-// one per Board edge after the first). Keys remain arrival times, and u
-// only increases along edges, so the (v, u) product space keeps the
-// label-setting property — each pair settles at most once per connection.
+// one per board after the first: a station's boards move a label up one
+// layer, its footpaths and a route node's alight and ride keep the layer).
+// Keys remain arrival times, and u only increases along a path, so the
+// (v, u) product space keeps the label-setting property — each pair
+// settles at most once per connection.
 //
 // The search runs on the one-to-all schedule (spcsWorker.run): each worker
 // searches its connections latest first, one radix-queue search per
@@ -238,37 +240,45 @@ func (w *paretoWorker) run() {
 			}
 			v, u := graph.NodeID(int(it)/layers), int(it)%layers
 			w.counters.SettledConns++
-			if v < numStations {
-				arr[(int(v)*k+i)*layers+u] = key
+			if v >= numStations { // a route node: its alight, then its ride
+				w.counters.Relaxed++
+				w.push(int(g.Station(v))*layers+u, u, key, floor, cur)
+				if conns, ok := g.Ride(v); ok {
+					w.counters.Relaxed++
+					arrTent, _ := rides[it].eval(conns, period, key, qfloor, cur)
+					w.push(int(v+1)*layers+u, u, arrTent, floor, cur)
+				}
+				continue
 			}
 
-			edges := g.OutEdges(v)
-			for e := range edges {
-				edge := &edges[e]
-				nu, arrTent := u, key+edge.W // EvalEdge by hand, as in spcsWorker.run
-				switch edge.Kind {
-				case graph.Board:
-					if nu++; nu == layers {
-						continue // transfer budget exhausted
-					}
-				case graph.Ride:
-					arrTent, _ = rides[it].eval(g.RideConns(edge), period, key, qfloor, cur)
+			// A station: its key leaves the row; then its boards, each a
+			// layer up, and its footpaths.
+			arr[(int(v)*k+i)*layers+u] = key
+			s := g.Station(v)
+			if nu := u + 1; nu < layers {
+				board := key + g.TT.Stations[s].Transfer
+				for _, r := range g.Boards(s) {
+					w.counters.Relaxed++
+					w.push(int(r)*layers+nu, nu, board, floor, cur)
 				}
+			}
+			for _, f := range g.TT.FootpathsFrom(s) {
 				w.counters.Relaxed++
-				if arrTent.IsInf() {
-					continue
-				}
-				w.push(int(edge.Head)*layers+nu, nu, arrTent, floor, cur)
+				w.push(int(f.To)*layers+u, u, key+f.Walk, floor, cur)
 			}
 		}
 	}
 }
 
 // push queues record it, (v, u), at key for the connection stamped cur,
-// unless a record of v in a layer ≤ u stamped since floor holds a key ≤ key:
-// the layered self-pruning rule, which also keeps each record of the
-// connection label-setting (a settled record refuses every later push).
+// unless key is Infinity (a ride without departures) or a record of v in a
+// layer ≤ u stamped since floor holds a key ≤ key: the layered self-pruning
+// rule, which also keeps each record of the connection label-setting (a
+// settled record refuses every later push).
 func (w *paretoWorker) push(it, u int, key timeutil.Ticks, floor, cur uint32) {
+	if key.IsInf() {
+		return
+	}
 	row := w.ws.row
 	for _, l := range row[it-u : it+1] {
 		if l.stamp >= floor && l.key <= key {

@@ -217,16 +217,7 @@ func validateJourney(g *graph.Graph, r *ProfileResult, dst timetable.StationID, 
 	key := tt.Connections[r.Conns[i]].Dep
 	for n := len(chain) - 1; n >= 0; n-- {
 		l := chain[n]
-		next := timeutil.Infinity
-		edges := g.OutEdges(l.from)
-		for e := range edges {
-			if edges[e].Head != l.to {
-				continue
-			}
-			if arr, ride := g.EvalEdge(&edges[e], key); ride == l.ride && arr < next {
-				next = arr
-			}
-		}
+		next := linkArrival(g, l.from, l.to, l.ride, key)
 		if next.IsInf() {
 			return fmt.Errorf("link %d→%d: no edge gives ride %d at %d", l.from, l.to, l.ride, key)
 		}
@@ -362,4 +353,37 @@ func TestRandomNetworksExactAgainstLabelCorrecting(t *testing.T) {
 	if journeys == 0 || targetPruned == 0 {
 		t.Fatalf("replayed %d journeys, ran %d global queries towards transfer stations", journeys, targetPruned)
 	}
+}
+
+// linkArrival replays one parent link: the earliest arrival at node to from
+// node from, reached at key, over the model's edges from → to that give the
+// connection ride (-1 for a board, an alight or a footpath).
+func linkArrival(g *graph.Graph, from, to graph.NodeID, ride timetable.ConnID, key timeutil.Ticks) timeutil.Ticks {
+	next := timeutil.Infinity
+	offer := func(arr timeutil.Ticks, r timetable.ConnID) {
+		if r == ride && arr < next {
+			next = arr
+		}
+	}
+	if !g.IsStationNode(from) {
+		if g.StationNode(g.Station(from)) == to {
+			offer(key, -1)
+		}
+		if _, ok := g.Ride(from); ok && to == from+1 {
+			offer(g.EvalRide(from, key))
+		}
+		return next
+	}
+	s := g.Station(from)
+	for _, u := range g.Boards(s) {
+		if u == to {
+			offer(key+g.TT.Stations[s].Transfer, -1)
+		}
+	}
+	for _, f := range g.TT.FootpathsFrom(s) {
+		if g.StationNode(f.To) == to {
+			offer(key+f.Walk, -1)
+		}
+	}
+	return next
 }

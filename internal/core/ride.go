@@ -7,7 +7,7 @@ import (
 )
 
 // rideCursor remembers, for one node, where the last evaluation of the
-// node's ride edge landed: idx, the first departure at or after the time
+// node's ride landed: idx, the first departure at or after the time
 // point of the key it was evaluated at (len(conns) when the key is past the
 // last departure of the day), and the window (lo, hi] of absolute keys that
 // catch that same departure on the same day, from just after the departure
@@ -19,10 +19,10 @@ import (
 // comment, "Queue and label layout"), so the next evaluation is almost
 // always earlier on the same day, and its departure is found by
 // walking back from idx. Over a query that walk visits each departure of
-// the edge at most once per day the keys pass through; a bisection is only
+// the ride at most once per day the keys pass through; a bisection is only
 // paid for a cursor from another query, a key on another day, or a key that
-// rose (possible only with DisableSelfPruning). A node has at most one ride
-// edge (graph invariant), which is what lets the cursor be indexed by node.
+// rose (possible only with DisableSelfPruning). A route node has at most one
+// ride (graph.Graph.Ride), which is what lets the cursor be indexed by node.
 //
 // Same ride: a key in (lo, hi] catches departure idx again and arrives when
 // the last evaluation arrived. The settle loop refuses it unevaluated
@@ -37,9 +37,9 @@ type rideCursor struct {
 	stamp  uint32
 }
 
-// eval is graph.EvalRide for the ride edge whose departures are conns,
-// reached at key: the arrival at the head and the connection boarded
-// (Infinity and -1 when the edge has no departures). The cursor counts as
+// eval is graph.EvalRide for the ride whose departures are conns, reached
+// at key: the arrival at the head and the connection boarded (Infinity and
+// -1 when the ride has no departures). The cursor counts as
 // this query's when its stamp is at least floor; eval leaves it stamped
 // with stamp.
 func (c *rideCursor) eval(conns []graph.RideConn, period timeutil.Period, key timeutil.Ticks, floor, stamp uint32) (timeutil.Ticks, timetable.ConnID) {

@@ -11,11 +11,11 @@ import (
 	"transit/internal/timeutil"
 )
 
-// rideEdge builds a two-station network with one train A→B per departure
-// (dep[i], taking dur[i]) and returns its graph and its one ride edge, whose
-// departures graph.Build has sorted and reduced. No departures gives an edge
-// whose only train is cancelled: an empty one.
-func rideEdge(t testing.TB, dep, dur []timeutil.Ticks) (*graph.Graph, *graph.Edge) {
+// rideNode builds a two-station network with one train A→B per departure
+// (dep[i], taking dur[i]) and returns its graph and the route node of its
+// one ride, whose departures graph.Build has sorted and reduced. No
+// departures gives a ride whose only train is cancelled: an empty one.
+func rideNode(t testing.TB, dep, dur []timeutil.Ticks) (*graph.Graph, graph.NodeID) {
 	t.Helper()
 	b := timetable.NewBuilder(timeutil.NewPeriod(timeutil.DayMinutes))
 	a, z := b.AddStation("A", 2), b.AddStation("B", 2)
@@ -36,16 +36,13 @@ func rideEdge(t testing.TB, dep, dur []timeutil.Ticks) (*graph.Graph, *graph.Edg
 		}
 	}
 	g := graph.Build(tt)
-	for n := graph.NodeID(g.NumStations()); int(n) < g.NumNodes(); n++ {
-		edges := g.OutEdges(n)
-		for e := range edges {
-			if edges[e].Kind == graph.Ride {
-				return g, &edges[e]
-			}
+	for u := graph.NodeID(g.NumStations()); int(u) < g.NumNodes(); u++ {
+		if _, ok := g.Ride(u); ok {
+			return g, u
 		}
 	}
-	t.Fatal("no ride edge")
-	return nil, nil
+	t.Fatal("no ride")
+	return nil, graph.NoNode
 }
 
 // rideStep is one evaluation through a cursor: the key, the row stamp of the
@@ -71,24 +68,25 @@ func inQuery(keys ...timeutil.Ticks) []rideStep {
 // catches the same ride; whenever it says so, EvalRide at the new key must
 // return the arrival and connection of the cursor's previous evaluation.
 // It returns the indexes of the steps that reported the same ride.
-func checkCursor(t *testing.T, g *graph.Graph, e *graph.Edge, steps []rideStep) []int {
+func checkCursor(t *testing.T, g *graph.Graph, u graph.NodeID, steps []rideStep) []int {
 	t.Helper()
+	conns, _ := g.Ride(u)
 	var c rideCursor
 	var same []int
 	prevArr, prevConn := timeutil.Ticks(-1), timetable.ConnID(-1)
 	for n, s := range steps {
-		wantArr, wantConn := g.EvalRide(e, s.key)
+		wantArr, wantConn := g.EvalRide(u, s.key)
 		if c.same(s.key, s.floor) {
 			same = append(same, n)
 			if wantArr != prevArr || wantConn != prevConn {
 				t.Fatalf("step %d of %+v: cursor %+v reports the same ride as (%d, %d), EvalRide gives (%d, %d)",
 					n, steps, c, prevArr, prevConn, wantArr, wantConn)
 			}
-			if got := c.arrival(g.RideConns(e), g.TT.Period); got != prevArr {
+			if got := c.arrival(conns, g.TT.Period); got != prevArr {
 				t.Fatalf("step %d of %+v: cursor arrival %d, previous evaluation %d", n, steps, got, prevArr)
 			}
 		}
-		arr, conn := c.eval(g.RideConns(e), g.TT.Period, s.key, s.qfloor, s.stamp)
+		arr, conn := c.eval(conns, g.TT.Period, s.key, s.qfloor, s.stamp)
 		if arr != wantArr || conn != wantConn {
 			t.Fatalf("step %d of %+v: cursor gives (%d, %d), EvalRide (%d, %d)",
 				n, steps, arr, conn, wantArr, wantConn)
@@ -145,8 +143,8 @@ func TestRideCursorMatchesEvalRide(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, e := rideEdge(t, tc.dep, tc.dur)
-			if got := checkCursor(t, g, e, tc.steps); !slices.Equal(got, tc.same) {
+			g, u := rideNode(t, tc.dep, tc.dur)
+			if got := checkCursor(t, g, u, tc.steps); !slices.Equal(got, tc.same) {
 				t.Fatalf("same ride at steps %v, want %v", got, tc.same)
 			}
 		})
@@ -160,13 +158,14 @@ func TestRideCursorMatchesEvalRide(t *testing.T) {
 
 	// A cursor from an earlier query (stamp below the floor) is not read,
 	// however well its day and time point would fit.
-	g, e := rideEdge(t, five, tens)
+	g, u := rideNode(t, five, tens)
+	conns, _ := g.Ride(u)
 	c := rideCursor{lo: -1, hi: 1000, idx: 0, stamp: 4}
 	if c.same(500, 5) {
 		t.Fatal("a cursor of an earlier query reports the same ride")
 	}
-	arr, conn := c.eval(g.RideConns(e), g.TT.Period, 500, 5, 5)
-	if wantArr, wantConn := g.EvalRide(e, 500); arr != wantArr || conn != wantConn {
+	arr, conn := c.eval(conns, g.TT.Period, 500, 5, 5)
+	if wantArr, wantConn := g.EvalRide(u, 500); arr != wantArr || conn != wantConn {
 		t.Fatalf("stale cursor: (%d, %d), EvalRide (%d, %d)", arr, conn, wantArr, wantConn)
 	}
 	if c.stamp != 5 || c.idx != 3 || c.lo != 480 || c.hi != 500 {
@@ -177,13 +176,13 @@ func TestRideCursorMatchesEvalRide(t *testing.T) {
 	if c.same(490, 5) {
 		t.Fatal("a disarmed cursor reports the same ride")
 	}
-	if arr, _ := c.eval(g.RideConns(e), g.TT.Period, 490, 5, 5); arr != 550 {
+	if arr, _ := c.eval(conns, g.TT.Period, 490, 5, 5); arr != 550 {
 		t.Fatalf("disarmed cursor at 490: arrival %d, want 550", arr)
 	}
 }
 
 // FuzzRideCursor drives one cursor through arbitrary steps on arbitrary
-// edges: three bytes per train (departure, duration) and three per step,
+// rides: three bytes per train (departure, duration) and three per step,
 // two for a key spanning some 45 days and one whose low bits start a new
 // connection (bit 0), read the row from the connection's own stamp as
 // DisableSelfPruning does (bit 1) and start a new query (bit 2). Every
@@ -216,7 +215,7 @@ func FuzzRideCursor(f *testing.F) {
 			key := timeutil.Ticks(int(stepBytes[i])<<8 | int(stepBytes[i+1]))
 			steps = append(steps, rideStep{key: key, stamp: stamp, qfloor: qfloor, floor: floor})
 		}
-		g, e := rideEdge(t, dep, dur)
-		checkCursor(t, g, e, steps)
+		g, u := rideNode(t, dep, dur)
+		checkCursor(t, g, u, steps)
 	})
 }

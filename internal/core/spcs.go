@@ -61,13 +61,15 @@ type spcsWorker struct {
 // Only a station node's final key leaves the row: it is arr(T, i). A route
 // node's keys are read by self-pruning alone, through the row.
 //
-// The queue holds stations and seeds only: a board or a ride hands its head
-// route node to scan, or to scanTable in a query the distance table prunes,
-// which writes the records of the trip it rides at once (package comment,
-// "Queue and label layout"). A node's ride edge is evaluated through the
-// worker's ride cursor of that node (rideCursor), valid from the query's
-// first stamp on; a key that catches the departure the cursor last caught in
-// this query is refused without evaluating it (rideCursor.same, refuse).
+// The queue holds stations and seeds only: a station relaxes its boards,
+// then its footpaths, and a board hands its route node to scan, or to
+// scanTable in a query the distance table prunes, which writes the records
+// of the trip it rides at once; a popped seed enters the same scan at its
+// alight (package comment, "Queue and label layout"). A node's ride is
+// evaluated through the worker's ride cursor of that node (rideCursor),
+// valid from the query's first stamp on; a key that catches the departure
+// the cursor last caught in this query is refused without evaluating it
+// (rideCursor.same, refuse).
 //
 // A station-to-station query (q set) keeps no arrivals but T's, in ArrT,
 // and adds Section 4's prunings behind one branch on q per pop, which no
@@ -102,16 +104,14 @@ func (w *spcsWorker) run() {
 	// Anything stamped below floor is an earlier query's: "no bound".
 	floor := ws.beginRow(numNodes, w.hi-w.lo)
 	qfloor := floor
-	row, rides := ws.row, ws.rides
-	period := g.TT.Period
+	row := ws.row
 	heap := &ws.radix
 	k := len(res.Deps)
 	arr, numStations := res.arr, graph.NodeID(g.NumStations())
 	done := w.opts.Done
 	hasParents := res.hasParents
 	limit := w.limit
-	// A board or a ride hands its head to scan, or to scanTable when the
-	// table prunes (Theorems 3 and 4 then run at each record it writes).
+	// The table prunes at pops here and at each record a scan writes.
 	table := q != nil && q.table != nil
 
 	// Station-to-station state, none for one-to-all: µ, ancestors, the
@@ -213,60 +213,66 @@ func (w *spcsWorker) run() {
 				}
 			}
 
-			// Relax all outgoing edges of (v, i) at arrival time key.
-			edges := g.OutEdges(v)
-			for e := range edges {
-				edge := &edges[e]
-				w.counters.Relaxed++
-				// EvalEdge by hand: the call is too big to inline and most
-				// edges are constant-weight.
-				arrTent, ride := key+edge.W, timetable.ConnID(-1)
-				if edge.Kind == graph.Ride {
-					c := &rides[v]
-					if c.same(key, floor) {
-						w.refuse(c, v, limit, cur)
-						continue
-					}
-					if arrTent, ride = c.eval(g.RideConns(edge), period, key, qfloor, cur); arrTent >= limit {
-						c.disarm()
-					}
+			var ended bool
+			if v >= numStations { // a seed: its alight and its ride
+				if ended, limit = w.scan(&c, v, key, graph.NoNode, i, limit, floor, qfloor, cur); ended {
+					break search
 				}
-				if arrTent >= limit {
-					if q != nil && !arrTent.IsInf() {
-						w.counters.PrunedConns++ // stopping criterion (Theorem 2)
-					}
+				continue
+			}
+
+			// A station: its boards, then its footpaths, at arrival time key.
+			s := g.Station(v)
+			board := key + g.TT.Stations[s].Transfer
+			for _, u := range g.Boards(s) {
+				w.counters.Relaxed++
+				if !w.admits(u, board, limit, floor, cur) {
 					continue
 				}
-				l := &row[edge.Head]
-				if l.stamp >= floor && arrTent >= l.key {
-					if l.stamp != cur {
-						w.counters.PrunedConns++ // self-pruning (Theorem 1)
-					}
-					continue // connection-setting: (head, i) no better
+				if ended, limit = w.scan(&c, u, board, v, i, limit, floor, qfloor, cur); ended {
+					break search
 				}
-				if edge.Head >= numStations { // a board or a ride
-					if !table {
-						w.scan(edge.Head, arrTent, v, ride, i, limit, floor, qfloor, cur)
-						continue
-					}
-					var ended bool
-					if ended, limit = w.scanTable(&c, edge.Head, arrTent, v, i, limit, floor, qfloor, cur); ended {
-						break search
-					}
+			}
+			for _, f := range g.TT.FootpathsFrom(s) {
+				w.counters.Relaxed++
+				head, arrTent := g.StationNode(f.To), key+f.Walk
+				if !w.admits(head, arrTent, limit, floor, cur) {
 					continue
 				}
 				if anc != nil {
-					w.pushAnc(&c, edge.Head, cur)
+					w.pushAnc(&c, head, cur)
 				}
-				*l = label{key: arrTent, stamp: cur}
-				heap.Push(int32(edge.Head), arrTent)
+				row[head] = label{key: arrTent, stamp: cur}
+				heap.Push(int32(head), arrTent)
 				w.counters.QueuePushes++
 				if hasParents {
-					res.setParent(int(edge.Head)*k+i, v, ride)
+					res.setParent(int(head)*k+i, v, -1)
 				}
 			}
 		}
 	}
+}
+
+// admits reports whether connection cur (stamps from floor on this query)
+// may give node v the key arr: arr is below limit and v's record holds no
+// key at or below it. A refusal counts as a pruning where the search could
+// have kept the label: the stopping criterion (Theorem 2) in a
+// station-to-station query, or self-pruning (Theorem 1) by a later
+// connection's record.
+func (w *spcsWorker) admits(v graph.NodeID, arr, limit timeutil.Ticks, floor, cur uint32) bool {
+	if arr >= limit {
+		if w.q != nil && !arr.IsInf() {
+			w.counters.PrunedConns++
+		}
+		return false
+	}
+	if l := &w.ws.row[v]; l.stamp >= floor && arr >= l.key {
+		if l.stamp != cur {
+			w.counters.PrunedConns++
+		}
+		return false
+	}
+	return true
 }
 
 // pushAnc does the ancestor bookkeeping of queueing station node v for the
@@ -286,26 +292,35 @@ func (w *spcsWorker) pushAnc(c *s2sConn, v graph.NodeID, cur uint32) {
 }
 
 // scan rides a trip forward from route node u, which connection i (stamp
-// cur) reaches at key, a key the bound and u's record have admitted. At each
-// route node it writes the record (parent: the node it came from and the
-// connection ridden), queues the node's station at the alight key unless
-// that station's record refuses it, and evaluates the ride edge through the
-// node's cursor; it moves on to the next route node while that node's record
+// cur) reaches at key, a key the bound and u's record have admitted: boarded
+// from station from, or, with from NoNode, a popped seed whose record
+// already holds key. At each route node but the seed it writes the record
+// (parent: the node it came from and the connection ridden); at each but the
+// boarded one it queues the node's station at the alight key unless that
+// station's record refuses it; and it evaluates the node's ride through the
+// node's cursor, moving on to the next route node while that node's record
 // admits the arrival. Every key it writes is at least the key of the pop
 // that started it, so stations stay label-setting, and a record this
-// connection rewrites lower later is scanned again from there.
-func (w *spcsWorker) scan(u graph.NodeID, key timeutil.Ticks, from graph.NodeID, conn timetable.ConnID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) {
+// connection rewrites lower later is scanned again from there. A query the
+// distance table prunes scans through scanTable instead, which reports
+// whether the connection ended and the bound of the worker's next one.
+func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from graph.NodeID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) (bool, timeutil.Ticks) {
+	if w.q != nil && w.q.table != nil {
+		return w.scanTable(c, u, key, from, i, limit, floor, qfloor, cur)
+	}
 	g, res, ws := w.g, w.res, w.ws
 	row, rides := ws.row, ws.rides
 	k := len(res.Deps)
 	// A boarded node's alight leads back to the station it was boarded
 	// from, settled at or below key: refused, so not relaxed.
-	alight := !g.IsStationNode(from)
+	alight, conn := from == graph.NoNode, timetable.ConnID(-1)
 	for {
-		row[u] = label{key: key, stamp: cur}
-		w.counters.SettledConns++
-		if res.hasParents {
-			res.setParent(int(u)*k+i, from, conn)
+		if from != graph.NoNode {
+			row[u] = label{key: key, stamp: cur}
+			w.counters.SettledConns++
+			if res.hasParents {
+				res.setParent(int(u)*k+i, from, conn)
+			}
 		}
 		if alight {
 			w.counters.Relaxed++
@@ -322,30 +337,23 @@ func (w *spcsWorker) scan(u graph.NodeID, key timeutil.Ticks, from graph.NodeID,
 			}
 		}
 		alight = true
-		c := &rides[u]
-		if c.same(key, floor) {
+		rc := &rides[u]
+		if rc.same(key, floor) {
 			w.counters.Relaxed++
-			w.refuse(c, u, limit, cur)
-			return
+			w.refuse(rc, u, limit, cur)
+			return false, limit
 		}
-		edge := g.RideEdge(u)
-		if edge == nil {
-			return // the route ends
+		conns, ok := g.Ride(u)
+		if !ok {
+			return false, limit // the route ends
 		}
 		w.counters.Relaxed++
-		arr, ride := c.eval(g.RideConns(edge), g.TT.Period, key, qfloor, cur)
+		arr, ride := rc.eval(conns, g.TT.Period, key, qfloor, cur)
 		if arr >= limit {
-			c.disarm()
-			if w.q != nil && !arr.IsInf() {
-				w.counters.PrunedConns++ // stopping criterion (Theorem 2)
-			}
-			return
+			rc.disarm()
 		}
-		if l := &row[u+1]; l.stamp >= floor && arr >= l.key {
-			if l.stamp != cur {
-				w.counters.PrunedConns++ // self-pruning (Theorem 1)
-			}
-			return
+		if !w.admits(u+1, arr, limit, floor, cur) {
+			return false, limit
 		}
 		from, u, key, conn = u, u+1, arr, ride
 	}
@@ -357,7 +365,7 @@ func (w *spcsWorker) scan(u graph.NodeID, key timeutil.Ticks, from graph.NodeID,
 // answer by Theorem 4 ends the connection, which scanTable reports with the
 // bound of the worker's next connection. A transfer-station ancestor that
 // prune finds holds for the rest of the trip, and c.childAnc is restored
-// for the caller's other edges on return. A station the scan queues gets
+// for the caller's other boards on return. A station the scan queues gets
 // the ancestor bookkeeping of run's pushes (pushAnc); its key, like every
 // key the scan writes, is below limit, which only an answer that ends the
 // connection lowers. A station-to-station query keeps no parents.
@@ -365,16 +373,18 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 	g, ws := w.g, w.ws
 	row, rides := ws.row, ws.rides
 	anc, childAnc := w.q.targetIsTransfer, c.childAnc
-	alight := !g.IsStationNode(from)
+	alight := from == graph.NoNode
 	for {
-		row[u] = label{key: key, stamp: cur}
-		w.counters.SettledConns++
-		act, bound := w.prune(c, i, u, key, limit, cur)
-		if act == endConn {
-			return true, bound
-		}
-		if act == skipNode {
-			break
+		if from != graph.NoNode {
+			row[u] = label{key: key, stamp: cur}
+			w.counters.SettledConns++
+			act, bound := w.prune(c, i, u, key, limit, cur)
+			if act == endConn {
+				return true, bound
+			}
+			if act == skipNode {
+				break
+			}
 		}
 		if alight {
 			w.counters.Relaxed++
@@ -397,23 +407,16 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 			w.refuse(rc, u, limit, cur)
 			break
 		}
-		edge := g.RideEdge(u)
-		if edge == nil {
+		conns, ok := g.Ride(u)
+		if !ok {
 			break // the route ends
 		}
 		w.counters.Relaxed++
-		arr, _ := rc.eval(g.RideConns(edge), g.TT.Period, key, qfloor, cur)
+		arr, _ := rc.eval(conns, g.TT.Period, key, qfloor, cur)
 		if arr >= limit {
 			rc.disarm()
-			if !arr.IsInf() {
-				w.counters.PrunedConns++ // stopping criterion (Theorem 2)
-			}
-			break
 		}
-		if l := &row[u+1]; l.stamp >= floor && arr >= l.key {
-			if l.stamp != cur {
-				w.counters.PrunedConns++ // self-pruning (Theorem 1)
-			}
+		if !w.admits(u+1, arr, limit, floor, cur) {
 			break
 		}
 		from, u, key = u, u+1, arr
@@ -427,10 +430,14 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 // have: the record of u+1, the ride's head, holds the arrival or better, so
 // the record check counts it unless that record is this connection's own,
 // and the bound, which may have fallen since, counts it in a
-// station-to-station query.
+// station-to-station query, which reads the cursor's arrival off u's ride.
 func (w *spcsWorker) refuse(c *rideCursor, u graph.NodeID, limit timeutil.Ticks, cur uint32) {
-	if w.ws.row[u+1].stamp != cur || w.q != nil && c.arrival(w.g.RideConns(w.g.RideEdge(u)), w.g.TT.Period) >= limit {
+	if w.ws.row[u+1].stamp != cur {
 		w.counters.PrunedConns++
+	} else if w.q != nil {
+		if conns, _ := w.g.Ride(u); c.arrival(conns, w.g.TT.Period) >= limit {
+			w.counters.PrunedConns++
+		}
 	}
 }
 
@@ -565,10 +572,8 @@ func (w *spcsWorker) seed(i int, limit timeutil.Ticks, floor, cur uint32) int {
 	dep := res.Deps[i]
 	sn := g.StationNode(res.Source)
 	n := w.seedNode(sn, dep, limit, floor, cur)
-	for _, e := range g.OutEdges(sn) {
-		if e.Kind == graph.Board {
-			n += w.seedNode(e.Head, dep, limit, floor, cur)
-		}
+	for _, u := range g.Boards(res.Source) {
+		n += w.seedNode(u, dep, limit, floor, cur)
 	}
 	return n
 }
@@ -577,20 +582,10 @@ func (w *spcsWorker) seed(i int, limit timeutil.Ticks, floor, cur uint32) int {
 // reaches limit or a later connection is at v by then, and reports how many
 // labels it queued (0 or 1).
 func (w *spcsWorker) seedNode(v graph.NodeID, key, limit timeutil.Ticks, floor, cur uint32) int {
-	if key >= limit {
-		if w.q != nil {
-			w.counters.PrunedConns++ // stopping criterion (Theorem 2)
-		}
+	if !w.admits(v, key, limit, floor, cur) {
 		return 0
 	}
-	l := &w.ws.row[v]
-	if l.stamp >= floor && key >= l.key {
-		if l.stamp != cur {
-			w.counters.PrunedConns++ // a later connection is at v by then
-		}
-		return 0
-	}
-	*l = label{key: key, stamp: cur}
+	w.ws.row[v] = label{key: key, stamp: cur}
 	w.ws.radix.Push(int32(v), key)
 	w.counters.QueuePushes++
 	if w.q != nil && w.q.targetIsTransfer {

@@ -5,6 +5,7 @@ import (
 
 	"transit/internal/gen"
 	"transit/internal/graph"
+	"transit/internal/stats"
 	"transit/internal/timetable"
 	"transit/internal/timeutil"
 )
@@ -377,5 +378,46 @@ func TestOneToAllWindow(t *testing.T) {
 	}
 	if _, err := NewWorkspace().OneToAllWindow(g, 0, 600, 420, Options{}); err == nil {
 		t.Fatal("inverted window accepted")
+	}
+}
+
+// A ride whose every departure is cancelled is still a ride: relaxing it
+// counts once and reaches nothing, where a route's last stop has no ride to
+// relax. The graph comes from PatchTimes cancelling the only train of route
+// B→C, whose first stop keeps an empty ride.
+func TestEmptyRideCountsRelaxed(t *testing.T) {
+	b := timetable.NewBuilder(day)
+	a, bb, c := b.AddStation("A", 2), b.AddStation("B", 3), b.AddStation("C", 2)
+	b.AddTrainRun("ab", []timetable.StationID{a, bb}, 480, []timeutil.Ticks{10}, 0)
+	b.AddTrainRun("bc", []timetable.StationID{bb, c}, 500, []timeutil.Ticks{10}, 0)
+	tt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptt, err := tt.Patch([]timetable.ConnUpdate{{ID: 1, Cancel: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Build(tt).PatchTimes(ptt, []timetable.ConnID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conns, ok := g.Ride(g.ConnDepartureNode(1)); !ok || len(conns) != 0 {
+		t.Fatalf("B's route node on B→C: ride (%v, %v), want one without departures", conns, ok)
+	}
+	res, err := NewWorkspace().OneToAll(g, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seed at A's route node relaxes its alight and its ride to B's
+	// route node, which relaxes its alight (the route ends there); station
+	// A relaxes its board, and station B its two boards, the second of
+	// which scans B→C's first stop and relaxes its empty ride: 7.
+	want := stats.Counters{SettledConns: 5, QueuePushes: 3, QueuePops: 3, Relaxed: 7}
+	if got := res.Run.Total; got != want {
+		t.Fatalf("counters %+v, want %+v", got, want)
+	}
+	if arr := res.StationArrival(c, 0); !arr.IsInf() {
+		t.Fatalf("C reached at %d over a cancelled ride", arr)
 	}
 }

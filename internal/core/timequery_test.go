@@ -367,13 +367,6 @@ func TestScanQueuesStationsOnly(t *testing.T) {
 	}
 }
 
-// boardsOf counts the Board edges of station s: the route nodes a point
-// search seeds besides the station node.
-func boardsOf(g *graph.Graph, s timetable.StationID) (n int64) {
-	for _, e := range g.OutEdges(g.StationNode(s)) {
-		if e.Kind == graph.Board {
-			n++
-		}
-	}
-	return n
-}
+// boardsOf counts the boards of station s: the route nodes a point search
+// seeds besides the station node.
+func boardsOf(g *graph.Graph, s timetable.StationID) int64 { return int64(len(g.Boards(s))) }

@@ -349,7 +349,7 @@ func TestFreeListBounded(t *testing.T) {
 }
 
 // thinnedCopy returns g's network with every other train cancelled: the same
-// nodes and edges, half the departures on the ride edges.
+// nodes, boards and footpaths, half the departures on the rides.
 func thinnedCopy(t testing.TB, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	var ups []timetable.ConnUpdate

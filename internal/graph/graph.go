@@ -13,6 +13,12 @@
 // train, and none is paid on final arrival at the target station node. All
 // edge weights are therefore non-negative and every travel-time function
 // is FIFO, which is what makes arrival-time keys monotone in the searches.
+//
+// The graph stores no edge list. Board and alight edges are implicit: a
+// station boards each of its route nodes (Boards), and a route node alights
+// at its station (Station). A station's footpaths are the timetable's
+// (Timetable.FootpathsFrom), and a route node's one route edge is its ride
+// (Ride), a row of departures.
 package graph
 
 import (
@@ -32,50 +38,8 @@ type NodeID int32
 // NoNode is the invalid node sentinel.
 const NoNode NodeID = -1
 
-// EdgeKind distinguishes the three edge types of the realistic model.
-type EdgeKind uint8
-
-const (
-	// Board is a station node → route node edge with constant weight T(S).
-	Board EdgeKind = iota
-	// Alight is a route node → station node edge with weight 0.
-	Alight
-	// Ride is a time-dependent route node → route node edge holding the
-	// elementary connections between two consecutive stations of a route.
-	Ride
-	// Walk is a station node → station node footpath with constant walking
-	// time, usable at any moment.
-	Walk
-)
-
-func (k EdgeKind) String() string {
-	switch k {
-	case Board:
-		return "board"
-	case Alight:
-		return "alight"
-	case Ride:
-		return "ride"
-	case Walk:
-		return "walk"
-	default:
-		return fmt.Sprintf("EdgeKind(%d)", uint8(k))
-	}
-}
-
-// Edge is an outgoing edge of the time-dependent graph. For Board/Alight
-// edges W holds the constant weight; for Ride edges [First, First+Num)
-// indexes the graph's RideConns.
-type Edge struct {
-	Head  NodeID
-	Kind  EdgeKind
-	W     timeutil.Ticks
-	First int32
-	Num   int32
-}
-
-// RideConn is one departure on a ride edge: at time point Dep a vehicle
-// leaves, taking Dur ticks to the head route node; Conn is the underlying
+// RideConn is one departure of a ride: at time point Dep a vehicle leaves,
+// taking Dur ticks to the next route node; Conn is the underlying
 // elementary connection (for journey extraction).
 type RideConn struct {
 	Dep  timeutil.Ticks
@@ -83,33 +47,39 @@ type RideConn struct {
 	Conn timetable.ConnID
 }
 
-// Graph is the realistic time-dependent model of a timetable. It is
-// immutable after Build and safe for concurrent readers; all query state
-// lives in the algorithms, never in the graph.
+// Graph is the realistic time-dependent model of a timetable, stored as
+// rows: per station its route nodes (Boards) and footpaths
+// (Timetable.FootpathsFrom), per route node its station (Station) and its
+// ride to the next route node (Ride). It is immutable after Build and safe
+// for concurrent readers; all query state lives in the algorithms, never in
+// the graph.
 type Graph struct {
 	TT *timetable.Timetable
 
-	firstOut  []int32 // CSR offsets, len = numNodes+1
-	edges     []Edge
-	rideConns []RideConn
-
 	nodeStation []timetable.StationID // st(u) for every node
 	routeOffset []NodeID              // first node of each route
+	boards      [][]NodeID            // per station: its route nodes, in node order
 	connDepNode []NodeID              // departing route node per connection
 	connArrNode []NodeID              // arriving route node per connection
 
-	// Incremental-update indexes (PatchTimes): the ride edge every
-	// connection lives on, and per edge the full (pre-reduction) member
-	// list needed to recompute the edge's departures after a retime.
-	connRideEdge []int32              // per connection: index into edges (-1 for cancelled-at-build)
-	rideAllConns [][]timetable.ConnID // per edge index: member connections of a Ride edge (nil otherwise)
+	// Per route node j = u − NumStations: the departures of its ride,
+	// rideConns[rideOff[j]:rideOff[j+1]], and whether it is the last stop
+	// of its route, which has no ride.
+	rideOff   []int32
+	rideConns []RideConn
+	lastStop  []bool
+
+	// members[j] lists the live connections departing route node j, in ID
+	// order: the ride's departures before reduction, which PatchTimes
+	// recomputes the ride from after a retime.
+	members [][]timetable.ConnID
 
 	numStations int
 }
 
-// Build constructs the time-dependent graph. Connections on each ride edge
+// Build constructs the time-dependent graph. The departures of each ride
 // are sorted by departure and dominated departures (a later vehicle on the
-// same edge that arrives no later) are dropped; this never changes any
+// same ride that arrives no later) are dropped; this never changes any
 // travel-time function value and makes next-departure evaluation exact.
 //
 // Every per-node array is indexed by dense IDs: a hop is keyed by its
@@ -119,43 +89,43 @@ func Build(tt *timetable.Timetable) *Graph {
 	g := &Graph{TT: tt, numStations: nS}
 	routes := tt.Routes()
 
-	// Edges: a Board and an Alight edge per route node, a Ride edge per hop
-	// of a route, and the footpaths.
-	numNodes, numEdges := nS, len(tt.Footpaths)
+	numNodes := nS
 	g.routeOffset = make([]NodeID, len(routes)+1)
 	for i, r := range routes {
 		g.routeOffset[i] = NodeID(numNodes)
 		numNodes += len(r.Stations)
-		numEdges += 2*len(r.Stations) + max(len(r.Stations)-1, 0)
 	}
 	g.routeOffset[len(routes)] = NodeID(numNodes)
+	numRouteNodes := numNodes - nS
 
-	// Each route node's station, and per station its route nodes in node
-	// order (the Board edges).
+	// Each route node's station and whether it ends its route, and per
+	// station its route nodes in node order (its boards).
 	g.nodeStation = make([]timetable.StationID, numNodes)
-	routeNodes := make([]NodeID, 0, numNodes-nS)
+	g.lastStop = make([]bool, numRouteNodes)
+	routeNodes := make([]NodeID, 0, numRouteNodes)
 	for s := range nS {
 		g.nodeStation[s] = timetable.StationID(s)
 	}
 	for i, r := range routes {
 		for p, s := range r.Stations {
-			g.nodeStation[g.routeOffset[i]+NodeID(p)] = s
-			routeNodes = append(routeNodes, g.routeOffset[i]+NodeID(p))
+			u := g.routeOffset[i] + NodeID(p)
+			g.nodeStation[u] = s
+			g.lastStop[int(u)-nS] = p == len(r.Stations)-1
+			routeNodes = append(routeNodes, u)
 		}
 	}
-	routeNodesAt := csr.Group(nS, routeNodes, func(u NodeID) int32 { return int32(g.nodeStation[u]) })
+	g.boards = csr.Group(nS, routeNodes, func(u NodeID) int32 { return int32(g.nodeStation[u]) })
 
-	// Assign each connection to its ride edge. A train's hops are its
+	// Assign each connection to its route nodes. A train's hops are its
 	// connections in ID order (Timetable.TrainConnections); hop h of a train
-	// on route r departs route node routeOffset[r]+h. hops is a CSR over
-	// route nodes (numbered from 0) of the live connections departing there,
-	// in ID order: a cancelled connection keeps its hop slot (so later hops
-	// stay aligned with the route's station sequence) but never appears on
-	// a ride edge.
+	// on route r departs route node routeOffset[r]+h. members is a CSR over
+	// route nodes (numbered from 0) of the live connections departing
+	// there, in ID order: a cancelled connection keeps its hop slot (so
+	// later hops stay aligned with the route's station sequence) but never
+	// appears on a ride.
 	nC := tt.NumConnections()
 	g.connDepNode = make([]NodeID, nC)
 	g.connArrNode = make([]NodeID, nC)
-	g.connRideEdge = make([]int32, nC)
 	ids := make([]timetable.ConnID, nC)
 	for z := range tt.Trains {
 		first := g.routeOffset[tt.RouteOf(timetable.TrainID(z))]
@@ -164,60 +134,27 @@ func Build(tt *timetable.Timetable) *Graph {
 		}
 	}
 	for id := range ids {
-		ids[id], g.connRideEdge[id] = timetable.ConnID(id), -1
+		ids[id] = timetable.ConnID(id)
 	}
-	hops := csr.Group(numNodes-nS, ids, func(id timetable.ConnID) int32 {
+	g.members = csr.Group(numRouteNodes, ids, func(id timetable.ConnID) int32 {
 		if tt.Cancelled(id) {
 			return -1
 		}
 		return int32(g.connDepNode[id]) - int32(nS)
 	})
 
-	// Emit CSR. Station node s: one Board edge per route node at s, then its
-	// footpaths. Route node (r, p): Alight edge, plus Ride edge to (r, p+1)
-	// if p is not the last position.
-	g.firstOut = make([]int32, numNodes+1)
-	g.edges = make([]Edge, 0, numEdges)
-	g.rideAllConns = make([][]timetable.ConnID, numEdges)
+	// One ride row per route node, empty at a route's last stop.
+	g.rideOff = make([]int32, numRouteNodes+1)
 	g.rideConns = make([]RideConn, 0, nC)
-	for s := range nS {
-		g.firstOut[s] = int32(len(g.edges))
-		for _, rn := range routeNodesAt[s] {
-			g.edges = append(g.edges, Edge{Head: rn, Kind: Board, W: tt.Stations[s].Transfer})
+	for j, members := range g.members {
+		first := len(g.rideConns)
+		for _, id := range members {
+			c := &tt.Connections[id]
+			g.rideConns = append(g.rideConns, RideConn{Dep: c.Dep, Dur: c.Duration(), Conn: id})
 		}
-		for _, f := range tt.FootpathsFrom(timetable.StationID(s)) {
-			g.edges = append(g.edges, Edge{Head: NodeID(f.To), Kind: Walk, W: f.Walk})
-		}
+		g.rideConns = g.rideConns[:first+len(reduceRideConns(tt.Period, g.rideConns[first:]))]
+		g.rideOff[j+1] = int32(len(g.rideConns))
 	}
-	for ri, r := range routes {
-		for pos, s := range r.Stations {
-			u := g.routeOffset[ri] + NodeID(pos)
-			g.firstOut[u] = int32(len(g.edges))
-			g.edges = append(g.edges, Edge{Head: NodeID(s), Kind: Alight})
-			if pos == len(r.Stations)-1 {
-				continue
-			}
-			members := hops[int(u)-nS]
-			first := len(g.rideConns)
-			for _, id := range members {
-				c := &tt.Connections[id]
-				g.rideConns = append(g.rideConns, RideConn{Dep: c.Dep, Dur: c.Duration(), Conn: id})
-			}
-			g.rideConns = g.rideConns[:first+len(reduceRideConns(tt.Period, g.rideConns[first:]))]
-			e := int32(len(g.edges))
-			for _, id := range members {
-				g.connRideEdge[id] = e
-			}
-			g.rideAllConns[e] = members
-			g.edges = append(g.edges, Edge{
-				Head:  u + 1,
-				Kind:  Ride,
-				First: int32(first),
-				Num:   int32(len(g.rideConns) - first),
-			})
-		}
-	}
-	g.firstOut[numNodes] = int32(len(g.edges))
 	return g
 }
 
@@ -263,38 +200,28 @@ func (g *Graph) NumNodes() int { return len(g.nodeStation) }
 // NumStations returns the number of station nodes.
 func (g *Graph) NumStations() int { return g.numStations }
 
-// NumEdges returns the total edge count.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // IsStationNode reports whether n is a station node.
 func (g *Graph) IsStationNode(n NodeID) bool { return int(n) < g.numStations }
 
 // StationNode returns the station node of a station.
 func (g *Graph) StationNode(s timetable.StationID) NodeID { return NodeID(s) }
 
-// Station returns st(u), the station a node belongs to.
+// Station returns st(u), the station a node belongs to: for a route node,
+// the head of its alight.
 func (g *Graph) Station(n NodeID) timetable.StationID { return g.nodeStation[n] }
 
-// OutEdges returns the outgoing edges of n (shared slice, do not modify).
-func (g *Graph) OutEdges(n NodeID) []Edge {
-	return g.edges[g.firstOut[n]:g.firstOut[n+1]]
-}
+// Boards returns the route nodes of station s in node order, each boarded at
+// the constant weight T(s) (shared slice, do not modify).
+func (g *Graph) Boards(s timetable.StationID) []NodeID { return g.boards[s] }
 
-// RideConns returns the departures of a Ride edge, sorted by departure time
-// point and dominance-free.
-func (g *Graph) RideConns(e *Edge) []RideConn {
-	return g.rideConns[e.First : e.First+e.Num]
-}
-
-// RideEdge returns the Ride edge of route node u, which leads to u+1, or nil
-// when u is the last stop of its route: a route node's out-edges are its
-// Alight edge and then its Ride edge.
-func (g *Graph) RideEdge(u NodeID) *Edge {
-	lo, hi := g.firstOut[u], g.firstOut[u+1]
-	if hi-lo < 2 {
-		return nil
-	}
-	return &g.edges[hi-1]
+// Ride returns the departures of route node u's ride to u+1, sorted by
+// departure time point and dominance-free (shared slice, do not modify),
+// and whether u has a ride: the last stop of a route has none, while a ride
+// whose every departure is cancelled has no departures.
+func (g *Graph) Ride(u NodeID) ([]RideConn, bool) {
+	j := int(u) - g.numStations
+	conns := g.rideConns[g.rideOff[j]:g.rideOff[j+1]]
+	return conns, len(conns) > 0 || !g.lastStop[j]
 }
 
 // ConnDepartureNode returns the route node where connection c departs; this
@@ -304,13 +231,13 @@ func (g *Graph) ConnDepartureNode(c timetable.ConnID) NodeID { return g.connDepN
 // ConnArrivalNode returns the route node where connection c arrives.
 func (g *Graph) ConnArrivalNode(c timetable.ConnID) NodeID { return g.connArrNode[c] }
 
-// EvalRide returns the arrival time at the head of a Ride edge when reaching
-// its tail at the absolute time at, together with the connection boarded.
-// The next departure (wrapping to the following period) is optimal because
-// ride connections are stored dominance-free. Returns Infinity and -1 for
-// edges with no departures.
-func (g *Graph) EvalRide(e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.ConnID) {
-	conns := g.RideConns(e)
+// EvalRide returns the arrival time at u+1 when taking route node u's ride
+// at the absolute time at, together with the connection boarded. The next
+// departure (wrapping to the following period) is optimal because ride
+// departures are stored dominance-free. Returns Infinity and -1 for a ride
+// with no departures, and at the last stop of a route.
+func (g *Graph) EvalRide(u NodeID, at timeutil.Ticks) (timeutil.Ticks, timetable.ConnID) {
+	conns, _ := g.Ride(u)
 	if len(conns) == 0 {
 		return timeutil.Infinity, -1
 	}
@@ -318,9 +245,8 @@ func (g *Graph) EvalRide(e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.
 	if tau < 0 || tau >= pi { // Period.Wrap, with its in-range case inline
 		tau = g.TT.Period.Wrap(at)
 	}
-	// Lower bound: the first departure at or after tau. Written out rather
-	// than through sort.Search so the settle loops pay no closure call per
-	// probe.
+	// Lower bound: the first departure at or after tau, written out rather
+	// than through sort.Search.
 	lo, hi := 0, len(conns)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -338,23 +264,12 @@ func (g *Graph) EvalRide(e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.
 	return at + c.Dep - tau + c.Dur, c.Conn
 }
 
-// EvalEdge returns the arrival time at the head of any edge when reaching
-// its tail at the absolute time at; for Ride edges it also returns the
-// boarded connection (otherwise -1).
-func (g *Graph) EvalEdge(e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.ConnID) {
-	if e.Kind == Ride {
-		return g.EvalRide(e, at)
-	}
-	return at + e.W, -1
-}
-
 // Stats summarizes the graph for logging.
 type Stats struct {
 	Nodes        int
 	StationNodes int
 	RouteNodes   int
-	Edges        int
-	RideEdges    int
+	Rides        int // route nodes with a ride: all but each route's last stop
 	RideConns    int
 }
 
@@ -364,18 +279,17 @@ func (g *Graph) Stats() Stats {
 		Nodes:        g.NumNodes(),
 		StationNodes: g.numStations,
 		RouteNodes:   g.NumNodes() - g.numStations,
-		Edges:        len(g.edges),
 		RideConns:    len(g.rideConns),
 	}
-	for _, e := range g.edges {
-		if e.Kind == Ride {
-			st.RideEdges++
+	for _, last := range g.lastStop {
+		if !last {
+			st.Rides++
 		}
 	}
 	return st
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d nodes (%d stations, %d route nodes), %d edges (%d ride), %d ride connections",
-		s.Nodes, s.StationNodes, s.RouteNodes, s.Edges, s.RideEdges, s.RideConns)
+	return fmt.Sprintf("%d nodes (%d stations, %d route nodes), %d rides, %d ride connections",
+		s.Nodes, s.StationNodes, s.RouteNodes, s.Rides, s.RideConns)
 }

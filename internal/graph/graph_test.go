@@ -41,9 +41,9 @@ func TestBuildStructure(t *testing.T) {
 	if st.RouteNodes != 5 {
 		t.Fatalf("route nodes = %d, want 5", st.RouteNodes)
 	}
-	// Ride edges: route1 has 2 hops, route2 has 1 hop.
-	if st.RideEdges != 3 {
-		t.Fatalf("ride edges = %d, want 3", st.RideEdges)
+	// Rides: route1 has 2 hops, route2 has 1 hop.
+	if st.Rides != 3 {
+		t.Fatalf("rides = %d, want 3", st.Rides)
 	}
 	// Every node belongs to a station.
 	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
@@ -60,32 +60,27 @@ func TestBuildStructure(t *testing.T) {
 func TestEdgeKindsAndWeights(t *testing.T) {
 	tt := lineNetwork(t)
 	g := Build(tt)
-	// Station B (id 1) hosts route nodes of both routes → 2 board edges
-	// with weight T(B)=3.
-	edges := g.OutEdges(g.StationNode(1))
-	if len(edges) != 2 {
-		t.Fatalf("station B board edges = %d, want 2", len(edges))
+	// Station B (id 1) hosts route nodes of both routes → 2 boards, each
+	// paying T(B)=3, and no footpaths.
+	boards := g.Boards(1)
+	if len(boards) != 2 || len(tt.FootpathsFrom(1)) != 0 || tt.Stations[1].Transfer != 3 {
+		t.Fatalf("station B: boards %v, footpaths %v, T(B) = %d; want 2 boards at weight 3 and no footpaths",
+			boards, tt.FootpathsFrom(1), tt.Stations[1].Transfer)
 	}
-	for _, e := range edges {
-		if e.Kind != Board || e.W != 3 {
-			t.Fatalf("bad board edge %+v", e)
+	for _, u := range boards {
+		if g.IsStationNode(u) {
+			t.Fatalf("board leads to station node %d", u)
 		}
-		if g.Station(e.Head) != 1 {
-			t.Fatalf("board edge leads to route node of station %d", g.Station(e.Head))
+		// Each route node alights back at its station, at weight 0.
+		if g.StationNode(g.Station(u)) != g.StationNode(1) {
+			t.Fatalf("board leads to route node %d of station %d", u, g.Station(u))
 		}
-		// Each route node has an alight edge back with weight 0.
-		back := g.OutEdges(e.Head)
-		foundAlight := false
-		for _, be := range back {
-			if be.Kind == Alight {
-				foundAlight = true
-				if be.W != 0 || be.Head != g.StationNode(1) {
-					t.Fatalf("bad alight edge %+v", be)
-				}
-			}
-		}
-		if !foundAlight {
-			t.Fatal("route node missing alight edge")
+	}
+	// B is the middle stop of route 1, which rides on to C, and the first
+	// of route 2, which rides on too.
+	for _, u := range boards {
+		if _, ok := g.Ride(u); !ok || g.Station(u+1) != 2 {
+			t.Fatalf("route node %d: ride %v to station %d, want a ride to C", u, ok, g.Station(u+1))
 		}
 	}
 }
@@ -105,24 +100,20 @@ func TestConnDepartureNodes(t *testing.T) {
 		if g.IsStationNode(dep) || g.IsStationNode(arr) {
 			t.Fatal("connection endpoints must be route nodes")
 		}
-		// The ride edge out of dep must contain the connection (unless it
-		// was dominance-reduced away, which cannot happen here).
+		// The ride out of dep must contain the connection (unless it was
+		// dominance-reduced away, which cannot happen here).
 		found := false
-		for _, e := range g.OutEdges(dep) {
-			if e.Kind != Ride {
-				continue
-			}
-			for _, rc := range g.RideConns(&e) {
-				if rc.Conn == c.ID {
-					found = true
-					if rc.Dep != c.Dep || rc.Dur != c.Duration() {
-						t.Fatalf("ride conn mismatch: %+v vs %+v", rc, c)
-					}
+		conns, _ := g.Ride(dep)
+		for _, rc := range conns {
+			if rc.Conn == c.ID {
+				found = true
+				if rc.Dep != c.Dep || rc.Dur != c.Duration() {
+					t.Fatalf("ride conn mismatch: %+v vs %+v", rc, c)
 				}
 			}
 		}
 		if !found {
-			t.Fatalf("connection %d not found on its ride edge", c.ID)
+			t.Fatalf("connection %d not found on its ride", c.ID)
 		}
 	}
 }
@@ -132,15 +123,8 @@ func TestEvalRide(t *testing.T) {
 	g := Build(tt)
 	// Route 1 hop A→B: departures 480 (t1) and 540 (t2), both 10 min.
 	depNode := g.ConnDepartureNode(0)
-	var ride *Edge
-	for i := range g.OutEdges(depNode) {
-		e := &g.OutEdges(depNode)[i]
-		if e.Kind == Ride {
-			ride = e
-		}
-	}
-	if ride == nil {
-		t.Fatal("no ride edge")
+	if _, ok := g.Ride(depNode); !ok {
+		t.Fatal("no ride")
 	}
 	tests := []struct {
 		at      timeutil.Ticks
@@ -153,23 +137,13 @@ func TestEvalRide(t *testing.T) {
 		{1950, 1990}, // day 1, 07:30 → day 1 train at 540+1440
 	}
 	for _, tc := range tests {
-		arr, conn := g.EvalRide(ride, tc.at)
+		arr, conn := g.EvalRide(depNode, tc.at)
 		if arr != tc.wantArr {
 			t.Errorf("EvalRide(at=%d) = %d, want %d", tc.at, arr, tc.wantArr)
 		}
 		if conn < 0 {
 			t.Errorf("EvalRide(at=%d) returned no connection", tc.at)
 		}
-	}
-}
-
-func TestEvalEdgeConstant(t *testing.T) {
-	tt := lineNetwork(t)
-	g := Build(tt)
-	e := g.OutEdges(g.StationNode(1))[0] // board edge, W=3
-	arr, conn := g.EvalEdge(&e, 500)
-	if arr != 503 || conn != -1 {
-		t.Fatalf("EvalEdge board = (%d,%d)", arr, conn)
 	}
 }
 
@@ -199,7 +173,7 @@ func TestReduceRideConnsCircular(t *testing.T) {
 }
 
 // EvalRide must equal the brute-force minimum over all (unreduced)
-// departures, on random ride edges.
+// departures, on random rides.
 func TestEvalRideMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
@@ -215,9 +189,7 @@ func TestEvalRideMatchesBruteForce(t *testing.T) {
 		cp := make([]RideConn, n)
 		copy(cp, raw)
 		reduced := reduceRideConns(day, cp)
-		g := &Graph{rideConns: reduced}
-		g.TT = &timetable.Timetable{Period: day}
-		e := Edge{Kind: Ride, First: 0, Num: int32(len(reduced))}
+		g := rideRows(reduced)
 		for tau := timeutil.Ticks(0); tau < 1440; tau += 17 {
 			best := timeutil.Infinity
 			for _, c := range raw {
@@ -226,7 +198,7 @@ func TestEvalRideMatchesBruteForce(t *testing.T) {
 					best = arr
 				}
 			}
-			got, _ := g.EvalRide(&e, tau)
+			got, _ := g.EvalRide(0, tau)
 			if got != best {
 				t.Fatalf("trial %d: EvalRide(%d)=%d, brute=%d\nraw %+v\nreduced %+v",
 					trial, tau, got, best, raw, reduced)
@@ -235,13 +207,34 @@ func TestEvalRideMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// rideRows is a graph of route nodes only (no stations), one per row: node
+// j rides on rows[j]. It has no timetable but its period, and its last node
+// is not a route's last stop.
+func rideRows(rows ...[]RideConn) *Graph {
+	g := &Graph{TT: &timetable.Timetable{Period: day}, rideOff: []int32{0}, lastStop: make([]bool, len(rows))}
+	for _, row := range rows {
+		g.rideConns = append(g.rideConns, row...)
+		g.rideOff = append(g.rideOff, int32(len(g.rideConns)))
+	}
+	return g
+}
+
+// A ride with no departures (every one cancelled) is a ride, unreachable;
+// the last stop of a route has no ride and evaluates the same.
 func TestEmptyRideEdge(t *testing.T) {
-	g := &Graph{}
-	g.TT = &timetable.Timetable{Period: day}
-	e := Edge{Kind: Ride, First: 0, Num: 0}
-	arr, conn := g.EvalRide(&e, 100)
-	if !arr.IsInf() || conn != -1 {
-		t.Fatal("empty ride edge must be unreachable")
+	g := rideRows(nil)
+	if conns, ok := g.Ride(0); !ok || len(conns) != 0 {
+		t.Fatalf("empty ride: Ride = (%v, %v), want a ride without departures", conns, ok)
+	}
+	if arr, conn := g.EvalRide(0, 100); !arr.IsInf() || conn != -1 {
+		t.Fatal("empty ride must be unreachable")
+	}
+	g.lastStop[0] = true
+	if conns, ok := g.Ride(0); ok || len(conns) != 0 {
+		t.Fatalf("last stop: Ride = (%v, %v), want no ride", conns, ok)
+	}
+	if arr, conn := g.EvalRide(0, 100); !arr.IsInf() || conn != -1 {
+		t.Fatal("the last stop must be unreachable by ride")
 	}
 }
 
@@ -251,16 +244,13 @@ func TestStatsString(t *testing.T) {
 	if g.Stats().String() == "" {
 		t.Fatal("empty stats string")
 	}
-	if g.NumEdges() != len(g.edges) {
-		t.Fatal("NumEdges mismatch")
-	}
 }
 
 // evalRideBySearch is EvalRide as it was defined before the lower bound was
 // written out: sort.Search over the departures, Period.Wrap and Period.Len
 // called as methods.
-func evalRideBySearch(g *Graph, e *Edge, at timeutil.Ticks) (timeutil.Ticks, timetable.ConnID) {
-	conns := g.RideConns(e)
+func evalRideBySearch(g *Graph, u NodeID, at timeutil.Ticks) (timeutil.Ticks, timetable.ConnID) {
+	conns, _ := g.Ride(u)
 	if len(conns) == 0 {
 		return timeutil.Infinity, -1
 	}
@@ -275,29 +265,27 @@ func evalRideBySearch(g *Graph, e *Edge, at timeutil.Ticks) (timeutil.Ticks, tim
 }
 
 func TestEvalRideTable(t *testing.T) {
-	g := &Graph{rideConns: []RideConn{{Dep: 100, Dur: 10, Conn: 0}, {Dep: 700, Dur: 20, Conn: 1}}}
-	g.TT = &timetable.Timetable{Period: day}
-	full := Edge{Kind: Ride, First: 0, Num: 2}
-	empty := Edge{Kind: Ride, First: 2, Num: 0}
+	g := rideRows([]RideConn{{Dep: 100, Dur: 10, Conn: 0}, {Dep: 700, Dur: 20, Conn: 1}}, nil)
+	const full, empty NodeID = 0, 1
 	for _, tc := range []struct {
 		name string
-		e    *Edge
+		u    NodeID
 		at   timeutil.Ticks
 		arr  timeutil.Ticks
 		conn timetable.ConnID
 	}{
-		{"before first", &full, 0, 110, 0},
-		{"at a departure", &full, 100, 110, 0},
-		{"just missed", &full, 101, 720, 1},
-		{"last of the day", &full, 700, 720, 1},
-		{"wrap to next period", &full, 701, 1440 + 110, 0},
-		{"end of period", &full, 1439, 1440 + 110, 0},
-		{"at = π", &full, 1440, 1440 + 110, 0},
-		{"two periods on", &full, 2*1440 + 100, 2*1440 + 110, 0},
-		{"two periods on, wrapping", &full, 2*1440 + 701, 3*1440 + 110, 0},
-		{"empty edge", &empty, 100, timeutil.Infinity, -1},
+		{"before first", full, 0, 110, 0},
+		{"at a departure", full, 100, 110, 0},
+		{"just missed", full, 101, 720, 1},
+		{"last of the day", full, 700, 720, 1},
+		{"wrap to next period", full, 701, 1440 + 110, 0},
+		{"end of period", full, 1439, 1440 + 110, 0},
+		{"at = π", full, 1440, 1440 + 110, 0},
+		{"two periods on", full, 2*1440 + 100, 2*1440 + 110, 0},
+		{"two periods on, wrapping", full, 2*1440 + 701, 3*1440 + 110, 0},
+		{"empty edge", empty, 100, timeutil.Infinity, -1},
 	} {
-		arr, conn := g.EvalRide(tc.e, tc.at)
+		arr, conn := g.EvalRide(tc.u, tc.at)
 		if arr != tc.arr || conn != tc.conn {
 			t.Errorf("%s: EvalRide(%d) = (%d, %d), want (%d, %d)", tc.name, tc.at, arr, conn, tc.arr, tc.conn)
 		}
@@ -305,8 +293,8 @@ func TestEvalRideTable(t *testing.T) {
 }
 
 // The written-out lower bound must agree with the sort.Search definition on
-// every ride edge of a generated network — at the period's ends, around
-// every departure, periods later, and at random times — and on an edge whose
+// every ride of a generated network — at the period's ends, around every
+// departure, periods later, and at random times — and on a ride whose
 // departures were all cancelled.
 func TestEvalRideMatchesSearchDefinition(t *testing.T) {
 	cfg, err := gen.FamilyConfig(gen.Oahu, 0.1, 11)
@@ -320,43 +308,44 @@ func TestEvalRideMatchesSearchDefinition(t *testing.T) {
 	g := Build(tt)
 	pi := tt.Period.Len()
 	rng := rand.New(rand.NewSource(11))
-	check := func(e *Edge, at timeutil.Ticks) {
+	check := func(u NodeID, at timeutil.Ticks) {
 		t.Helper()
-		wantArr, wantConn := evalRideBySearch(g, e, at)
-		if arr, conn := g.EvalRide(e, at); arr != wantArr || conn != wantConn {
-			t.Fatalf("edge to %d at %d: EvalRide = (%d, %d), definition gives (%d, %d)",
-				e.Head, at, arr, conn, wantArr, wantConn)
+		wantArr, wantConn := evalRideBySearch(g, u, at)
+		if arr, conn := g.EvalRide(u, at); arr != wantArr || conn != wantConn {
+			t.Fatalf("ride of %d at %d: EvalRide = (%d, %d), definition gives (%d, %d)",
+				u, at, arr, conn, wantArr, wantConn)
 		}
 	}
+	empty := rideRows(nil)
+	empty.TT = g.TT
 	rides, wraps := 0, 0
-	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
-		edges := g.OutEdges(n)
-		for i := range edges {
-			e := &edges[i]
-			if e.Kind != Ride {
-				continue
-			}
-			rides++
-			for _, at := range []timeutil.Ticks{0, pi - 1, pi} {
-				check(e, at)
-			}
-			for _, c := range g.RideConns(e) {
-				for _, at := range []timeutil.Ticks{c.Dep - 1, c.Dep, c.Dep + 1, 2*pi + c.Dep} {
-					if at >= 0 {
-						check(e, at)
-					}
+	for u := NodeID(g.NumStations()); int(u) < g.NumNodes(); u++ {
+		conns, ok := g.Ride(u)
+		if !ok {
+			continue
+		}
+		rides++
+		for _, at := range []timeutil.Ticks{0, pi - 1, pi} {
+			check(u, at)
+		}
+		for _, c := range conns {
+			for _, at := range []timeutil.Ticks{c.Dep - 1, c.Dep, c.Dep + 1, 2*pi + c.Dep} {
+				if at >= 0 {
+					check(u, at)
 				}
 			}
-			if last := g.RideConns(e); len(last) > 0 && last[len(last)-1].Dep+1 < pi {
-				wraps++ // Dep+1 above was past the last departure
-			}
-			for r := 0; r < 8; r++ {
-				check(e, timeutil.Ticks(rng.Intn(int(3*pi))))
-			}
-			check(&Edge{Kind: Ride, Head: e.Head, First: e.First, Num: 0}, timeutil.Ticks(rng.Intn(int(pi))))
+		}
+		if len(conns) > 0 && conns[len(conns)-1].Dep+1 < pi {
+			wraps++ // Dep+1 above was past the last departure
+		}
+		for r := 0; r < 8; r++ {
+			check(u, timeutil.Ticks(rng.Intn(int(3*pi))))
+		}
+		if arr, conn := empty.EvalRide(0, timeutil.Ticks(rng.Intn(int(pi)))); !arr.IsInf() || conn != -1 {
+			t.Fatalf("a ride with its departures cancelled: EvalRide = (%d, %d)", arr, conn)
 		}
 	}
 	if rides == 0 || wraps == 0 {
-		t.Fatalf("network exercised %d ride edges, %d wraps to the next period", rides, wraps)
+		t.Fatalf("network exercised %d rides, %d wraps to the next period", rides, wraps)
 	}
 }

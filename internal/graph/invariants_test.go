@@ -5,6 +5,7 @@ package graph
 // on without re-validating at query time.
 
 import (
+	"slices"
 	"testing"
 
 	"transit/internal/gen"
@@ -12,25 +13,35 @@ import (
 	"transit/internal/timeutil"
 )
 
-// assertOneRideEdgePerNode checks that no node has two Ride out-edges. The
-// profile searches keep one ride cursor per node (internal/core), which is
-// only right while a node's ride departures are those of one edge.
-func assertOneRideEdgePerNode(t *testing.T, g *Graph) {
+// assertOneRidePerNode checks, route by route, that a route node has a ride
+// exactly when it is not its route's last stop, and that every departure of
+// the ride of u is a connection from u to u+1. The profile searches keep one
+// ride cursor per node (internal/core), which is only right while a node's
+// ride departures are those of one hop.
+func assertOneRidePerNode(t *testing.T, g *Graph) {
 	t.Helper()
-	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
-		rides := 0
-		for _, e := range g.OutEdges(n) {
-			if e.Kind == Ride {
-				rides++
+	u := NodeID(g.NumStations())
+	for r, route := range g.TT.Routes() {
+		for p := range route.Stations {
+			conns, ok := g.Ride(u)
+			if last := p == len(route.Stations)-1; ok == last {
+				t.Fatalf("route %d, stop %d of %d (node %d): has a ride = %v", r, p, len(route.Stations), u, ok)
 			}
+			for _, rc := range conns {
+				if g.ConnDepartureNode(rc.Conn) != u || g.ConnArrivalNode(rc.Conn) != u+1 {
+					t.Fatalf("node %d rides connection %d, which runs %d → %d", u, rc.Conn,
+						g.ConnDepartureNode(rc.Conn), g.ConnArrivalNode(rc.Conn))
+				}
+			}
+			u++
 		}
-		if rides > 1 {
-			t.Fatalf("node %d has %d ride edges", n, rides)
-		}
+	}
+	if int(u) != g.NumNodes() {
+		t.Fatalf("routes cover nodes up to %d of %d", u, g.NumNodes())
 	}
 }
 
-// A patched graph keeps the shape of the one it was patched from, ride edges
+// A patched graph keeps the shape of the one it was patched from, rides
 // included.
 func TestOneRideEdgePerNodeAfterPatch(t *testing.T) {
 	for _, fam := range gen.Families() {
@@ -79,7 +90,7 @@ func TestOneRideEdgePerNodeAfterPatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertOneRideEdgePerNode(t, pg)
+			assertOneRidePerNode(t, pg)
 		})
 	}
 }
@@ -98,128 +109,68 @@ func TestGraphInvariantsAcrossFamilies(t *testing.T) {
 			g := Build(tt)
 			pi := tt.Period.Len()
 
-			for n := NodeID(0); int(n) < g.NumNodes(); n++ {
-				edges := g.OutEdges(n)
-				for e := range edges {
-					edge := &edges[e]
-					switch edge.Kind {
-					case Board:
-						// Only station nodes board; weight is T(S).
-						if !g.IsStationNode(n) {
-							t.Fatalf("board edge out of route node %d", n)
+			// Boards(s) is exactly the route nodes at s, in node order, and
+			// a route node alights at a station.
+			routeNodesAt := make([][]NodeID, tt.NumStations())
+			for u := NodeID(g.NumStations()); int(u) < g.NumNodes(); u++ {
+				s := g.Station(u)
+				if s < 0 || int(s) >= tt.NumStations() {
+					t.Fatalf("route node %d alights at station %d", u, s)
+				}
+				routeNodesAt[s] = append(routeNodesAt[s], u)
+			}
+			for s := range tt.NumStations() {
+				if got := g.Boards(timetable.StationID(s)); !slices.Equal(got, routeNodesAt[s]) {
+					t.Fatalf("station %d: boards %v, route nodes %v", s, got, routeNodesAt[s])
+				}
+			}
+
+			for u := NodeID(g.NumStations()); int(u) < g.NumNodes(); u++ {
+				conns, _ := g.Ride(u)
+				// Sorted strictly by departure (duplicates collapsed).
+				for i := 1; i < len(conns); i++ {
+					if conns[i].Dep <= conns[i-1].Dep {
+						t.Fatalf("ride conns not strictly sorted at node %d", u)
+					}
+				}
+				// Dominance-free circularly.
+				for i := range conns {
+					ai := conns[i].Dep + conns[i].Dur
+					for d := 1; d < len(conns); d++ {
+						j := (i + d) % len(conns)
+						lift := timeutil.Ticks(0)
+						if i+d >= len(conns) {
+							lift = pi
 						}
-						if edge.W != tt.Stations[g.Station(n)].Transfer {
-							t.Fatalf("board weight %d != T(S)=%d", edge.W, tt.Stations[g.Station(n)].Transfer)
+						if conns[j].Dep+conns[j].Dur+lift <= ai {
+							t.Fatalf("dominated ride conn survived at node %d: %d dominated by %d", u, i, j)
 						}
-						if g.IsStationNode(edge.Head) {
-							t.Fatal("board edge leads to a station node")
-						}
-						if g.Station(edge.Head) != g.Station(n) {
-							t.Fatal("board edge changes station")
-						}
-					case Alight:
-						if g.IsStationNode(n) {
-							t.Fatal("alight edge out of station node")
-						}
-						if edge.W != 0 {
-							t.Fatalf("alight weight %d != 0", edge.W)
-						}
-						if edge.Head != g.StationNode(g.Station(n)) {
-							t.Fatal("alight edge leads to foreign station")
-						}
-					case Ride:
-						if g.IsStationNode(n) {
-							t.Fatal("ride edge out of station node")
-						}
-						conns := g.RideConns(edge)
-						// Sorted strictly by departure (duplicates collapsed).
-						for i := 1; i < len(conns); i++ {
-							if conns[i].Dep <= conns[i-1].Dep {
-								t.Fatalf("ride conns not strictly sorted at node %d", n)
-							}
-						}
-						// Dominance-free circularly.
-						for i := range conns {
-							ai := conns[i].Dep + conns[i].Dur
-							for d := 1; d < len(conns); d++ {
-								j := (i + d) % len(conns)
-								lift := timeutil.Ticks(0)
-								if i+d >= len(conns) {
-									lift = pi
-								}
-								if conns[j].Dep+conns[j].Dur+lift <= ai {
-									t.Fatalf("dominated ride conn survived at node %d: %d dominated by %d", n, i, j)
-								}
-							}
-						}
-						// Connection endpoints match the edge.
-						for _, rc := range conns {
-							c := tt.Connections[rc.Conn]
-							if c.From != g.Station(n) || c.To != g.Station(edge.Head) {
-								t.Fatalf("ride conn endpoints mismatch at node %d", n)
-							}
-							if c.Dep != rc.Dep || c.Duration() != rc.Dur {
-								t.Fatalf("ride conn times mismatch at node %d", n)
-							}
-						}
-					default:
-						t.Fatalf("unknown edge kind %d", edge.Kind)
+					}
+				}
+				// Connection endpoints match the ride.
+				for _, rc := range conns {
+					c := tt.Connections[rc.Conn]
+					if c.From != g.Station(u) || c.To != g.Station(u+1) {
+						t.Fatalf("ride conn endpoints mismatch at node %d", u)
+					}
+					if c.Dep != rc.Dep || c.Duration() != rc.Dur {
+						t.Fatalf("ride conn times mismatch at node %d", u)
 					}
 				}
 			}
 
-			// Every connection's departure node has a ride edge toward the
+			// Every connection's departure node has a ride toward the
 			// arrival node's station (the connection itself may have been
-			// dominance-reduced away, but the edge must exist).
+			// dominance-reduced away, but the ride must exist).
 			for _, c := range tt.Connections {
 				dep := g.ConnDepartureNode(c.ID)
-				found := false
-				for _, e := range g.OutEdges(dep) {
-					if e.Kind == Ride && g.Station(e.Head) == c.To {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("connection %d has no ride edge from its departure node", c.ID)
+				if _, ok := g.Ride(dep); !ok || g.Station(dep+1) != c.To {
+					t.Fatalf("connection %d has no ride from its departure node", c.ID)
 				}
 			}
 
-			assertOneRideEdgePerNode(t, g)
-
-			// A route node's out-edges are its Alight edge, then its Ride
-			// edge to the next route node, which RideEdge returns (nil at
-			// the last stop): the settle loop's trip scan reads them so.
-			for u := NodeID(g.NumStations()); int(u) < g.NumNodes(); u++ {
-				edges := g.OutEdges(u)
-				if len(edges) == 0 || len(edges) > 2 || edges[0].Kind != Alight {
-					t.Fatalf("route node %d: out-edges %v, want Alight then at most one Ride", u, edges)
-				}
-				ride := g.RideEdge(u)
-				if len(edges) == 1 {
-					if ride != nil {
-						t.Fatalf("route node %d: RideEdge %v at the last stop", u, ride)
-					}
-					continue
-				}
-				if ride != &edges[1] || ride.Kind != Ride || ride.Head != u+1 {
-					t.Fatalf("route node %d: RideEdge %v, out-edges %v, want a Ride edge to %d", u, ride, edges, u+1)
-				}
-			}
-
-			// Station nodes have exactly one board edge per route node at
-			// that station.
-			routeNodesAt := make(map[timetable.StationID]int)
-			for n := NodeID(0); int(n) < g.NumNodes(); n++ {
-				if !g.IsStationNode(n) {
-					routeNodesAt[g.Station(n)]++
-				}
-			}
-			for s := 0; s < tt.NumStations(); s++ {
-				edges := g.OutEdges(g.StationNode(timetable.StationID(s)))
-				if len(edges) != routeNodesAt[timetable.StationID(s)] {
-					t.Fatalf("station %d: %d board edges for %d route nodes", s, len(edges), routeNodesAt[timetable.StationID(s)])
-				}
-			}
+			// The last stop of every route has no ride.
+			assertOneRidePerNode(t, g)
 		})
 	}
 }

@@ -9,42 +9,36 @@ import (
 // PatchTimes returns a new Graph reflecting a timetable produced by
 // Timetable.Patch on this graph's timetable, without rebuilding the model:
 // a delay or cancellation never changes a route's station sequence, so the
-// node set, the CSR offsets, the board/alight/walk edges and every
-// connection↔node mapping are shared with the receiver. Only the ride
-// edges that carry a touched connection recompute their (sorted,
-// dominance-free) departure lists; every other ride edge's departures are
-// copied verbatim into the new graph's compacted connection store.
+// node set, the boards, the member lists and every connection↔node mapping
+// are shared with the receiver. Only the rides that carry a touched
+// connection, found through its departure node, recompute their (sorted,
+// dominance-free) departures; every other ride's departures are copied
+// verbatim into the new graph's compacted connection store.
 //
 // tt must derive from the receiver's timetable via Patch (same stations,
 // trains, routes and dense connection IDs); touched lists the connection
 // IDs the patch retimed or cancelled.
 func (g *Graph) PatchTimes(tt *timetable.Timetable, touched []timetable.ConnID) (*Graph, error) {
-	if tt.NumStations() != g.numStations || tt.NumConnections() != len(g.connRideEdge) {
+	if tt.NumStations() != g.numStations || tt.NumConnections() != len(g.connDepNode) {
 		return nil, fmt.Errorf("graph: patch timetable shape mismatch (%d stations/%d conns, graph has %d/%d)",
-			tt.NumStations(), tt.NumConnections(), g.numStations, len(g.connRideEdge))
+			tt.NumStations(), tt.NumConnections(), g.numStations, len(g.connDepNode))
 	}
-	touchedEdge := make(map[int32]bool, len(touched))
+	touchedRow := make(map[int]bool, len(touched))
 	for _, id := range touched {
-		if int(id) < 0 || int(id) >= len(g.connRideEdge) {
+		if int(id) < 0 || int(id) >= len(g.connDepNode) {
 			return nil, fmt.Errorf("graph: patch touches unknown connection %d", id)
 		}
-		if e := g.connRideEdge[id]; e >= 0 {
-			touchedEdge[e] = true
-		}
+		touchedRow[int(g.connDepNode[id])-g.numStations] = true
 	}
-	ng := *g // shares firstOut, nodeStation, routeOffset, connDepNode, connArrNode, connRideEdge, rideAllConns
+	ng := *g // shares nodeStation, routeOffset, boards, connDepNode, connArrNode, lastStop, members
 	ng.TT = tt
-	ng.edges = append([]Edge(nil), g.edges...)
+	ng.rideOff = make([]int32, len(g.rideOff))
 	ng.rideConns = make([]RideConn, 0, len(g.rideConns))
 	var scratch []RideConn
-	for e := range ng.edges {
-		if ng.edges[e].Kind != Ride {
-			continue
-		}
-		first := int32(len(ng.rideConns))
-		if touchedEdge[int32(e)] {
+	for j, members := range g.members {
+		if touchedRow[j] {
 			scratch = scratch[:0]
-			for _, id := range g.rideAllConns[e] {
+			for _, id := range members {
 				c := &tt.Connections[id]
 				if c.Arr.IsInf() {
 					continue // cancelled
@@ -55,11 +49,9 @@ func (g *Graph) PatchTimes(tt *timetable.Timetable, touched []timetable.ConnID) 
 			// copies the survivors out before the next reuse.
 			ng.rideConns = append(ng.rideConns, reduceRideConns(tt.Period, scratch)...)
 		} else {
-			old := ng.edges[e]
-			ng.rideConns = append(ng.rideConns, g.rideConns[old.First:old.First+old.Num]...)
+			ng.rideConns = append(ng.rideConns, g.rideConns[g.rideOff[j]:g.rideOff[j+1]]...)
 		}
-		ng.edges[e].First = first
-		ng.edges[e].Num = int32(len(ng.rideConns)) - first
+		ng.rideOff[j+1] = int32(len(ng.rideConns))
 	}
 	return &ng, nil
 }

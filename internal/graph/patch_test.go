@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"transit/internal/timetable"
@@ -8,7 +9,7 @@ import (
 )
 
 // patchNetwork builds a line network with two routes and several trains per
-// route, so ride edges carry multiple departures.
+// route, so rides carry multiple departures.
 func patchNetwork(t *testing.T) *timetable.Timetable {
 	t.Helper()
 	b := timetable.NewBuilder(timeutil.NewPeriod(1440))
@@ -29,41 +30,30 @@ func patchNetwork(t *testing.T) *timetable.Timetable {
 	return tt
 }
 
-// assertGraphsEquivalent compares the ride-edge contents and evaluation
-// behavior of two graphs over the same timetable shape.
+// assertGraphsEquivalent compares the boards, the rides and their
+// evaluation behavior of two graphs over the same timetable shape.
 func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 	t.Helper()
-	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("shape: got %d nodes/%d edges, want %d/%d",
-			got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	if got.NumNodes() != want.NumNodes() || got.NumStations() != want.NumStations() {
+		t.Fatalf("shape: got %d nodes/%d stations, want %d/%d",
+			got.NumNodes(), got.NumStations(), want.NumNodes(), want.NumStations())
 	}
-	for n := NodeID(0); int(n) < got.NumNodes(); n++ {
-		ge, we := got.OutEdges(n), want.OutEdges(n)
-		if len(ge) != len(we) {
-			t.Fatalf("node %d: %d edges, want %d", n, len(ge), len(we))
+	for s := timetable.StationID(0); int(s) < got.NumStations(); s++ {
+		if gb, wb := got.Boards(s), want.Boards(s); !slices.Equal(gb, wb) {
+			t.Fatalf("station %d: boards %v, want %v", s, gb, wb)
 		}
-		for i := range ge {
-			if ge[i].Head != we[i].Head || ge[i].Kind != we[i].Kind || ge[i].W != we[i].W {
-				t.Fatalf("node %d edge %d: %+v vs %+v", n, i, ge[i], we[i])
-			}
-			if ge[i].Kind != Ride {
-				continue
-			}
-			gc, wc := got.RideConns(&ge[i]), want.RideConns(&we[i])
-			if len(gc) != len(wc) {
-				t.Fatalf("node %d ride edge %d: %d conns, want %d (%v vs %v)", n, i, len(gc), len(wc), gc, wc)
-			}
-			for j := range gc {
-				if gc[j] != wc[j] {
-					t.Fatalf("node %d ride edge %d conn %d: %+v vs %+v", n, i, j, gc[j], wc[j])
-				}
-			}
-			for at := timeutil.Ticks(0); at < 1600; at += 37 {
-				ga, gid := got.EvalRide(&ge[i], at)
-				wa, wid := want.EvalRide(&we[i], at)
-				if ga != wa || gid != wid {
-					t.Fatalf("EvalRide(node %d, edge %d, %d): (%d,%d) vs (%d,%d)", n, i, at, ga, gid, wa, wid)
-				}
+	}
+	for u := NodeID(got.NumStations()); int(u) < got.NumNodes(); u++ {
+		gc, gok := got.Ride(u)
+		wc, wok := want.Ride(u)
+		if gok != wok || !slices.Equal(gc, wc) {
+			t.Fatalf("node %d: ride (%v, %v), want (%v, %v)", u, gc, gok, wc, wok)
+		}
+		for at := timeutil.Ticks(0); at < 1600; at += 37 {
+			ga, gid := got.EvalRide(u, at)
+			wa, wid := want.EvalRide(u, at)
+			if ga != wa || gid != wid {
+				t.Fatalf("EvalRide(node %d, %d): (%d,%d) vs (%d,%d)", u, at, ga, gid, wa, wid)
 			}
 		}
 	}
@@ -71,32 +61,69 @@ func assertGraphsEquivalent(t *testing.T, got, want *Graph) {
 
 func TestPatchTimesMatchesRebuild(t *testing.T) {
 	tt := patchNetwork(t)
-	g := Build(tt)
-	// Delay the 08:00 r1 train (train 2, conns 4-5) by 45 so its hops
-	// reorder against neighbours, and cancel the 08:20 r2 train (train 6,
-	// conns 12-13).
-	updates := []timetable.ConnUpdate{
-		{ID: 4, Dep: tt.Connections[4].Dep + 45, Arr: tt.Connections[4].Arr + 45},
-		{ID: 5, Dep: tt.Connections[5].Dep + 45, Arr: tt.Connections[5].Arr + 45},
-		{ID: 12, Cancel: true},
-		{ID: 13, Cancel: true},
-	}
-	ntt, err := tt.Patch(updates)
+	// Connection 7, the 09:00 r1 train's second hop, is cancelled before
+	// the graph is built.
+	cancelledAtBuild, err := tt.Patch([]timetable.ConnUpdate{{ID: 7, Cancel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := g.PatchTimes(ntt, []timetable.ConnID{4, 5, 12, 13})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		tt      *timetable.Timetable
+		updates []timetable.ConnUpdate
+		empty   timetable.ConnID // a connection whose ride the batch leaves without departures, or -1
+	}{
+		// Delay the 08:00 r1 train (train 2, conns 4-5) by 45 so its hops
+		// reorder against neighbours, and cancel the 08:20 r2 train (train
+		// 6, conns 12-13).
+		{"delay and cancel", tt, []timetable.ConnUpdate{
+			{ID: 4, Dep: tt.Connections[4].Dep + 45, Arr: tt.Connections[4].Arr + 45},
+			{ID: 5, Dep: tt.Connections[5].Dep + 45, Arr: tt.Connections[5].Arr + 45},
+			{ID: 12, Cancel: true},
+			{ID: 13, Cancel: true},
+		}, -1},
+		// Retime a connection cancelled when the graph was built (Patch
+		// leaves it cancelled) beside a live one on the same ride.
+		{"touches a connection cancelled at build", cancelledAtBuild, []timetable.ConnUpdate{
+			{ID: 7, Dep: tt.Connections[7].Dep + 5, Arr: tt.Connections[7].Arr + 5},
+			{ID: 9, Dep: tt.Connections[9].Dep + 5, Arr: tt.Connections[9].Arr + 5},
+		}, -1},
+		// Cancel every departure of r2's first hop B→C (conns 10, 12, 14),
+		// which is not the route's last stop: its ride stays, empty.
+		{"cancels every departure of a hop", tt, []timetable.ConnUpdate{
+			{ID: 10, Cancel: true},
+			{ID: 12, Cancel: true},
+			{ID: 14, Cancel: true},
+		}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := Build(tc.tt)
+			ntt, err := tc.tt.Patch(tc.updates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var touched []timetable.ConnID
+			for _, u := range tc.updates {
+				touched = append(touched, u.ID)
+			}
+			pg, err := g.PatchTimes(ntt, touched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGraphsEquivalent(t, pg, Build(ntt))
+			if tc.empty >= 0 {
+				if conns, ok := pg.Ride(pg.ConnDepartureNode(tc.empty)); !ok || len(conns) != 0 {
+					t.Fatalf("ride of connection %d: (%v, %v), want a ride without departures", tc.empty, conns, ok)
+				}
+			}
+			// The patch shares the structural arrays with the original.
+			if &pg.boards[0] != &g.boards[0] || &pg.nodeStation[0] != &g.nodeStation[0] || &pg.members[0] != &g.members[0] {
+				t.Error("structural arrays not shared")
+			}
+			// The original graph still answers with the old times.
+			assertGraphsEquivalent(t, g, Build(tc.tt))
+		})
 	}
-	assertGraphsEquivalent(t, pg, Build(ntt))
-	// The patch shares the structural arrays with the original.
-	if &pg.firstOut[0] != &g.firstOut[0] || &pg.nodeStation[0] != &g.nodeStation[0] {
-		t.Error("structural arrays not shared")
-	}
-	// The original graph still answers with the old times.
-	old := Build(patchNetwork(t))
-	assertGraphsEquivalent(t, g, old)
 }
 
 func TestPatchTimesChained(t *testing.T) {

@@ -81,22 +81,22 @@ func refTimetable(tt *timetable.Timetable) refIndexes {
 	return ref
 }
 
-// refGraph is the time-dependent graph, derived the plain way; ride
-// departures and member lists are kept per edge.
+// refGraph is the time-dependent graph, derived the plain way: the boards
+// of every station, and per route node its ride's departures, whether it is
+// its route's last stop and its member connections.
 type refGraph struct {
-	routeOffset  []NodeID
-	nodeStation  []timetable.StationID
-	firstOut     []int32
-	edges        []Edge // First and Num zero
-	rideConns    map[int][]RideConn
-	rideAllConns map[int][]timetable.ConnID
-	connDepNode  []NodeID
-	connArrNode  []NodeID
-	connRideEdge []int32
+	routeOffset []NodeID
+	nodeStation []timetable.StationID
+	boards      [][]NodeID           // per station
+	rides       [][]RideConn         // per route node
+	lastStop    []bool               // per route node
+	members     [][]timetable.ConnID // per route node
+	connDepNode []NodeID
+	connArrNode []NodeID
 }
 
 func refBuild(tt *timetable.Timetable, ref refIndexes) refGraph {
-	g := refGraph{rideConns: map[int][]RideConn{}, rideAllConns: map[int][]timetable.ConnID{}}
+	var g refGraph
 	numNodes := tt.NumStations()
 	for _, r := range ref.routes {
 		g.routeOffset = append(g.routeOffset, NodeID(numNodes))
@@ -113,6 +113,9 @@ func refBuild(tt *timetable.Timetable, ref refIndexes) refGraph {
 			routeNodesAt[s] = append(routeNodesAt[s], g.routeOffset[i]+NodeID(p))
 		}
 	}
+	for s := range tt.Stations {
+		g.boards = append(g.boards, routeNodesAt[timetable.StationID(s)])
+	}
 	type hopKey struct {
 		route timetable.RouteID
 		hop   int
@@ -125,40 +128,20 @@ func refBuild(tt *timetable.Timetable, ref refIndexes) refGraph {
 		hopIndex[c.Train]++
 		g.connDepNode = append(g.connDepNode, g.routeOffset[r]+NodeID(h))
 		g.connArrNode = append(g.connArrNode, g.routeOffset[r]+NodeID(h)+1)
-		g.connRideEdge = append(g.connRideEdge, -1)
 		if !c.Arr.IsInf() {
 			k := hopKey{r, h}
 			hopConns[k] = append(hopConns[k], RideConn{Dep: c.Dep, Dur: c.Arr - c.Dep, Conn: c.ID})
 			hopIDs[k] = append(hopIDs[k], c.ID)
 		}
 	}
-	for n := NodeID(0); int(n) < numNodes; n++ {
-		g.firstOut = append(g.firstOut, int32(len(g.edges)))
-		if int(n) < tt.NumStations() {
-			for _, rn := range routeNodesAt[timetable.StationID(n)] {
-				g.edges = append(g.edges, Edge{Head: rn, Kind: Board, W: tt.Stations[n].Transfer})
-			}
-			for _, f := range ref.footpaths[timetable.StationID(n)] {
-				g.edges = append(g.edges, Edge{Head: NodeID(f.To), Kind: Walk, W: f.Walk})
-			}
-			continue
-		}
+	for n := NodeID(tt.NumStations()); int(n) < numNodes; n++ {
 		ri := sort.Search(len(ref.routes), func(i int) bool { return g.routeOffset[i+1] > n })
 		pos := int(n - g.routeOffset[ri])
-		stations := ref.routes[ri].Stations
-		g.edges = append(g.edges, Edge{Head: NodeID(stations[pos]), Kind: Alight})
-		if pos < len(stations)-1 {
-			k := hopKey{timetable.RouteID(ri), pos}
-			e := len(g.edges)
-			g.rideConns[e] = refReduce(tt.Period, hopConns[k])
-			g.rideAllConns[e] = hopIDs[k]
-			for _, id := range hopIDs[k] {
-				g.connRideEdge[id] = int32(e)
-			}
-			g.edges = append(g.edges, Edge{Head: n + 1, Kind: Ride})
-		}
+		k := hopKey{timetable.RouteID(ri), pos}
+		g.rides = append(g.rides, refReduce(tt.Period, hopConns[k]))
+		g.lastStop = append(g.lastStop, pos == len(ref.routes[ri].Stations)-1)
+		g.members = append(g.members, hopIDs[k])
 	}
-	g.firstOut = append(g.firstOut, int32(len(g.edges)))
 	return g
 }
 
@@ -230,29 +213,29 @@ func checkAgainstReference(t *testing.T, label string, tt *timetable.Timetable) 
 	g, want := Build(tt), refBuild(tt, ref)
 	eq("routeOffset", g.routeOffset, want.routeOffset)
 	eq("nodeStation", g.nodeStation, want.nodeStation)
-	eq("firstOut", g.firstOut, want.firstOut)
 	eq("connDepNode", g.connDepNode, want.connDepNode)
 	eq("connArrNode", g.connArrNode, want.connArrNode)
-	eq("connRideEdge", g.connRideEdge, want.connRideEdge)
-	if len(g.edges) != len(want.edges) || len(g.rideAllConns) != len(g.edges) {
-		t.Fatalf("%s: %d edges (%d member lists), reference %d", label, len(g.edges), len(g.rideAllConns), len(want.edges))
+	for s := range tt.Stations {
+		eq(fmt.Sprintf("Boards(%d)", s), g.Boards(timetable.StationID(s)), want.boards[s])
+	}
+	eq("lastStop", g.lastStop, want.lastStop)
+	if len(g.members) != len(want.members) || len(g.rideOff) != len(want.rides)+1 {
+		t.Fatalf("%s: %d member lists and %d ride offsets for %d route nodes", label, len(g.members), len(g.rideOff), len(want.rides))
 	}
 	var store []RideConn
-	for e := range g.edges {
-		got := g.edges[e]
-		if got.Kind == Ride {
-			eq(fmt.Sprintf("edge %d's ride departures", e), g.RideConns(&got), want.rideConns[e])
-			store = append(store, want.rideConns[e]...)
-			got.First, got.Num = 0, 0
-		}
-		eq(fmt.Sprintf("edge %d", e), got, want.edges[e])
-		eq(fmt.Sprintf("edge %d's members", e), g.rideAllConns[e], want.rideAllConns[e])
+	for j := range want.rides {
+		u := NodeID(tt.NumStations() + j)
+		conns, ok := g.Ride(u)
+		eq(fmt.Sprintf("route node %d's ride departures", u), conns, want.rides[j])
+		eq(fmt.Sprintf("route node %d has a ride", u), ok, !want.lastStop[j])
+		eq(fmt.Sprintf("route node %d's members", u), g.members[j], want.members[j])
+		store = append(store, want.rides[j]...)
 	}
 	eq("rideConns", g.rideConns, store)
 }
 
 // referenceTimetable draws a small network whose trains share routes and
-// often depart together with equal running times, so ride edges carry
+// often depart together with equal running times, so rides carry
 // duplicate departures and exact ties; some trains run past the period's
 // end, and there are footpaths. A third of the periods are long (a day in
 // seconds, or 2^23 ticks), so times take two or three 11-bit digits.

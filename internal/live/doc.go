@@ -16,8 +16,8 @@
 // Apply builds the successor network with Network.ApplyUpdates — the
 // incremental copy-on-write patch path through internal/timetable and
 // internal/graph — so an update touching k connections re-sorts only the
-// affected stations' connection lists and recomputes only the ride edges
-// that carry a touched connection. The old snapshot is not modified in any
+// affected stations' connection lists and recomputes only the rides that
+// carry a touched connection. The old snapshot is not modified in any
 // way: queries that loaded it before the swap finish on a consistent view,
 // and the garbage collector reclaims it once the last such query returns.
 //
