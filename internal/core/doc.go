@@ -98,38 +98,40 @@
 //
 // Stations are queued, trips are scanned. The graph is rows, not an edge
 // list: a settled station relaxes its boards (graph.Graph.Boards), then its
-// footpaths; a route node hands on its alight of weight 0 to its station
-// and at most one ride to the next route node (graph.Graph.Ride), so every
-// key it hands on is at least its own, and it can be expanded the moment
-// its record is written. The loop queues no route node but the seeds: when
-// a station settles at key, each board hands key + T(S) to spcsWorker.scan,
+// footpaths; a route node hands on its alight of weight 0 to its station and
+// at most one ride to the next route node (graph.Graph.Ride), so every key
+// it hands on is at least its own, and it can be expanded the moment its
+// record is written. The loop queues no route node but the seeds: when a
+// station settles at key, each board hands key + T(S) to spcsWorker.scan,
 // which rides the trip forward at once (spcsWorker.scanTable in a query the
 // distance table prunes, below), and a popped seed enters the same scan at
-// its alight. At each route node the scan writes the record, queues the
-// node's station at the alight key unless that station's record refuses
-// it, and evaluates the ride; it moves on while the next node's record
-// admits the arrival, and stops at limit, at the end of the
-// route, or at a record that refuses the key, either because a later
-// connection is there no later (Theorem 1) or because this connection
-// already reached the node no later and scanned on from there. A record the
-// connection later rewrites lower is scanned again from that node. Every
-// key a scan writes is at least the key of the pop that started it, so no
-// push undercuts a pop and stations stay label-setting: a station pops at
-// its final key. Route records only fall, within a connection (a write
-// needs a lower key) and across the connections of a query (self-pruning).
-// A boarded node's own alight leads back to the station that just settled
-// and is refused, so it is not relaxed. This is RAPTOR's route scan
-// (Delling, Pajor, Werneck, ALENEX 2012) on the paper's schedule, with the
-// trip-following step of CSA's trip bits (Dibbelt, Pajor, Strasser,
-// Wagner, SEA 2013). The counters keep Table 1's meaning: SettledConns is
-// station settles plus route-record writes, and the queue counters count
-// stations and seeds. A query the distance table prunes scans through
-// scanTable, which runs Theorems 3 and 4 at each record it writes, as a pop
-// of that record would: a pruned record ends the trip, an answer ends the
-// connection, and a transfer-station ancestor found on the trip holds for
-// the rest of it. One branch at the hand-over of a board or a ride head
-// chooses scan or scanTable, so the no-table scan is the same code as
-// without Section 4.
+// its alight. A board whose key catches the departure the route node's ride
+// cursor already caught in this query is refused before all of that (same
+// ride, below). At each route node the scan writes the record, queues the
+// node's station at the alight key unless that station's record refuses it,
+// and evaluates the ride; it moves on while the next node's record admits
+// the arrival, and stops at limit, at the end of the route, or at a record
+// that refuses the key, either because a later connection is there no later
+// (Theorem 1) or because this connection already reached the node no later
+// and scanned on from there. A record the connection later rewrites lower is
+// scanned again from that node. Every key a scan writes is at least the key
+// of the pop that started it, so no push undercuts a pop and stations stay
+// label-setting: a station pops at its final key. Route records only fall,
+// within a connection (a write needs a lower key) and across the connections
+// of a query (self-pruning). A boarded node's own alight leads back to the
+// station that just settled and is refused, so it is not relaxed. This is
+// RAPTOR's route scan (Delling, Pajor, Werneck, ALENEX 2012) on the paper's
+// schedule, with the trip-following step of CSA's trip bits (Dibbelt, Pajor,
+// Strasser, Wagner, SEA 2013). The counters keep Table 1's meaning:
+// SettledConns is station settles plus route-record writes, and the queue
+// counters count stations and seeds; a board the cursor refuses writes no
+// record, so it is one relaxation and no settle. A query the distance table
+// prunes scans through scanTable, which runs Theorems 3 and 4 at each record
+// it writes, as a pop of that record would: a pruned record ends the trip,
+// an answer ends the connection, and a transfer-station ancestor found on
+// the trip holds for the rest of it. One branch at the hand-over of a board
+// or a ride head chooses scan or scanTable, so the no-table scan is the same
+// code as without Section 4.
 //
 // Station-to-station (spcsWorker.q set) adds Section 4's prunings to the
 // same loop behind one branch per pop that no iteration changes (no policy
@@ -137,19 +139,19 @@
 // table prunings in spcsWorker.prune, out of the loop body. Theorems 2–4
 // compare connection i with connections that leave later, and those of the
 // worker are finished before i starts. Their earliest arrival at T bounds
-// every key i keeps (Theorem 2; what other workers publish through
-// stopState is read at each pop when there are any), and i ends when T
-// settles. µ, γ and the count of tentative labels without a
-// transfer-station ancestor belong to the one connection being searched,
+// every key i keeps (Theorem 2; what other workers publish through stopState
+// is read at each pop and at each record a scan writes when there are any),
+// and i ends when T settles. µ, γ and the count of tentative labels without
+// a transfer-station ancestor belong to the one connection being searched,
 // beside one ancestor flag per node (Theorems 3–4); a popped node without
 // such an ancestor stays in that count until its edge loop is done, since a
 // scan may check records before the node's other edges are relaxed. Each
-// check of a transfer station reads D at key and key + T(st) from one
-// search of the profile (dtable.Table.D2), and a per-worker memo of the
-// connection's last check per transfer station skips the look-ups where
-// FIFO and a falling µ decide the check already (spcsWorker.prune). A
-// connection cut short leaves tentative keys in the row; each is an arrival
-// it achieves, so as bounds they refuse only dominated labels
+// check of a transfer station reads D at key and key + T(st) from one search
+// of the profile (dtable.Table.D2), and a per-worker memo of the
+// connection's last check per transfer station skips the look-ups where FIFO
+// and a falling µ decide the check already (spcsWorker.prune). A connection
+// cut short leaves tentative keys in the row; each is an arrival it
+// achieves, so as bounds they refuse only dominated labels
 // (docs/PREPROCESSING.md has that argument, the ones for γ, for pruning at
 // scanned records and for the open count, and the memo's).
 //
@@ -176,16 +178,26 @@
 //
 // Same ride: a key in (lo, hi] catches the departure the cursor's last
 // evaluation caught, and arrives when it arrived. If that evaluation ran
-// with a stamp at or after the row's floor, the head's record then took
-// that arrival or held a better one; an arrival at or beyond limit recorded
+// with a stamp at or after the row's floor, the head's record then took that
+// arrival or held a better one; an arrival at or beyond limit recorded
 // nothing and disarms the window instead. Records only fall within a query
-// and limit never rises, so the record check would refuse the key now. The
-// loop refuses it unevaluated (rideCursor.same) wherever it evaluates a
-// ride, without searching the ride's departures or moving the cursor, and
-// counts it in PrunedConns as the record check would have; answers and
-// parents cannot change. Once trips are scanned, most ride evaluations are
-// of freshly boarded nodes whose ride an earlier board of the same trip
-// already took, and those are what the refusal saves.
+// and limit never rises, so the record check at the head would refuse the
+// key now. The loop refuses it unevaluated (spcsWorker.sameRide), without
+// searching the ride's departures or moving the cursor: a ride-in or a seed
+// after the scan has written its record and queued its station, and a board
+// before anything, which is the check that pays. On a bus network most
+// boards are of route nodes whose departure a later connection, or this one
+// by riding in, already took, and such a board then writes no record at its
+// node, counts no settled label and starts no scan. The missing record
+// refuses nothing the cursor would not: any later key at the node either
+// lies in the window, and the cursor refuses it, or is at or above the
+// record the node kept, or lies below the window, where the record the board
+// would have written refused nothing either. Every refusal counts one
+// relaxation, plus one pruning when the cursor's stamp is not the
+// connection's own (a later connection took that departure: Theorem 1).
+// Arrivals cannot change; a journey's parent links can only keep a ride-in
+// where a board would have replaced it by the station it was boarded from,
+// the same departure either way.
 //
 // The monotonicity invariant that makes this exact: keys are arrival times,
 // every edge weight is ≥ 0 (board T(S) ≥ 0, alight 0, walk ≥ 0, ride = wait

@@ -26,11 +26,13 @@ import (
 //
 // Same ride: a key in (lo, hi] catches departure idx again and arrives when
 // the last evaluation arrived. The settle loop refuses it unevaluated
-// (same): when that evaluation ran, with a stamp at or after the row's
-// floor, the head's record took its arrival or held a better one, and
-// records only fall within a query, so the record check would refuse it
-// now. An evaluation whose arrival was at or beyond the search's bound is
-// disarmed, since nothing was recorded for it.
+// (same, spcsWorker.sameRide), a board before its record is written and a
+// ride-in or a seed before the ride is evaluated: when that evaluation ran,
+// with a stamp at or after the row's floor, the head's record took its
+// arrival or held a better one, and records only fall within a query, so
+// the record check at the head would refuse it now. An evaluation whose
+// arrival was at or beyond the search's bound is disarmed, since nothing
+// was recorded for it.
 type rideCursor struct {
 	lo, hi timeutil.Ticks
 	idx    int32
@@ -94,15 +96,3 @@ func (c *rideCursor) same(key timeutil.Ticks, floor uint32) bool {
 // disarm empties the same-ride window, keeping the walk-back state: the
 // last evaluation's arrival was not recorded.
 func (c *rideCursor) disarm() { c.lo = c.hi }
-
-// arrival is the arrival of the departure the cursor's last evaluation
-// caught: what eval returned, read from conns without searching.
-func (c *rideCursor) arrival(conns []graph.RideConn, period timeutil.Period) timeutil.Ticks {
-	pi := period.Len()
-	base := c.hi - period.Wrap(c.hi)
-	if int(c.idx) == len(conns) {
-		return base + pi + conns[0].Dep + conns[0].Dur
-	}
-	rc := &conns[c.idx]
-	return base + rc.Dep + rc.Dur
-}

@@ -69,7 +69,11 @@ type spcsWorker struct {
 // evaluated through the worker's ride cursor of that node (rideCursor),
 // valid from the query's first stamp on; a key that catches the departure
 // the cursor last caught in this query is refused without evaluating it
-// (rideCursor.same, refuse).
+// (sameRide). A board asks the cursor first, before the bound and the
+// record: a refused board writes no record at its route node, settles
+// nothing and starts no scan, and in a query the table prunes it runs no
+// prune there either, since the station's own check read the table at a
+// key no later (docs/PREPROCESSING.md).
 //
 // A station-to-station query (q set) keeps no arrivals but T's, in ArrT,
 // and adds Section 4's prunings behind one branch on q per pop, which no
@@ -78,8 +82,9 @@ type spcsWorker struct {
 //   - Theorem 2: connection i keeps no key at or beyond the earliest arrival
 //     at T of a later connection of this worker (limit, lowered by answer),
 //     and ends at the first pop at or beyond the arrival another worker
-//     published for a later connection (stopState). It also ends when T
-//     settles: nothing it settles afterwards can reach T earlier.
+//     published for a later connection (stopState); a scan ends its trip at
+//     a record that reaches that arrival. It also ends when T settles:
+//     nothing it settles afterwards can reach T earlier.
 //   - Theorem 3: a settled transfer station that cannot improve µ at any via
 //     station is not expanded.
 //   - Theorem 4: once every tentative label of i has a transfer-station
@@ -226,7 +231,7 @@ func (w *spcsWorker) run() {
 			board := key + g.TT.Stations[s].Transfer
 			for _, u := range g.Boards(s) {
 				w.counters.Relaxed++
-				if !w.admits(u, board, limit, floor, cur) {
+				if w.sameRide(u, board, floor, cur) || !w.admits(u, board, limit, floor, cur) {
 					continue
 				}
 				if ended, limit = w.scan(&c, u, board, v, i, limit, floor, qfloor, cur); ended {
@@ -291,22 +296,52 @@ func (w *spcsWorker) pushAnc(c *s2sConn, v graph.NodeID, cur uint32) {
 	anc[v] = c.childAnc
 }
 
+// sameRide reports whether key, which connection cur (stamps from floor on
+// this query) brings to route node u by a board, a ride or a seed, catches
+// the departure u's ride cursor last caught in this query (rideCursor.same).
+// The head of u's ride already holds that arrival or a better one, so the
+// key adds no label and is refused unevaluated: a board without a record
+// at u, a ride-in or a seed without evaluating u's ride. It counts as a
+// pruning when a later connection took that departure (Theorem 1); the
+// caller counts the relaxation.
+func (w *spcsWorker) sameRide(u graph.NodeID, key timeutil.Ticks, floor, cur uint32) bool {
+	c := &w.ws.rides[u]
+	if !c.same(key, floor) {
+		return false
+	}
+	if c.stamp != cur {
+		w.counters.PrunedConns++
+	}
+	return true
+}
+
 // scan rides a trip forward from route node u, which connection i (stamp
-// cur) reaches at key, a key the bound and u's record have admitted: boarded
-// from station from, or, with from NoNode, a popped seed whose record
-// already holds key. At each route node but the seed it writes the record
-// (parent: the node it came from and the connection ridden); at each but the
-// boarded one it queues the node's station at the alight key unless that
-// station's record refuses it; and it evaluates the node's ride through the
-// node's cursor, moving on to the next route node while that node's record
-// admits the arrival. Every key it writes is at least the key of the pop
-// that started it, so stations stay label-setting, and a record this
-// connection rewrites lower later is scanned again from there. A query the
-// distance table prunes scans through scanTable instead, which reports
-// whether the connection ended and the bound of the worker's next one.
+// cur) reaches at key, a key the bound, u's ride cursor and u's record have
+// admitted: boarded from station from, or, with from NoNode, a popped seed
+// whose record already holds key. At each route node but the seed it writes
+// the record (parent: the node it came from and the connection ridden); at
+// each but the boarded one it queues the node's station at the alight key
+// unless that station's record refuses it, and asks the node's cursor
+// whether the key takes the ride it last took (sameRide; run asked it for
+// the boarded node); otherwise it evaluates the node's ride through the
+// cursor, moving on to the next route node while that node's record admits
+// the arrival. Every key it writes is at least the key of the pop that
+// started it, so stations stay label-setting, and a record this connection
+// rewrites lower later is scanned again from there. With another worker
+// publishing arrivals at T (s2sQuery.crossStop) the trip ends, counted as
+// pruned, at a record whose key reaches the arrival of a later connection
+// (Theorem 2), as a pop would end the connection. A query the distance
+// table prunes scans through scanTable instead, which reports whether the
+// connection ended and the bound of the worker's next one.
 func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from graph.NodeID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) (bool, timeutil.Ticks) {
-	if w.q != nil && w.q.table != nil {
-		return w.scanTable(c, u, key, from, i, limit, floor, qfloor, cur)
+	var stop *stopState // nil for one-to-all and a lone worker
+	if q := w.q; q != nil {
+		if q.table != nil {
+			return w.scanTable(c, u, key, from, i, limit, floor, qfloor, cur)
+		}
+		if q.crossStop {
+			stop = &q.stop
+		}
 	}
 	g, res, ws := w.g, w.res, w.ws
 	row, rides := ws.row, ws.rides
@@ -316,6 +351,10 @@ func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from g
 	alight, conn := from == graph.NoNode, timetable.ConnID(-1)
 	for {
 		if from != graph.NoNode {
+			if stop != nil && stop.shouldPrune(i, key) {
+				w.counters.PrunedConns++
+				return false, limit
+			}
 			row[u] = label{key: key, stamp: cur}
 			w.counters.SettledConns++
 			if res.hasParents {
@@ -335,19 +374,18 @@ func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from g
 			} else if l.stamp != cur {
 				w.counters.PrunedConns++ // self-pruning (Theorem 1)
 			}
+			if w.sameRide(u, key, floor, cur) {
+				w.counters.Relaxed++
+				return false, limit
+			}
 		}
 		alight = true
-		rc := &rides[u]
-		if rc.same(key, floor) {
-			w.counters.Relaxed++
-			w.refuse(rc, u, limit, cur)
-			return false, limit
-		}
 		conns, ok := g.Ride(u)
 		if !ok {
 			return false, limit // the route ends
 		}
 		w.counters.Relaxed++
+		rc := &rides[u]
 		arr, ride := rc.eval(conns, g.TT.Period, key, qfloor, cur)
 		if arr >= limit {
 			rc.disarm()
@@ -370,12 +408,16 @@ func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from g
 // key the scan writes, is below limit, which only an answer that ends the
 // connection lowers. A station-to-station query keeps no parents.
 func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from graph.NodeID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) (bool, timeutil.Ticks) {
-	g, ws := w.g, w.ws
+	g, ws, q := w.g, w.ws, w.q
 	row, rides := ws.row, ws.rides
-	anc, childAnc := w.q.targetIsTransfer, c.childAnc
+	anc, childAnc, crossStop := q.targetIsTransfer, c.childAnc, q.crossStop
 	alight := from == graph.NoNode
 	for {
 		if from != graph.NoNode {
+			if crossStop && q.stop.shouldPrune(i, key) {
+				w.counters.PrunedConns++
+				break
+			}
 			row[u] = label{key: key, stamp: cur}
 			w.counters.SettledConns++
 			act, bound := w.prune(c, i, u, key, limit, cur)
@@ -399,19 +441,18 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 			} else if l.stamp != cur {
 				w.counters.PrunedConns++ // self-pruning (Theorem 1)
 			}
+			if w.sameRide(u, key, floor, cur) {
+				w.counters.Relaxed++
+				break
+			}
 		}
 		alight = true
-		rc := &rides[u]
-		if rc.same(key, floor) {
-			w.counters.Relaxed++
-			w.refuse(rc, u, limit, cur)
-			break
-		}
 		conns, ok := g.Ride(u)
 		if !ok {
 			break // the route ends
 		}
 		w.counters.Relaxed++
+		rc := &rides[u]
 		arr, _ := rc.eval(conns, g.TT.Period, key, qfloor, cur)
 		if arr >= limit {
 			rc.disarm()
@@ -423,22 +464,6 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 	}
 	c.childAnc = childAnc
 	return false, limit
-}
-
-// refuse counts a ride out of route node u that u's cursor c refused
-// unevaluated (rideCursor.same) the way the bound and the record check would
-// have: the record of u+1, the ride's head, holds the arrival or better, so
-// the record check counts it unless that record is this connection's own,
-// and the bound, which may have fallen since, counts it in a
-// station-to-station query, which reads the cursor's arrival off u's ride.
-func (w *spcsWorker) refuse(c *rideCursor, u graph.NodeID, limit timeutil.Ticks, cur uint32) {
-	if w.ws.row[u+1].stamp != cur {
-		w.counters.PrunedConns++
-	} else if w.q != nil {
-		if conns, _ := w.g.Ride(u); c.arrival(conns, w.g.TT.Period) >= limit {
-			w.counters.PrunedConns++
-		}
-	}
 }
 
 // s2sConn is the station-to-station state of the connection being searched,

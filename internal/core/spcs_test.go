@@ -421,3 +421,109 @@ func TestEmptyRideCountsRelaxed(t *testing.T) {
 		t.Fatalf("C reached at %d over a cancelled ride", arr)
 	}
 }
+
+// A board whose key catches the departure a later connection already took
+// from the route node is refused by the node's ride cursor before the
+// record check: the earlier connection writes no record there, counts no
+// settled label and scans nothing. Two trains A→B (08:00 and 08:20, ten
+// minutes) feed one train B→C at 10:00, and T(B) = 2. The 08:20 connection
+// boards B→C at 08:32 and evaluates its ride; the 08:00 connection boards
+// it at 08:12, inside the window (−1, 08:32] that catches the same
+// departure, and is refused with one relaxation and one pruning.
+func TestBoardRefusedByCursor(t *testing.T) {
+	b := timetable.NewBuilder(day)
+	a, bb, c := b.AddStation("A", 2), b.AddStation("B", 2), b.AddStation("C", 2)
+	b.AddTrainRun("ab1", []timetable.StationID{a, bb}, 480, []timeutil.Ticks{10}, 0)
+	b.AddTrainRun("ab2", []timetable.StationID{a, bb}, 500, []timeutil.Ticks{10}, 0)
+	b.AddTrainRun("bc", []timetable.StationID{bb, c}, 600, []timeutil.Ticks{10}, 0)
+	tt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Build(tt)
+	u := graph.NoNode // B's route node on B→C
+	for _, n := range g.Boards(bb) {
+		if _, ok := g.Ride(n); ok {
+			u = n
+		}
+	}
+	ws := NewWorkspace()
+	res, err := ws.OneToAll(g, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Deps) != 2 || res.Deps[0] != 480 || res.Deps[1] != 500 {
+		t.Fatalf("conn(A) departs at %v, want [480 500]", res.Deps)
+	}
+	// The 08:20 connection is searched first, with the query's first stamp.
+	w := ws.worker(0)
+	first := w.rowGen - 1
+	if l := w.row[u]; l.key != 512 || l.stamp != first {
+		t.Fatalf("B→C's first stop keeps %+v, want the 08:20 connection's board {512 %d}", l, first)
+	}
+	if rc := w.rides[u]; rc.stamp != first || rc.hi != 512 {
+		t.Fatalf("B→C's ride cursor %+v, want the 08:20 connection's evaluation at 512", rc)
+	}
+	// The 08:20 connection pops its seed, A, B and C (4 settles), writes
+	// the records of B's route node on A→B and of both stops of B→C (3),
+	// and relaxes the seed's alight and ride, A's board, B's two boards,
+	// B→C's ride, C's alight and C's board (9 relaxations, no pruning). The
+	// 08:00 connection pops its seed, A and B (3), writes B's record on A→B
+	// (1) and relaxes the seed's alight and ride, the alight at B, A's
+	// board and B's two boards (6): the board of B→C is the cursor's
+	// refusal, one relaxation and one pruning, with no settle.
+	want := stats.Counters{SettledConns: 11, QueuePushes: 7, QueuePops: 7, Relaxed: 15, PrunedConns: 1}
+	if got := res.Run.Total; got != want {
+		t.Fatalf("counters %+v, want %+v", got, want)
+	}
+	sched := NewConnectionScan(tt)
+	for tau := timeutil.Ticks(0); tau < day.Len(); tau++ {
+		cs, err := sched.Query(a, tau, oracleDays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []timetable.StationID{bb, c} {
+			if got, want := res.EarliestArrival(s, tau), cs.StationArrival(s); got != want {
+				t.Fatalf("station %d from A at %d: profile %d, connection scan %d", s, tau, got, want)
+			}
+		}
+	}
+}
+
+// A scan honours the cross-worker stop (Theorem 2): with another worker's
+// later connection published at T by 08:15, connection 0 of a station-to-
+// station search from A to C ends its trip at the first record at or
+// beyond that arrival, counted as a pruning, where a pop would only have
+// ended the connection once the record's station surfaced. One train runs
+// A→B→C at 08:00 (ten minutes a hop). The worker is driven directly, with
+// the arrival published before it starts, so the counts do not depend on
+// how two workers interleave.
+func TestScanHonoursCrossStop(t *testing.T) {
+	b := timetable.NewBuilder(day)
+	a, bb, c := b.AddStation("A", 2), b.AddStation("B", 2), b.AddStation("C", 2)
+	b.AddTrainRun("abc", []timetable.StationID{a, bb, c}, 480, []timeutil.Ticks{10, 10}, 0)
+	tt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Build(tt)
+	ws := NewWorkspace()
+	res := &StationQueryResult{ArrT: []timeutil.Ticks{timeutil.Infinity}}
+	q := &s2sQuery{res: res, target: c, targetNode: g.StationNode(c), stopping: true, crossStop: true}
+	q.stop.observeTargetSettle(1, 495)
+	pres := &ProfileResult{Source: a, Conns: []timetable.ConnID{0}, Deps: []timeutil.Ticks{480}, g: g}
+	w := spcsWorker{g: g, res: pres, limit: timeutil.Infinity, q: q, lo: 0, hi: 1, ws: ws.worker(0)}
+	w.run()
+	// The seed's scan writes B's record at 08:10 and queues B, then stops
+	// at C's record at 08:20 (the pruning); A and B pop and their boards
+	// are refused by their own records. Without the check the scan would
+	// write C's record and queue C, whose pop the cross-worker check ends:
+	// {5, 4, 4, 7, 1}.
+	want := stats.Counters{SettledConns: 4, QueuePushes: 3, QueuePops: 3, Relaxed: 6, PrunedConns: 1}
+	if w.counters != want {
+		t.Fatalf("counters %+v, want %+v", w.counters, want)
+	}
+	if !res.ArrT[0].IsInf() {
+		t.Fatalf("connection 0 answered %d, want no answer under the published 495", res.ArrT[0])
+	}
+}

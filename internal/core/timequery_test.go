@@ -107,7 +107,8 @@ func TestTimeQueryFIFO(t *testing.T) {
 // relaxed edges of TimeQuery and TimeQueryTo. The counts are the settle
 // loop's at k = 1: each station queued per improvement and settled once,
 // each route record written by a trip scan and counted as settled per
-// write (a record lowered later counts again), the seeds queued. A target
+// write (a record lowered later counts again; a board whose departure the
+// node's ride cursor already caught writes none), the seeds queued. A target
 // set stops the search at its last station; duplicates and the source
 // itself count once.
 func TestTimeQueryWork(t *testing.T) {
@@ -120,17 +121,17 @@ func TestTimeQueryWork(t *testing.T) {
 		targets []timetable.StationID
 		want    work
 	}{
-		{"oahu", 0, 480, nil, work{58, 20, 20, 94}},
-		{"oahu", 8, 1000, nil, work{59, 20, 18, 95}},
-		{"oahu", 15, 1439, nil, work{59, 19, 18, 94}},
+		{"oahu", 0, 480, nil, work{57, 20, 20, 93}},
+		{"oahu", 8, 1000, nil, work{57, 20, 18, 93}},
+		{"oahu", 15, 1439, nil, work{57, 19, 18, 92}},
 		{"oahu", 0, 480, []timetable.StationID{5, 4}, work{18, 13, 8, 30}},
 		{"oahu", 8, 1000, []timetable.StationID{1, 2, 3, 2}, work{48, 18, 15, 75}},
 		{"oahu", 15, 1439, []timetable.StationID{15}, work{7, 7, 3, 10}},
-		{"germany", 0, 480, nil, work{230, 45, 31, 411}},
-		{"germany", 12, 1000, nil, work{229, 39, 27, 401}},
-		{"germany", 24, 1439, nil, work{228, 49, 33, 411}},
-		{"germany", 0, 480, []timetable.StationID{8, 6}, work{80, 32, 14, 146}},
-		{"germany", 12, 1000, []timetable.StationID{1, 2, 3, 2}, work{199, 39, 23, 349}},
+		{"germany", 0, 480, nil, work{185, 45, 31, 366}},
+		{"germany", 12, 1000, nil, work{189, 39, 27, 361}},
+		{"germany", 24, 1439, nil, work{185, 49, 33, 368}},
+		{"germany", 0, 480, []timetable.StationID{8, 6}, work{71, 32, 14, 137}},
+		{"germany", 12, 1000, []timetable.StationID{1, 2, 3, 2}, work{165, 39, 23, 315}},
 		{"germany", 24, 1439, []timetable.StationID{24}, work{29, 20, 9, 48}},
 	} {
 		ws := NewWorkspace()
@@ -181,7 +182,9 @@ func workNets(t *testing.T) map[string]*graph.Graph {
 // runs a second time with the prune memo off, which must change no count.
 // Pruned is pinned for one-to-all too: its arrival bound refuses labels
 // without counting them, where the station-to-station stopping criterion
-// counts every finite key it refuses.
+// counts every finite key it refuses. A board, ride-in or seed the ride
+// cursor refuses counts one relaxation, and one pruning when a later
+// connection took its departure.
 func TestStationQueryWork(t *testing.T) {
 	nets := workNets(t)
 	envs := map[string]QueryEnv{}
@@ -213,34 +216,34 @@ func TestStationQueryWork(t *testing.T) {
 		opts     QueryOptions
 		want     work
 	}{
-		{kind: s2s, env: "oahu", src: 0, dst: 9, want: work{1604, 586, 539, 2431, 290}},
-		{kind: s2s, env: "oahu", src: 0, dst: 9, opts: stop, want: work{2413, 811, 764, 3687, 141}},
-		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, want: work{2148, 745, 741, 3299, 227}},
-		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, opts: noTable, want: work{2148, 745, 741, 3299, 227}},
-		{kind: s2s, env: "germany", src: 24, dst: 9, want: work{3209, 462, 416, 5629, 1382}},
-		{kind: s2s, env: "germany", src: 24, dst: 9, opts: stop, want: work{3231, 465, 418, 5669, 1237}},
-		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{629, 141, 130, 1044, 279}},
+		{kind: s2s, env: "oahu", src: 0, dst: 9, want: work{1495, 586, 539, 2322, 290}},
+		{kind: s2s, env: "oahu", src: 0, dst: 9, opts: stop, want: work{2230, 811, 764, 3504, 271}},
+		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, want: work{2030, 745, 741, 3181, 321}},
+		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, opts: noTable, want: work{2030, 745, 741, 3181, 321}},
+		{kind: s2s, env: "germany", src: 24, dst: 9, want: work{1762, 462, 416, 4198, 1760}},
+		{kind: s2s, env: "germany", src: 24, dst: 9, opts: stop, want: work{1760, 465, 418, 4214, 1745}},
+		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{479, 141, 130, 904, 290}},
 		{kind: s2s, env: "germany+deg2", src: 9, dst: 1, want: work{}},
-		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, want: work{136, 61, 46, 224, 31}},
-		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{923, 181, 131, 1651, 202}},
-		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{2987, 479, 409, 5395, 1391}},
-		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{3738, 596, 479, 6565, 1318}},
-		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1533, 289, 243, 2718, 439}},
+		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, want: work{113, 61, 46, 208, 48}},
+		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{725, 181, 131, 1460, 288}},
+		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{1747, 479, 409, 4168, 1785}},
+		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{2165, 596, 479, 5008, 1852}},
+		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1208, 289, 243, 2404, 533}},
 		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, want: work{24, 13, 11, 39, 0}},
 		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, opts: stop, want: work{24, 13, 11, 39, 0}},
 		{kind: point, env: "oahu+deg2", src: 8, dst: 3, depart: 1000, want: work{48, 18, 15, 75, 0}},
-		{kind: point, env: "germany", src: 24, dst: 9, depart: 480, want: work{131, 34, 18, 239, 0}},
-		{kind: point, env: "germany+deg2", src: 0, dst: 5, depart: 700, want: work{30, 20, 9, 57, 0}},
+		{kind: point, env: "germany", src: 24, dst: 9, depart: 480, want: work{111, 34, 18, 219, 0}},
+		{kind: point, env: "germany+deg2", src: 0, dst: 5, depart: 700, want: work{28, 20, 9, 55, 0}},
 		{kind: point, env: "germany+deg2", src: 9, dst: 1, depart: 700, want: work{}},
-		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, want: work{15, 10, 5, 26, 1}},
-		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, opts: noTarget, want: work{95, 22, 15, 176, 24}},
-		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, want: work{119, 30, 20, 220, 16}},
-		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, opts: noTable, want: work{199, 52, 27, 360, 0}},
-		{kind: point, env: "germany+deg2", src: 0, dst: 24, depart: 1000, want: work{150, 35, 25, 275, 23}},
-		{kind: oneToAll, env: "oahu", src: 0, want: work{2887, 895, 892, 4508, 190}},
-		{kind: oneToAll, env: "germany", src: 12, want: work{1734, 311, 216, 3047, 122}},
-		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{235, 74, 74, 366, 12}},
-		{kind: window, env: "germany", src: 12, depart: 480, until: 720, want: work{115, 19, 18, 201, 4}},
+		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, want: work{14, 10, 5, 25, 1}},
+		{kind: point, env: "germany+deg2", src: 12, dst: 9, depart: 480, opts: noTarget, want: work{87, 22, 15, 168, 24}},
+		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, want: work{106, 30, 20, 207, 16}},
+		{kind: point, env: "germany+deg2", src: 24, dst: 13, depart: 1000, opts: noTable, want: work{171, 52, 27, 332, 0}},
+		{kind: point, env: "germany+deg2", src: 0, dst: 24, depart: 1000, want: work{134, 35, 25, 259, 23}},
+		{kind: oneToAll, env: "oahu", src: 0, want: work{2566, 895, 892, 4187, 435}},
+		{kind: oneToAll, env: "germany", src: 12, want: work{1343, 311, 216, 2663, 256}},
+		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{220, 74, 74, 351, 18}},
+		{kind: window, env: "germany", src: 12, depart: 480, until: 720, want: work{111, 19, 18, 198, 7}},
 	} {
 		env := envs[c.env]
 		ws := NewWorkspace()

@@ -17,12 +17,16 @@ type Counters struct {
 	// SettledConns counts the paper's "settled connections": queue
 	// extractions that passed the prunings and relaxed their edges, plus
 	// every route record a trip scan of the settle loop writes (those route
-	// nodes are never queued) and that the table prunings do not stop.
+	// nodes are never queued) and that the table prunings do not stop. A
+	// board the settle loop's ride cursor refuses writes no record and is
+	// not counted.
 	SettledConns int64
 	// PrunedConns counts labels refused or discarded by self-pruning,
-	// stopping criterion, distance-table or target pruning. A ride the
-	// settle loop refuses unevaluated because it repeats a departure already
-	// taken counts as the record check would have counted it.
+	// stopping criterion, distance-table or target pruning. A board, ride-in
+	// or seed the settle loop refuses unevaluated because it catches a
+	// departure its route node's ride cursor already caught in this query
+	// counts once when a later connection took that departure (Theorem 1),
+	// and not when the connection itself did.
 	PrunedConns int64
 	// QueuePushes counts insert + decrease-key operations. The settle loop
 	// queues stations and seeds only, with or without a distance table.
