@@ -103,11 +103,10 @@
 // it hands on is at least its own, and it can be expanded the moment its
 // record is written. The loop queues no route node but the seeds: when a
 // station settles at key, each board hands key + T(S) to spcsWorker.scan,
-// which rides the trip forward at once (spcsWorker.scanTable in a query the
-// distance table prunes, below), and a popped seed enters the same scan at
-// its alight. A board whose key catches the departure the route node's ride
-// cursor already caught in this query is refused before all of that (same
-// ride, below). At each route node the scan writes the record, queues the
+// which rides the trip forward at once, with or without a distance table
+// (below), and a popped seed enters the same scan at its alight. A board
+// whose key catches the departure the route node's ride cursor already
+// caught in this query is refused before all of that (same ride, below). At each route node the scan writes the record, queues the
 // node's station at the alight key unless that station's record refuses it,
 // and evaluates the ride; it moves on while the next node's record admits
 // the arrival, and stops at limit, at the end of the route, or at a record
@@ -125,13 +124,16 @@
 // Strasser, Wagner, SEA 2013). The counters keep Table 1's meaning:
 // SettledConns is station settles plus route-record writes, and the queue
 // counters count stations and seeds; a board the cursor refuses writes no
-// record, so it is one relaxation and no settle. A query the distance table
-// prunes scans through scanTable, which runs Theorems 3 and 4 at each record
-// it writes, as a pop of that record would: a pruned record ends the trip,
-// an answer ends the connection, and a transfer-station ancestor found on
-// the trip holds for the rest of it. One branch at the hand-over of a board
-// or a ride head chooses scan or scanTable, so the no-table scan is the same
-// code as without Section 4.
+// record, so it is one relaxation and no settle. One scan serves every
+// query: in one the distance table prunes it runs Theorems 3 and 4 at each
+// record it writes (spcsWorker.prune, behind a flag read once per scan), as
+// a pop of that record would: a pruned record ends the trip, an answer ends
+// the connection, and a transfer-station ancestor found on the trip holds
+// for the rest of it. Without a table the scan pays one untaken branch per
+// record written and one per station queued. Folding the table scan into
+// it changed no work count, and every wall-time difference it made on the
+// one-to-all and station-to-station benchmarks stayed inside the
+// run-to-run spread (CHANGES.md).
 //
 // Station-to-station (spcsWorker.q set) adds Section 4's prunings to the
 // same loop behind one branch per pop that no iteration changes (no policy
@@ -179,13 +181,13 @@
 // Same ride: a key in (lo, hi] catches the departure the cursor's last
 // evaluation caught, and arrives when it arrived. If that evaluation ran
 // with a stamp at or after the row's floor, the head's record then took that
-// arrival or held a better one; an arrival at or beyond limit recorded
-// nothing and disarms the window instead. Records only fall within a query
-// and limit never rises, so the record check at the head would refuse the
-// key now. The loop refuses it unevaluated (spcsWorker.sameRide), without
-// searching the ride's departures or moving the cursor: a ride-in or a seed
-// after the scan has written its record and queued its station, and a board
-// before anything, which is the check that pays. On a bus network most
+// arrival or held a better one, or the arrival reached limit and recorded
+// nothing. Records only fall within a query and limit never rises within a
+// worker's query, so the record check at the head, or the bound, would
+// refuse the key now. The loop refuses it unevaluated (spcsWorker.sameRide),
+// without searching the ride's departures or moving the cursor: a ride-in
+// or a seed after the scan has written its record and queued its station,
+// and a board before anything, which is the check that pays. On a bus network most
 // boards are of route nodes whose departure a later connection, or this one
 // by riding in, already took, and such a board then writes no record at its
 // node, counts no settled label and starts no scan. The missing record

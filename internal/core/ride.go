@@ -31,8 +31,9 @@ import (
 // with a stamp at or after the row's floor, the head's record took its
 // arrival or held a better one, and records only fall within a query, so
 // the record check at the head would refuse it now. An evaluation whose
-// arrival was at or beyond the search's bound is disarmed, since nothing
-// was recorded for it.
+// arrival reached the search's bound recorded nothing at the head, but the
+// bound never rises within a worker's query, so it would refuse that
+// arrival now as well.
 type rideCursor struct {
 	lo, hi timeutil.Ticks
 	idx    int32
@@ -92,7 +93,3 @@ func (c *rideCursor) eval(conns []graph.RideConn, period timeutil.Period, key ti
 func (c *rideCursor) same(key timeutil.Ticks, floor uint32) bool {
 	return c.stamp >= floor && c.lo < key && key <= c.hi
 }
-
-// disarm empties the same-ride window, keeping the walk-back state: the
-// last evaluation's arrival was not recorded.
-func (c *rideCursor) disarm() { c.lo = c.hi }

@@ -172,14 +172,6 @@ func TestRideCursorMatchesEvalRide(t *testing.T) {
 	if c.stamp != 5 || c.idx != 3 || c.lo != 480 || c.hi != 500 {
 		t.Fatalf("cursor after the evaluation: %+v, want stamp 5 at index 3, window (480, 500]", c)
 	}
-	// A disarmed cursor keeps walking back but reports no same ride.
-	c.disarm()
-	if c.same(490, 5) {
-		t.Fatal("a disarmed cursor reports the same ride")
-	}
-	if arr, _ := c.eval(conns, g.TT.Period, 490, 5, 5); arr != 550 {
-		t.Fatalf("disarmed cursor at 490: arrival %d, want 550", arr)
-	}
 }
 
 // FuzzRideCursor drives one cursor through arbitrary steps on arbitrary

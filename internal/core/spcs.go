@@ -62,10 +62,10 @@ type spcsWorker struct {
 // node's keys are read by self-pruning alone, through the row.
 //
 // The queue holds stations and seeds only: a station relaxes its boards,
-// then its footpaths, and a board hands its route node to scan, or to
-// scanTable in a query the distance table prunes, which writes the records
-// of the trip it rides at once; a popped seed enters the same scan at its
-// alight (package comment, "Queue and label layout"). A node's ride is
+// then its footpaths, and a board hands its route node to scan, which
+// writes the records of the trip it rides at once, with or without a
+// distance table; a popped seed enters the same scan at its alight
+// (package comment, "Queue and label layout"). A node's ride is
 // evaluated through the worker's ride cursor of that node (rideCursor),
 // valid from the query's first stamp on; a key that catches the departure
 // the cursor last caught in this query is refused without evaluating it
@@ -327,25 +327,34 @@ func (w *spcsWorker) sameRide(u graph.NodeID, key timeutil.Ticks, floor, cur uin
 // cursor, moving on to the next route node while that node's record admits
 // the arrival. Every key it writes is at least the key of the pop that
 // started it, so stations stay label-setting, and a record this connection
-// rewrites lower later is scanned again from there. With another worker
-// publishing arrivals at T (s2sQuery.crossStop) the trip ends, counted as
-// pruned, at a record whose key reaches the arrival of a later connection
-// (Theorem 2), as a pop would end the connection. A query the distance
-// table prunes scans through scanTable instead, which reports whether the
+// rewrites lower later is scanned again from there. It reports whether the
 // connection ended and the bound of the worker's next one.
+//
+// One scan serves every query. With another worker publishing arrivals at
+// T (s2sQuery.crossStop) the trip ends, counted as pruned, at a record
+// whose key reaches the arrival of a later connection (Theorem 2), as a pop
+// would end the connection. In a query the distance table prunes, each
+// record it writes gets the table prunings (prune) a pop of that record
+// would: a record pruned by Theorem 3 ends the trip there, and an answer by
+// Theorem 4 ends the connection. A transfer-station ancestor that prune
+// finds holds for the rest of the trip, and c.childAnc is restored for the
+// caller's other boards when the trip ends. A station the scan queues gets
+// the ancestor bookkeeping of run's pushes (pushAnc); its key, like every
+// key the scan writes, is below limit, which only an answer that ends the
+// connection lowers.
 func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from graph.NodeID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) (bool, timeutil.Ticks) {
+	g, res, ws, q := w.g, w.res, w.ws, w.q
+	row, rides := ws.row, ws.rides
+	k, hasParents := len(res.Deps), res.hasParents
 	var stop *stopState // nil for one-to-all and a lone worker
-	if q := w.q; q != nil {
-		if q.table != nil {
-			return w.scanTable(c, u, key, from, i, limit, floor, qfloor, cur)
-		}
+	table, anc := false, false
+	if q != nil {
 		if q.crossStop {
 			stop = &q.stop
 		}
+		table, anc = q.table != nil, q.targetIsTransfer
 	}
-	g, res, ws := w.g, w.res, w.ws
-	row, rides := ws.row, ws.rides
-	k := len(res.Deps)
+	childAnc := c.childAnc
 	// A boarded node's alight leads back to the station it was boarded
 	// from, settled at or below key: refused, so not relaxed.
 	alight, conn := from == graph.NoNode, timetable.ConnID(-1)
@@ -353,79 +362,21 @@ func (w *spcsWorker) scan(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from g
 		if from != graph.NoNode {
 			if stop != nil && stop.shouldPrune(i, key) {
 				w.counters.PrunedConns++
-				return false, limit
+				break
 			}
 			row[u] = label{key: key, stamp: cur}
 			w.counters.SettledConns++
-			if res.hasParents {
+			if hasParents {
 				res.setParent(int(u)*k+i, from, conn)
 			}
-		}
-		if alight {
-			w.counters.Relaxed++
-			st := g.StationNode(g.Station(u))
-			if l := &row[st]; l.stamp < floor || key < l.key {
-				*l = label{key: key, stamp: cur}
-				ws.radix.Push(int32(st), key)
-				w.counters.QueuePushes++
-				if res.hasParents {
-					res.setParent(int(st)*k+i, u, -1)
+			if table {
+				act, bound := w.prune(c, i, u, key, limit, cur)
+				if act == endConn {
+					return true, bound
 				}
-			} else if l.stamp != cur {
-				w.counters.PrunedConns++ // self-pruning (Theorem 1)
-			}
-			if w.sameRide(u, key, floor, cur) {
-				w.counters.Relaxed++
-				return false, limit
-			}
-		}
-		alight = true
-		conns, ok := g.Ride(u)
-		if !ok {
-			return false, limit // the route ends
-		}
-		w.counters.Relaxed++
-		rc := &rides[u]
-		arr, ride := rc.eval(conns, g.TT.Period, key, qfloor, cur)
-		if arr >= limit {
-			rc.disarm()
-		}
-		if !w.admits(u+1, arr, limit, floor, cur) {
-			return false, limit
-		}
-		from, u, key, conn = u, u+1, arr, ride
-	}
-}
-
-// scanTable is scan for a query the distance table prunes (q.table set). At
-// each record it writes it runs the table prunings (prune) as a pop of that
-// record would: a record pruned by Theorem 3 ends the trip there, and an
-// answer by Theorem 4 ends the connection, which scanTable reports with the
-// bound of the worker's next connection. A transfer-station ancestor that
-// prune finds holds for the rest of the trip, and c.childAnc is restored
-// for the caller's other boards on return. A station the scan queues gets
-// the ancestor bookkeeping of run's pushes (pushAnc); its key, like every
-// key the scan writes, is below limit, which only an answer that ends the
-// connection lowers. A station-to-station query keeps no parents.
-func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, from graph.NodeID, i int, limit timeutil.Ticks, floor, qfloor, cur uint32) (bool, timeutil.Ticks) {
-	g, ws, q := w.g, w.ws, w.q
-	row, rides := ws.row, ws.rides
-	anc, childAnc, crossStop := q.targetIsTransfer, c.childAnc, q.crossStop
-	alight := from == graph.NoNode
-	for {
-		if from != graph.NoNode {
-			if crossStop && q.stop.shouldPrune(i, key) {
-				w.counters.PrunedConns++
-				break
-			}
-			row[u] = label{key: key, stamp: cur}
-			w.counters.SettledConns++
-			act, bound := w.prune(c, i, u, key, limit, cur)
-			if act == endConn {
-				return true, bound
-			}
-			if act == skipNode {
-				break
+				if act == skipNode {
+					break
+				}
 			}
 		}
 		if alight {
@@ -438,6 +389,9 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 				*l = label{key: key, stamp: cur}
 				ws.radix.Push(int32(st), key)
 				w.counters.QueuePushes++
+				if hasParents {
+					res.setParent(int(st)*k+i, u, -1)
+				}
 			} else if l.stamp != cur {
 				w.counters.PrunedConns++ // self-pruning (Theorem 1)
 			}
@@ -452,15 +406,11 @@ func (w *spcsWorker) scanTable(c *s2sConn, u graph.NodeID, key timeutil.Ticks, f
 			break // the route ends
 		}
 		w.counters.Relaxed++
-		rc := &rides[u]
-		arr, _ := rc.eval(conns, g.TT.Period, key, qfloor, cur)
-		if arr >= limit {
-			rc.disarm()
-		}
+		arr, ride := rides[u].eval(conns, g.TT.Period, key, qfloor, cur)
 		if !w.admits(u+1, arr, limit, floor, cur) {
 			break
 		}
-		from, u, key = u, u+1, arr
+		from, u, key, conn = u, u+1, arr, ride
 	}
 	c.childAnc = childAnc
 	return false, limit

@@ -178,8 +178,8 @@ func workNets(t *testing.T) map[string]*graph.Graph {
 // (9 → 1), a pair that target pruning answers (12 → 9) and one whose via
 // pruning refreshes µ past the first via station that keeps a label
 // (0 → 24). Every search scans trips; one the table prunes runs Theorems 3
-// and 4 at each record a scan writes (scanTable), and each of its cases
-// runs a second time with the prune memo off, which must change no count.
+// and 4 at each record a scan writes, and each of its cases runs a second
+// time with the prune memo off, which must change no count.
 // Pruned is pinned for one-to-all too: its arrival bound refuses labels
 // without counting them, where the station-to-station stopping criterion
 // counts every finite key it refuses. A board, ride-in or seed the ride
@@ -216,19 +216,19 @@ func TestStationQueryWork(t *testing.T) {
 		opts     QueryOptions
 		want     work
 	}{
-		{kind: s2s, env: "oahu", src: 0, dst: 9, want: work{1495, 586, 539, 2322, 290}},
+		{kind: s2s, env: "oahu", src: 0, dst: 9, want: work{1488, 586, 539, 2315, 291}},
 		{kind: s2s, env: "oahu", src: 0, dst: 9, opts: stop, want: work{2230, 811, 764, 3504, 271}},
-		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, want: work{2030, 745, 741, 3181, 321}},
-		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, opts: noTable, want: work{2030, 745, 741, 3181, 321}},
-		{kind: s2s, env: "germany", src: 24, dst: 9, want: work{1762, 462, 416, 4198, 1760}},
+		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, want: work{2025, 745, 741, 3176, 321}},
+		{kind: s2s, env: "oahu+deg2", src: 8, dst: 3, opts: noTable, want: work{2025, 745, 741, 3176, 321}},
+		{kind: s2s, env: "germany", src: 24, dst: 9, want: work{1748, 462, 416, 4184, 1758}},
 		{kind: s2s, env: "germany", src: 24, dst: 9, opts: stop, want: work{1760, 465, 418, 4214, 1745}},
-		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{479, 141, 130, 904, 290}},
+		{kind: s2s, env: "germany+deg2", src: 0, dst: 5, want: work{444, 141, 130, 869, 289}},
 		{kind: s2s, env: "germany+deg2", src: 9, dst: 1, want: work{}},
 		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, want: work{113, 61, 46, 208, 48}},
-		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{725, 181, 131, 1460, 288}},
-		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{1747, 479, 409, 4168, 1785}},
-		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{2165, 596, 479, 5008, 1852}},
-		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1208, 289, 243, 2404, 533}},
+		{kind: s2s, env: "germany+deg2", src: 12, dst: 9, opts: noTarget, want: work{724, 181, 131, 1459, 287}},
+		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, want: work{1746, 479, 409, 4167, 1785}},
+		{kind: s2s, env: "germany+deg2", src: 24, dst: 13, opts: noTable, want: work{2163, 596, 479, 5006, 1850}},
+		{kind: s2s, env: "germany+deg2", src: 0, dst: 24, want: work{1206, 289, 243, 2402, 532}},
 		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, want: work{24, 13, 11, 39, 0}},
 		{kind: point, env: "oahu", src: 0, dst: 9, depart: 480, opts: stop, want: work{24, 13, 11, 39, 0}},
 		{kind: point, env: "oahu+deg2", src: 8, dst: 3, depart: 1000, want: work{48, 18, 15, 75, 0}},
@@ -242,8 +242,8 @@ func TestStationQueryWork(t *testing.T) {
 		{kind: point, env: "germany+deg2", src: 0, dst: 24, depart: 1000, want: work{134, 35, 25, 259, 23}},
 		{kind: oneToAll, env: "oahu", src: 0, want: work{2566, 895, 892, 4187, 435}},
 		{kind: oneToAll, env: "germany", src: 12, want: work{1343, 311, 216, 2663, 256}},
-		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{220, 74, 74, 351, 18}},
-		{kind: window, env: "germany", src: 12, depart: 480, until: 720, want: work{111, 19, 18, 198, 7}},
+		{kind: window, env: "oahu", src: 0, depart: 480, until: 560, want: work{214, 74, 74, 345, 24}},
+		{kind: window, env: "germany", src: 12, depart: 480, until: 720, want: work{102, 19, 18, 190, 17}},
 	} {
 		env := envs[c.env]
 		ws := NewWorkspace()
@@ -293,8 +293,8 @@ func TestStationQueryWork(t *testing.T) {
 }
 
 // TestScanQueuesStationsOnly checks the settle loop's schedule. A board or a
-// ride hands its head to scan, or to scanTable when a distance table prunes,
-// so the only route nodes that pass through the queue are seeds: at most one
+// ride hands its head to scan, with or without a distance table, so the
+// only route nodes that pass through the queue are seeds: at most one
 // per connection of a profile search, and the route nodes of S for a point
 // search, at any thread count, with or without a table.
 func TestScanQueuesStationsOnly(t *testing.T) {

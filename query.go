@@ -126,8 +126,8 @@ func (p *Profile) Empty() bool { return p.fn.Empty() && p.walkOnly.IsInf() }
 type QueryStats struct {
 	// SettledConnections is the number of (node, connection) labels settled
 	// (summed over threads): station labels popped from the queue, plus the
-	// route-node records the trip scans write, or, under a distance table,
-	// the route-node labels popped.
+	// route-node records the trip scans write, with or without a distance
+	// table.
 	SettledConnections int64
 	// MaxThreadSettled is the critical-path work of the slowest thread.
 	MaxThreadSettled int64

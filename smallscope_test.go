@@ -365,10 +365,11 @@ func sequences(n int) [][]StationID {
 // ssTally counts what a scope covered, so that a vacuous run fails.
 // tableArrivals counts the answers checked under a distance table, and
 // tableSearches the queries among them that searched under it (neither a
-// local pair nor a table hit).
+// local pair nor a table hit). splitProfiles counts the profiles without a
+// table whose search both workers of Threads 2 shared.
 type ssTally struct {
 	nets, arrivals, journeys, walkWins, unreachable int
-	tableArrivals, tableSearches                    int
+	tableArrivals, tableSearches, splitProfiles     int
 }
 
 // checkSmallNet compares Plan with the brute force on one timetable, at
@@ -406,6 +407,34 @@ func checkSmallNet(t *testing.T, m *ssNet, threads []int, tally *ssTally) {
 		return Infinity
 	}
 	tally.nets++
+	// The station-to-station profile without a table, at Threads 1 and 2
+	// whatever the scope's thread counts: at 2 each worker's scans stop at
+	// the arrival the other published for a later connection (Theorem 2).
+	for _, th := range []int{1, 2} {
+		for s := range StationID(3) {
+			for dst := range StationID(3) {
+				if dst == s {
+					continue
+				}
+				res, err := n.Plan(ctx, Request{Kind: KindProfile, From: s, To: dst, Options: Options{Threads: th}})
+				if err != nil {
+					t.Fatalf("%s: profile %d→%d: %v", m, s, dst, err)
+				}
+				prof, err := res.Profile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := res.Stats(); st.MaxThreadSettled < st.SettledConnections {
+					tally.splitProfiles++
+				}
+				for tau := range pi {
+					if got, want := prof.EarliestArrival(tau), eaAt(s, dst, tau); got != want {
+						t.Fatalf("%s, threads %d: profile %d→%d at %d: %d, brute force %d", m, th, s, dst, tau, got, want)
+					}
+				}
+			}
+		}
+	}
 	for _, th := range threads {
 		opts := Options{Threads: th, TrackJourneys: true}
 		whole := make([]*AllProfiles, 3)
@@ -689,9 +718,11 @@ func TestSmallScope(t *testing.T) {
 				checkSmallNet(t, m, threads, &tally)
 			})
 			t.Logf("%d timetables: %d arrivals, %d journeys checked, %d where walking ties or wins, %d unreachable; "+
-				"under tables %d answers, from %d searches that were neither local nor table hits",
-				tally.nets, tally.arrivals, tally.journeys, tally.walkWins, tally.unreachable, tally.tableArrivals, tally.tableSearches)
-			if tally.journeys == 0 || tally.unreachable == 0 || tally.tableSearches == 0 {
+				"under tables %d answers, from %d searches that were neither local nor table hits; "+
+				"%d profiles without a table split over two workers",
+				tally.nets, tally.arrivals, tally.journeys, tally.walkWins, tally.unreachable, tally.tableArrivals, tally.tableSearches,
+				tally.splitProfiles)
+			if tally.journeys == 0 || tally.unreachable == 0 || tally.tableSearches == 0 || tally.splitProfiles == 0 {
 				t.Fatalf("vacuous scope: %+v", tally)
 			}
 		})
