@@ -1,7 +1,8 @@
 package transit
 
 // Benchmarks regenerating the paper's evaluation (README "Benchmarks" is
-// the experiment index). One benchmark per table and per ablation:
+// the experiment index; experiments_test.go asserts its shapes). One
+// benchmark per table and per ablation:
 //
 //	BenchmarkTable1OneToAll/<family>/CS-p<N>   — Table 1 rows (CS, 1–8 cores)
 //	BenchmarkTable1OneToAll/<family>/LC        — Table 1 LC baseline rows
@@ -9,8 +10,9 @@ package transit
 //	BenchmarkAblation*                          — design-choice ablations
 //
 // The per-op metrics reported via b.ReportMetric mirror the paper's
-// columns: settled connections per query and (for parallel runs) the
-// critical-path work that determines achievable speed-up.
+// columns: settled connections per query, (for parallel runs) the
+// critical-path work that determines achievable speed-up, and (Table 2)
+// the transfer stations, build time and size of each distance table.
 
 import (
 	"bytes"
@@ -22,24 +24,23 @@ import (
 	"testing"
 	"time"
 
-	"transit/internal/bench"
 	"transit/internal/core"
 	"transit/internal/gen"
 	"transit/internal/timetable"
 )
 
 // benchScale keeps `go test -bench=.` under a few minutes on one core
-// while preserving the workload shape; cmd/tpbench -scale raises it.
+// while preserving the workload shape.
 const benchScale = 0.12
 
-var benchNets = map[string]*bench.Network{}
+var benchNets = map[string]*Network{}
 
-func benchNet(b *testing.B, family string) *bench.Network {
+func benchNet(b *testing.B, family string) *Network {
 	b.Helper()
 	if n, ok := benchNets[family]; ok {
 		return n
 	}
-	n, err := bench.Load(family, benchScale, 1)
+	n, err := Generate(family, benchScale, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,10 +48,10 @@ func benchNet(b *testing.B, family string) *bench.Network {
 	return n
 }
 
-func benchSources(net *bench.Network, n int) []timetable.StationID {
+func benchSources(net *Network, n int) []timetable.StationID {
 	out := make([]timetable.StationID, n)
 	for i := range out {
-		out[i] = timetable.StationID((i * 7919) % net.TT.NumStations())
+		out[i] = timetable.StationID((i * 7919) % net.NumStations())
 	}
 	return out
 }
@@ -59,7 +60,7 @@ func benchSources(net *bench.Network, n int) []timetable.StationID {
 // with the connection-setting algorithm on 1, 2, 4 and 8 threads, and the
 // label-correcting baseline.
 func BenchmarkTable1OneToAll(b *testing.B) {
-	for _, family := range bench.Families() {
+	for _, family := range GenerateFamilies() {
 		b.Run(family, func(b *testing.B) {
 			net := benchNet(b, family)
 			sources := benchSources(net, 16)
@@ -67,7 +68,7 @@ func BenchmarkTable1OneToAll(b *testing.B) {
 				b.Run(fmt.Sprintf("CS-p%d", p), func(b *testing.B) {
 					var settled, critical int64
 					for i := 0; i < b.N; i++ {
-						res, err := core.NewWorkspace().OneToAll(net.G, sources[i%len(sources)], core.Options{Threads: p})
+						res, err := core.NewWorkspace().OneToAll(net.g, sources[i%len(sources)], core.Options{Threads: p})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -81,7 +82,7 @@ func BenchmarkTable1OneToAll(b *testing.B) {
 			b.Run("LC", func(b *testing.B) {
 				var settled int64
 				for i := 0; i < b.N; i++ {
-					res, err := core.LabelCorrecting(net.G, sources[i%len(sources)], core.Options{})
+					res, err := core.LabelCorrecting(net.g, sources[i%len(sources)], core.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -93,35 +94,41 @@ func BenchmarkTable1OneToAll(b *testing.B) {
 	}
 }
 
+// table2Selections are Table 2's rows: no distance table (the stopping
+// criterion alone), contraction tables over 1–20 % of the stations, and
+// the stations of station-graph degree > 2.
+var table2Selections = []struct {
+	name string
+	sel  TransferSelection
+}{
+	{"frac0.0%", TransferSelection{}},
+	{"frac1.0%", TransferSelection{Fraction: 0.01}},
+	{"frac2.5%", TransferSelection{Fraction: 0.025}},
+	{"frac5.0%", TransferSelection{Fraction: 0.05}},
+	{"frac10.0%", TransferSelection{Fraction: 0.10}},
+	{"frac20.0%", TransferSelection{Fraction: 0.20}},
+	{"deg2", TransferSelection{MinDegree: 2}},
+}
+
 // BenchmarkTable2StationToStation regenerates Table 2: station-to-station
-// profile queries with the stopping criterion and distance tables of
-// varying size.
+// profile queries at one thread with the stopping criterion and distance
+// tables of varying size. Each row reports its table's transfer stations,
+// build time and size beside the query metrics.
 func BenchmarkTable2StationToStation(b *testing.B) {
-	for _, family := range bench.Families() {
+	for _, family := range GenerateFamilies() {
 		b.Run(family, func(b *testing.B) {
 			net := benchNet(b, family)
 			sources := benchSources(net, 32)
-			for _, sel := range bench.PaperSelections(false) {
-				b.Run(selName(sel.Label), func(b *testing.B) {
-					env := core.QueryEnv{Graph: net.G}
-					if sel.Fraction > 0 || sel.MinDegree > 0 {
-						var marked []bool
-						if sel.MinDegree > 0 {
-							marked = net.SG.SelectByDegree(sel.MinDegree)
-						} else {
-							keep := int(float64(net.TT.NumStations()) * sel.Fraction)
-							if keep < 1 {
-								keep = 1
-							}
-							marked = net.SG.SelectByContraction(keep)
-						}
-						pre, err := core.BuildDistanceTable(net.G, marked, core.Options{}, 1)
-						if err != nil {
+			for _, row := range table2Selections {
+				b.Run(row.name, func(b *testing.B) {
+					n, ps := net, &PreprocessStats{}
+					if row.sel != (TransferSelection{}) {
+						var err error
+						if n, ps, err = net.Preprocess(row.sel, Options{}); err != nil {
 							b.Fatal(err)
 						}
-						env.StationGraph = net.SG
-						env.Table = pre.Table
 					}
+					env := n.queryEnv()
 					b.ReportAllocs()
 					b.ResetTimer()
 					var settled int64
@@ -129,7 +136,7 @@ func BenchmarkTable2StationToStation(b *testing.B) {
 						src := sources[i%len(sources)]
 						dst := sources[(i+5)%len(sources)]
 						if src == dst {
-							dst = timetable.StationID((int(dst) + 1) % net.TT.NumStations())
+							dst = timetable.StationID((int(dst) + 1) % net.NumStations())
 						}
 						ws := core.GetWorkspace()
 						res, err := ws.StationToStation(env, src, dst, core.QueryOptions{})
@@ -139,19 +146,15 @@ func BenchmarkTable2StationToStation(b *testing.B) {
 						settled += res.Run.Total.SettledConns
 						core.PutWorkspace(ws)
 					}
+					// Reported after the timed loop: ResetTimer drops
+					// metrics reported before it.
 					b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+					b.ReportMetric(float64(ps.TransferStations), "transfer")
+					b.ReportMetric(float64(ps.Elapsed)/float64(time.Millisecond), "prepro-ms")
+					b.ReportMetric(float64(ps.TableBytes)/(1<<20), "table-MiB")
 				})
 			}
 		})
-	}
-}
-
-func selName(label string) string {
-	switch label {
-	case "deg > 2":
-		return "deg2"
-	default:
-		return "frac" + label
 	}
 }
 
@@ -168,7 +171,7 @@ func BenchmarkAblationSelfPruning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var settled int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.NewWorkspace().OneToAll(net.G, sources[i%len(sources)], core.Options{DisableSelfPruning: disable})
+				res, err := core.NewWorkspace().OneToAll(net.g, sources[i%len(sources)], core.Options{DisableSelfPruning: disable})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -188,7 +191,7 @@ func BenchmarkAblationPartition(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			var critical int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.NewWorkspace().OneToAll(net.G, sources[i%len(sources)], core.Options{Threads: 4, Partition: strat})
+				res, err := core.NewWorkspace().OneToAll(net.g, sources[i%len(sources)], core.Options{Threads: 4, Partition: strat})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -204,7 +207,7 @@ func BenchmarkAblationPartition(b *testing.B) {
 func BenchmarkAblationStopping(b *testing.B) {
 	net := benchNet(b, "germany")
 	sources := benchSources(net, 32)
-	env := core.QueryEnv{Graph: net.G}
+	env := core.QueryEnv{Graph: net.g}
 	for _, disable := range []bool{false, true} {
 		name := "on"
 		if disable {
@@ -216,7 +219,7 @@ func BenchmarkAblationStopping(b *testing.B) {
 				src := sources[i%len(sources)]
 				dst := sources[(i+9)%len(sources)]
 				if src == dst {
-					dst = timetable.StationID((int(dst) + 1) % net.TT.NumStations())
+					dst = timetable.StationID((int(dst) + 1) % net.NumStations())
 				}
 				ws := core.GetWorkspace()
 				res, err := ws.StationToStation(env, src, dst, core.QueryOptions{DisableStoppingCriterion: disable})
@@ -238,8 +241,7 @@ func BenchmarkAblationStopping(b *testing.B) {
 // class of the benchmark network. The gap is the per-update cost a live
 // server saves on every delay message.
 func BenchmarkApplyUpdates(b *testing.B) {
-	net := benchNet(b, "washington")
-	n := transitNetwork(net)
+	n := benchNet(b, "washington")
 	// Pick the route class whose connection count is closest to 100.
 	counts := map[int]int{}
 	for _, ci := range n.Connections() {
@@ -274,9 +276,6 @@ func BenchmarkApplyUpdates(b *testing.B) {
 		b.ReportMetric(float64(batch), "conns/batch")
 	})
 }
-
-// transitNetwork wraps a bench network's timetable as a public Network.
-func transitNetwork(net *bench.Network) *Network { return NewNetwork(net.TT) }
 
 func absInt(x int) int {
 	if x < 0 {
@@ -322,7 +321,7 @@ func BenchmarkPublicAPIQuery(b *testing.B) {
 func BenchmarkSteadyStateStationQuery(b *testing.B) {
 	net := benchNet(b, "oahu")
 	sources := benchSources(net, 32)
-	env := core.QueryEnv{Graph: net.G}
+	env := core.QueryEnv{Graph: net.g}
 	// The effort-tracked mode runs the same pooled-workspace loop with an
 	// attached core.Effort counter block — the observability contract is
 	// that tracing a query costs zero allocations, so its allocs/op column
@@ -347,7 +346,7 @@ func BenchmarkSteadyStateStationQuery(b *testing.B) {
 				src := sources[i%len(sources)]
 				dst := sources[(i+5)%len(sources)]
 				if src == dst {
-					dst = timetable.StationID((int(dst) + 1) % net.TT.NumStations())
+					dst = timetable.StationID((int(dst) + 1) % net.NumStations())
 				}
 				res, err := ws.StationToStation(env, src, dst, opts)
 				if err != nil {
@@ -368,7 +367,7 @@ func BenchmarkSteadyStateStationQuery(b *testing.B) {
 // comparison.
 func BenchmarkBaselineCSA(b *testing.B) {
 	net := benchNet(b, "oahu")
-	sched := core.NewConnectionScan(net.TT)
+	sched := core.NewConnectionScan(net.tt)
 	sources := benchSources(net, 16)
 	b.Run("csa", func(b *testing.B) {
 		b.ReportAllocs()
@@ -381,7 +380,7 @@ func BenchmarkBaselineCSA(b *testing.B) {
 	b.Run("td-dijkstra", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.NewWorkspace().TimeQuery(net.G, sources[i%len(sources)], 480, core.Options{}); err != nil {
+			if _, err := core.NewWorkspace().TimeQuery(net.g, sources[i%len(sources)], 480, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -56,7 +56,7 @@ func (s *server) plan(ctx context.Context, network string, snap *live.Snapshot, 
 		}
 		defer release()
 		if s.planHook != nil {
-			s.planHook()
+			s.planHook(ctx)
 		}
 		searchStart := time.Now()
 		res, err := snap.Net.Plan(ctx, req)

@@ -19,7 +19,7 @@ func blockFirstPlan(s *server) (entered, release chan struct{}) {
 	entered = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
-	s.planHook = func() {
+	s.planHook = func(context.Context) {
 		once.Do(func() { close(entered) })
 		<-release
 	}

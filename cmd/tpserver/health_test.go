@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -52,7 +53,7 @@ func TestReadyzLifecycle(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	s := newServer(live.NewRegistry(hourlyNetwork(t), live.Config{Policy: live.ServeUnpruned}), 1)
 	h := s.handler()
-	s.planHook = func() { panic("query poisoned") }
+	s.planHook = func(context.Context) { panic("query poisoned") }
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/arrival?from=0&to=1&at=08:00", nil))

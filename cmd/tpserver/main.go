@@ -120,8 +120,9 @@ type server struct {
 	cache *admit.Cache
 
 	// planHook, when set, runs inside an admitted fill just before the
-	// search; tests use it to hold a slot open deterministically.
-	planHook func()
+	// search, with the search's context; tests use it to hold a slot open
+	// or to let a deadline pass deterministically.
+	planHook func(context.Context)
 
 	// queryTimeout is the default per-request deadline of the query
 	// endpoints; clients can shorten it with the X-Deadline-Ms header.

@@ -106,8 +106,8 @@ type TouchedConn struct {
 // set describing the total change: per connection the first OldDep and the
 // last NewDep (cancellation is sticky, matching the patch semantics), with
 // net no-op retimes dropped. Both inputs are left untouched; the result is
-// sorted by connection ID. Only benchmark/ still calls it; it goes with
-// Repreprocess (ROADMAP (f)).
+// sorted by connection ID. Outside tests only benchmark/ calls it: kept for
+// benchmark/ (frozen by BENCHMARK.json).
 func MergeTouched(acc, next []TouchedConn) []TouchedConn {
 	byConn := make(map[int]TouchedConn, len(acc)+len(next))
 	for _, t := range acc {

@@ -92,44 +92,3 @@ func (r *Run) IdealSpeedup(sequential *Run) float64 {
 	}
 	return float64(sequential.Total.SettledConns) / float64(m)
 }
-
-// Aggregate sums a slice of runs into totals and mean elapsed time.
-type Aggregate struct {
-	Queries int
-	Total   Counters
-	// SumMaxThreadSettled accumulates each run's critical path.
-	SumMaxThreadSettled int64
-	SumElapsed          time.Duration
-}
-
-// Observe folds one run into the aggregate.
-func (a *Aggregate) Observe(r *Run) {
-	a.Queries++
-	a.Total.Add(r.Total)
-	a.SumMaxThreadSettled += r.MaxThreadSettled()
-	a.SumElapsed += r.Elapsed
-}
-
-// MeanSettled returns average settled connections per query.
-func (a *Aggregate) MeanSettled() float64 {
-	if a.Queries == 0 {
-		return 0
-	}
-	return float64(a.Total.SettledConns) / float64(a.Queries)
-}
-
-// MeanElapsed returns the average query duration.
-func (a *Aggregate) MeanElapsed() time.Duration {
-	if a.Queries == 0 {
-		return 0
-	}
-	return a.SumElapsed / time.Duration(a.Queries)
-}
-
-// MeanMaxThreadSettled returns the average critical path per query.
-func (a *Aggregate) MeanMaxThreadSettled() float64 {
-	if a.Queries == 0 {
-		return 0
-	}
-	return float64(a.SumMaxThreadSettled) / float64(a.Queries)
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCountersAdd(t *testing.T) {
@@ -30,28 +29,5 @@ func TestRunCriticalPath(t *testing.T) {
 	empty := Run{}
 	if empty.IdealSpeedup(&seq) != 1 {
 		t.Fatal("empty run speedup must be 1")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	var a Aggregate
-	if a.MeanSettled() != 0 || a.MeanElapsed() != 0 || a.MeanMaxThreadSettled() != 0 {
-		t.Fatal("empty aggregate means must be 0")
-	}
-	r1 := &Run{Total: Counters{SettledConns: 100}, PerThread: []Counters{{SettledConns: 60}, {SettledConns: 40}}, Elapsed: 2 * time.Millisecond}
-	r2 := &Run{Total: Counters{SettledConns: 300}, PerThread: []Counters{{SettledConns: 200}, {SettledConns: 100}}, Elapsed: 4 * time.Millisecond}
-	a.Observe(r1)
-	a.Observe(r2)
-	if a.Queries != 2 {
-		t.Fatal("Queries wrong")
-	}
-	if a.MeanSettled() != 200 {
-		t.Fatalf("MeanSettled = %f", a.MeanSettled())
-	}
-	if a.MeanMaxThreadSettled() != 130 {
-		t.Fatalf("MeanMaxThreadSettled = %f", a.MeanMaxThreadSettled())
-	}
-	if a.MeanElapsed() != 3*time.Millisecond {
-		t.Fatalf("MeanElapsed = %v", a.MeanElapsed())
 	}
 }

@@ -151,7 +151,7 @@ type PreprocessStats struct {
 	// Rows is the table's row count.
 	Rows int
 	// Deprecated: always Rows. The table is rebuilt after every delay
-	// batch; kept until benchmark/ stops reading it (ROADMAP (f)).
+	// batch; kept for benchmark/ (frozen by BENCHMARK.json).
 	RowsRepaired int
 	// Deprecated: always 0, see RowsRepaired.
 	RowsWindowed int

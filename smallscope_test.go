@@ -728,3 +728,70 @@ func TestSmallScope(t *testing.T) {
 		})
 	}
 }
+
+// TestTheorem4AncestorWitness is the smallest timetable known to reach
+// Theorem 4's ancestor rule, which the three-station scopes cannot: period
+// 10, every transfer time 0, stations S, Z, X, X2 and T, trains S→Z at 0
+// (hop 1), Z→X at 1 (hop 0), X→T at 1 (hop 5) and X2→T at 2 (hop 0), and a
+// footpath Z→X2 of 1 tick, under a table over {X, X2, T}. From S at 0 the
+// best journey walks Z→X2 and arrives at 2. Z's pop scans Z→X before the
+// walk, so a scan that left its trip's transfer-station ancestor set would
+// push X2 as if it had one, and X's record would then answer γ = 6 with no
+// ancestor-less label counted. Both kinds must answer 2 with and without
+// the table, at Threads 1 and 2.
+func TestTheorem4AncestorWitness(t *testing.T) {
+	b := timetable.NewBuilder(timeutil.NewPeriod(10))
+	var st [5]StationID
+	for i, name := range []string{"S", "Z", "X", "X2", "T"} {
+		st[i] = b.AddStation(name, 0)
+	}
+	s, z, x, x2, tgt := st[0], st[1], st[2], st[3], st[4]
+	b.AddTrainRun("sz", []StationID{s, z}, 0, []Ticks{1}, 0)
+	b.AddTrainRun("zx", []StationID{z, x}, 1, []Ticks{0}, 0)
+	b.AddTrainRun("xt", []StationID{x, tgt}, 1, []Ticks{5}, 0)
+	b.AddTrainRun("x2t", []StationID{x2, tgt}, 2, []Ticks{0}, 0)
+	b.AddFootpath(z, x2, 1)
+	tt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNetwork(tt)
+	marked := make([]bool, len(st))
+	for _, v := range []StationID{x, x2, tgt} {
+		marked[v] = true
+	}
+	pre, err := core.BuildDistanceTable(n.g, marked, core.Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt := *n
+	nt.table = pre.Table
+	ctx := context.Background()
+	const want = Ticks(2)
+	for _, tc := range []struct {
+		name string
+		n    *Network
+	}{{"no table", n}, {"table", &nt}} {
+		for _, threads := range []int{1, 2} {
+			opts := Options{Threads: threads}
+			res, err := tc.n.Plan(ctx, Request{Kind: KindEarliestArrival, From: s, To: tgt, Depart: 0, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := res.Arrival(); got != want {
+				t.Errorf("%s, threads %d: earliest arrival S→T at 0: %d, want %d", tc.name, threads, got, want)
+			}
+			res, err = tc.n.Plan(ctx, Request{Kind: KindProfile, From: s, To: tgt, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := res.Profile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := prof.EarliestArrival(0); got != want {
+				t.Errorf("%s, threads %d: profile S→T at 0: %d, want %d", tc.name, threads, got, want)
+			}
+		}
+	}
+}

@@ -233,8 +233,8 @@ func (n *Network) Preprocess(sel TransferSelection, opt Options) (*Network, *Pre
 
 // Repreprocess preprocesses n from scratch; base and touched are ignored.
 //
-// Deprecated: use n.Preprocess(sel, opt). Kept until benchmark/ stops
-// calling it (ROADMAP (f)).
+// Deprecated: use n.Preprocess(sel, opt). Kept for benchmark/ (frozen by
+// BENCHMARK.json).
 func (n *Network) Repreprocess(base *Network, touched []TouchedConn, sel TransferSelection, opt Options) (*Network, *PreprocessStats, error) {
 	return n.Preprocess(sel, opt)
 }
